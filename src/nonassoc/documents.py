@@ -242,7 +242,10 @@ def _validate_whq(doc: dict) -> None:
     if dim < 1:
         raise SchemaError("dim must be positive")
     name = _need(doc, "field", str)
-    field_by_name(name)  # raises on unknown field
+    try:
+        field_by_name(name)
+    except StructureError as exc:
+        raise SchemaError(f"field 'field': {exc}") from exc
     _validate_sparse(_need(doc, "unit", list), "unit", dim)
     _validate_sparse(_need(doc, "counit", list), "counit", dim)
     _validate_sparse(_need(doc, "product", list), "product", dim, dim, dim)
@@ -373,6 +376,7 @@ def doc_to_factorization(doc: dict) -> FactorizationCandidate:
 
 
 def whq_to_doc(d: MagmaCoalgebra, field_name: str = "Q") -> dict:
+    field_by_name(field_name)  # refuse to emit a tag that cannot be read back
     n = d.dim
 
     def sparse_map(m: LinearMap, decode):

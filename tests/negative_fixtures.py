@@ -88,6 +88,18 @@ def _two_dim_broken_unit_coassociativity():
     return MagmaCoalgebra(2, {0: 1, 1: 1}, product, counit, coproduct, antipode)
 
 
+def whq_fixtures():
+    """The corrupted magma-coalgebras behind the whq/* tags, by name."""
+    kc = magma_of_quasigroupoid(coarse_groupoid(2))
+    return {
+        "two-term product": _with_product_col(kc, (1, 2), {0: 1, 3: 1}),
+        "dropped product": _with_product_col(kc, (1, 2), {}),
+        "broken unit coassociativity": _two_dim_broken_unit_coassociativity(),
+        # true antipode is [0, 2, 1, 3]; redirect arrow (0,1) to the identity (1,1)
+        "redirected antipode": _with_antipode(kc, lambda i: [0, 3, 1, 3][i]),
+    }
+
+
 def collect():
     """tag -> (report, fired_tag) for every axiom in the negative-path matrix."""
     out = {}
@@ -140,21 +152,16 @@ def collect():
     out["mp/e3"] = (check_matched_pair(_with_right(flip_mp, {(2, 0): 0})), "e3")
 
     # weak Hopf quasigroup axioms -------------------------------------------
-    kc = magma_of_quasigroupoid(coarse_groupoid(2))
-    out["whq/d1"] = (
-        check_whq(_with_product_col(kc, (1, 2), {0: 1, 3: 1})),
-        "d1",
-    )
-    dropped = _with_product_col(kc, (1, 2), {})
-    dropped_report = check_whq(dropped)
+    whq = whq_fixtures()
+    out["whq/d1"] = (check_whq(whq["two-term product"]), "d1")
+    dropped_report = check_whq(whq["dropped product"])
     for tag in ("d2", "d4-1", "d4-2", "d4-4", "d4-5", "d4-6", "d4-7"):
         out[f"whq/{tag}"] = (dropped_report, tag)
-    out["whq/d3"] = (check_whq(_two_dim_broken_unit_coassociativity()), "d3")
-    # true antipode is [0, 2, 1, 3]; redirect arrow (0,1) to the identity (1,1)
-    swapped_antipode = _with_antipode(kc, lambda i: [0, 3, 1, 3][i])
-    out["whq/d4-3"] = (check_whq(swapped_antipode), "d4-3")
+    out["whq/d3"] = (check_whq(whq["broken unit coassociativity"]), "d3")
+    out["whq/d4-3"] = (check_whq(whq["redirected antipode"]), "d4-3")
 
     # weak Hopf quasigroup morphism laws --------------------------------------
+    kc = magma_of_quasigroupoid(coarse_groupoid(2))
     swap = LinearMap.from_basis(4, 4, lambda i: {0: 0, 1: 2, 2: 1, 3: 3}[i])
     swap_report = check_whq_morphism(swap, kc, kc)
     for tag in ("mkl1", "mkl2", "mkl3", "mkl4"):

@@ -177,3 +177,23 @@ def test_prime_field_build_and_check(tmp_path, coarse_file, capsys):
     code, out, _ = run(capsys, "check-whq", magma_path)
     assert code == 0
     assert "PASS 0 violations" in out
+
+
+@pytest.mark.parametrize("tag", ["GFx", "GF", "GF4", "GF²", "R"])
+def test_bad_field_tag_is_a_schema_error(tmp_path, coarse2, capsys, tag):
+    doc = whq_to_doc(magma_of_quasigroupoid(coarse2))
+    doc["field"] = tag
+    path = write(tmp_path, "bad-field.json", emit(doc))
+    for command in ("check-whq", "suite", "validate"):
+        code, out, err = run(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: field 'field': ")
+
+
+def test_bad_field_option_exits_2(tmp_path, coarse_file, capsys):
+    magma_path = tmp_path / "magma.json"
+    code, _, err = run(capsys, "--field", "GFx", "build", "magma", coarse_file, "-o", str(magma_path))
+    assert code == 2
+    assert "unknown field 'GFx'" in err
+    assert not magma_path.exists()

@@ -142,8 +142,9 @@ def test_prime_field_rejects_composites():
 def test_field_lookup():
     assert field_by_name("Q") is RATIONALS
     assert field_by_name("GF7").p == 7
-    with pytest.raises(StructureError):
-        field_by_name("R")
+    for bad in ("R", "GF", "GFx", "GF 5", "GF\u00b2", "GF4"):
+        with pytest.raises(StructureError):
+            field_by_name(bad)
 
 
 def test_gf_vectors_in_maps():
