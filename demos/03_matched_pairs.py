@@ -7,12 +7,11 @@ map that glues a product pair back together.
 """
 
 from nonassoc import (
+    canonical_factorization,
+    check_exact_factorization,
     check_matched_pair,
     coarse_groupoid,
     cyclic_group,
-    double_cross_product,
-    inclusion_a,
-    inclusion_h,
     matched_pair_identity_suite,
     mixed_associativity_suite,
     moufang_loop_12,
@@ -44,21 +43,23 @@ for name, mp in [("coarse", mp1), ("z3-translation", mp2), ("moufang", mp3)]:
     print(f"\n{name}: identity suite OK={suite.ok}, configurations={sum(counts.values())}")
 
     # the double cross product: arrows are composable (a, h) pairs with the
-    # action-twisted product
-    dcp = double_cross_product(mp)
-    print(f"{name}: double cross product has {dcp.n_arrows} arrows")
+    # action-twisted product; it comes with the inclusions of both components
+    c = canonical_factorization(mp)
+    print(f"{name}: double cross product has {c.b.n_arrows} arrows")
 
-    # both components include monomorphically, and multiplying the two
-    # inclusions recovers every pair on the nose
-    ia, ih = inclusion_a(mp, dcp), inclusion_h(mp, dcp)
-    pairing = theta(mp)
+    # the product factors exactly through the two inclusions: one check covers
+    # the six mixed associativity laws and the pairing map, which recovers
+    # every pair on the nose
+    fact = check_exact_factorization(c)
+    pairing = theta(c, fact)
     assert all(image == pair for pair, image in pairing.items())
     print(f"{name}: pairing map is the identity on {len(pairing)} pairs")
 
-    # six mixed associativity laws; the suite also evaluates the variant of
-    # the last one with the right-hand factors exchanged, which fails as
-    # soon as the second component is noncommutative
-    mixed = mixed_associativity_suite(mp)
+    # the mixed associativity laws as seen from the pair; the suite also
+    # evaluates the variant of the last one with the right-hand factors
+    # exchanged, which fails as soon as the second component is
+    # noncommutative
+    mixed = mixed_associativity_suite(c, fact)
     swapped = mixed.data["AHH-swapped"]
     print(
         f"{name}: mixed associativity OK={mixed.ok}; exchanged-factor variant "

@@ -15,7 +15,11 @@ from fractions import Fraction
 
 from . import documents
 from .bowtie import bowtie_whq, verify_canonical_iso
-from .factorizations import enumerate_factorizations
+from .factorizations import (
+    canonical_factorization,
+    check_exact_factorization,
+    enumerate_factorizations,
+)
 from .hopf import check_whq, derived_property_suite, magma_of_quasigroupoid
 from .linalg import GFElement
 from .matched_pairs import (
@@ -109,13 +113,13 @@ def _checker_reports(doc: dict, suite: bool) -> list[StructureReport]:
         report = check_matched_pair(mp)
         reports = [report]
         if suite and report.ok:
+            c = canonical_factorization(mp)
+            fact = check_exact_factorization(c)
             reports.append(matched_pair_identity_suite(mp))
-            reports.append(mixed_associativity_suite(mp))
-            reports.append(theta_identity_report(mp))
+            reports.append(mixed_associativity_suite(c, fact))
+            reports.append(theta_identity_report(c, fact))
         return reports
     if kind == "factorization":
-        from .factorizations import check_exact_factorization
-
         return [check_exact_factorization(documents.doc_to_factorization(doc))]
     if kind == "whq":
         d = documents.doc_to_whq(doc)

@@ -5,6 +5,11 @@ the ambient arrow set.
 `reconstruct_matched_pair` inverts that product map to recover the actions,
 giving the round trip: matched pair -> double cross product -> canonical
 factorization -> the same matched pair.
+
+`check_exact_factorization` is the only implementation of the mixed
+associativity sweeps and of theta: on the canonical factorization of a
+matched pair, `matched_pairs.mixed_associativity_suite` and
+`matched_pairs.theta_identity_report` are views of its report.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .matched_pairs import (
+    MIXED_LAWS,
     LeftAction,
     MatchedPair,
     RightAction,
@@ -77,8 +83,7 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
 
     report = StructureReport(
         "exact factorization",
-        axioms=("mono-A", "mono-H", "HAA", "HHA", "HAH", "AHA", "AAH", "AHH",
-                "theta-bijective"),
+        axioms=("mono-A", "mono-H", *MIXED_LAWS, "theta-bijective"),
     )
     for tag, incl in (("mono-A", ia), ("mono-H", ih)):
         sub = check_morphism(incl)
@@ -101,12 +106,7 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
                 report.fail(tag, cfg, f"lhs={lhs} rhs={rhs}")
 
     ha = mixed_pairs(h, a)
-    ah = [
-        (p, q)
-        for p in range(a.n_arrows)
-        for q in range(h.n_arrows)
-        if a.src[p] == h.tgt[q]
-    ]
+    ah = mixed_pairs(a, h)
     aa = list(a.composable_pairs())
     hh = list(h.composable_pairs())
 

@@ -6,9 +6,8 @@ ints or `fractions.Fraction` (which interoperate exactly), or `GFElement`
 values when working mod p.  Nothing here ever rounds.
 
 Tensor bases are row-major: basis (i, j) of an m x n tensor product sits at
-index i*n + j.  Every module that builds maps on tensor spaces goes through
-`tensor_index`, so coefficientwise comparisons are meaningful across
-modules.
+index i*n + j.  Every module that builds maps on tensor spaces uses this
+order, so coefficientwise comparisons are meaningful across modules.
 """
 
 from __future__ import annotations
@@ -89,10 +88,18 @@ class GFElement:
         return f"{self.residue} (mod {self.modulus})"
 
 
+# Moduli are bounded so that the primality test, trial division up to
+# sqrt(p), takes at most about 46k steps.
+MAX_MODULUS = 2**31
+
+
 class PrimeField:
-    """Scalar factory for GF(p); `RATIONALS` is the Fraction-based default."""
+    """Scalar factory for GF(p), p < 2^31; `RATIONALS` is the Fraction-based
+    default."""
 
     def __init__(self, p: int):
+        if p >= MAX_MODULUS:
+            raise StructureError(f"modulus {p} is not below 2^31")
         if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
             raise StructureError(f"{p} is not prime")
         self.p = p
@@ -129,6 +136,9 @@ def field_by_name(name: str):
         return RATIONALS
     digits = name[2:]
     if name.startswith("GF") and digits.isascii() and digits.isdigit():
+        if len(digits.lstrip("0")) > len(str(MAX_MODULUS)):
+            # checked before int(), which refuses very long digit strings
+            raise StructureError("modulus has more than 10 digits, so it is not below 2^31")
         return PrimeField(int(digits))
     raise StructureError(f"unknown field {name!r}")
 
@@ -281,15 +291,6 @@ class LinearMap:
 
     def rank(self) -> int:
         return len(span_basis(self.cols, self.cod))
-
-
-def map_equal(f: LinearMap, g: LinearMap) -> bool:
-    return f == g
-
-
-def tensor_index(i: int, j: int, n: int) -> int:
-    """Index of basis (i, j) in an m x n tensor space."""
-    return i * n + j
 
 
 def twist(m: int, n: int) -> LinearMap:

@@ -9,11 +9,19 @@ to (h-arrow, a-arrow) order.
 The double cross product enumerates its arrow set in lexicographic (a, h)
 order; `dcp_pairs` exposes that enumeration so the linear-algebra layer can
 share the same basis indexing.
+
+The double cross product factors exactly through its two inclusions, and the
+six mixed associativity laws and the bijectivity of theta are the conditions
+of that exact factorization.  So `mixed_associativity_suite`, `theta` and
+`theta_identity_report` check nothing themselves: they read the report of
+`factorizations.check_exact_factorization` on the canonical factorization,
+which the caller computes once and passes to each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .quasigroupoids import (
     QgpdMorphism,
@@ -26,6 +34,12 @@ from .quasigroupoids import (
 )
 from .quasigroups import FiniteQuasigroup
 from .reports import InvalidStructureError, StructureError, StructureReport
+
+if TYPE_CHECKING:
+    from .factorizations import FactorizationCandidate
+
+# Tags of the mixed associativity laws, in sweep order.
+MIXED_LAWS = ("HAA", "HHA", "HAH", "AHA", "AAH", "AHH")
 
 
 @dataclass(frozen=True)
@@ -64,15 +78,17 @@ class MatchedPair:
         return self.right.table.get((harrow, aarrow))
 
 
-def mixed_pairs(h: Quasigroupoid, a: Quasigroupoid):
-    """The fibered set {(h-arrow, a-arrow) : src_H = tgt_A}, lexicographic."""
-    if h.n_objects != a.n_objects:
+def mixed_pairs(left: Quasigroupoid, right: Quasigroupoid):
+    """The fibered set {(x, y) : src(x) = tgt(y)} of an arrow x of `left` and
+    an arrow y of `right`, lexicographic.  On (h, a) these are the pairs the
+    actions act on; on (a, h), the arrows of the double cross product."""
+    if left.n_objects != right.n_objects:
         raise StructureError("base mismatch: structures have different object sets")
     return [
         (x, y)
-        for x in range(h.n_arrows)
-        for y in range(a.n_arrows)
-        if h.src[x] == a.tgt[y]
+        for x in range(left.n_arrows)
+        for y in range(right.n_arrows)
+        if left.src[x] == right.tgt[y]
     ]
 
 
@@ -318,13 +334,7 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
 def dcp_pairs(mp: MatchedPair) -> list[tuple[int, int]]:
     """Arrow set of the double cross product: {(a, h) : src_A(a) = tgt_H(h)},
     enumerated lexicographically.  Shared with the linear-algebra layer."""
-    a, h = mp.a, mp.h
-    return [
-        (p, q)
-        for p in range(a.n_arrows)
-        for q in range(h.n_arrows)
-        if a.src[p] == h.tgt[q]
-    ]
+    return mixed_pairs(mp.a, mp.h)
 
 
 def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
@@ -377,116 +387,63 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
     )
 
 
-def inclusion_a(mp: MatchedPair, dcp: Quasigroupoid | None = None) -> QgpdMorphism:
-    """a -> (a, id_H(src(a))) into the double cross product."""
-    if dcp is None:
-        dcp = double_cross_product(mp, check=False)
+def inclusion_a(mp: MatchedPair, dcp: Quasigroupoid) -> QgpdMorphism:
+    """a -> (a, id_H(src(a))) into the double cross product `dcp` of mp."""
     index = {pq: i for i, pq in enumerate(dcp_pairs(mp))}
     a, h = mp.a, mp.h
     arrow_map = tuple(index[(p, h.unit[a.src[p]])] for p in range(a.n_arrows))
     return QgpdMorphism(a, dcp, tuple(range(a.n_objects)), arrow_map)
 
 
-def inclusion_h(mp: MatchedPair, dcp: Quasigroupoid | None = None) -> QgpdMorphism:
-    """g -> (id_A(tgt(g)), g) into the double cross product."""
-    if dcp is None:
-        dcp = double_cross_product(mp, check=False)
+def inclusion_h(mp: MatchedPair, dcp: Quasigroupoid) -> QgpdMorphism:
+    """g -> (id_A(tgt(g)), g) into the double cross product `dcp` of mp."""
     index = {pq: i for i, pq in enumerate(dcp_pairs(mp))}
     a, h = mp.a, mp.h
     arrow_map = tuple(index[(a.unit[h.tgt[q]], q)] for q in range(h.n_arrows))
     return QgpdMorphism(h, dcp, tuple(range(h.n_objects)), arrow_map)
 
 
-def theta(mp: MatchedPair) -> dict:
+# The views below take c = canonical_factorization(mp) and
+# fact = check_exact_factorization(c).
+
+
+def theta(c: FactorizationCandidate, fact: StructureReport) -> dict:
     """theta(a, h) = incl_a(a) * incl_h(h) in the double cross product,
-    returned pair-to-pair.  For any matched pair this is the identity map;
+    read from `fact.data["theta"]` and returned pair-to-pair (None where the
+    product is undefined).  For any matched pair this is the identity map;
     `theta_identity_report` packages that as a checkable report."""
-    dcp = double_cross_product(mp, check=False)
-    pairs = dcp_pairs(mp)
-    ia, ih = inclusion_a(mp, dcp), inclusion_h(mp, dcp)
-    out = {}
-    for (p, q) in pairs:
-        result = dcp.compose(ia.arrow_map[p], ih.arrow_map[q])
-        out[(p, q)] = pairs[result] if result is not None else None
-    return out
+    pairs = mixed_pairs(c.ia.source, c.ih.source)
+    images = fact.data["theta"]
+    return {pair: pairs[images[pair]] if pair in images else None for pair in pairs}
 
 
-def theta_identity_report(mp: MatchedPair) -> StructureReport:
+def theta_identity_report(c: FactorizationCandidate, fact: StructureReport) -> StructureReport:
     report = StructureReport("theta map", axioms=("theta-identity",))
-    for pair, image in theta(mp).items():
+    for pair, image in theta(c, fact).items():
         if image != pair:
             report.fail("theta-identity", pair, f"image={image}")
     return report
 
 
-def mixed_associativity_suite(mp: MatchedPair) -> StructureReport:
+def mixed_associativity_suite(c: FactorizationCandidate, fact: StructureReport) -> StructureReport:
     """Mixed associativity of the canonical inclusions inside the double
-    cross product: HAA, HHA, HAH, AHA, AAH and AHH, each swept over the
-    configurations satisfying its fibered hypotheses.
+    cross product: the HAA..AHH violations of `fact`, each law swept there
+    over the configurations satisfying its fibered hypotheses.
 
     AHH is checked in the order-matched reading a(gh) = (ag)h.  The variant
     with the last two factors exchanged on the right-hand side is evaluated
-    separately and its outcome recorded in notes and in
+    here and its outcome recorded in notes and in
     `report.data["AHH-swapped"]`; it fails in general (already on one-object
     examples with noncommutative second component), so it does not count
     against the suite.
     """
-    a, h = mp.a, mp.h
-    dcp = double_cross_product(mp, check=False)
-    ia, ih = inclusion_a(mp, dcp).arrow_map, inclusion_h(mp, dcp).arrow_map
-    report = StructureReport(
-        "mixed associativity",
-        axioms=("HAA", "HHA", "HAH", "AHA", "AAH", "AHH"),
-    )
-
-    def assoc(tag, configs, triple):
-        for cfg in configs:
-            u, v, w = triple(*cfg)
-            lhs = dcp.compose(u, dcp.compose(v, w))
-            rhs = dcp.compose(dcp.compose(u, v), w)
-            if lhs is None and rhs is None:
-                continue
-            if lhs != rhs:
-                report.fail(tag, cfg, f"lhs={lhs} rhs={rhs}")
-
-    ha = mixed_pairs(h, a)
-    ah = [
-        (p, q)
-        for p in range(a.n_arrows)
-        for q in range(h.n_arrows)
-        if a.src[p] == h.tgt[q]
-    ]
-    aa = list(a.composable_pairs())
+    report = StructureReport("mixed associativity", axioms=MIXED_LAWS)
+    report.violations = [v for v in fact.violations if v.axiom in MIXED_LAWS]
+    dcp, ia, ih, h = c.b, c.ia.arrow_map, c.ih.arrow_map, c.ih.source
     hh = list(h.composable_pairs())
-
-    assoc(
-        "HAA",
-        [(g, p, b) for (g, p) in ha for (p2, b) in aa if p2 == p],
-        lambda g, p, b: (ih[g], ia[p], ia[b]),
-    )
-    assoc(
-        "HHA",
-        [(g, x, p) for (g, x) in hh for (x2, p) in ha if x2 == x],
-        lambda g, x, p: (ih[g], ih[x], ia[p]),
-    )
-    assoc(
-        "HAH",
-        [(x, p, f) for (x, p) in ha for (p2, f) in ah if p2 == p],
-        lambda x, p, f: (ih[x], ia[p], ih[f]),
-    )
-    assoc(
-        "AHA",
-        [(c, x, p) for (c, x) in ah for (x2, p) in ha if x2 == x],
-        lambda c, x, p: (ia[c], ih[x], ia[p]),
-    )
-    assoc(
-        "AAH",
-        [(p, b, g) for (p, b) in aa for (b2, g) in ah if b2 == b],
-        lambda p, b, g: (ia[p], ia[b], ih[g]),
-    )
-    ahh_configs = [(p, g, x) for (p, g) in ah for (g2, x) in hh if g2 == g]
-    assoc("AHH", ahh_configs, lambda p, g, x: (ia[p], ih[g], ih[x]))
-
+    ahh_configs = [
+        (p, g, x) for (p, g) in mixed_pairs(c.ia.source, h) for (g2, x) in hh if g2 == g
+    ]
     swapped_failures = []
     for (p, g, x) in ahh_configs:
         lhs = dcp.compose(ia[p], dcp.compose(ih[g], ih[x]))

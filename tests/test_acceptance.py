@@ -99,12 +99,14 @@ def test_criterion_2_matched_pair_theorem_suite(mp_family):
     for name, mp in mp_family.items():
         ok = ok and check_matched_pair(mp).ok
         ok = ok and matched_pair_identity_suite(mp).ok
-        mixed = mixed_associativity_suite(mp)
+        c = canonical_factorization(mp)
+        fact = check_exact_factorization(c)
+        mixed = mixed_associativity_suite(c, fact)
         ok = ok and mixed.ok
         printed_outcomes.append(
             (name, mixed.data["AHH-swapped"]["failures"], mixed.data["AHH-swapped"]["checked"])
         )
-        ok = ok and theta_identity_report(mp).ok
+        ok = ok and theta_identity_report(c, fact).ok
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
     swapped = "; ".join(f"{n}: {f}/{c} swapped-AHH failures" for n, f, c in printed_outcomes)

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import sys
+import time
 
 import pytest
 
-from nonassoc import LinearMap, magma_of_quasigroupoid, mp_action_left
+from nonassoc import LinearMap, magma_of_quasigroupoid, matched_pairs, mp_action_left
 from nonassoc.cli import main
 from nonassoc.documents import (
     emit,
@@ -179,13 +181,16 @@ def test_prime_field_build_and_check(tmp_path, coarse_file, capsys):
     assert "PASS 0 violations" in out
 
 
-@pytest.mark.parametrize("tag", ["GFx", "GF", "GF4", "GF²", "R"])
+# 2^61 - 1 is prime: testing it by trial division would take minutes
+@pytest.mark.parametrize("tag", ["GFx", "GF", "GF4", "GF²", "R", "GF2305843009213693951"])
 def test_bad_field_tag_is_a_schema_error(tmp_path, coarse2, capsys, tag):
     doc = whq_to_doc(magma_of_quasigroupoid(coarse2))
     doc["field"] = tag
     path = write(tmp_path, "bad-field.json", emit(doc))
     for command in ("check-whq", "suite", "validate"):
+        start = time.perf_counter()
         code, out, err = run(capsys, command, path)
+        assert time.perf_counter() - start < 2.0
         assert code == 2
         assert out == ""
         assert err.startswith("error: field 'field': ")
@@ -197,3 +202,28 @@ def test_bad_field_option_exits_2(tmp_path, coarse_file, capsys):
     assert code == 2
     assert "unknown field 'GFx'" in err
     assert not magma_path.exists()
+
+
+def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsys):
+    # count calls through every module that binds double_cross_product
+    original = matched_pairs.double_cross_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bindings = [
+        (module, key)
+        for name, module in sorted(sys.modules.items())
+        if name.split(".")[0] == "nonassoc"
+        for key, value in vars(module).items()
+        if value is original
+    ]
+    assert len(bindings) > 2
+    for module, key in bindings:
+        monkeypatch.setattr(module, key, counting)
+    code, out, _ = run(capsys, "suite", mp_file)
+    assert code == 0
+    assert "== mixed associativity" in out and "== theta map" in out
+    assert len(calls) == 1

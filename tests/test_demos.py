@@ -1,0 +1,23 @@
+"""Every script in `demos/` runs to completion, so an API change that breaks
+a demo fails the suite."""
+
+import contextlib
+import io
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(path), run_name="__main__")
+    assert out.getvalue()

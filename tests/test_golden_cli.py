@@ -1,13 +1,25 @@
-"""Byte-for-byte CLI outputs of `suite` and `check-whq` on double cross
-product magmas.
+"""Byte-for-byte CLI outputs on double cross product magmas, matched pairs
+and factorizations.
 
-The inputs are the magmas of `mp_discrete_right(pair_quasigroupoid(M12, m))`
-for m = 1 (12 arrows, one object) and m = 2 (48 arrows), each also with two
-antipode columns swapped, each over Q and over GF(5).  They are rebuilt here
-from the library's constructors; only the expected stdout is stored, in
-`tests/golden/`.  The stored outputs were produced by the reference sweeps
-alone, before `check_whq` had a group-like kernel, so these tests pin the
-kernel to the exact reports of the reference path.
+The whq inputs are the magmas of `mp_discrete_right(pair_quasigroupoid(M12,
+m))` for m = 1 (12 arrows, one object) and m = 2 (48 arrows), each also with
+two antipode columns swapped, each over Q and over GF(5); they run through
+`suite` and `check-whq`.  Their stored outputs were produced by the reference
+sweeps alone, before `check_whq` had a group-like kernel, so these tests pin
+the kernel to the exact reports of the reference path.
+
+The matched-pair inputs are the seven pairs of the test family and the
+two-sided pair reconstructed from the exact factorization of
+pair(M12, 6) (432 arrows) into its coarse and bundle parts; they run through
+`suite`.  The factorization inputs are the canonical factorization of the
+Moufang-based family member and the identity/identity candidate on the
+coarse groupoid on two objects, which fails and so pins the order of the
+FAIL lines; they run through `validate`.  Their stored outputs were produced
+while the mixed associativity suite and the theta report still built their
+own double cross products.
+
+Every input is rebuilt here from the library's constructors; only the
+expected stdout is stored, in `tests/golden/`.
 
 Regenerate the expected outputs (only when a report format changes on
 purpose) with `PYTHONPATH=src python -m tests.test_golden_cli`.
@@ -16,21 +28,29 @@ purpose) with `PYTHONPATH=src python -m tests.test_golden_cli`.
 import contextlib
 import dataclasses
 import io
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
 
 from nonassoc import (
+    FactorizationCandidate,
     LinearMap,
+    canonical_factorization,
+    coarse_groupoid,
+    cyclic_group,
     double_cross_product,
     magma_of_quasigroupoid,
     moufang_loop_12,
     mp_discrete_right,
     pair_quasigroupoid,
+    reconstruct_matched_pair,
+    sub_quasigroupoid,
 )
 from nonassoc.cli import main
-from nonassoc.documents import emit, whq_to_doc
+from nonassoc.documents import emit, factorization_to_doc, matched_pair_to_doc, whq_to_doc
+from tests.conftest import build_family
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = ("suite", "check-whq")
@@ -53,8 +73,26 @@ def _swapped_antipode(d, dcp):
     return dataclasses.replace(d, antipode=LinearMap.from_cols(d.dim, d.dim, cols))
 
 
+def _twosided_pair(q, m):
+    """The matched pair of the exact factorization of pair(q, m) into the
+    arrows (e, x, y) over the identity and the arrows (a, x, x)."""
+
+    def arrow(a, x, y):  # pair_quasigroupoid's arrow numbering
+        return (a * m + x) * m + y
+
+    b = pair_quasigroupoid(q, m)
+    coarse = tuple(sorted(arrow(q.identity, x, y) for x in range(m) for y in range(m)))
+    bundle = tuple(sorted(arrow(a, x, x) for a in range(q.order) for x in range(m)))
+    candidate = FactorizationCandidate(b, sub_quasigroupoid(b, coarse)[1], sub_quasigroupoid(b, bundle)[1])
+    return reconstruct_matched_pair(candidate)[0]
+
+
+def _slug(label: str) -> str:
+    return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
+
+
 def golden_documents() -> dict[str, str]:
-    """name -> emitted whq document text, for every golden input."""
+    """name -> emitted document text, for every golden input."""
     m12 = moufang_loop_12()
     texts = {}
     for m in (1, 2):
@@ -63,6 +101,17 @@ def golden_documents() -> dict[str, str]:
         for label, structure in ((f"m{m}", d), (f"m{m}-swapped", _swapped_antipode(d, dcp))):
             for field in FIELDS:
                 texts[f"{label}-{field}"] = emit(whq_to_doc(structure, field))
+    family = build_family(cyclic_group(2), cyclic_group(3), m12)
+    for label, mp in family.items():
+        texts[f"mp-{_slug(label)}"] = emit(matched_pair_to_doc(mp))
+    texts["mp-twosided-m6"] = emit(matched_pair_to_doc(_twosided_pair(m12, 6)))
+    canonical = canonical_factorization(family["discrete-right pair(m12,2)"])
+    texts["fact-canonical-pair-m12-2"] = emit(factorization_to_doc(canonical))
+    coarse = coarse_groupoid(2)
+    _, identities = sub_quasigroupoid(coarse, tuple(sorted(coarse.unit)))
+    texts["fact-coarse-2-identities"] = emit(
+        factorization_to_doc(FactorizationCandidate(coarse, identities, identities))
+    )
     return texts
 
 
@@ -86,11 +135,29 @@ def documents():
     return golden_documents()
 
 
+MP_LABELS = (
+    "discrete-right pair(z2,2)",
+    "discrete-right coarse(2)",
+    "discrete-right pair(m12,2)",
+    "action-left z2 flip",
+    "action-left z3 translation",
+    "one-object z2",
+    "one-object m12",
+)
+
 CASES = [
     (f"{label}-{field}", command, fmt)
     for label in ("m1", "m1-swapped", "m2", "m2-swapped")
     for field in FIELDS
     for command in COMMANDS
+    for fmt in FORMATS
+] + [
+    (name, "suite", fmt)
+    for name in [f"mp-{_slug(label)}" for label in MP_LABELS] + ["mp-twosided-m6"]
+    for fmt in FORMATS
+] + [
+    (name, "validate", fmt)
+    for name in ("fact-canonical-pair-m12-2", "fact-coarse-2-identities")
     for fmt in FORMATS
 ]
 

@@ -12,20 +12,11 @@ from nonassoc import (
     discrete_groupoid,
     free_coalgebra,
     magma_of_quasigroupoid,
-    map_equal,
     span_basis,
     span_equal,
-    tensor_index,
     twist,
 )
 from nonassoc.linalg import GFElement, RATIONALS, field_by_name, vec_equal
-
-
-def test_tensor_index_is_a_bijection():
-    for m in range(1, 6):
-        for n in range(1, 6):
-            seen = {tensor_index(i, j, n) for i in range(m) for j in range(n)}
-            assert seen == set(range(m * n))
 
 
 def test_twist_involution():
@@ -92,7 +83,6 @@ def test_compose_add_scale_tensor():
     assert f @ ident == f
     assert ident.tensor(LinearMap.identity(3)) == LinearMap.identity(6)
     assert (f + f.scale(-1)).is_zero()
-    assert map_equal(f, f)
 
 
 def test_shape_mismatch_raises():
@@ -144,6 +134,17 @@ def test_field_lookup():
     assert field_by_name("GF7").p == 7
     for bad in ("R", "GF", "GFx", "GF 5", "GF\u00b2", "GF4"):
         with pytest.raises(StructureError):
+            field_by_name(bad)
+
+
+def test_prime_field_modulus_is_below_2_to_31():
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+    assert field_by_name("GF0002147483647").p == 2**31 - 1
+    for p in (2**31, 2**61 - 1):
+        with pytest.raises(StructureError, match="not below 2\\^31"):
+            PrimeField(p)
+    for bad in ("GF2147483648", "GF2305843009213693951", "GF" + "7" * 5000):
+        with pytest.raises(StructureError, match="not below 2\\^31"):
             field_by_name(bad)
 
 

@@ -1,11 +1,14 @@
 import pytest
 
 from nonassoc import (
+    FactorizationCandidate,
     InvalidStructureError,
     LeftAction,
     MatchedPair,
     MpMorphism,
     QgpdMorphism,
+    canonical_factorization,
+    check_exact_factorization,
     check_left_action,
     check_matched_pair,
     check_morphism,
@@ -25,10 +28,19 @@ from nonassoc import (
     mp_action_left,
     mp_discrete_right,
     pair_quasigroupoid,
+    quasigroup_as_quasigroupoid,
+    sub_quasigroupoid,
     theta,
     theta_identity_report,
 )
 from tests.conftest import z3_translation
+
+
+def checked_factorization(mp):
+    """The canonical factorization of mp and its exact-factorization report,
+    the two arguments of the theta and mixed associativity views."""
+    c = canonical_factorization(mp)
+    return c, check_exact_factorization(c)
 
 
 def test_trivial_left_action_on_discrete_base(coarse2):
@@ -160,15 +172,16 @@ def test_inclusions_send_identities_to_identities(coarse2):
 
 def test_theta_is_identity(mp_family):
     for name, mp in mp_family.items():
-        assert theta_identity_report(mp).ok, name
-        mapping = theta(mp)
+        c, fact = checked_factorization(mp)
+        assert theta_identity_report(c, fact).ok, name
+        mapping = theta(c, fact)
         assert all(image == pair for pair, image in mapping.items()), name
 
 
 def test_mixed_associativity_holds_and_swapped_variant_is_recorded(mp_family):
     saw_swapped_failure = False
     for name, mp in mp_family.items():
-        report = mixed_associativity_suite(mp)
+        report = mixed_associativity_suite(*checked_factorization(mp))
         assert report.ok, name
         recorded = report.data["AHH-swapped"]
         assert recorded["checked"] > 0, name
@@ -183,9 +196,22 @@ def test_swapped_ahh_fails_on_noncommutative_one_object_case(m12):
     # trivial action on one point: the second component is the whole loop,
     # so exchanging the last two factors reorders a noncommutative product
     mp = mp_action_left(m12, 1, [[0]] * 12)
-    report = mixed_associativity_suite(mp)
+    report = mixed_associativity_suite(*checked_factorization(mp))
     assert report.ok
     assert report.data["AHH-swapped"]["failures"] > 0
+
+
+def test_mixed_associativity_reports_the_factorization_violations(m12):
+    # subloops {e, 1} and {e, 2, 6, 8} of M12: their mixed products do not
+    # associate, so the factorization check fails HHA, HAH and AHH
+    b = quasigroup_as_quasigroupoid(m12)
+    c = FactorizationCandidate(
+        b, sub_quasigroupoid(b, (0, 1))[1], sub_quasigroupoid(b, (0, 2, 6, 8))[1]
+    )
+    fact = check_exact_factorization(c)
+    mixed = mixed_associativity_suite(c, fact)
+    assert mixed.failed_axioms() == ("HHA", "HAH", "AHH")
+    assert mixed.violations == [v for v in fact.violations if v.axiom != "theta-bijective"]
 
 
 def test_matched_pair_constructor_validates(coarse2):
