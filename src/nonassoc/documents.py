@@ -109,13 +109,14 @@ def _validate_quasigroupoid(doc: dict) -> None:
         if (
             not isinstance(entry, list)
             or len(entry) != 3
-            or not all(isinstance(i, int) for i in entry)
+            or not isinstance(entry[0], int)
+            or not isinstance(entry[1], int)
+            or not isinstance(entry[2], int)
         ):
             raise SchemaError("product entries must be [a, b, c] index triples")
         a, b, c = entry
-        for i in (a, b, c):
-            if not 0 <= i < arrows:
-                raise RangeError(f"product entry {entry} out of range")
+        if not 0 <= a < arrows or not 0 <= b < arrows or not 0 <= c < arrows:
+            raise RangeError(f"product entry {entry} out of range")
         if src[a] != tgt[b]:
             raise RangeError(f"product entry on non-composable pair ({a},{b})")
         if (a, b) in seen:

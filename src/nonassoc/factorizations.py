@@ -10,6 +10,11 @@ factorization -> the same matched pair.
 associativity sweeps and of theta: on the canonical factorization of a
 matched pair, `matched_pairs.mixed_associativity_suite` and
 `matched_pairs.theta_identity_report` are views of its report.
+
+The fibered triples of the six mixed laws, the products of a substructure
+and the closure test of an arrow subset are enumerated through the endpoint
+index of `quasigroupoids` (`matching_arrows`), in lexicographic order, never
+by filtering all pairs of arrows.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .matched_pairs import (
     inclusion_h,
     mixed_pairs,
 )
-from .quasigroupoids import QgpdMorphism, Quasigroupoid, check_morphism
+from .quasigroupoids import QgpdMorphism, Quasigroupoid, check_morphism, matching_arrows
 from .reports import (
     BoundExceeded,
     InvalidStructureError,
@@ -95,11 +100,14 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     a, h = ia.source, ih.source
     fa, fh = ia.arrow_map, ih.arrow_map
 
+    prod = b.prod
+
     def assoc(tag, configs, triple):
         for cfg in configs:
             u, v, w = triple(*cfg)
-            lhs = b.compose(u, b.compose(v, w))
-            rhs = b.compose(b.compose(u, v), w)
+            vw, uv = prod.get((v, w)), prod.get((u, v))
+            lhs = None if vw is None else prod.get((u, vw))
+            rhs = None if uv is None else prod.get((uv, w))
             if lhs is None and rhs is None:
                 continue
             if lhs != rhs:
@@ -109,18 +117,25 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     ah = mixed_pairs(a, h)
     aa = list(a.composable_pairs())
     hh = list(h.composable_pairs())
+    # x_y[i] lists the arrows j of the second structure with src(i) = tgt(j),
+    # so each law's triples are a join of its two fibered pairs on the middle
+    m = b.n_objects
+    a_a = matching_arrows(a.src, a.tgt, m)
+    a_h = matching_arrows(a.src, h.tgt, m)
+    h_a = matching_arrows(h.src, a.tgt, m)
+    h_h = matching_arrows(h.src, h.tgt, m)
 
-    assoc("HAA", [(g, p, q) for (g, p) in ha for (p2, q) in aa if p2 == p],
+    assoc("HAA", [(g, p, q) for (g, p) in ha for q in a_a[p]],
           lambda g, p, q: (fh[g], fa[p], fa[q]))
-    assoc("HHA", [(g, x, p) for (g, x) in hh for (x2, p) in ha if x2 == x],
+    assoc("HHA", [(g, x, p) for (g, x) in hh for p in h_a[x]],
           lambda g, x, p: (fh[g], fh[x], fa[p]))
-    assoc("HAH", [(x, p, f) for (x, p) in ha for (p2, f) in ah if p2 == p],
+    assoc("HAH", [(x, p, f) for (x, p) in ha for f in a_h[p]],
           lambda x, p, f: (fh[x], fa[p], fh[f]))
-    assoc("AHA", [(q, x, p) for (q, x) in ah for (x2, p) in ha if x2 == x],
+    assoc("AHA", [(q, x, p) for (q, x) in ah for p in h_a[x]],
           lambda q, x, p: (fa[q], fh[x], fa[p]))
-    assoc("AAH", [(p, q, g) for (p, q) in aa for (q2, g) in ah if q2 == q],
+    assoc("AAH", [(p, q, g) for (p, q) in aa for g in a_h[q]],
           lambda p, q, g: (fa[p], fa[q], fh[g]))
-    assoc("AHH", [(p, g, x) for (p, g) in ah for (g2, x) in hh if g2 == g],
+    assoc("AHH", [(p, g, x) for (p, g) in ah for x in h_h[g]],
           lambda p, g, x: (fa[p], fh[g], fh[x]))
 
     theta = {}
@@ -207,6 +222,7 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
     then lexicographically."""
     identities = set(b.unit)
     others = sorted(set(range(b.n_arrows)) - identities)
+    after = matching_arrows(b.src, b.tgt, b.n_objects)
     subsets = []
     for r in range(len(others) + 1):
         for extra in combinations(others, r):
@@ -216,8 +232,8 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
             closed = all(
                 b.prod[(x, y)] in chosen
                 for x in chosen
-                for y in chosen
-                if b.composable(x, y)
+                for y in after[x]
+                if y in chosen
             )
             if closed:
                 subsets.append(tuple(sorted(chosen)))
@@ -227,20 +243,30 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
 def sub_quasigroupoid(
     b: Quasigroupoid, arrows: tuple[int, ...]
 ) -> tuple[Quasigroupoid, QgpdMorphism]:
-    """The wide substructure on a closed arrow subset, with its inclusion."""
+    """The wide substructure on a closed arrow subset, with its inclusion.
+
+    Raises StructureError when b has no product entry on a composable pair
+    inside the subset."""
     index = {arrow: i for i, arrow in enumerate(arrows)}
+    src = tuple(b.src[x] for x in arrows)
+    tgt = tuple(b.tgt[x] for x in arrows)
+    unit = tuple(index[b.unit[o]] for o in range(b.n_objects))
+    inv = tuple(index[b.inv[x]] for x in arrows)
+    prod = {}
+    for i, after in enumerate(matching_arrows(src, tgt, b.n_objects)):
+        x = arrows[i]
+        for j in after:
+            y = arrows[j]
+            if (x, y) not in b.prod:
+                raise StructureError(f"product missing on composable pair ({x},{y})")
+            prod[(i, j)] = index[b.prod[(x, y)]]
     sub = Quasigroupoid(
         n_objects=b.n_objects,
-        src=tuple(b.src[x] for x in arrows),
-        tgt=tuple(b.tgt[x] for x in arrows),
-        unit=tuple(index[b.unit[o]] for o in range(b.n_objects)),
-        inv=tuple(index[b.inv[x]] for x in arrows),
-        prod={
-            (i, j): index[b.prod[(x, y)]]
-            for i, x in enumerate(arrows)
-            for j, y in enumerate(arrows)
-            if b.composable(x, y)
-        },
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=prod,
         object_names=b.object_names,
         arrow_names=tuple(b.arrow_name(x) for x in arrows),
     )

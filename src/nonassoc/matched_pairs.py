@@ -10,6 +10,14 @@ The double cross product enumerates its arrow set in lexicographic (a, h)
 order; `dcp_pairs` exposes that enumeration so the linear-algebra layer can
 share the same basis indexing.
 
+Every sweep enumerates its fibered set through the endpoint index of
+`quasigroupoids` (`matching_arrows`): the mixed pairs, the triples of the
+action and compatibility laws and the composable pairs of the double cross
+product are visited directly, in lexicographic order, never found by
+filtering a larger product of arrow sets.  The identity suite P-1..P-10
+further restricts each sweep to the configurations whose product lookups
+are keys of the product tables, which are the only ones it evaluates.
+
 The double cross product factors exactly through its two inclusions, and the
 six mixed associativity laws and the bijectivity of theta are the conditions
 of that exact factorization.  So `mixed_associativity_suite`, `theta` and
@@ -31,6 +39,7 @@ from .quasigroupoids import (
     check_morphism,
     discrete_groupoid,
     from_quasigroup_action,
+    matching_arrows,
 )
 from .quasigroups import FiniteQuasigroup
 from .reports import InvalidStructureError, StructureError, StructureReport
@@ -84,12 +93,8 @@ def mixed_pairs(left: Quasigroupoid, right: Quasigroupoid):
     actions act on; on (a, h), the arrows of the double cross product."""
     if left.n_objects != right.n_objects:
         raise StructureError("base mismatch: structures have different object sets")
-    return [
-        (x, y)
-        for x in range(left.n_arrows)
-        for y in range(right.n_arrows)
-        if left.src[x] == right.tgt[y]
-    ]
+    after = matching_arrows(left.src, right.tgt, left.n_objects)
+    return [(x, y) for x, ys in enumerate(after) for y in ys]
 
 
 def _check_domain(table: dict, h: Quasigroupoid, a: Quasigroupoid, kind: str) -> None:
@@ -112,13 +117,11 @@ def check_left_action(action: LeftAction) -> StructureReport:
     for (x, y), val in phi.items():
         if a.tgt[val] != h.tgt[x]:
             report.fail("c1", (x, y), f"tgt phi={a.tgt[val]} tgt h={h.tgt[x]}")
-    for (x, y) in phi:
-        for g in range(h.n_arrows):
-            if h.src[g] != h.tgt[x]:
-                continue
+    before = matching_arrows(h.tgt, h.src, h.n_objects)
+    for (x, y), inner in phi.items():
+        for g in before[x]:
             gx = h.compose(g, x)
             lhs = phi.get((gx, y)) if gx is not None else None
-            inner = phi[(x, y)]
             rhs = phi.get((g, inner))
             if lhs is None or rhs is None:
                 report.fail("c2", (g, x, y), "undefined evaluation")
@@ -141,13 +144,12 @@ def check_right_action(action: RightAction) -> StructureReport:
     for (x, y), val in phi.items():
         if h.src[val] != a.src[y]:
             report.fail("d1", (x, y), f"src phi={h.src[val]} src a={a.src[y]}")
-    for (x, y) in phi:
-        for b in range(a.n_arrows):
-            if a.src[y] != a.tgt[b]:
-                continue
+    after = matching_arrows(a.src, a.tgt, a.n_objects)
+    for (x, y), inner in phi.items():
+        for b in after[y]:
             yb = a.compose(y, b)
             lhs = phi.get((x, yb)) if yb is not None else None
-            rhs = phi.get((phi[(x, y)], b))
+            rhs = phi.get((inner, b))
             if lhs is None or rhs is None:
                 report.fail("d2", (x, y, b), "undefined evaluation")
             elif lhs != rhs:
@@ -178,10 +180,10 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
         pa, ph = mp.phi_a(x, y), mp.phi_h(x, y)
         if a.src[pa] != h.tgt[ph]:
             report.fail("e1", (x, y), f"src phiA={a.src[pa]} tgt phiH={h.tgt[ph]}")
+    a_after = matching_arrows(a.src, a.tgt, a.n_objects)
+    h_before = matching_arrows(h.tgt, h.src, h.n_objects)
     for (x, y) in pairs:
-        for b in range(a.n_arrows):
-            if a.src[y] != a.tgt[b]:
-                continue
+        for b in a_after[y]:
             lhs = mp.phi_a(x, a.compose(y, b))
             rhs = a.compose(mp.phi_a(x, y), mp.phi_a(mp.phi_h(x, y), b))
             if lhs is None or rhs is None:
@@ -189,9 +191,7 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
             elif lhs != rhs:
                 report.fail("e2", (x, y, b), f"lhs={lhs} rhs={rhs}")
     for (x, y) in pairs:
-        for g in range(h.n_arrows):
-            if h.src[g] != h.tgt[x]:
-                continue
+        for g in h_before[x]:
             lhs = mp.phi_h(h.compose(g, x), y)
             rhs = h.compose(mp.phi_h(g, mp.phi_a(x, y)), mp.phi_h(x, y))
             if lhs is None or rhs is None:
@@ -210,6 +210,22 @@ def matched_pair(a: Quasigroupoid, h: Quasigroupoid, phi_a: dict, phi_h: dict) -
     return mp
 
 
+def _factor_index(q: Quasigroupoid, position: int) -> dict:
+    """The keys of q's product table grouped by the factor at `position`
+    (0 left, 1 right): each factor maps to the other factors that are arrows
+    of q, in increasing order.  These are exactly the arrows c for which a
+    lookup of (c, f) (position 1) or (f, c) (position 0) finds an entry."""
+    arrows = range(q.n_arrows)
+    index: dict = {}
+    for key in q.prod:
+        other = key[1 - position]
+        if other in arrows:
+            index.setdefault(key[position], []).append(int(other))
+    for others in index.values():
+        others.sort()
+    return index
+
+
 def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     """The ten consequences P-1..P-10 of the matched-pair axioms, swept over
     every configuration on which both sides are defined.
@@ -217,11 +233,16 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     Configurations where a constituent product or action lookup is undefined
     are skipped (the statements quantify only over defined operations); the
     number of configurations actually evaluated per identity is recorded in
-    `report.data["evaluated"]` so callers can assert nonvacuity.
+    `report.data["evaluated"]` so callers can assert nonvacuity.  P-5, P-6,
+    P-9 and P-10 quantify over a third arrow that enters through a product;
+    they visit only the arrows for which that product has an entry, since
+    every other configuration is undefined.
     """
     a, h = mp.a, mp.h
     pairs = mixed_pairs(h, a)
     la, lh = a.inv, h.inv
+    a_before, a_after = _factor_index(a, 1), _factor_index(a, 0)
+    h_before, h_after = _factor_index(h, 1), _factor_index(h, 0)
     report = StructureReport(
         "matched pair identities",
         axioms=tuple(f"P-{i}" for i in range(1, 11)),
@@ -265,7 +286,7 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     )
     sweep(
         "P-5",
-        [(x, y, b) for (x, y) in pairs for b in range(a.n_arrows)],
+        [(x, y, b) for (x, y) in pairs for b in a_before.get(mp.phi_a(x, y), ())],
         lambda x, y, b: (
             a.compose(
                 a.compose(b, mp.phi_a(x, y)),
@@ -276,7 +297,7 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     )
     sweep(
         "P-6",
-        [(x, y, g) for (x, y) in pairs for g in range(h.n_arrows)],
+        [(x, y, g) for (x, y) in pairs for g in h_after.get(mp.phi_h(x, y), ())],
         lambda x, y, g: (
             h.compose(
                 mp.phi_h(lh[x], mp.phi_a(x, y)),
@@ -310,7 +331,13 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
         rhs = mp.phi_a(lh[ph], a.compose(la[pa], b))
         return lhs, rhs
 
-    sweep("P-9", [(x, y, b) for (x, y) in pairs for b in range(a.n_arrows)], p9)
+    def defined(x, y):
+        return mp.phi_h(x, y) is not None and mp.phi_a(x, y) is not None
+
+    sweep("P-9", [
+        (x, y, b) for (x, y) in pairs if defined(x, y)
+        for b in a_after.get(la[mp.phi_a(x, y)], ())
+    ], p9)
 
     def p10(x, y, g):
         lhs = h.compose(mp.phi_h(g, la[y]), lh[x])
@@ -320,7 +347,10 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
         rhs = mp.phi_h(h.compose(g, lh[ph]), la[pa])
         return lhs, rhs
 
-    sweep("P-10", [(x, y, g) for (x, y) in pairs for g in range(h.n_arrows)], p10)
+    sweep("P-10", [
+        (x, y, g) for (x, y) in pairs if defined(x, y)
+        for g in h_before.get(lh[mp.phi_h(x, y)], ())
+    ], p10)
 
     report.data["evaluated"] = evaluated
     return report
@@ -365,13 +395,19 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
         for (p, q) in pairs
     )
     prod = {}
+    after = matching_arrows(src, tgt, a.n_objects)
+    phi_a, phi_h, a_prod, h_prod = mp.left.table, mp.right.table, a.prod, h.prod
     for i, (p, g) in enumerate(pairs):
-        for j, (b, q) in enumerate(pairs):
-            if src[i] != tgt[j]:
-                continue
-            left = a.compose(p, mp.phi_a(g, b))
-            right = h.compose(mp.phi_h(g, b), q)
-            prod[(i, j)] = pair_index(left, right, ("product", (p, g), (b, q)))
+        for j in after[i]:
+            b, q = pairs[j]
+            pa, ph = phi_a.get((g, b)), phi_h.get((g, b))
+            left = None if pa is None else a_prod.get((p, pa))
+            right = None if ph is None else h_prod.get((ph, q))
+            k = index.get((left, right))
+            if k is None:
+                context = ("product", (p, g), (b, q))
+                raise StructureError(f"double cross product not closed at {context}")
+            prod[(i, j)] = k
     names = tuple(f"({a.arrow_name(p)},{h.arrow_name(q)})" for (p, q) in pairs)
     return _validated(
         Quasigroupoid(
@@ -440,10 +476,8 @@ def mixed_associativity_suite(c: FactorizationCandidate, fact: StructureReport) 
     report = StructureReport("mixed associativity", axioms=MIXED_LAWS)
     report.violations = [v for v in fact.violations if v.axiom in MIXED_LAWS]
     dcp, ia, ih, h = c.b, c.ia.arrow_map, c.ih.arrow_map, c.ih.source
-    hh = list(h.composable_pairs())
-    ahh_configs = [
-        (p, g, x) for (p, g) in mixed_pairs(c.ia.source, h) for (g2, x) in hh if g2 == g
-    ]
+    h_after = matching_arrows(h.src, h.tgt, h.n_objects)
+    ahh_configs = [(p, g, x) for (p, g) in mixed_pairs(c.ia.source, h) for x in h_after[g]]
     swapped_failures = []
     for (p, g, x) in ahh_configs:
         lhs = dcp.compose(ia[p], dcp.compose(ih[g], ih[x]))

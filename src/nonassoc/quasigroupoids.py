@@ -6,6 +6,12 @@ keyed by the composable pairs {(a, b) : src(a) = tgt(b)}.  Looking up a
 non-composable pair is not an error: `compose` returns None, the distinct
 "undefined" outcome that the linear-magma construction later maps to zero.
 
+Sweeps enumerate fibered sets such as the composable pairs through the
+endpoint index (`arrows_by_object`, `matching_arrows`): the arrows grouped
+by source or target object, in increasing order.  A sweep over pairs visits
+only the pairs whose endpoints match, in lexicographic order, instead of
+filtering all k^2 pairs.
+
 Checkers report violations per axiom; builders validate eagerly so anything
 they return can be trusted downstream.
 """
@@ -44,17 +50,43 @@ class Quasigroupoid:
         return self.prod.get((a, b))
 
     def composable_pairs(self):
-        for a in range(self.n_arrows):
-            sa = self.src[a]
-            for b in range(self.n_arrows):
-                if self.tgt[b] == sa:
-                    yield a, b
+        """The pairs (a, b) with src(a) = tgt(b), lexicographic."""
+        for a, after in enumerate(matching_arrows(self.src, self.tgt, self.n_objects)):
+            for b in after:
+                yield a, b
 
     def arrow_name(self, a: int) -> str:
         return self.arrow_names[a] if self.arrow_names else str(a)
 
     def object_name(self, x: int) -> str:
         return self.object_names[x] if self.object_names else str(x)
+
+
+def arrows_by_object(ends, n_objects: int) -> list[list[int]]:
+    """The endpoint index: entry x lists, in increasing order, the arrows i
+    with ends[i] == x.  Raises StructureError on an endpoint outside
+    0..n_objects-1."""
+    index: list[list[int]] = [[] for _ in range(n_objects)]
+    for arrow, x in enumerate(ends):
+        if not isinstance(x, int) or not 0 <= x < n_objects:
+            raise StructureError(
+                f"endpoint {x!r} of arrow {arrow} out of range 0..{n_objects - 1}"
+            )
+        index[x].append(arrow)
+    return index
+
+
+def matching_arrows(keys, ends, n_objects: int) -> list[list[int]]:
+    """Entry i lists, in increasing order, the arrows j with ends[j] ==
+    keys[i].  With keys = src and ends = tgt of one structure, entry a holds
+    the b that compose as a*b.  Entries are shared bucket lists of
+    `arrows_by_object(ends, ...)`, so callers must not mutate them."""
+    by_end = arrows_by_object(ends, n_objects)
+    matches: list = [None] * len(keys)
+    for x, arrows in enumerate(arrows_by_object(keys, n_objects)):
+        for i in arrows:
+            matches[i] = by_end[x]
+    return matches
 
 
 def _check_shape(q: Quasigroupoid) -> None:
@@ -76,7 +108,10 @@ def _check_shape(q: Quasigroupoid) -> None:
         if (
             not isinstance(key, tuple)
             or len(key) != 2
-            or not all(isinstance(i, int) and 0 <= i < k for i in key)
+            or not isinstance(key[0], int)
+            or not 0 <= key[0] < k
+            or not isinstance(key[1], int)
+            or not 0 <= key[1] < k
             or not isinstance(val, int)
             or not 0 <= val < k
         ):
@@ -95,42 +130,46 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     report = StructureReport(
         "quasigroupoid", axioms=("prod-domain", "a1", "a2-1", "a2-2", "a2-3")
     )
-    for (a, b) in q.prod:
-        if not q.composable(a, b):
+    src, tgt, unit, inv, prod = q.src, q.tgt, q.unit, q.inv, q.prod
+    for (a, b) in prod:
+        if src[a] != tgt[b]:
             report.fail("prod-domain", (a, b), "product defined on non-composable pair")
-    for a, b in q.composable_pairs():
-        if (a, b) not in q.prod:
-            report.fail("prod-domain", (a, b), "product missing on composable pair")
+    after = matching_arrows(src, tgt, q.n_objects)
+    for a, bs in enumerate(after):
+        for b in bs:
+            if (a, b) not in prod:
+                report.fail("prod-domain", (a, b), "product missing on composable pair")
 
     for x in range(q.n_objects):
-        e = q.unit[x]
-        if q.src[e] != x or q.tgt[e] != x:
-            report.fail("a1", (x,), f"src/tgt of identity arrow = {q.src[e]},{q.tgt[e]}")
+        e = unit[x]
+        if src[e] != x or tgt[e] != x:
+            report.fail("a1", (x,), f"src/tgt of identity arrow = {src[e]},{tgt[e]}")
 
     for a in range(q.n_arrows):
-        left = q.compose(q.unit[q.tgt[a]], a)
+        left = prod.get((unit[tgt[a]], a))
         if left != a:
             report.fail("a2-1", (a,), f"id(tgt)*a = {left}")
-        right = q.compose(a, q.unit[q.src[a]])
+        right = prod.get((a, unit[src[a]]))
         if right != a:
             report.fail("a2-1", (a,), f"a*id(src) = {right}")
 
-    for a, b in q.composable_pairs():
-        c = q.compose(a, b)
-        if c is None:
-            continue  # already reported under prod-domain
-        if q.src[c] != q.src[b] or q.tgt[c] != q.tgt[a]:
-            report.fail("a2-2", (a, b), f"src/tgt of product = {q.src[c]},{q.tgt[c]}")
-        la = q.inv[a]
-        if not q.composable(la, c):
-            report.fail("a2-3", (a, b), "(inv(a), a*b) not composable")
-        elif q.compose(la, c) != b:
-            report.fail("a2-3", (a, b), f"inv(a)*(a*b) = {q.compose(la, c)}")
-        lb = q.inv[b]
-        if not q.composable(c, lb):
-            report.fail("a2-3", (a, b), "(a*b, inv(b)) not composable")
-        elif q.compose(c, lb) != a:
-            report.fail("a2-3", (a, b), f"(a*b)*inv(b) = {q.compose(c, lb)}")
+    for a, bs in enumerate(after):
+        la = inv[a]
+        for b in bs:
+            c = prod.get((a, b))
+            if c is None:
+                continue  # already reported under prod-domain
+            if src[c] != src[b] or tgt[c] != tgt[a]:
+                report.fail("a2-2", (a, b), f"src/tgt of product = {src[c]},{tgt[c]}")
+            if src[la] != tgt[c]:
+                report.fail("a2-3", (a, b), "(inv(a), a*b) not composable")
+            elif prod.get((la, c)) != b:
+                report.fail("a2-3", (a, b), f"inv(a)*(a*b) = {prod.get((la, c))}")
+            lb = inv[b]
+            if src[c] != tgt[lb]:
+                report.fail("a2-3", (a, b), "(a*b, inv(b)) not composable")
+            elif prod.get((c, lb)) != a:
+                report.fail("a2-3", (a, b), f"(a*b)*inv(b) = {prod.get((c, lb))}")
     return report
 
 
@@ -158,9 +197,10 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
             report.fail("E-4", (a,))
         if q.inv[la] != a:
             report.fail("E-5", (a,))
+    inv, prod = q.inv, q.prod
     for a, b in q.composable_pairs():
-        c = q.compose(a, b)
-        if c is not None and q.inv[c] != q.compose(q.inv[b], q.inv[a]):
+        c = prod.get((a, b))
+        if c is not None and inv[c] != prod.get((inv[b], inv[a])):
             report.fail("E-6", (a, b))
     return report
 
@@ -367,23 +407,20 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
     if set(pi) != set(range(q.n_objects)):
         raise StructureError("pi must be surjective")
 
-    triples = [
-        (p, a, r)
-        for p in range(n_points)
-        for a in range(q.n_arrows)
-        for r in range(n_points)
-        if pi[p] == q.tgt[a] and pi[r] == q.src[a]
-    ]
+    into = matching_arrows(pi, q.tgt, q.n_objects)  # p -> the a with tgt(a) = pi(p)
+    over = matching_arrows(q.src, pi, q.n_objects)  # a -> the r with pi(r) = src(a)
+    triples = [(p, a, r) for p in range(n_points) for a in into[p] for r in over[a]]
     index = {t: i for i, t in enumerate(triples)}
     src = tuple(t[2] for t in triples)
     tgt = tuple(t[0] for t in triples)
     unit = tuple(index[(p, q.unit[pi[p]], p)] for p in range(n_points))
     inv = tuple(index[(r, q.inv[a], p)] for (p, a, r) in triples)
     prod = {}
-    for i, (p, a, r) in enumerate(triples):
-        for j, (p2, b, r2) in enumerate(triples):
-            if p2 == r:
-                prod[(i, j)] = index[(p, q.prod[(a, b)], r2)]
+    for i, after in enumerate(matching_arrows(src, tgt, n_points)):
+        p, a, _ = triples[i]
+        for j in after:
+            _, b, r2 = triples[j]
+            prod[(i, j)] = index[(p, q.prod[(a, b)], r2)]
     names = tuple(f"({p},{q.arrow_name(a)},{r})" for (p, a, r) in triples)
     return _validated(
         Quasigroupoid(

@@ -5,10 +5,19 @@ import time
 
 import pytest
 
-from nonassoc import LinearMap, magma_of_quasigroupoid, matched_pairs, mp_action_left
+from nonassoc import (
+    LinearMap,
+    canonical_factorization,
+    magma_of_quasigroupoid,
+    matched_pairs,
+    mp_action_left,
+    mp_discrete_right,
+    pair_quasigroupoid,
+)
 from nonassoc.cli import main
 from nonassoc.documents import (
     emit,
+    factorization_to_doc,
     matched_pair_to_doc,
     quasigroupoid_to_doc,
     whq_to_doc,
@@ -142,6 +151,21 @@ def test_factorize_machine_format(coarse_file, capsys):
     payload = json.loads(out)
     assert len(payload) == 2
     assert payload[0]["kind"] == "factorization"
+
+
+def test_factorization_missing_a_product_inside_a_component_exits_2(tmp_path, z2, capsys):
+    """The ambient structure lacks the products of the non-identity arrows
+    of A; the document parses, and building A as a substructure must name
+    the missing pair instead of raising KeyError."""
+    doc = factorization_to_doc(canonical_factorization(mp_discrete_right(pair_quasigroupoid(z2, 2))))
+    inner = set(doc["a_arrows"]) - set(doc["b"]["unit"])
+    doc["b"]["product"] = [
+        entry for entry in doc["b"]["product"] if not (entry[0] in inner and entry[1] in inner)
+    ]
+    path = write(tmp_path, "fact.json", emit(doc))
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err == "error: product missing on composable pair (1,2)\n"
 
 
 def test_only_flag_restricts_report(tmp_path, coarse2, capsys):

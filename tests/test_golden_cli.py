@@ -18,6 +18,16 @@ FAIL lines; they run through `validate`.  Their stored outputs were produced
 while the mixed associativity suite and the theta report still built their
 own double cross products.
 
+The quasigroupoid inputs are the double cross product of the Moufang-based
+family member (48 arrows), run through `suite`, and three corrupted copies of
+it (one product entry dropped, one product value changed, one inverse entry
+changed), run through `validate`.  The last matched-pair inputs are two
+corruptions of the two-sided pair reconstructed from pair(M12, 2): a left
+action that moves one arrow under an identity, and a right action with one
+value changed; they run through `validate`.  These outputs were produced
+while every sweep still scanned all pairs of arrows and filtered them, so
+they pin the witness order of the sweeps that walk the endpoint index.
+
 Every input is rebuilt here from the library's constructors; only the
 expected stdout is stored, in `tests/golden/`.
 
@@ -36,7 +46,10 @@ import pytest
 
 from nonassoc import (
     FactorizationCandidate,
+    LeftAction,
     LinearMap,
+    MatchedPair,
+    RightAction,
     canonical_factorization,
     coarse_groupoid,
     cyclic_group,
@@ -49,7 +62,13 @@ from nonassoc import (
     sub_quasigroupoid,
 )
 from nonassoc.cli import main
-from nonassoc.documents import emit, factorization_to_doc, matched_pair_to_doc, whq_to_doc
+from nonassoc.documents import (
+    emit,
+    factorization_to_doc,
+    matched_pair_to_doc,
+    quasigroupoid_to_doc,
+    whq_to_doc,
+)
 from tests.conftest import build_family
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +106,50 @@ def _twosided_pair(q, m):
     return reconstruct_matched_pair(candidate)[0]
 
 
+def _corrupted_quasigroupoids(q):
+    """name suffix -> copy of q with one product entry dropped, one product
+    value moved to an arrow with other endpoints, or one inverse entry
+    replaced by the inverse of another arrow."""
+    others = [x for x in range(q.n_arrows) if x not in q.unit]
+    a = others[0]
+    dropped = dict(q.prod)
+    del dropped[(q.unit[q.tgt[a]], a)]
+    key, c = next((k, v) for k, v in sorted(q.prod.items()) if k[0] in others and k[1] in others)
+    changed = dict(q.prod)
+    changed[key] = next(x for x in range(q.n_arrows) if q.src[x] != q.src[c] and q.tgt[x] != q.tgt[c])
+    inv = list(q.inv)
+    inv[a] = q.inv[others[1]]
+    return {
+        "prod-dropped": dataclasses.replace(q, prod=dropped),
+        "prod-changed": dataclasses.replace(q, prod=changed),
+        "inv-changed": dataclasses.replace(q, inv=tuple(inv)),
+    }
+
+
+def _corrupted_matched_pairs(mp):
+    """name suffix -> copy of mp with phi_A(id, y) moved off y for the first
+    non-identity arrow y of A, or with phi_H changed, keeping its endpoints, at
+    the first pair of non-identity arrows."""
+    a, h = mp.a, mp.h
+    a_others = [y for y in range(a.n_arrows) if y not in a.unit]
+    h_others = [x for x in range(h.n_arrows) if x not in h.unit]
+    y = a_others[0]
+    z = next(u for u in range(a.n_arrows) if u != y and a.tgt[u] == a.tgt[y])
+    left = dict(mp.left.table)
+    left[(h.unit[a.tgt[y]], y)] = z
+    key, v = next(
+        (k, v) for k, v in sorted(mp.right.table.items()) if k[0] in h_others and k[1] in a_others
+    )
+    right = dict(mp.right.table)
+    right[key] = next(
+        g for g in range(h.n_arrows) if g != v and h.src[g] == h.src[v] and h.tgt[g] == h.tgt[v]
+    )
+    return {
+        "left-unit-broken": MatchedPair(a, h, LeftAction(h, a, left), mp.right),
+        "right-changed": MatchedPair(a, h, mp.left, RightAction(h, a, right)),
+    }
+
+
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
 
@@ -112,6 +175,12 @@ def golden_documents() -> dict[str, str]:
     texts["fact-coarse-2-identities"] = emit(
         factorization_to_doc(FactorizationCandidate(coarse, identities, identities))
     )
+    dcp = double_cross_product(family["discrete-right pair(m12,2)"])
+    texts["q-dcp-pair-m12-2"] = emit(quasigroupoid_to_doc(dcp))
+    for suffix, q in _corrupted_quasigroupoids(dcp).items():
+        texts[f"q-dcp-pair-m12-2-{suffix}"] = emit(quasigroupoid_to_doc(q))
+    for suffix, mp in _corrupted_matched_pairs(_twosided_pair(m12, 2)).items():
+        texts[f"mp-twosided-m2-{suffix}"] = emit(matched_pair_to_doc(mp))
     return texts
 
 
@@ -158,6 +227,14 @@ CASES = [
 ] + [
     (name, "validate", fmt)
     for name in ("fact-canonical-pair-m12-2", "fact-coarse-2-identities")
+    for fmt in FORMATS
+] + [
+    ("q-dcp-pair-m12-2", "suite", fmt) for fmt in FORMATS
+] + [
+    (name, "validate", fmt)
+    for name in [
+        f"q-dcp-pair-m12-2-{suffix}" for suffix in ("prod-dropped", "prod-changed", "inv-changed")
+    ] + [f"mp-twosided-m2-{suffix}" for suffix in ("left-unit-broken", "right-changed")]
     for fmt in FORMATS
 ]
 

@@ -31,6 +31,7 @@ from nonassoc import (
     check_whq,
     coarse_groupoid,
     convolution,
+    cyclic_group,
     derived_property_suite,
     double_cross_product,
     is_hopf_quasigroup,
@@ -39,6 +40,7 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
     symmetric_group,
+    twist,
 )
 from nonassoc import hopf
 from nonassoc.documents import doc_to_whq, emit, parse, whq_to_doc
@@ -383,3 +385,54 @@ def test_convolution_equals_composite_on_random_sparse_maps(seed):
     f = random_map(rng, n, m, 0.5, scalars)
     g = random_map(rng, n, m, 0.5, scalars)
     assert_convolution_matches_composite(f, g, delta, mu)
+
+
+# ---------------------------------------------------------------------------
+# anticomultiplicativity and cocommutativity without the n^2-column twist
+# ---------------------------------------------------------------------------
+
+
+def composite_anticomult(d):
+    return d.coproduct @ d.antipode == twist(d.dim, d.dim) @ d.antipode.tensor(d.antipode) @ d.coproduct
+
+
+def composite_cocommutative(d):
+    return twist(d.dim, d.dim) @ d.coproduct == d.coproduct
+
+
+def twist_corpus():
+    """The whq fixtures, K^G for an abelian and a nonabelian G, Sweedler and
+    the ladder's dcp magmas, each with two antipode columns swapped, with an
+    antipode column of two terms, and with a coproduct column replaced by its
+    flip plus a second term."""
+    bases = dict(whq_fixtures())
+    bases["K^Z3"] = function_algebra(cyclic_group(3))
+    bases["K^S3"] = function_algebra(symmetric_group(3))
+    bases["K^S3 GF5"] = round_trip(bases["K^S3"], "GF5")
+    bases["sweedler"] = sweedler_four_dim()
+    bases["sweedler Q"] = round_trip(bases["sweedler"], "Q")
+    for m in (2, 3, 4):
+        mp = mp_discrete_right(pair_quasigroupoid(moufang_loop_12(), m))
+        bases[f"ladder m{m}"] = magma_of_quasigroupoid(double_cross_product(mp))
+    out = {}
+    for name, d in bases.items():
+        n = d.dim
+        out[name] = d
+        i, j = n - 1, n // 2
+        swapped = {i: d.antipode.cols[j], j: d.antipode.cols[i]}
+        out[f"{name} swap-antipode"] = with_cols(d, "antipode", swapped)
+        out[f"{name} two-term-antipode"] = with_cols(d, "antipode", {i: {i: 1, j: 1}})
+        col = {(t % n) * n + t // n: c for t, c in d.coproduct.cols[i].items()}
+        col[i * n + (i + 1) % n] = 2
+        out[f"{name} bent-coproduct"] = with_cols(d, "coproduct", {i: col})
+    return out
+
+
+def test_columnwise_twist_verdicts_equal_the_composite():
+    verdicts = set()
+    for name, d in twist_corpus().items():
+        anticomult, cocommutative = composite_anticomult(d), composite_cocommutative(d)
+        assert hopf._anticomultiplicative(d) == anticomult, name
+        assert hopf.is_cocommutative(d) == cocommutative, name
+        verdicts.add((anticomult, cocommutative))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
