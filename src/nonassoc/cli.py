@@ -126,7 +126,7 @@ def _checker_reports(doc: dict, suite: bool) -> list[StructureReport]:
         report = check_whq(d)
         reports = [report]
         if suite and report.ok:
-            reports.append(derived_property_suite(d))
+            reports.append(derived_property_suite(d, report))
         return reports
     raise StructureError(f"no checker for kind {kind!r}")
 

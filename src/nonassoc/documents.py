@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .factorizations import FactorizationCandidate, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
-from .linalg import GFElement, LinearMap, field_by_name
+from .linalg import GFElement, LinearMap, field_by_name, vec_canonical
 from .matched_pairs import LeftAction, MatchedPair, RightAction
 from .quasigroupoids import Quasigroupoid
 from .quasigroups import FiniteQuasigroup
@@ -414,7 +414,7 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
             table[tuple(idx)] = _parse_scalar(scalar, field)
         return table
 
-    unit = {i: c for (i,), c in gather(doc["unit"]).items()}
+    unit = vec_canonical({i: c for (i,), c in gather(doc["unit"]).items()})
     counit_cols: list[dict] = [{} for _ in range(n)]
     for (i,), c in gather(doc["counit"]).items():
         counit_cols[i][0] = c

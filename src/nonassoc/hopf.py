@@ -6,18 +6,27 @@ seven antipode laws d4-1..d4-7 as exact linear-map equalities, verified
 basis vector by basis vector (complete by linearity: no sampling, no
 tolerance).
 
-Each law has one reference sweep; d2's runs as n^3 scalar checks rather
-than materializing n^3-column matrices.  Most inputs of interest are
-group-like on their basis (delta(i) = i (x) i, eps = 1, basis products are
-basis vectors or zero): every quasigroupoid magma, hence every double
-cross product.  On those `_group_like` yields integer product and antipode
-tables once per checker run, and a kernel decides d1, d2 and d4-4..d4-7
-(and the derived antimult and one-sided associativity laws) from table
-lookups and composability bitsets, exactly.  The kernel only ever
-concludes that a law holds; when it finds a failing instance, the law's
-reference sweep runs and writes the violations, so reports are the same
-with or without it.  Coalgebras that are not group-like (K^G, Sweedler's
-algebra) always take the reference sweeps.
+Each law has one reference sweep, and each sweep visits only the terms
+that can be nonzero.  `_Supports` reads, once per checker run, where the
+stored structure constants are nonzero: the product columns by left and by
+right factor, the legs of each delta(k) and of delta(1) by leg, and the
+nonzero counits of products eps(hk) by row.  d2 then evaluates only the
+triples that some nonzero term reaches, instead of all n^3; d1 and d3 join
+coproduct legs on nonzero products.  Dropping a term with a zero factor
+never changes a value, so the restriction uses no property of valid
+structures, and witness order and detail strings are those of a sweep over
+every term.
+
+Most inputs of interest are group-like on their basis (delta(i) = i (x) i,
+eps = 1, basis products are basis vectors or zero): every quasigroupoid
+magma, hence every double cross product.  On those `_group_like` yields
+integer product and antipode tables once per checker run, and a kernel
+decides d1, d2 and d4-4..d4-7 (and the derived antimult and one-sided
+associativity laws) from table lookups and composability bitsets, exactly.
+The kernel only ever concludes that a law holds; when it finds a failing
+instance, the law's reference sweep runs and writes the violations, so
+reports are the same with or without it.  Coalgebras that are not
+group-like (K^G, Sweedler's algebra) always take the reference sweeps.
 
 The group-like construction `magma_of_quasigroupoid` is the workhorse
 example: products of non-composable arrows are the literal zero vector.
@@ -26,6 +35,7 @@ example: products of non-composable arrows are the literal zero vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import (
     LinearMap,
@@ -33,6 +43,7 @@ from .linalg import (
     span_equal,
     twist,
     vec_add_into,
+    vec_canonical,
     vec_equal,
 )
 from .quasigroupoids import QgpdMorphism, Quasigroupoid, check_morphism
@@ -129,32 +140,125 @@ def magma_of_quasigroupoid(b: Quasigroupoid) -> MagmaCoalgebra:
 
 
 # ---------------------------------------------------------------------------
+# supports of the structure constants
+# ---------------------------------------------------------------------------
+
+
+class _Supports:
+    """Where the structure constants of one structure are nonzero, read from
+    the stored columns once per checker run; the indexes that only some
+    sweeps need are built on first use.  A sweep that visits only these
+    entries drops exactly the terms that have a zero factor, so it reaches
+    the values of a sweep over every term.
+
+    splits[i] is delta(i) as (first leg, second leg, c), and unit_split is
+    delta(1) likewise; unit_first[u] and unit_second[v] list the positions
+    in unit_split of the legs u (x) v.  right[h] and left[k] list the k and
+    the h, increasing, with hk stored as a nonempty column (an entry stored
+    as zero only adds zero terms).
+    """
+
+    def __init__(self, d: MagmaCoalgebra):
+        self.d = d
+        n = d.dim
+        self.splits = [d.delta_split(i) for i in range(n)]
+        self.unit_split = [(t // n, t % n, c) for t, c in d.coproduct(d.unit).items()]
+        self.unit_first: list = [[] for _ in range(n)]
+        self.unit_second: list = [[] for _ in range(n)]
+        for pos, (u, v, _) in enumerate(self.unit_split):
+            self.unit_first[u].append(pos)
+            self.unit_second[v].append(pos)
+        self.right: list = [[] for _ in range(n)]
+        self.left: list = [[] for _ in range(n)]
+        for t, col in enumerate(d.product.cols):
+            if col:
+                h, k = divmod(t, n)
+                self.right[h].append(k)
+                self.left[k].append(h)
+
+    @cached_property
+    def legs(self):
+        """(by_first, by_second): by_first[x] lists (i, y, c) for each leg
+        x (x) y of delta(i) with c != 0, and by_second[y] lists (i, x, c)
+        for the same legs."""
+        n = self.d.dim
+        by_first: list = [[] for _ in range(n)]
+        by_second: list = [[] for _ in range(n)]
+        for i, split in enumerate(self.splits):
+            for x, y, c in split:
+                if c:
+                    by_first[x].append((i, y, c))
+                    by_second[y].append((i, x, c))
+        return by_first, by_second
+
+    @cached_property
+    def prod_rows(self):
+        """prod_rows[m] lists the (k, l) with a nonzero m-entry in kl."""
+        n = self.d.dim
+        rows: list = [[] for _ in range(n)]
+        for t, col in enumerate(self.d.product.cols):
+            for m, c in col.items():
+                if c:
+                    rows[m].append(divmod(t, n))
+        return rows
+
+    @cached_property
+    def counits(self):
+        """(em, em_rows): em[h][k] = eps(hk), the exact value eps_vec gives
+        (the int 0 for an empty column), and em_rows[h] lists the k,
+        increasing, with eps(hk) != 0."""
+        d, n = self.d, self.d.dim
+        em = [[0] * n for _ in range(n)]
+        em_rows: list = [[] for _ in range(n)]
+        for t, col in enumerate(d.product.cols):
+            if col:
+                h, k = divmod(t, n)
+                em[h][k] = value = d.eps_vec(col)
+                if value:
+                    em_rows[h].append(k)
+        return em, em_rows
+
+
+# ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
 
 
-def _projection_formulas(d: MagmaCoalgebra):
-    """The four unit-coproduct forms: target, source and their barred twins."""
-    unit_split = [
-        ((t // d.dim), (t % d.dim), c)
-        for t, c in d.coproduct(d.unit).items()
-    ]
+def _projection_formulas(d: MagmaCoalgebra, sup: _Supports | None = None):
+    """The four unit-coproduct forms: target, source and their barred twins.
 
-    def col(h, probe_first, probe_times_h):
+    A leg of delta(1) adds to the column of h only where the counit of the
+    product of its probe leg with h is nonzero, so counits are taken only
+    of the nonzero products of probe legs, and each column visits its legs
+    in their order in delta(1)."""
+    sup = sup or _Supports(d)
+    n, cols, unit_split = d.dim, d.product.cols, sup.unit_split
+
+    def form(probe_first, probe_times_h):
         # probe_first picks which leg of delta(1) multiplies against h (the
         # other leg survives); probe_times_h picks the side h sits on.
-        out: dict = {}
-        for (u, v, c) in unit_split:
-            probe, keep = (u, v) if probe_first else (v, u)
-            prod = d.mul_basis(probe, h) if probe_times_h else d.mul_basis(h, probe)
-            vec_add_into(out, {keep: c}, d.eps_vec(prod))
-        return out
+        by_probe = sup.unit_first if probe_first else sup.unit_second
+        partners = sup.right if probe_times_h else sup.left
+        reached: list = [[] for _ in range(n)]  # h -> (position, counit of the product)
+        for p in range(n):
+            if by_probe[p]:
+                for h in partners[p]:
+                    e = d.eps_vec(cols[p * n + h] if probe_times_h else cols[h * n + p])
+                    if e:
+                        reached[h] += [(pos, e) for pos in by_probe[p]]
+        out = []
+        for legs in reached:
+            col: dict = {}
+            for pos, e in sorted(legs, key=lambda leg: leg[0]):
+                u, v, c = unit_split[pos]
+                vec_add_into(col, {v if probe_first else u: c}, e)
+            out.append(col)
+        return LinearMap.from_cols(n, n, out)
 
-    n = d.dim
-    pi_l = LinearMap.from_basis(n, n, lambda h: col(h, True, True))    # eps(1(1) h) 1(2)
-    pi_r = LinearMap.from_basis(n, n, lambda h: col(h, False, False))  # eps(h 1(2)) 1(1)
-    bar_l = LinearMap.from_basis(n, n, lambda h: col(h, False, True))  # eps(1(2) h) 1(1)
-    bar_r = LinearMap.from_basis(n, n, lambda h: col(h, True, False))  # eps(h 1(1)) 1(2)
+    pi_l = form(True, True)  # eps(1(1) h) 1(2)
+    pi_r = form(False, False)  # eps(h 1(2)) 1(1)
+    bar_l = form(False, True)  # eps(1(2) h) 1(1)
+    bar_r = form(True, False)  # eps(h 1(1)) 1(2)
     return pi_l, pi_r, bar_l, bar_r
 
 
@@ -311,7 +415,14 @@ def _one_sided_holds(prod: list, proj: LinearMap, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
+def _add_at(acc: dict, key, value) -> None:
+    """acc[key] += value, storing value itself under a new key.  Entries may
+    cancel to zero; the sweeps prune them before comparing."""
+    old = acc.get(key)
+    acc[key] = value if old is None else old + value
+
+
+def _check_preconditions(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> None:
     n = d.dim
     for k in range(n):
         left: dict = {}
@@ -323,16 +434,18 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
             report.fail("magma-unit", (k,), f"1*{d.name(k)} = {left}")
         if not vec_equal(right, {k: 1}):
             report.fail("magma-unit", (k,), f"{d.name(k)}*1 = {right}")
+    splits = sup.splits
     for i in range(n):
-        split = d.delta_split(i)
+        split = splits[i]
+        # (delta x id) delta(i) and (id x delta) delta(i), keyed (j1 n + j2) n + j3
         lhs: dict = {}
         rhs: dict = {}
         for (j, k, c) in split:
-            for (j1, j2, c1) in d.delta_split(j):
-                vec_add_into(lhs, {(j1, j2, k): 1}, c * c1)
-            for (k1, k2, c2) in d.delta_split(k):
-                vec_add_into(rhs, {(j, k1, k2): 1}, c * c2)
-        if not vec_equal(lhs, rhs):
+            for (j1, j2, c1) in splits[j]:
+                _add_at(lhs, (j1 * n + j2) * n + k, c * c1)
+            for (k1, k2, c2) in splits[k]:
+                _add_at(rhs, (j * n + k1) * n + k2, c * c2)
+        if not vec_equal(vec_canonical(lhs), vec_canonical(rhs)):
             report.fail("coalg1", (i,), "coassociativity fails")
         left: dict = {}
         right: dict = {}
@@ -345,40 +458,74 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
             report.fail("coalg2", (i,), f"h1 eps(h2) = {right}")
 
 
-def _law_d1(d: MagmaCoalgebra, report: StructureReport, splits, kernel) -> None:
+def _law_d1(d: MagmaCoalgebra, report: StructureReport, sup: _Supports, kernel) -> None:
     """(d1): delta of a product is the product of the deltas in D (x) D.
 
     Holds on every group-like structure, where delta(hk) = hk (x) hk =
-    delta(h)delta(k); the reference sweep runs on every other input."""
+    delta(h)delta(k); the sweep runs on every other input.  For each h it
+    joins the legs h1 (x) h2 of delta(h) with the legs k1 (x) k2 of every
+    delta(k) on the nonzero products h1k1 and h2k2."""
     if kernel is not None:
         return
     n = d.dim
+    mul_cols, (by_first, _) = d.product.cols, sup.legs
     for h in range(n):
+        rhs: list = [{} for _ in range(n)]  # rhs[k] = delta(h)delta(k), keyed m1 n + m2
+        for (h1, h2, c) in sup.splits[h]:
+            for k1 in sup.right[h1]:
+                first = mul_cols[h1 * n + k1].items()
+                for (k, k2, c2) in by_first[k1]:
+                    second = mul_cols[h2 * n + k2].items()
+                    if not second:
+                        continue
+                    acc, coeff = rhs[k], c * c2
+                    for m1, a in first:
+                        for m2, b2 in second:
+                            _add_at(acc, m1 * n + m2, coeff * a * b2)
         for k in range(n):
-            lhs = d.coproduct(d.mul_basis(h, k))
-            rhs: dict = {}
-            for (h1, h2, c) in splits[h]:
-                for (k1, k2, c2) in splits[k]:
-                    coeff = c * c2
-                    for m1, a in d.mul_basis(h1, k1).items():
-                        for m2, b2 in d.mul_basis(h2, k2).items():
-                            vec_add_into(rhs, {m1 * n + m2: 1}, coeff * a * b2)
-            if not vec_equal(lhs, rhs):
+            if not vec_equal(d.coproduct(mul_cols[h * n + k]), vec_canonical(rhs[k])):
                 report.fail("d1", (h, k), "delta(hk) != delta(h)delta(k)")
 
 
-def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
-    """(d2): the four weak counit-of-triple-product expressions agree, as
-    n^3 scalar checks."""
+def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> None:
+    """(d2): the four weak counit-of-triple-product expressions
+
+        e1 = eps((hk)l),  e2 = eps(h(kl)),
+        e3 = sum eps(h k1) eps(k2 l),  e4 = sum eps(h k2) eps(k1 l)
+
+    agree.  A triple can fail only if one of the four sums has a term with
+    no zero factor, so for each h only the (k, l) reached by such a term
+    are evaluated, in increasing order, each from all of its stored terms.
+    The l of each k are collected as a bitset."""
     n = d.dim
-    em = [[d.eps_vec(d.mul_basis(i, j)) for j in range(n)] for i in range(n)]
-    mul_cols = d.product.cols
+    em, em_rows = sup.counits
+    by_first, by_second = sup.legs
+    prod_rows = sup.prod_rows
+    row_bits = [sum(1 << l for l in row) for row in em_rows]
+    mul_cols, splits = d.product.cols, sup.splits
     for h in range(n):
+        reach: dict = {}  # k -> bitset of the l to evaluate
+        for k in sup.right[h]:  # e1: (hk)_m eps(ml)
+            for m, c in mul_cols[h * n + k].items():
+                if c:
+                    reach[k] = reach.get(k, 0) | row_bits[m]
+        for m in em_rows[h]:  # e2: eps(hm) (kl)_m
+            for k, l in prod_rows[m]:
+                reach[k] = reach.get(k, 0) | 1 << l
+        for x in em_rows[h]:  # e3 and e4: eps(hx) eps(yl) over legs of delta(k)
+            for k, y, _ in by_first[x]:
+                reach[k] = reach.get(k, 0) | row_bits[y]
+            for k, y, _ in by_second[x]:
+                reach[k] = reach.get(k, 0) | row_bits[y]
         em_h = em[h]
-        for k in range(n):
+        for k in sorted(reach):
             hk = mul_cols[h * n + k]
             split_k = splits[k]
-            for l in range(n):
+            bits = reach[k]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                l = low.bit_length() - 1
                 e1 = 0
                 for m, c in hk.items():
                     e1 = e1 + c * em[m][l]
@@ -396,28 +543,50 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
                     )
 
 
-def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
-    """(d3): both weak coassociativity forms of delta(1)."""
+def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> None:
+    """(d3): both weak coassociativity forms of delta(1):
+
+        (delta x id) delta(1) = sum u1 (x) u2 v1 (x) v2 = sum u1 (x) v1 u2 (x) v2
+
+    over the pairs of legs u1 (x) u2 and v1 (x) v2 of delta(1).  The inner
+    sums over v1 (x) v2 are formed once per u2, joining the legs of delta(1)
+    on the nonzero products u2 v1 and v1 u2.  Tensors are keyed
+    (a n + b) n + c."""
     n = d.dim
-    unit_split = [
-        ((t // n), (t % n), c) for t, c in d.coproduct(d.unit).items()
-    ]
+    unit_split, mul_cols = sup.unit_split, d.product.cols
     lhs3: dict = {}
     for (u, v, c) in unit_split:
-        for (u1, u2, c1) in splits[u]:
-            vec_add_into(lhs3, {(u1, u2, v): 1}, c * c1)
+        for (u1, u2, c1) in sup.splits[u]:
+            _add_at(lhs3, (u1 * n + u2) * n + v, c * c1)
+
+    def inner(partners, col_of) -> dict:
+        out: dict = {}  # keyed m n + v2
+        for v1 in partners:
+            col = mul_cols[col_of(v1)].items()
+            for pos in sup.unit_first[v1]:
+                _, v2, c2 = unit_split[pos]
+                for m, a in col:
+                    _add_at(out, m * n + v2, c2 * a)
+        return out
+
+    inners = {
+        u2: (
+            inner(sup.right[u2], lambda v1: u2 * n + v1),  # sum (u2 v1) (x) v2
+            inner(sup.left[u2], lambda v1: v1 * n + u2),  # sum (v1 u2) (x) v2
+        )
+        for u2 in dict.fromkeys(u2 for _, u2, _ in unit_split)
+    }
     mid_plain: dict = {}
     mid_twist: dict = {}
     for (u1, u2, c) in unit_split:
-        for (v1, v2, c2) in unit_split:
-            coeff = c * c2
-            for m, a in d.mul_basis(u2, v1).items():
-                vec_add_into(mid_plain, {(u1, m, v2): 1}, coeff * a)
-            for m, a in d.mul_basis(v1, u2).items():
-                vec_add_into(mid_twist, {(u1, m, v2): 1}, coeff * a)
-    if not vec_equal(lhs3, mid_plain):
+        base = u1 * n * n
+        for mid, part in zip((mid_plain, mid_twist), inners[u2]):
+            for key, a in part.items():
+                _add_at(mid, base + key, c * a)
+    lhs3 = vec_canonical(lhs3)
+    if not vec_equal(lhs3, vec_canonical(mid_plain)):
         report.fail("d3", ("plain",), "delta2(1) != (id x mu x id)(delta(1) x delta(1))")
-    if not vec_equal(lhs3, mid_twist):
+    if not vec_equal(lhs3, vec_canonical(mid_twist)):
         report.fail("d3", ("twist",), "delta2(1) != (id x mu.c x id)(delta(1) x delta(1))")
 
 
@@ -444,21 +613,28 @@ def _sweep_d4_3(d: MagmaCoalgebra, report: StructureReport, pi_l, pi_r) -> None:
 
 def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport, splits, pi_l, pi_r) -> None:
     """(d4-4)..(d4-7): the antipode absorbed by the projections, on both
-    sides, for every pair of basis vectors."""
+    sides, for every pair of basis vectors.
+
+    A leg of delta(h) or delta(k) whose inner product (h2 k, S(h2) k, h k1
+    or h S(k1)) is zero adds nothing, so only the other legs are multiplied
+    out, in their order; S(x)y and xS(y) are formed once per pair."""
     n = d.dim
     basis = [{i: 1} for i in range(n)]
+    anti, mul_cols = d.antipode.cols, d.product.cols
+    s_times = [[d.mul_vec(anti[x], basis[y]) for y in range(n)] for x in range(n)]
+    times_s = [[d.mul_vec(basis[x], anti[y]) for y in range(n)] for x in range(n)]
     for h in range(n):
         split_h = splits[h]
         for k in range(n):
             lhs44: dict = {}
             lhs45: dict = {}
             for (h1, h2, c) in split_h:
-                vec_add_into(
-                    lhs44, d.mul_vec(d.antipode.cols[h1], d.mul_basis(h2, k)), c
-                )
-                vec_add_into(
-                    lhs45, d.mul_vec(basis[h1], d.mul_vec(d.antipode.cols[h2], basis[k])), c
-                )
+                h2k = mul_cols[h2 * n + k]
+                if h2k:
+                    vec_add_into(lhs44, d.mul_vec(anti[h1], h2k), c)
+                s_h2k = s_times[h2][k]
+                if s_h2k:
+                    vec_add_into(lhs45, d.mul_vec(basis[h1], s_h2k), c)
             if not vec_equal(lhs44, d.mul_vec(pi_r.cols[h], basis[k])):
                 report.fail("d4-4", (h, k), f"lhs={lhs44}")
             if not vec_equal(lhs45, d.mul_vec(pi_l.cols[h], basis[k])):
@@ -466,12 +642,12 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport, splits, pi_l, p
             lhs46: dict = {}
             lhs47: dict = {}
             for (k1, k2, c) in splits[k]:
-                vec_add_into(
-                    lhs46, d.mul_vec(d.mul_basis(h, k1), d.antipode.cols[k2]), c
-                )
-                vec_add_into(
-                    lhs47, d.mul_vec(d.mul_vec(basis[h], d.antipode.cols[k1]), basis[k2]), c
-                )
+                hk1 = mul_cols[h * n + k1]
+                if hk1:
+                    vec_add_into(lhs46, d.mul_vec(hk1, anti[k2]), c)
+                h_sk1 = times_s[h][k1]
+                if h_sk1:
+                    vec_add_into(lhs47, d.mul_vec(h_sk1, basis[k2]), c)
             if not vec_equal(lhs46, d.mul_vec(basis[h], pi_l.cols[k])):
                 report.fail("d4-6", (h, k), f"lhs={lhs46}")
             if not vec_equal(lhs47, d.mul_vec(basis[h], pi_r.cols[k])):
@@ -497,26 +673,26 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
             "d4-1", "d4-2", "d4-3", "d4-4", "d4-5", "d4-6", "d4-7",
         ),
     )
-    _check_preconditions(d, report)
+    sup = _Supports(d)
+    _check_preconditions(d, report, sup)
     if not report.ok:
         report.notes.append("preconditions failed; axiom sweep skipped")
         return report
 
     n = d.dim
-    splits = [d.delta_split(i) for i in range(n)]
     kernel = _group_like(d)
-    _law_d1(d, report, splits, kernel)
+    _law_d1(d, report, sup, kernel)
     if kernel is None or not _d2_holds(kernel[0], n):
-        _sweep_d2(d, report, splits)
-    _sweep_d3(d, report, splits)
+        _sweep_d2(d, report, sup)
+    _sweep_d3(d, report, sup)
 
     # (d4): antipode laws, phrased through the two projections
     pi_l, pi_r = _convolution_projections(d)
-    form_l, form_r, bar_l, bar_r = _projection_formulas(d)
+    form_l, form_r, bar_l, bar_r = _projection_formulas(d, sup)
     _sweep_d4_1_2(report, pi_l, pi_r, form_l, form_r)
     _sweep_d4_3(d, report, pi_l, pi_r)
     if kernel is None or not _d4_4_to_7_hold(*kernel, n):
-        _sweep_d4_4_to_7(d, report, splits, pi_l, pi_r)
+        _sweep_d4_4_to_7(d, report, sup.splits, pi_l, pi_r)
 
     report.data["pi_l"] = pi_l
     report.data["pi_r"] = pi_r
@@ -530,7 +706,9 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
 # ---------------------------------------------------------------------------
 
 
-def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
+def derived_property_suite(
+    d: MagmaCoalgebra, whq: StructureReport | None = None
+) -> StructureReport:
     """Consequences of the axioms, re-proved exhaustively on the basis:
     convolution unit laws, projection idempotency (both kinds), unit and
     counit compatibilities, anti(co)multiplicativity of the antipode, the
@@ -538,7 +716,9 @@ def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
     associativity enjoyed by elements of the target/source subalgebras.
 
     Expected to pass on every valid weak Hopf quasigroup; a violation here
-    means the checker itself is broken.
+    means the checker itself is broken.  `whq`, a passing `check_whq`
+    report of d, supplies the four projections that check built; without
+    it they are built here.
     """
     report = StructureReport(
         "weak Hopf quasigroup derived properties",
@@ -550,7 +730,16 @@ def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
         ),
     )
     n = d.dim
-    pi_l, pi_r, bar_l, bar_r = projections(d)
+    if whq is None:
+        pi_l, pi_r, bar_l, bar_r = projections(d)
+    else:
+        if not whq.ok or "pi_l" not in whq.data:
+            raise StructureError("derived properties need a passing check_whq report")
+        pi_l, pi_r, bar_l, bar_r = (
+            whq.data[key] for key in ("pi_l", "pi_r", "bar_pi_l", "bar_pi_r")
+        )
+        if pi_l.dom != n:
+            raise DimensionMismatch("the check_whq report is of another dimension")
     ident = LinearMap.identity(n)
 
     if convolution(pi_l, ident, d.coproduct, d.product) != ident:
@@ -599,19 +788,29 @@ def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
     return report
 
 
+def _square_along(f: LinearMap, split, flip: bool = False) -> dict:
+    """(f x f)(t) for t the tensor with legs split, as the sum of
+    c * f(t1) (x) f(t2) over its legs (t1, t2, c); with flip, of
+    c * f(t2) (x) f(t1).  No map with n^2 columns is built."""
+    m, cols = f.cod, f.cols
+    out: dict = {}
+    for t1, t2, c in split:
+        if flip:
+            image = {v * m + u: a * b for u, a in cols[t1].items() for v, b in cols[t2].items()}
+        else:
+            image = {u * m + v: a * b for u, a in cols[t1].items() for v, b in cols[t2].items()}
+        vec_add_into(out, image, c)
+    return out
+
+
 def _anticomultiplicative(d: MagmaCoalgebra) -> bool:
-    """delta . S == tau . (S x S) . delta, column by column: column i of the
-    right side sums c * S(t2) x S(t1) over the support (t1, t2, c) of
-    delta(i), so no map with n^2 columns is built."""
-    n, s = d.dim, d.antipode.cols
-    for i in range(n):
-        rhs: dict = {}
-        for t1, t2, c in d.delta_split(i):
-            flipped = {v * n + u: a * b for u, a in s[t1].items() for v, b in s[t2].items()}
-            vec_add_into(rhs, flipped, c)
-        if not vec_equal(d.coproduct(s[i]), rhs):
-            return False
-    return True
+    """delta . S == tau . (S x S) . delta, column by column over the support
+    of delta(i)."""
+    s = d.antipode.cols
+    return all(
+        vec_equal(d.coproduct(s[i]), _square_along(d.antipode, d.delta_split(i), flip=True))
+        for i in range(d.dim)
+    )
 
 
 def _sweep_antimult(d: MagmaCoalgebra, report: StructureReport) -> None:
@@ -627,24 +826,26 @@ def _sweep_antimult(d: MagmaCoalgebra, report: StructureReport) -> None:
 
 def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj) -> None:
     """Every distinct nonzero value h of the projection associates with all
-    basis pairs k, l in the three one-sided forms."""
+    basis pairs k, l in the three one-sided forms.  Multiplication by h on
+    either side is tabulated once per h, so h(kl) and (kl)h are read off by
+    linearity from the products of h with basis vectors."""
     n = d.dim
     basis = [{i: 1} for i in range(n)]
     distinct = {tuple(sorted(col.items(), key=repr)): col for col in proj.cols if col}
     for key in sorted(distinct, key=repr):
         hvec = distinct[key]
+        h_times = LinearMap(n, n, tuple(d.mul_vec(hvec, b) for b in basis))  # x -> hx
+        times_h = LinearMap(n, n, tuple(d.mul_vec(b, hvec) for b in basis))  # x -> xh
         for k in range(n):
-            hk = d.mul_vec(hvec, basis[k])
-            kh = d.mul_vec(basis[k], hvec)
+            hk, kh = h_times.cols[k], times_h.cols[k]
             for l in range(n):
-                if not vec_equal(d.mul_vec(hk, basis[l]),
-                                 d.mul_vec(hvec, d.mul_basis(k, l))):
+                kl = d.mul_basis(k, l)
+                if not vec_equal(d.mul_vec(hk, basis[l]), h_times(kl)):
                     report.fail(tag, (key, k, l), "(hk)l != h(kl)")
-                if not vec_equal(d.mul_vec(basis[k], d.mul_vec(hvec, basis[l])),
+                if not vec_equal(d.mul_vec(basis[k], h_times.cols[l]),
                                  d.mul_vec(kh, basis[l])):
                     report.fail(tag, (key, k, l), "k(hl) != (kh)l")
-                if not vec_equal(d.mul_vec(basis[k], d.mul_vec(basis[l], hvec)),
-                                 d.mul_vec(d.mul_basis(k, l), hvec)):
+                if not vec_equal(d.mul_vec(basis[k], times_h.cols[l]), times_h(kl)):
                     report.fail(tag, (key, k, l), "k(lh) != (kl)h")
 
 
@@ -685,7 +886,11 @@ def check_whq_morphism(
     )
     if d2.counit @ f != d.counit:
         report.fail("coalg-counit", ())
-    if d2.coproduct @ f != f.tensor(f) @ d.coproduct:
+    # delta2 . f == (f x f) . delta, column by column over the support of delta(j)
+    if not all(
+        vec_equal(d2.coproduct(f.cols[j]), _square_along(f, d.delta_split(j)))
+        for j in range(d.dim)
+    ):
         report.fail("coalg-coprod", ())
 
     pi_l, pi_r = _convolution_projections(d)
@@ -760,5 +965,5 @@ def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:
                 return False
     # multiplicativity of the coproduct is axiom d1
     report = StructureReport("coproduct multiplicativity", axioms=("d1",))
-    _law_d1(d, report, [d.delta_split(i) for i in range(n)], _group_like(d))
+    _law_d1(d, report, _Supports(d), _group_like(d))
     return report.ok

@@ -14,6 +14,7 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
 )
+from nonassoc import hopf
 from nonassoc.cli import main
 from nonassoc.documents import (
     emit,
@@ -251,3 +252,32 @@ def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsy
     assert code == 0
     assert "== mixed associativity" in out and "== theta map" in out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field,zero", [("Q", "0"), ("GF5", "0"), ("GF5", "10")])
+def test_zero_unit_entry_reads_as_a_missing_one(tmp_path, coarse2, capsys, field, zero):
+    doc = whq_to_doc(magma_of_quasigroupoid(coarse2), field)
+    clean = write(tmp_path, "clean.json", emit(doc))
+    assert [1, "1"] not in doc["unit"]  # arrow 1 is not an identity
+    doc["unit"] = sorted(doc["unit"] + [[1, zero]])
+    padded = write(tmp_path, "padded.json", emit(doc))
+    expected = run(capsys, "suite", clean)
+    assert expected[0] == 0
+    assert run(capsys, "suite", padded) == expected
+
+
+def test_suite_on_a_whq_document_builds_the_projections_once(tmp_path, coarse2, monkeypatch, capsys):
+    calls = []
+    for name in ("projections", "_projection_formulas", "_convolution_projections"):
+        original = getattr(hopf, name)
+
+        def counting(*args, original=original, name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(hopf, name, counting)
+    path = write(tmp_path, "magma.json", emit(whq_to_doc(magma_of_quasigroupoid(coarse2))))
+    code, out, _ = run(capsys, "suite", path)
+    assert code == 0
+    assert "== weak Hopf quasigroup derived properties" in out
+    assert sorted(calls) == ["_convolution_projections", "_projection_formulas"]

@@ -28,6 +28,17 @@ value changed; they run through `validate`.  These outputs were produced
 while every sweep still scanned all pairs of arrows and filtered them, so
 they pin the witness order of the sweeps that walk the endpoint index.
 
+The function algebras K^S3 and K^D6 are not group-like: delta(e_g) sums
+over the factorizations g = ab, and the counit is zero off the identity.
+Each runs clean, with two antipode columns swapped (failing d4-1..d4-3),
+and with the product perturbed by +-e_1 (the idempotent of the identity
+element) on a 2x2 block of pairs of non-identity elements, which keeps
+both unit laws and fails d1, d2 and
+d4-1..d4-7; each over Q and over GF(5), through `suite` and `check-whq`.
+These outputs were produced while every weak-Hopf sweep still evaluated
+all of its terms, so they pin the witness order and detail strings of the
+sweeps that visit only the terms that can be nonzero.
+
 Every input is rebuilt here from the library's constructors; only the
 expected stdout is stored, in `tests/golden/`.
 
@@ -53,6 +64,7 @@ from nonassoc import (
     canonical_factorization,
     coarse_groupoid,
     cyclic_group,
+    dihedral_group,
     double_cross_product,
     magma_of_quasigroupoid,
     moufang_loop_12,
@@ -60,6 +72,7 @@ from nonassoc import (
     pair_quasigroupoid,
     reconstruct_matched_pair,
     sub_quasigroupoid,
+    symmetric_group,
 )
 from nonassoc.cli import main
 from nonassoc.documents import (
@@ -70,6 +83,7 @@ from nonassoc.documents import (
     whq_to_doc,
 )
 from tests.conftest import build_family
+from tests.test_grouplike_kernel import function_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = ("suite", "check-whq")
@@ -90,6 +104,26 @@ def _swapped_antipode(d, dcp):
     swap = {i: j, j: i}
     cols = [d.antipode.cols[swap.get(k, k)] for k in range(d.dim)]
     return dataclasses.replace(d, antipode=LinearMap.from_cols(d.dim, d.dim, cols))
+
+
+def _dual_forms(g):
+    """name suffix -> K^G, K^G with the antipode columns of the first two
+    non-identity elements swapped, and K^G with +-e_1 added to the products
+    of a 2x2 block of pairs of non-identity elements."""
+    d = function_algebra(g)
+    n = d.dim
+    a, b, c, e = [x for x in range(n) if x != g.identity][:4]
+    swap = {a: b, b: a}
+    antipode = LinearMap.from_cols(n, n, [d.antipode.cols[swap.get(k, k)] for k in range(n)])
+    cols = [dict(col) for col in d.product.cols]
+    for (x, y), sign in (((a, c), 1), ((a, e), -1), ((b, c), -1), ((b, e), 1)):
+        col = cols[x * n + y]
+        col[g.identity] = col.get(g.identity, 0) + sign
+    return {
+        "": d,
+        "-swapped": dataclasses.replace(d, antipode=antipode),
+        "-perturbed": dataclasses.replace(d, product=LinearMap.from_cols(n * n, n, cols)),
+    }
 
 
 def _twosided_pair(q, m):
@@ -164,6 +198,10 @@ def golden_documents() -> dict[str, str]:
         for label, structure in ((f"m{m}", d), (f"m{m}-swapped", _swapped_antipode(d, dcp))):
             for field in FIELDS:
                 texts[f"{label}-{field}"] = emit(whq_to_doc(structure, field))
+    for label, g in (("kS3", symmetric_group(3)), ("kD6", dihedral_group(6))):
+        for suffix, structure in _dual_forms(g).items():
+            for field in FIELDS:
+                texts[f"{label}{suffix}-{field}"] = emit(whq_to_doc(structure, field))
     family = build_family(cyclic_group(2), cyclic_group(3), m12)
     for label, mp in family.items():
         texts[f"mp-{_slug(label)}"] = emit(matched_pair_to_doc(mp))
@@ -216,7 +254,10 @@ MP_LABELS = (
 
 CASES = [
     (f"{label}-{field}", command, fmt)
-    for label in ("m1", "m1-swapped", "m2", "m2-swapped")
+    for label in (
+        "m1", "m1-swapped", "m2", "m2-swapped",
+        *(f"{g}{form}" for g in ("kS3", "kD6") for form in ("", "-swapped", "-perturbed")),
+    )
     for field in FIELDS
     for command in COMMANDS
     for fmt in FORMATS

@@ -193,8 +193,8 @@ def law_verdicts(d):
     splits = [d.delta_split(i) for i in range(n)]
     pi_l, pi_r = hopf._convolution_projections(d)
     return {
-        "d1": (True, reference_ok(hopf._law_d1, d, splits, None)),
-        "d2": (hopf._d2_holds(prod, n), reference_ok(hopf._sweep_d2, d, splits)),
+        "d1": (True, reference_ok(hopf._law_d1, d, hopf._Supports(d), None)),
+        "d2": (hopf._d2_holds(prod, n), reference_ok(hopf._sweep_d2, d, hopf._Supports(d))),
         "d4-4..7": (
             hopf._d4_4_to_7_hold(prod, anti, n),
             reference_ok(hopf._sweep_d4_4_to_7, d, splits, pi_l, pi_r),
