@@ -2,8 +2,11 @@
 cross product of the two magmas gives the same weak Hopf quasigroup as
 linearizing the combinatorial double cross product.
 
-Both sides are built independently over the same composable-pair basis, so
-the comparison is a literal coefficientwise equality of structure constants,
+Both sides are built independently over the same composable-pair basis:
+route one from the arrow table of the combinatorial double cross product,
+route two only from the pairing map Phi, its idempotent nabla_Phi and the
+magmas of the two components.  So the comparison is a literal
+coefficientwise equality of structure constants between two code paths,
 plus the morphism laws for the connecting map.
 """
 
@@ -44,7 +47,7 @@ print("rank of the composability idempotent:", grad.rank(),
 
 # route one: combinatorial double cross product, then the arrow-basis magma
 route_one = magma_of_quasigroupoid(double_cross_product(mp))
-# route two: twist the two magmas together through the linearized actions
+# route two: (muA (x) muH) o (id (x) Phi (x) id) on the image of nabla_Phi
 route_two = bowtie_whq(mp)
 print("route one passes the axioms:", check_whq(route_one).ok)
 print("route two passes the axioms:", check_whq(route_two).ok)

@@ -40,11 +40,13 @@ from functools import cached_property
 from .linalg import (
     LinearMap,
     convolution,
+    free_coalgebra,
     span_equal,
     twist,
     vec_add_into,
     vec_canonical,
     vec_equal,
+    vec_tensor,
 )
 from .quasigroupoids import QgpdMorphism, Quasigroupoid, check_morphism
 from .reports import (
@@ -131,8 +133,7 @@ def magma_of_quasigroupoid(b: Quasigroupoid) -> MagmaCoalgebra:
     product = LinearMap.from_basis(
         n * n, n, lambda t: b.prod.get((t // n, t % n))
     )
-    delta = LinearMap.from_basis(n, n * n, lambda i: i * n + i)
-    counit = LinearMap.from_basis(n, 1, lambda i: {0: 1})
+    delta, counit = free_coalgebra(n)
     antipode = LinearMap.from_basis(n, n, lambda i: b.inv[i])
     unit = {b.unit[x]: 1 for x in range(b.n_objects)}
     names = tuple(b.arrow_name(i) for i in range(n))
@@ -663,7 +664,8 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
     lists every broken law.  On a group-like input the kernel decides d1,
     d2 and d4-4..d4-7; a law it cannot confirm is swept by its reference
     sweep, which alone writes violations.  On a clean precondition pass the
-    report's data carries the four projections.
+    report's data carries the four projections and the kernel's tables
+    (None when d is not group-like).
     """
     report = StructureReport(
         "weak Hopf quasigroup",
@@ -698,6 +700,7 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
     report.data["pi_r"] = pi_r
     report.data["bar_pi_l"] = bar_l
     report.data["bar_pi_r"] = bar_r
+    report.data["group_like"] = kernel
     return report
 
 
@@ -717,8 +720,8 @@ def derived_property_suite(
 
     Expected to pass on every valid weak Hopf quasigroup; a violation here
     means the checker itself is broken.  `whq`, a passing `check_whq`
-    report of d, supplies the four projections that check built; without
-    it they are built here.
+    report of d, supplies the four projections and the group-like tables
+    that check built; without it they are built here.
     """
     report = StructureReport(
         "weak Hopf quasigroup derived properties",
@@ -732,6 +735,7 @@ def derived_property_suite(
     n = d.dim
     if whq is None:
         pi_l, pi_r, bar_l, bar_r = projections(d)
+        kernel = _group_like(d)
     else:
         if not whq.ok or "pi_l" not in whq.data:
             raise StructureError("derived properties need a passing check_whq report")
@@ -740,6 +744,7 @@ def derived_property_suite(
         )
         if pi_l.dom != n:
             raise DimensionMismatch("the check_whq report is of another dimension")
+        kernel = whq.data["group_like"]
     ident = LinearMap.identity(n)
 
     if convolution(pi_l, ident, d.coproduct, d.product) != ident:
@@ -760,7 +765,6 @@ def derived_property_suite(
     if d.counit @ d.antipode != d.counit:
         report.fail("antipode-counit", ())
 
-    kernel = _group_like(d)
     if kernel is None or not _antimult_holds(*kernel, n):
         _sweep_antimult(d, report)
     if not _anticomultiplicative(d):
@@ -796,10 +800,8 @@ def _square_along(f: LinearMap, split, flip: bool = False) -> dict:
     out: dict = {}
     for t1, t2, c in split:
         if flip:
-            image = {v * m + u: a * b for u, a in cols[t1].items() for v, b in cols[t2].items()}
-        else:
-            image = {u * m + v: a * b for u, a in cols[t1].items() for v, b in cols[t2].items()}
-        vec_add_into(out, image, c)
+            t1, t2 = t2, t1
+        vec_add_into(out, vec_tensor(cols[t1], cols[t2], m), c)
     return out
 
 
@@ -854,22 +856,25 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj)
 # ---------------------------------------------------------------------------
 
 
+def _nabla_col(d: MagmaCoalgebra, pi_r: LinearMap, split, k: int) -> dict:
+    """nabla(h (x) k) = h(1) (x) PiR(h(2)) k, summed over split, the legs of
+    delta(h)."""
+    n = d.dim
+    out: dict = {}
+    for (h1, h2, c) in split:
+        for m, a in d.mul_vec(pi_r.cols[h2], {k: 1}).items():
+            vec_add_into(out, {h1 * n + m: 1}, c * a)
+    return out
+
+
 def nabla(d: MagmaCoalgebra) -> LinearMap:
     """The idempotent h (x) k -> h(1) (x) PiR(h(2)) k cutting out the
     composable part of the tensor square."""
     n = d.dim
     _, pi_r = _convolution_projections(d)
-
-    def col(t):
-        h, k = t // n, t % n
-        out: dict = {}
-        for (h1, h2, c) in d.delta_split(h):
-            inner = d.mul_vec(pi_r.cols[h2], {k: 1})
-            for m, a in inner.items():
-                vec_add_into(out, {h1 * n + m: 1}, c * a)
-        return out
-
-    return LinearMap.from_basis(n * n, n * n, col)
+    return LinearMap.from_basis(
+        n * n, n * n, lambda t: _nabla_col(d, pi_r, d.delta_split(t // n), t % n)
+    )
 
 
 def check_whq_morphism(
@@ -877,7 +882,12 @@ def check_whq_morphism(
 ) -> StructureReport:
     """Coalgebra-morphism laws plus the four weak-Hopf-quasigroup morphism
     conditions mkl1..mkl4 (the product law runs through nabla of the
-    source, so non-composable tensors are excused)."""
+    source, so non-composable tensors are excused).
+
+    Each law is compared column by column; the product law evaluates
+    f(hk) against the sum of f(x)f(y) over the legs x (x) y of
+    nabla(h (x) k), at the pairs where either side can be nonzero, so no
+    map with n^2 columns is built."""
     if f.dom != d.dim or f.cod != d2.dim:
         raise DimensionMismatch("morphism shape does not match the structures")
     report = StructureReport(
@@ -886,38 +896,39 @@ def check_whq_morphism(
     )
     if d2.counit @ f != d.counit:
         report.fail("coalg-counit", ())
+    sup = _Supports(d)
     # delta2 . f == (f x f) . delta, column by column over the support of delta(j)
     if not all(
-        vec_equal(d2.coproduct(f.cols[j]), _square_along(f, d.delta_split(j)))
-        for j in range(d.dim)
+        vec_equal(d2.coproduct(f.cols[j]), _square_along(f, split))
+        for j, split in enumerate(sup.splits)
     ):
         report.fail("coalg-coprod", ())
 
     pi_l, pi_r = _convolution_projections(d)
     pi_l2, pi_r2 = _convolution_projections(d2)
-    _, _, bar_l, _ = _projection_formulas(d)
+    _, _, bar_l, _ = _projection_formulas(d, sup)
     _, _, bar_l2, _ = _projection_formulas(d2)
 
-    lhs, rhs = pi_r2 @ f, f @ pi_r
-    for h in range(d.dim):
-        if not vec_equal(lhs.cols[h], rhs.cols[h]):
-            report.fail("mkl1", (h,), f"lhs={lhs.cols[h]} rhs={rhs.cols[h]}")
-    lhs, rhs = bar_l2 @ f, f @ bar_l
-    for h in range(d.dim):
-        if not vec_equal(lhs.cols[h], rhs.cols[h]):
-            report.fail("mkl2", (h,), f"lhs={lhs.cols[h]} rhs={rhs.cols[h]}")
-    lhs, rhs = pi_r2 @ pi_l2 @ f, f @ pi_r @ pi_l
-    for h in range(d.dim):
-        if not vec_equal(lhs.cols[h], rhs.cols[h]):
-            report.fail("mkl3", (h,), f"lhs={lhs.cols[h]} rhs={rhs.cols[h]}")
-    lhs = f @ d.product
-    rhs = d2.product @ f.tensor(f) @ nabla(d)
+    for tag, lhs, rhs in (
+        ("mkl1", pi_r2 @ f, f @ pi_r),
+        ("mkl2", bar_l2 @ f, f @ bar_l),
+        ("mkl3", pi_r2 @ pi_l2 @ f, f @ pi_r @ pi_l),
+    ):
+        for h in range(d.dim):
+            if not vec_equal(lhs.cols[h], rhs.cols[h]):
+                report.fail(tag, (h,), f"lhs={lhs.cols[h]} rhs={rhs.cols[h]}")
     n = d.dim
-    for t in range(n * n):
-        if not vec_equal(lhs.cols[t], rhs.cols[t]):
-            report.fail(
-                "mkl4", (t // n, t % n), f"lhs={lhs.cols[t]} rhs={rhs.cols[t]}"
-            )
+    for h, split in enumerate(sup.splits):
+        # f(hk) and nabla(h (x) k) vanish unless k is a right factor of h or
+        # of a basis vector in the support of some PiR(h(2))
+        factors = {h}.union(*(pi_r.cols[h2] for _, h2, _ in split))
+        for k in sorted({k for x in factors for k in sup.right[x]}):
+            lhs = f(d.product.cols[h * n + k])
+            rhs = {}
+            for x, c in _nabla_col(d, pi_r, split, k).items():
+                vec_add_into(rhs, d2.mul_vec(f.cols[x // n], f.cols[x % n]), c)
+            if not vec_equal(lhs, rhs):
+                report.fail("mkl4", (h, k), f"lhs={lhs} rhs={rhs}")
     return report
 
 
@@ -953,11 +964,7 @@ def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:
     n = d.dim
     if d.eps_vec(d.unit) != 1:
         return False
-    unit_tensor: dict = {}
-    for u, c in d.unit.items():
-        for v, c2 in d.unit.items():
-            vec_add_into(unit_tensor, {u * n + v: 1}, c * c2)
-    if not vec_equal(d.coproduct(d.unit), unit_tensor):
+    if not vec_equal(d.coproduct(d.unit), vec_canonical(vec_tensor(d.unit, d.unit, n))):
         return False
     for i in range(n):
         for j in range(n):

@@ -170,6 +170,11 @@ def vec_canonical(vec: dict) -> dict:
     return {i: c for i, c in vec.items() if c}
 
 
+def vec_tensor(u: dict, v: dict, m: int) -> dict:
+    """u (x) v, for v in a space of dimension m, in the row-major basis."""
+    return {i * m + j: a * b for i, a in u.items() for j, b in v.items()}
+
+
 def vec_equal(u: dict, v: dict) -> bool:
     if len(u) != len(v):
         return False
@@ -259,18 +264,7 @@ class LinearMap:
 
     def tensor(self, other: "LinearMap") -> "LinearMap":
         """Kronecker product in the row-major basis convention."""
-        cols = []
-        for ju in range(self.dom):
-            cu = self.cols[ju]
-            for jv in range(other.dom):
-                cv = other.cols[jv]
-                cols.append(
-                    {
-                        iu * other.cod + iv: a * b
-                        for iu, a in cu.items()
-                        for iv, b in cv.items()
-                    }
-                )
+        cols = [vec_tensor(cu, cv, other.cod) for cu in self.cols for cv in other.cols]
         return LinearMap(self.dom * other.dom, self.cod * other.cod, tuple(cols))
 
     def _same_shape(self, other: "LinearMap") -> None:

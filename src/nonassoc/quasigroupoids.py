@@ -58,9 +58,6 @@ class Quasigroupoid:
     def arrow_name(self, a: int) -> str:
         return self.arrow_names[a] if self.arrow_names else str(a)
 
-    def object_name(self, x: int) -> str:
-        return self.object_names[x] if self.object_names else str(x)
-
 
 def arrows_by_object(ends, n_objects: int) -> list[list[int]]:
     """The endpoint index: entry x lists, in increasing order, the arrows i

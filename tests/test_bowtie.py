@@ -1,4 +1,8 @@
+import pytest
+
 from nonassoc import (
+    LinearMap,
+    bowtie,
     bowtie_whq,
     canonical_iso,
     check_whq,
@@ -9,6 +13,7 @@ from nonassoc import (
     is_hopf_quasigroup,
     linearized_actions,
     magma_of_quasigroupoid,
+    matched_pairs,
     mixed_pairs,
     module_law_report,
     mp_action_left,
@@ -20,6 +25,7 @@ from nonassoc import (
     verify_canonical_iso,
 )
 from nonassoc.linalg import vec_equal
+from nonassoc.quasigroupoids import Quasigroupoid
 from tests.conftest import z3_translation
 
 
@@ -168,3 +174,47 @@ def test_one_object_corollary_is_hopf(z2, m12):
         assert is_hopf_quasigroup(source)
         assert is_hopf_quasigroup(target)
         assert verify_canonical_iso(mp).ok
+
+
+def _phi_with_two_columns_swapped(phi_map):
+    """phi_map, but with the first nonzero column of Phi exchanged with the
+    first nonzero column that has another image."""
+
+    def swapped(mp, check=True):
+        phi = phi_map(mp, check)
+        nonzero = [t for t, col in enumerate(phi.cols) if col]
+        i = nonzero[0]
+        j = next(t for t in nonzero if phi.cols[t] != phi.cols[i])
+        cols = list(phi.cols)
+        cols[i], cols[j] = cols[j], cols[i]
+        return LinearMap(phi.dom, phi.cod, tuple(cols))
+
+    return swapped
+
+
+def test_oracle_sees_a_corrupted_pairing_map(mp_family, monkeypatch):
+    # the linear route reads the actions only through Phi, so corrupting Phi
+    # after validation must show against the combinatorial route
+    monkeypatch.setattr(bowtie, "phi_map", _phi_with_two_columns_swapped(bowtie.phi_map))
+    for name, mp in mp_family.items():
+        failed = verify_canonical_iso(mp).failed_axioms()
+        assert {"mkl4", "oracle-product", "oracle-antipode"} <= set(failed), (name, failed)
+
+
+def test_bowtie_uses_no_combinatorial_product(mp_family, monkeypatch):
+    expected = {
+        name: magma_of_quasigroupoid(double_cross_product(mp)) for name, mp in mp_family.items()
+    }
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the linear route used the combinatorial product")
+
+    monkeypatch.setattr(Quasigroupoid, "compose", forbidden)
+    for module in (bowtie, matched_pairs):
+        monkeypatch.setattr(module, "double_cross_product", forbidden)
+    with pytest.raises(AssertionError):
+        mp_family["one-object z2"].a.compose(0, 0)
+    for name, mp in mp_family.items():
+        d = bowtie_whq(mp, check=False)
+        assert d == expected[name], name
+        assert d.basis_names == expected[name].basis_names, name

@@ -268,7 +268,7 @@ def test_zero_unit_entry_reads_as_a_missing_one(tmp_path, coarse2, capsys, field
 
 def test_suite_on_a_whq_document_builds_the_projections_once(tmp_path, coarse2, monkeypatch, capsys):
     calls = []
-    for name in ("projections", "_projection_formulas", "_convolution_projections"):
+    for name in ("projections", "_projection_formulas", "_convolution_projections", "_group_like"):
         original = getattr(hopf, name)
 
         def counting(*args, original=original, name=name):
@@ -280,4 +280,4 @@ def test_suite_on_a_whq_document_builds_the_projections_once(tmp_path, coarse2, 
     code, out, _ = run(capsys, "suite", path)
     assert code == 0
     assert "== weak Hopf quasigroup derived properties" in out
-    assert sorted(calls) == ["_convolution_projections", "_projection_formulas"]
+    assert sorted(calls) == ["_convolution_projections", "_group_like", "_projection_formulas"]

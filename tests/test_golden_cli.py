@@ -39,6 +39,12 @@ These outputs were produced while every weak-Hopf sweep still evaluated
 all of its terms, so they pin the witness order and detail strings of the
 sweeps that visit only the terms that can be nonzero.
 
+The seven matched pairs of the test family also run through `check-iso`,
+and the Moufang-based family member and the Z3 translation pair through
+`build bowtie`, over Q and over GF(5).  These outputs were produced while
+`bowtie_whq` still recomputed the combinatorial double cross product
+formulas, so they pin the documents of the construction from linear pieces.
+
 Every input is rebuilt here from the library's constructors; only the
 expected stdout is stored, in `tests/golden/`.
 
@@ -222,14 +228,15 @@ def golden_documents() -> dict[str, str]:
     return texts
 
 
-def run_cli(tmp_dir: Path, name: str, text: str, command: str, fmt: str) -> str:
-    """The exit code and stdout of one CLI run on the named document."""
+def run_cli(tmp_dir: Path, name: str, text: str, args: list[str]) -> str:
+    """The exit code and stdout of one CLI run, with `args` before the path
+    of the named document."""
     path = tmp_dir / f"{name}.json"
     if not path.exists():
         path.write_text(text, encoding="utf-8")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["--format", fmt, command, str(path)])
+        code = main([*args, str(path)])
     return f"exit {code}\n{out.getvalue()}"
 
 
@@ -270,6 +277,8 @@ CASES = [
     for name in ("fact-canonical-pair-m12-2", "fact-coarse-2-identities")
     for fmt in FORMATS
 ] + [
+    (f"mp-{_slug(label)}", "check-iso", fmt) for label in MP_LABELS for fmt in FORMATS
+] + [
     ("q-dcp-pair-m12-2", "suite", fmt) for fmt in FORMATS
 ] + [
     (name, "validate", fmt)
@@ -280,10 +289,24 @@ CASES = [
 ]
 
 
+# `build bowtie` documents, golden file `NAME.build-bowtie.FIELD.txt`
+BUILD_CASES = [
+    (f"mp-{_slug(label)}", field)
+    for label in ("discrete-right pair(m12,2)", "action-left z3 translation")
+    for field in FIELDS
+]
+
+
 @pytest.mark.parametrize("name,command,fmt", CASES)
 def test_cli_output_matches_golden(name, command, fmt, documents, tmp_path):
-    got = run_cli(tmp_path, name, documents[name], command, fmt)
+    got = run_cli(tmp_path, name, documents[name], ["--format", fmt, command])
     assert got == golden_path(name, command, fmt).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,field", BUILD_CASES)
+def test_build_bowtie_matches_golden(name, field, documents, tmp_path):
+    got = run_cli(tmp_path, name, documents[name], ["--field", field, "build", "bowtie"])
+    assert got == golden_path(name, "build-bowtie", field).read_text(encoding="utf-8")
 
 
 def _regenerate() -> None:
@@ -291,8 +314,11 @@ def _regenerate() -> None:
     texts = golden_documents()
     with tempfile.TemporaryDirectory() as tmp:
         for name, command, fmt in CASES:
-            out = run_cli(Path(tmp), name, texts[name], command, fmt)
+            out = run_cli(Path(tmp), name, texts[name], ["--format", fmt, command])
             golden_path(name, command, fmt).write_text(out, encoding="utf-8")
+        for name, field in BUILD_CASES:
+            out = run_cli(Path(tmp), name, texts[name], ["--field", field, "build", "bowtie"])
+            golden_path(name, "build-bowtie", field).write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":

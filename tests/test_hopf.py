@@ -3,6 +3,7 @@ from itertools import permutations
 
 from nonassoc import (
     LinearMap,
+    hopf,
     check_whq,
     check_whq_morphism,
     coarse_groupoid,
@@ -190,6 +191,35 @@ def test_product_law_needs_nabla():
     assert f @ small.product != without
     assert without.cols[0 * 2 + 1] == {0: 1}  # the offending pair
     assert check_whq_morphism(f, small, big).ok
+
+
+def test_morphism_check_builds_no_map_on_the_tensor_square(monkeypatch):
+    # the inclusion of A into pair(Z2, 2)'s discrete-right double cross
+    # product; every map built has at most one column per basis vector, and
+    # each structure's convolution projections are built once
+    mp = mp_discrete_right(pair_quasigroupoid_z2())
+    dcp = double_cross_product(mp)
+    incl = inclusion_a(mp, dcp)
+    f = magma_functor(incl)
+    small, big = magma_of_quasigroupoid(incl.source), magma_of_quasigroupoid(dcp)
+    domains, built = [], []
+    post_init = LinearMap.__post_init__
+
+    def recording(self):
+        domains.append(self.dom)
+        post_init(self)
+
+    convolution_projections = hopf._convolution_projections
+
+    def counting(d):
+        built.append(id(d))
+        return convolution_projections(d)
+
+    monkeypatch.setattr(LinearMap, "__post_init__", recording)
+    monkeypatch.setattr(hopf, "_convolution_projections", counting)
+    assert check_whq_morphism(f, small, big).ok
+    assert max(domains) == big.dim
+    assert built == [id(small), id(big)]
 
 
 def test_magma_functor_is_functorial(coarse2):

@@ -25,13 +25,17 @@ import pytest
 
 from nonassoc import (
     LinearMap,
+    coarse_groupoid,
     cyclic_group,
     dihedral_group,
     direct_product,
+    discrete_groupoid,
+    magma_of_quasigroupoid,
     quaternion_group,
     symmetric_group,
 )
 from nonassoc import hopf
+from nonassoc.linalg import vec_equal
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
 from tests.negative_fixtures import whq_fixtures
@@ -206,6 +210,45 @@ def test_coalgebra_morphism_law_equals_the_composite():
         report = hopf.check_whq_morphism(f, d, d)
         assert ("coalg-coprod" not in report.failed_axioms()) == composite
         verdicts.add(composite)
+    assert verdicts == {True, False}
+
+
+def test_product_morphism_law_equals_the_composite():
+    """mkl4 of check_whq_morphism, evaluated column by column on the pairs
+    where either side can be nonzero, against f . mu == mu2 . (f x f) .
+    nabla with every map built in full: the same failing pairs, in the same
+    order, with the same detail strings."""
+    sweedler = sweedler_four_dim()
+    k_s3 = function_algebra(symmetric_group(3))
+    coarse = magma_of_quasigroupoid(coarse_groupoid(2))
+    one_object = magma_of_quasigroupoid(discrete_groupoid(1))
+    rng = random.Random(1)
+    cases = [
+        (sweedler, LinearMap.identity(4), sweedler),
+        (sweedler, LinearMap.from_basis(4, 4, lambda i: [0, 1, 3, 2][i]), sweedler),
+        (sweedler, LinearMap.from_basis(4, 4, lambda i: {0: 1, 2: 1} if i == 2 else i), sweedler),
+        (k_s3, LinearMap.identity(6), k_s3),
+        (coarse, LinearMap.from_basis(4, 4, lambda i: [0, 2, 1, 3][i]), coarse),
+        (coarse, LinearMap.from_basis(4, 1, lambda i: 0), one_object),
+    ]
+    for _ in range(4):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        cases.append((k_s3, LinearMap.from_basis(6, 6, lambda i, p=perm: p[i]), k_s3))
+    verdicts = set()
+    for d, f, d2 in cases:
+        n = d.dim
+        lhs = f @ d.product
+        rhs = d2.product @ f.tensor(f) @ hopf.nabla(d)
+        expected = [
+            ((t // n, t % n), f"lhs={lhs.cols[t]} rhs={rhs.cols[t]}")
+            for t in range(n * n)
+            if not vec_equal(lhs.cols[t], rhs.cols[t])
+        ]
+        report = hopf.check_whq_morphism(f, d, d2)
+        got = [(v.witness, v.detail) for v in report.violations if v.axiom == "mkl4"]
+        assert got == expected
+        verdicts.add(not expected)
     assert verdicts == {True, False}
 
 
