@@ -196,14 +196,27 @@ def module_law_report(mp: MatchedPair, check: bool = True) -> StructureReport:
         image = phi_kh(vec_tensor({x: 1}, mu_a.unit, na))
         if not vec_equal(image, {x: 1}):
             report.fail("right-unit", (x,), f"phi(h,1)={image}")
-    ident_a = LinearMap.identity(na)
-    ident_h = LinearMap.identity(nh)
-    left_nested = phi_ka @ ident_h.tensor(phi_ka)
-    left_product = phi_ka @ mu_h.product.tensor(ident_a)
-    if left_nested != left_product:
+    # Both sides of each associativity law send a basis tensor to a basis
+    # tensor or to zero, so they are compared as the dicts of their nonzero
+    # values, at the tensors where either side can be nonzero.
+    left, right = mp.left.table, mp.right.table
+    left_on, left_by = _entries_by(left, 1), _entries_by(left, 0)
+    nested = {(x, g, y): w for (g, y), z in left.items() for x, w in left_on.get(z, ())}
+    product = {(x, g, y): w for (x, g), k in h.prod.items() for y, w in left_by.get(k, ())}
+    if nested != product:  # h.(g.a) = (hg).a on h (x) g (x) a
         report.fail("left-assoc", ())
-    right_nested = phi_kh @ phi_kh.tensor(ident_a)
-    right_product = phi_kh @ ident_h.tensor(mu_a.product)
-    if right_nested != right_product:
+    right_by, right_on = _entries_by(right, 0), _entries_by(right, 1)
+    nested = {(x, y, b): w for (x, y), k in right.items() for b, w in right_by.get(k, ())}
+    product = {(x, y, b): w for (y, b), c in a.prod.items() for x, w in right_on.get(c, ())}
+    if nested != product:  # (h.a).b = h.(ab) on h (x) a (x) b
         report.fail("right-assoc", ())
     return report
+
+
+def _entries_by(table: dict, side: int) -> dict:
+    """The entries (x, y) -> v of an action table as lists of (other index,
+    v), keyed by x (side 0) or by y (side 1)."""
+    out: dict = {}
+    for key, v in table.items():
+        out.setdefault(key[side], []).append((key[1 - side], v))
+    return out

@@ -9,7 +9,6 @@ No construction logic lives here; every command composes library calls.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -61,7 +60,7 @@ def _print_reports(reports: list[StructureReport], args) -> int:
             "reports": [_jsonable(report_as_document(r, args.only)) for r in reports],
             "ok": violations == 0,
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        sys.stdout.write(documents.emit(payload))
     else:
         for report in reports:
             sys.stdout.write(format_report(report, args.only))
@@ -180,8 +179,7 @@ def cmd_factorize(args) -> int:
         raise InvalidStructureError(report)
     found = enumerate_factorizations(q, args.max_arrows)
     if args.format == "machine":
-        payload = [documents.factorization_to_doc(c) for c in found]
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+        sys.stdout.write(documents.emit([documents.factorization_to_doc(c) for c in found]))
     else:
         for i, c in enumerate(found):
             sys.stdout.write(

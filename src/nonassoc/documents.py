@@ -4,7 +4,10 @@ object the toolkit handles (see docs/file-format.md for the schema).
 Emission is canonical: sorted keys, one-space indentation, dense index
 arrays, partial maps as explicit sorted pair lists, scalars as "num" or
 "num/den" strings.  parse(emit(doc)) is the identity on canonical
-documents, and emitted bytes are deterministic.
+documents, and emitted bytes are deterministic: by definition they are the
+bytes of `json.dumps(doc, sort_keys=True, indent=1) + "\n"`.  `emit` is the
+package's one JSON writer; every JSON text the CLI prints or writes,
+machine reports included, goes through it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,76 @@ KINDS = ("quasigroup", "quasigroupoid", "action", "matched-pair", "factorization
 VERSION = 1
 
 
-def emit(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def emit(doc) -> str:
+    """The text of `doc`: by definition the bytes of
+    `json.dumps(doc, sort_keys=True, indent=1) + "\n"`, written without
+    CPython's pure-Python indenting encoder."""
+    return _write(doc, "\n") + "\n"
+
+
+def _write(value, nl: str) -> str:
+    """`value` as the indenting encoder writes it, `nl` being the newline
+    and indentation of the line it starts on."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + " "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = ("," + inner).join(map(int.__repr__, value))
+        elif kinds != {list} or (body := _write_rows(value, inner)) is None:
+            body = ("," + inner).join([_write(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + " "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k if isinstance(k, str) else _key(k)) + ": " + _write(v, inner)
+            for k, v in sorted(value.items())
+        ]) + nl + "}"
+    return json.dumps(value)  # floats; TypeError for what JSON cannot hold
+
+
+def _key(key) -> str:
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_rows(rows: list, nl: str) -> str | None:
+    """Lists of one length whose every column holds only `int` or only
+    `str`, each written by one `fmt % row`; None for any other rows."""
+    widths = set(map(len, rows))
+    if widths == {0} or len(widths) != 1:
+        return None
+    columns = list(zip(*rows))
+    inner = nl + " "
+    specs = []
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            specs.append("%d")
+        elif kinds == {str}:
+            specs.append("%s")
+            columns[i] = map(_encode_str, column)
+        else:
+            return None
+    fmt = "[" + inner + ("," + inner).join(specs) + nl + "]"
+    return ("," + nl).join(map(fmt.__mod__, zip(*columns)))
 
 
 def parse(text: str) -> dict:
@@ -94,7 +165,8 @@ def _validate_quasigroup(doc: dict) -> None:
             raise SchemaError("names must list one string per element")
 
 
-def _validate_quasigroupoid(doc: dict) -> None:
+def _validate_quasigroupoid(doc: dict) -> dict:
+    """Check a quasigroupoid document; return its product as (a, b) -> c."""
     objects = _need(doc, "objects", int)
     arrows = _need(doc, "arrows", int)
     if objects < 1 or arrows < objects:
@@ -104,7 +176,7 @@ def _validate_quasigroupoid(doc: dict) -> None:
     _index_list(doc, "unit", objects, arrows)
     _index_list(doc, "inv", arrows, arrows)
     product = _need(doc, "product", list)
-    seen = set()
+    prod = {}
     for entry in product:
         if (
             not isinstance(entry, list)
@@ -119,15 +191,17 @@ def _validate_quasigroupoid(doc: dict) -> None:
             raise RangeError(f"product entry {entry} out of range")
         if src[a] != tgt[b]:
             raise RangeError(f"product entry on non-composable pair ({a},{b})")
-        if (a, b) in seen:
+        key = a, b
+        if key in prod:
             raise SchemaError(f"duplicate product entry for pair ({a},{b})")
-        seen.add((a, b))
+        prod[key] = c
     for field in ("object_names", "arrow_names"):
         if field in doc:
             names = _need(doc, field, list)
             expect = objects if field == "object_names" else arrows
             if len(names) != expect or not all(isinstance(s, str) for s in names):
                 raise SchemaError(f"{field} must list one string per entry")
+    return prod
 
 
 def _validate_action(doc: dict) -> None:
@@ -179,10 +253,9 @@ def _validate_matched_pair(doc: dict) -> None:
 
 def _validate_factorization(doc: dict) -> None:
     bdoc = _need(doc, "b", dict)
-    _validate_quasigroupoid(bdoc)
+    prod = _validate_quasigroupoid(bdoc)
     arrows = bdoc["arrows"]
     units = set(bdoc["unit"])
-    prod = {(a, b): c for a, b, c in bdoc["product"]}
     for field in ("a_arrows", "h_arrows"):
         subset = _need(doc, field, list)
         if len(set(subset)) != len(subset):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nonassoc import (
@@ -218,3 +220,43 @@ def test_bowtie_uses_no_combinatorial_product(mp_family, monkeypatch):
         d = bowtie_whq(mp, check=False)
         assert d == expected[name], name
         assert d.basis_names == expected[name].basis_names, name
+
+
+def _composite_module_laws(mp):
+    """Which associativity module laws hold, decided on the whole composite
+    maps on K[H] (x) K[H] (x) K[A] and K[H] (x) K[A] (x) K[A]: the
+    reference for `module_law_report`."""
+    phi_ka, phi_kh = linearized_actions(mp, check=False)
+    mu_a, mu_h = magma_of_quasigroupoid(mp.a), magma_of_quasigroupoid(mp.h)
+    ident_a, ident_h = LinearMap.identity(mp.a.n_arrows), LinearMap.identity(mp.h.n_arrows)
+    return {
+        "left-assoc": phi_ka @ ident_h.tensor(phi_ka) == phi_ka @ mu_h.product.tensor(ident_a),
+        "right-assoc": phi_kh @ phi_kh.tensor(ident_a) == phi_kh @ ident_h.tensor(mu_a.product),
+    }
+
+
+def _corrupted_actions(mp):
+    """Copies of mp, unchecked, with one value of the left or of the right
+    action table moved to the next arrow, at each of the first two entries."""
+    out = []
+    for side, target in (("left", mp.a), ("right", mp.h)):
+        action = getattr(mp, side)
+        if target.n_arrows == 1:
+            continue
+        for key, v in sorted(action.table.items())[:2]:
+            table = {**action.table, key: (v + 1) % target.n_arrows}
+            out.append(dataclasses.replace(mp, **{side: dataclasses.replace(action, table=table)}))
+    return out
+
+
+def test_module_law_report_agrees_with_the_composite_maps(mp_family):
+    verdicts = set()
+    for name, mp in mp_family.items():
+        for case in [mp, *_corrupted_actions(mp)]:
+            expected = _composite_module_laws(case)
+            report = module_law_report(case, check=False)
+            for tag, holds in expected.items():
+                assert (tag not in report.failed_axioms()) == holds, (name, tag)
+                verdicts.add((tag, holds))
+            assert all(v.witness == () for v in report.violations if v.axiom in expected)
+    assert verdicts == {(tag, holds) for tag in ("left-assoc", "right-assoc") for holds in (True, False)}

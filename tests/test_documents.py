@@ -8,6 +8,7 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
 )
+from nonassoc.cli import main
 from nonassoc.documents import (
     RangeError,
     SchemaError,
@@ -150,3 +151,60 @@ def test_factorization_documents_must_be_closed(coarse2):
 def test_emission_is_deterministic(z3):
     mp = mp_action_left(z3, 3, z3_translation)
     assert emit(matched_pair_to_doc(mp)) == emit(matched_pair_to_doc(mp))
+
+
+# Each product-entry error of a quasigroupoid document, pinned by class and
+# message: `appended` goes after the valid product of coarse(2), whose four
+# arrows (0,0), (0,1), (1,0), (1,1) compose when the middle objects agree.
+PRODUCT_ERRORS = [
+    ([[0, 1]], SchemaError, "product entries must be [a, b, c] index triples"),
+    (["abc"], SchemaError, "product entries must be [a, b, c] index triples"),
+    ([[0, 1, "1"]], SchemaError, "product entries must be [a, b, c] index triples"),
+    ([[0, 1, 1.0]], SchemaError, "product entries must be [a, b, c] index triples"),
+    ([[0, 0, 4]], RangeError, "product entry [0, 0, 4] out of range"),
+    ([[-1, 0, 0]], RangeError, "product entry [-1, 0, 0] out of range"),
+    ([[1, 0, 0]], RangeError, "product entry on non-composable pair (1,0)"),
+    ([[0, 0, 0]], SchemaError, "duplicate product entry for pair (0,0)"),
+    ([[False, 0, 0]], SchemaError, "duplicate product entry for pair (False,0)"),
+    # the first bad entry is the one reported
+    ([[0, 0, 4], [1, 0, 0]], RangeError, "product entry [0, 0, 4] out of range"),
+    ([[1, 0, 0], [0, 0, 4]], RangeError, "product entry on non-composable pair (1,0)"),
+    ([[2, 1, 3], [0, 1]], SchemaError, "duplicate product entry for pair (2,1)"),
+    ([[0, 1], [2, 1, 3]], SchemaError, "product entries must be [a, b, c] index triples"),
+    ([[True, 9, 0], [0, 1]], RangeError, "product entry [True, 9, 0] out of range"),
+]
+
+
+@pytest.mark.parametrize("appended,error,message", PRODUCT_ERRORS)
+def test_product_entry_errors_are_pinned(coarse2, appended, error, message):
+    doc = quasigroupoid_to_doc(coarse2)
+    doc["product"] += appended
+    with pytest.raises(SchemaError) as info:
+        parse(emit(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_bool_product_indices_read_as_integers(coarse2):
+    # JSON false is a Python bool, which is an int: [false, 0, 0] stands for
+    # [0, 0, 0] and the document parses with the bool kept as written
+    doc = quasigroupoid_to_doc(coarse2)
+    doc["product"][0] = [False, 0, 0]
+    text = emit(doc)
+    assert '[\n   false,\n   0,\n   0\n  ]' in text
+    back = parse(text)
+    assert back["product"][0] == [False, 0, 0] and back["product"][0][0] is False
+    assert doc_to_quasigroupoid(back).prod == coarse2.prod
+
+
+def test_factorization_with_a_missing_product_entry_exits_2(tmp_path, z2, capsys):
+    """The document parses: a product entry that is absent cannot break
+    closure.  Building the component A then names the missing pair."""
+    doc = factorization_to_doc(canonical_factorization(mp_discrete_right(pair_quasigroupoid(z2, 2))))
+    doc["b"]["product"] = [entry for entry in doc["b"]["product"] if entry[:2] != [0, 0]]
+    text = emit(doc)
+    assert parse(text) == doc
+    path = tmp_path / "fact.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: product missing on composable pair (0,0)\n")

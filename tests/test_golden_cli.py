@@ -45,6 +45,14 @@ and the Moufang-based family member and the Z3 translation pair through
 `bowtie_whq` still recomputed the combinatorial double cross product
 formulas, so they pin the documents of the construction from linear pieces.
 
+`build dcp` runs on the discrete-right pair(M12, 2) and on the two-sided
+pair reconstructed from pair(M12, 2), and `build magma` on the 48-arrow
+double cross product of the first, over Q and over GF(5).  `factorize` runs
+on the one-object M12 and on pair(C3, 2).  These outputs were produced while
+`documents.emit` still called `json.dumps(..., indent=1)` and the CLI wrote
+its machine reports with its own `json.dumps`, so they pin the bytes of the
+emitted documents and machine reports.
+
 Every input is rebuilt here from the library's constructors; only the
 expected stdout is stored, in `tests/golden/`.
 
@@ -76,6 +84,7 @@ from nonassoc import (
     moufang_loop_12,
     mp_discrete_right,
     pair_quasigroupoid,
+    quasigroup_as_quasigroupoid,
     reconstruct_matched_pair,
     sub_quasigroupoid,
     symmetric_group,
@@ -223,8 +232,12 @@ def golden_documents() -> dict[str, str]:
     texts["q-dcp-pair-m12-2"] = emit(quasigroupoid_to_doc(dcp))
     for suffix, q in _corrupted_quasigroupoids(dcp).items():
         texts[f"q-dcp-pair-m12-2-{suffix}"] = emit(quasigroupoid_to_doc(q))
-    for suffix, mp in _corrupted_matched_pairs(_twosided_pair(m12, 2)).items():
+    twosided = _twosided_pair(m12, 2)
+    texts["mp-twosided-m2"] = emit(matched_pair_to_doc(twosided))
+    for suffix, mp in _corrupted_matched_pairs(twosided).items():
         texts[f"mp-twosided-m2-{suffix}"] = emit(matched_pair_to_doc(mp))
+    texts["q-one-object-m12"] = emit(quasigroupoid_to_doc(quasigroup_as_quasigroupoid(m12)))
+    texts["q-pair-c3-2"] = emit(quasigroupoid_to_doc(pair_quasigroupoid(cyclic_group(3), 2)))
     return texts
 
 
@@ -286,15 +299,31 @@ CASES = [
         f"q-dcp-pair-m12-2-{suffix}" for suffix in ("prod-dropped", "prod-changed", "inv-changed")
     ] + [f"mp-twosided-m2-{suffix}" for suffix in ("left-unit-broken", "right-changed")]
     for fmt in FORMATS
+] + [
+    (name, "factorize", fmt) for name in ("q-one-object-m12", "q-pair-c3-2") for fmt in FORMATS
 ]
 
 
-# `build bowtie` documents, golden file `NAME.build-bowtie.FIELD.txt`
-BUILD_CASES = [
+# `build WHAT` documents, golden file `NAME.build-WHAT.FIELD.txt`, or
+# `NAME.build-dcp.txt` for the field-free double cross product
+BOWTIE_CASES = [
     (f"mp-{_slug(label)}", field)
     for label in ("discrete-right pair(m12,2)", "action-left z3 translation")
     for field in FIELDS
 ]
+DCP_MAGMA_CASES = [
+    (name, "dcp", None) for name in ("mp-discrete-right-pair-m12-2", "mp-twosided-m2")
+] + [
+    ("q-dcp-pair-m12-2", "magma", field) for field in FIELDS
+]
+BUILD_CASES = [(name, "bowtie", field) for name, field in BOWTIE_CASES] + DCP_MAGMA_CASES
+
+
+def run_build(tmp_dir: Path, name: str, text: str, what: str, field) -> tuple[str, Path]:
+    """The CLI run of `build WHAT` on the named document, and its golden file."""
+    args = ["build", what] if field is None else ["--field", field, "build", what]
+    path = GOLDEN / (f"{name}.build-{what}.txt" if field is None else f"{name}.build-{what}.{field}.txt")
+    return run_cli(tmp_dir, name, text, args), path
 
 
 @pytest.mark.parametrize("name,command,fmt", CASES)
@@ -303,10 +332,16 @@ def test_cli_output_matches_golden(name, command, fmt, documents, tmp_path):
     assert got == golden_path(name, command, fmt).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name,field", BUILD_CASES)
+@pytest.mark.parametrize("name,field", BOWTIE_CASES)
 def test_build_bowtie_matches_golden(name, field, documents, tmp_path):
-    got = run_cli(tmp_path, name, documents[name], ["--field", field, "build", "bowtie"])
-    assert got == golden_path(name, "build-bowtie", field).read_text(encoding="utf-8")
+    got, path = run_build(tmp_path, name, documents[name], "bowtie", field)
+    assert got == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,what,field", DCP_MAGMA_CASES)
+def test_build_matches_golden(name, what, field, documents, tmp_path):
+    got, path = run_build(tmp_path, name, documents[name], what, field)
+    assert got == path.read_text(encoding="utf-8")
 
 
 def _regenerate() -> None:
@@ -316,9 +351,9 @@ def _regenerate() -> None:
         for name, command, fmt in CASES:
             out = run_cli(Path(tmp), name, texts[name], ["--format", fmt, command])
             golden_path(name, command, fmt).write_text(out, encoding="utf-8")
-        for name, field in BUILD_CASES:
-            out = run_cli(Path(tmp), name, texts[name], ["--field", field, "build", "bowtie"])
-            golden_path(name, "build-bowtie", field).write_text(out, encoding="utf-8")
+        for name, what, field in BUILD_CASES:
+            out, path = run_build(Path(tmp), name, texts[name], what, field)
+            path.write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":
