@@ -8,7 +8,12 @@ to (h-arrow, a-arrow) order.
 
 The double cross product enumerates its arrow set in lexicographic (a, h)
 order; `dcp_pairs` exposes that enumeration so the linear-algebra layer can
-share the same basis indexing.
+share the same basis indexing.  It is built from validated hypotheses, the
+matched pair and its two components, and not checked afterwards: by the
+paper's first theorem it is then a quasigroupoid (`tests/test_dcp_theorem.py`
+checks that theorem exhaustively on small components).  Its product is
+filled once per mixed pair, since (a,g)*(b,h) depends on (g, b) only
+through the two actions.
 
 Every sweep enumerates its fibered set through the endpoint index of
 `quasigroupoids` (`matching_arrows`): the mixed pairs, the triples of the
@@ -369,12 +374,21 @@ def dcp_pairs(mp: MatchedPair) -> list[tuple[int, int]]:
 
 def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
     """The quasigroupoid on dcp_pairs with the action-twisted product
-    (a,g)*(b,h) = (a . phiA(g,b), phiH(g,b) . h)."""
+    (a,g)*(b,h) = (a . phiA(g,b), phiH(g,b) . h).
+
+    The result is not re-checked: by the paper's first theorem the double
+    cross product of a matched pair of quasigroupoids is a quasigroupoid, so
+    the hypotheses are validated instead.  With `check` the matched-pair
+    axioms are checked first; A and H are checked on every call, and an
+    invalid component raises `InvalidStructureError` with its own report.
+    With `check=False` on a pair that fails `check_matched_pair` the result
+    is unspecified; it may raise `StructureError` where a product, unit or
+    inverse falls outside the arrow set."""
     if check:
         report = check_matched_pair(mp)
         if not report.ok:
             raise InvalidStructureError(report)
-    a, h = mp.a, mp.h
+    a, h = _validated(mp.a), _validated(mp.h)
     pairs = dcp_pairs(mp)
     index = {pq: i for i, pq in enumerate(pairs)}
 
@@ -394,32 +408,41 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
         )
         for (p, q) in pairs
     )
-    prod = {}
-    after = matching_arrows(src, tgt, a.n_objects)
+    # (p,g)*(b,q) depends on g and b only through the actions, so each h-arrow
+    # g carries, for every b acting under it, phiA(g,b) and the pairs
+    # (j, phiH(g,b).q) of the arrows j = (b,q), in increasing order of j
     phi_a, phi_h, a_prod, h_prod = mp.left.table, mp.right.table, a.prod, h.prod
+    starts = matching_arrows(h.src, a.tgt, a.n_objects)
+    rows_of_a: list = [[] for _ in range(a.n_arrows)]
+    for j, (b, q) in enumerate(pairs):
+        rows_of_a[b].append((j, q))
+    fill = []
+    for g, bs in enumerate(starts):
+        row = []
+        for b in bs:
+            ph = phi_h.get((g, b))  # a missing value looks up no product
+            row.append((phi_a.get((g, b)), [(j, h_prod.get((ph, q))) for j, q in rows_of_a[b]]))
+        fill.append(row)
+    prod = {}
     for i, (p, g) in enumerate(pairs):
-        for j in after[i]:
-            b, q = pairs[j]
-            pa, ph = phi_a.get((g, b)), phi_h.get((g, b))
-            left = None if pa is None else a_prod.get((p, pa))
-            right = None if ph is None else h_prod.get((ph, q))
-            k = index.get((left, right))
-            if k is None:
-                context = ("product", (p, g), (b, q))
-                raise StructureError(f"double cross product not closed at {context}")
-            prod[(i, j)] = k
+        for pa, row in fill[g]:
+            left = a_prod.get((p, pa))
+            for j, right in row:
+                k = index.get((left, right))
+                if k is None:
+                    context = ("product", (p, g), pairs[j])
+                    raise StructureError(f"double cross product not closed at {context}")
+                prod[(i, j)] = k
     names = tuple(f"({a.arrow_name(p)},{h.arrow_name(q)})" for (p, q) in pairs)
-    return _validated(
-        Quasigroupoid(
-            n_objects=a.n_objects,
-            src=src,
-            tgt=tgt,
-            unit=unit,
-            inv=inv,
-            prod=prod,
-            object_names=a.object_names,
-            arrow_names=names,
-        )
+    return Quasigroupoid(
+        n_objects=a.n_objects,
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=prod,
+        object_names=a.object_names,
+        arrow_names=names,
     )
 
 

@@ -12,8 +12,11 @@ by source or target object, in increasing order.  A sweep over pairs visits
 only the pairs whose endpoints match, in lexicographic order, instead of
 filtering all k^2 pairs.
 
-Checkers report violations per axiom; builders validate eagerly so anything
-they return can be trusted downstream.
+Checkers report violations per axiom; the builders here validate what they
+return, so it can be trusted downstream.  The double cross product of
+`matched_pairs` is trusted by the paper's first theorem instead: it is a
+quasigroupoid whenever its hypotheses are, so its builder validates the
+matched pair and the two components, not the result.
 """
 
 from __future__ import annotations

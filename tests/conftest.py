@@ -1,6 +1,9 @@
+from functools import cache
+
 import pytest
 
 from nonassoc import (
+    FactorizationCandidate,
     coarse_groupoid,
     cyclic_group,
     moufang_loop_12,
@@ -8,6 +11,8 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
     quasigroup_as_quasigroupoid,
+    reconstruct_matched_pair,
+    sub_quasigroupoid,
 )
 
 
@@ -56,3 +61,27 @@ def build_family(z2, z3, m12):
 @pytest.fixture(scope="session")
 def mp_family(z2, z3, m12):
     return build_family(z2, z3, m12)
+
+
+@cache
+def two_sided_factorization(m, q=None):
+    """The exact factorization of pair(q, m), q the Moufang loop M12 unless
+    given, into the arrows (e, x, y) over the identity and the arrows
+    (a, x, x)."""
+    q = q or moufang_loop_12()
+
+    def arrow(a, x, y):  # pair_quasigroupoid's arrow numbering
+        return (a * m + x) * m + y
+
+    b = pair_quasigroupoid(q, m)
+    coarse = tuple(sorted(arrow(q.identity, x, y) for x in range(m) for y in range(m)))
+    bundle = tuple(sorted(arrow(a, x, x) for a in range(q.order) for x in range(m)))
+    return FactorizationCandidate(b, sub_quasigroupoid(b, coarse)[1], sub_quasigroupoid(b, bundle)[1])
+
+
+@cache
+def two_sided_pair(m, q=None):
+    """The matched pair reconstructed from `two_sided_factorization(m, q)`:
+    A has m^2 arrows, H has |q| m, and their double cross product |q| m^3.
+    Shared between tests, so callers must not mutate it."""
+    return reconstruct_matched_pair(two_sided_factorization(m, q))[0]

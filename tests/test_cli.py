@@ -6,15 +6,22 @@ import time
 import pytest
 
 from nonassoc import (
+    LeftAction,
     LinearMap,
+    MatchedPair,
+    RightAction,
     canonical_factorization,
+    check_matched_pair,
+    check_quasigroupoid,
     magma_of_quasigroupoid,
     matched_pairs,
     mp_action_left,
     mp_discrete_right,
     pair_quasigroupoid,
+    quasigroupoids,
+    reconstruct_matched_pair,
 )
-from nonassoc import hopf
+from nonassoc import documents, hopf
 from nonassoc.cli import main
 from nonassoc.documents import (
     emit,
@@ -23,7 +30,8 @@ from nonassoc.documents import (
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from tests.conftest import z3_translation
+from nonassoc.reports import format_report
+from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
 
 
 def write(tmp_path, name, text):
@@ -229,15 +237,9 @@ def test_bad_field_option_exits_2(tmp_path, coarse_file, capsys):
     assert not magma_path.exists()
 
 
-def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsys):
-    # count calls through every module that binds double_cross_product
-    original = matched_pairs.double_cross_product
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
+def _patch_every_binding(monkeypatch, original, replacement) -> int:
+    """Replace `original` in every nonassoc module that binds it; returns
+    the number of bindings."""
     bindings = [
         (module, key)
         for name, module in sorted(sys.modules.items())
@@ -245,13 +247,84 @@ def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsy
         for key, value in vars(module).items()
         if value is original
     ]
-    assert len(bindings) > 2
     for module, key in bindings:
-        monkeypatch.setattr(module, key, counting)
+        monkeypatch.setattr(module, key, replacement)
+    return len(bindings)
+
+
+def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsys):
+    original = matched_pairs.double_cross_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    assert _patch_every_binding(monkeypatch, original, counting) > 2
     code, out, _ = run(capsys, "suite", mp_file)
     assert code == 0
     assert "== mixed associativity" in out and "== theta map" in out
     assert len(calls) == 1
+
+
+MP_COMMANDS = (["build", "dcp"], ["suite"], ["check-iso"])
+
+
+def test_double_cross_products_are_trusted_from_checked_components(tmp_path, monkeypatch, capsys):
+    """A matched pair's double cross product is a quasigroupoid once A and H
+    are: the commands and the reconstruction check A and H, never the
+    48-arrow product."""
+    factorization = two_sided_factorization(2)  # its ambient pair(M12, 2) is checked once built
+    mp_path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(two_sided_pair(2))))
+    loaded = documents.doc_to_matched_pair(documents.parse((tmp_path / "mp.json").read_text()))
+    checked = []
+
+    def recording(q):
+        checked.append(q)
+        return check_quasigroupoid(q)
+
+    assert _patch_every_binding(monkeypatch, quasigroupoids.check_quasigroupoid, recording) > 1
+    for command in MP_COMMANDS:
+        checked.clear()
+        code, _, _ = run(capsys, *command, mp_path)
+        assert code == 0
+        assert checked == [loaded.a, loaded.h], command
+    checked.clear()
+    mp, _ = reconstruct_matched_pair(factorization)
+    assert [q.n_arrows for q in checked] == [4, 24]
+    assert checked[0] is mp.a and checked[1] is mp.h
+
+
+def _with_broken_component(mp, which):
+    """mp with the inverse of arrow 0 of A or H, an identity, set to arrow 1;
+    the actions do not read inverses, so the matched pair still checks."""
+    broken = getattr(mp, which)
+    broken = dataclasses.replace(broken, inv=(1,) + broken.inv[1:])
+    a, h = (broken, mp.h) if which == "a" else (mp.a, broken)
+    return MatchedPair(a, h, LeftAction(h, a, mp.left.table), RightAction(h, a, mp.right.table)), broken
+
+
+@pytest.mark.parametrize("which", ["a", "h"])
+@pytest.mark.parametrize("command", MP_COMMANDS, ids=" ".join)
+def test_a_broken_component_exits_1_with_its_own_report(tmp_path, capsys, which, command):
+    mp, broken = _with_broken_component(two_sided_pair(2), which)
+    assert check_matched_pair(mp).ok
+    report = check_quasigroupoid(broken)
+    assert not report.ok
+    path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(mp)))
+    code, out, err = run(capsys, *command, path)
+    assert (code, err) == (1, "")
+    assert out.startswith("== quasigroupoid\n")
+    assert out == format_report(report)
+    witnesses = [
+        line.split("witness=(")[1].split(")")[0]
+        for line in out.splitlines()
+        if line.startswith("FAIL axiom=")
+    ]
+    assert witnesses
+    for witness in witnesses:  # composable pairs of the broken component
+        x, y = (int(part) for part in witness.split(","))
+        assert broken.composable(x, y)
 
 
 @pytest.mark.parametrize("field,zero", [("Q", "0"), ("GF5", "0"), ("GF5", "10")])

@@ -36,7 +36,7 @@ from nonassoc import (
     quasigroup_as_quasigroupoid,
 )
 from nonassoc.quasigroupoids import arrows_by_object, matching_arrows
-from tests.test_golden_cli import _twosided_pair
+from tests.conftest import two_sided_pair
 
 
 def brute_composable(q):
@@ -234,7 +234,7 @@ def corrupted_pairs(mp, rng, count):
 
 def test_third_arrow_sweeps_equal_the_full_sweep(mp_family, z3):
     rng = random.Random(11)
-    pairs = list(mp_family.values()) + [_twosided_pair(z3, 2)]
+    pairs = list(mp_family.values()) + [two_sided_pair(2, z3)]
     for mp in pairs + [bad for mp in pairs for bad in corrupted_pairs(mp, rng, 12)]:
         report = matched_pair_identity_suite(mp)
         for tag, (evaluated, failures) in reference_third_arrow_sweeps(mp).items():

@@ -85,7 +85,6 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
     quasigroup_as_quasigroupoid,
-    reconstruct_matched_pair,
     sub_quasigroupoid,
     symmetric_group,
 )
@@ -97,7 +96,7 @@ from nonassoc.documents import (
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from tests.conftest import build_family
+from tests.conftest import build_family, two_sided_pair
 from tests.test_grouplike_kernel import function_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -139,20 +138,6 @@ def _dual_forms(g):
         "-swapped": dataclasses.replace(d, antipode=antipode),
         "-perturbed": dataclasses.replace(d, product=LinearMap.from_cols(n * n, n, cols)),
     }
-
-
-def _twosided_pair(q, m):
-    """The matched pair of the exact factorization of pair(q, m) into the
-    arrows (e, x, y) over the identity and the arrows (a, x, x)."""
-
-    def arrow(a, x, y):  # pair_quasigroupoid's arrow numbering
-        return (a * m + x) * m + y
-
-    b = pair_quasigroupoid(q, m)
-    coarse = tuple(sorted(arrow(q.identity, x, y) for x in range(m) for y in range(m)))
-    bundle = tuple(sorted(arrow(a, x, x) for a in range(q.order) for x in range(m)))
-    candidate = FactorizationCandidate(b, sub_quasigroupoid(b, coarse)[1], sub_quasigroupoid(b, bundle)[1])
-    return reconstruct_matched_pair(candidate)[0]
 
 
 def _corrupted_quasigroupoids(q):
@@ -220,7 +205,7 @@ def golden_documents() -> dict[str, str]:
     family = build_family(cyclic_group(2), cyclic_group(3), m12)
     for label, mp in family.items():
         texts[f"mp-{_slug(label)}"] = emit(matched_pair_to_doc(mp))
-    texts["mp-twosided-m6"] = emit(matched_pair_to_doc(_twosided_pair(m12, 6)))
+    texts["mp-twosided-m6"] = emit(matched_pair_to_doc(two_sided_pair(6)))
     canonical = canonical_factorization(family["discrete-right pair(m12,2)"])
     texts["fact-canonical-pair-m12-2"] = emit(factorization_to_doc(canonical))
     coarse = coarse_groupoid(2)
@@ -232,7 +217,7 @@ def golden_documents() -> dict[str, str]:
     texts["q-dcp-pair-m12-2"] = emit(quasigroupoid_to_doc(dcp))
     for suffix, q in _corrupted_quasigroupoids(dcp).items():
         texts[f"q-dcp-pair-m12-2-{suffix}"] = emit(quasigroupoid_to_doc(q))
-    twosided = _twosided_pair(m12, 2)
+    twosided = two_sided_pair(2)
     texts["mp-twosided-m2"] = emit(matched_pair_to_doc(twosided))
     for suffix, mp in _corrupted_matched_pairs(twosided).items():
         texts[f"mp-twosided-m2-{suffix}"] = emit(matched_pair_to_doc(mp))
