@@ -18,18 +18,18 @@ from .hopf import MagmaCoalgebra, check_whq_morphism, magma_of_quasigroupoid
 from .linalg import LinearMap, free_coalgebra, twist, vec_add_into, vec_equal, vec_tensor
 from .matched_pairs import (
     MatchedPair,
-    check_matched_pair,
     dcp_pairs,
     double_cross_product,
+    validated_components,
 )
-from .reports import InvalidStructureError, StructureError, StructureReport
+from .reports import StructureError, StructureReport
 
 
 def _require_valid(mp: MatchedPair, check: bool) -> None:
+    """With `check`, the hypotheses the double cross product is built from:
+    the matched-pair axioms, then A and H."""
     if check:
-        report = check_matched_pair(mp)
-        if not report.ok:
-            raise InvalidStructureError(report)
+        validated_components(mp)
 
 
 def linearized_actions(mp: MatchedPair, check: bool = True) -> tuple[LinearMap, LinearMap]:
@@ -141,8 +141,7 @@ def verify_canonical_iso(mp: MatchedPair, check: bool = True) -> StructureReport
     the weak-Hopf-quasigroup morphism laws between the two constructions,
     and transports every structure constant onto its counterpart exactly
     (unit, product, counit, coproduct, antipode)."""
-    _require_valid(mp, check)
-    source = magma_of_quasigroupoid(double_cross_product(mp, check=False))
+    source = magma_of_quasigroupoid(double_cross_product(mp, check=check))
     target = bowtie_whq(mp, check=False)
     f = canonical_iso(mp, check=False)
     report = StructureReport(

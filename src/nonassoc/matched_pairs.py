@@ -19,9 +19,13 @@ Every sweep enumerates its fibered set through the endpoint index of
 `quasigroupoids` (`matching_arrows`): the mixed pairs, the triples of the
 action and compatibility laws and the composable pairs of the double cross
 product are visited directly, in lexicographic order, never found by
-filtering a larger product of arrow sets.  The identity suite P-1..P-10
-further restricts each sweep to the configurations whose product lookups
-are keys of the product tables, which are the only ones it evaluates.
+filtering a larger product of arrow sets.  The action and compatibility
+laws and the double cross product look products and action values up by
+row (`quasigroupoids.pair_rows`), and each value fixed over an inner loop,
+such as phiA(x,y) and phiH(x,y), is looked up once outside it.  The
+identity suite P-1..P-10 further restricts each sweep to the
+configurations whose product lookups are keys of the product tables, which
+are the only ones it evaluates.
 
 The double cross product factors exactly through its two inclusions, and the
 six mixed associativity laws and the bijectivity of theta are the conditions
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .quasigroupoids import (
+    EMPTY,
     QgpdMorphism,
     Quasigroupoid,
     _validated,
@@ -45,6 +50,7 @@ from .quasigroupoids import (
     discrete_groupoid,
     from_quasigroup_action,
     matching_arrows,
+    pair_rows,
 )
 from .quasigroups import FiniteQuasigroup
 from .reports import InvalidStructureError, StructureError, StructureReport
@@ -112,6 +118,32 @@ def _check_domain(table: dict, h: Quasigroupoid, a: Quasigroupoid, kind: str) ->
         )
 
 
+def _acting_before(h: Quasigroupoid, h_rows: dict, action_rows: dict) -> list:
+    """Entry x lists, for each h-arrow g with src(g) = tgt(x) in increasing
+    order, (g, the action row of g, the action row of g*x or None where
+    g*x is undefined); h_rows and action_rows are `pair_rows` of h's
+    product and of an action table."""
+    out = []
+    for x, gs in enumerate(matching_arrows(h.tgt, h.src, h.n_objects)):
+        entry = []
+        for g in gs:
+            gx = h_rows.get(g, EMPTY).get(x)
+            entry.append((g, action_rows.get(g, EMPTY),
+                          None if gx is None else action_rows.get(gx, EMPTY)))
+        out.append(entry)
+    return out
+
+
+def _products_after(a: Quasigroupoid, a_rows: dict) -> list:
+    """Entry y lists, for each a-arrow b with tgt(b) = src(y) in increasing
+    order, (b, y*b), y*b None where the product is undefined; a_rows is
+    `pair_rows` of a's product."""
+    return [
+        [(b, a_rows.get(y, EMPTY).get(b)) for b in bs]
+        for y, bs in enumerate(matching_arrows(a.src, a.tgt, a.n_objects))
+    ]
+
+
 def check_left_action(action: LeftAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
     _check_domain(phi, h, a, "left")
@@ -122,20 +154,20 @@ def check_left_action(action: LeftAction) -> StructureReport:
     for (x, y), val in phi.items():
         if a.tgt[val] != h.tgt[x]:
             report.fail("c1", (x, y), f"tgt phi={a.tgt[val]} tgt h={h.tgt[x]}")
-    before = matching_arrows(h.tgt, h.src, h.n_objects)
+    rows = pair_rows(phi)
+    before = _acting_before(h, pair_rows(h.prod), rows)
     for (x, y), inner in phi.items():
-        for g in before[x]:
-            gx = h.compose(g, x)
-            lhs = phi.get((gx, y)) if gx is not None else None
-            rhs = phi.get((g, inner))
+        for g, row_g, row_gx in before[x]:
+            lhs = None if row_gx is None else row_gx.get(y)
+            rhs = row_g.get(inner)
             if lhs is None or rhs is None:
                 report.fail("c2", (g, x, y), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("c2", (g, x, y), f"phi(g*h,a)={lhs} phi(g,phi(h,a))={rhs}")
     for y in range(a.n_arrows):
-        e = h.unit[a.tgt[y]]
-        if phi.get((e, y)) != y:
-            report.fail("c3", (y,), f"phi(id,a)={phi.get((e, y))}")
+        image = rows.get(h.unit[a.tgt[y]], EMPTY).get(y)
+        if image != y:
+            report.fail("c3", (y,), f"phi(id,a)={image}")
     return report
 
 
@@ -149,20 +181,21 @@ def check_right_action(action: RightAction) -> StructureReport:
     for (x, y), val in phi.items():
         if h.src[val] != a.src[y]:
             report.fail("d1", (x, y), f"src phi={h.src[val]} src a={a.src[y]}")
-    after = matching_arrows(a.src, a.tgt, a.n_objects)
+    rows = pair_rows(phi)
+    after = _products_after(a, pair_rows(a.prod))
     for (x, y), inner in phi.items():
-        for b in after[y]:
-            yb = a.compose(y, b)
-            lhs = phi.get((x, yb)) if yb is not None else None
-            rhs = phi.get((inner, b))
+        row_x, row_inner = rows.get(x, EMPTY), rows.get(inner, EMPTY)
+        for b, yb in after[y]:
+            lhs = None if yb is None else row_x.get(yb)
+            rhs = row_inner.get(b)
             if lhs is None or rhs is None:
                 report.fail("d2", (x, y, b), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("d2", (x, y, b), f"phi(h,a*b)={lhs} phi(phi(h,a),b)={rhs}")
     for x in range(h.n_arrows):
-        e = a.unit[h.src[x]]
-        if phi.get((x, e)) != x:
-            report.fail("d3", (x,), f"phi(h,id)={phi.get((x, e))}")
+        image = rows.get(x, EMPTY).get(a.unit[h.src[x]])
+        if image != x:
+            report.fail("d3", (x,), f"phi(h,id)={image}")
     return report
 
 
@@ -185,20 +218,30 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
         pa, ph = mp.phi_a(x, y), mp.phi_h(x, y)
         if a.src[pa] != h.tgt[ph]:
             report.fail("e1", (x, y), f"src phiA={a.src[pa]} tgt phiH={h.tgt[ph]}")
-    a_after = matching_arrows(a.src, a.tgt, a.n_objects)
-    h_before = matching_arrows(h.tgt, h.src, h.n_objects)
+    # the action checks above passed, so phiA(x,y) and phiH(x,y) are arrows
+    left, right = mp.left.table, mp.right.table
+    left_rows, right_rows = pair_rows(left), pair_rows(right)
+    a_rows, h_rows = pair_rows(a.prod), pair_rows(h.prod)
+    a_after = _products_after(a, a_rows)
     for (x, y) in pairs:
-        for b in a_after[y]:
-            lhs = mp.phi_a(x, a.compose(y, b))
-            rhs = a.compose(mp.phi_a(x, y), mp.phi_a(mp.phi_h(x, y), b))
+        pa, ph = left[(x, y)], right[(x, y)]
+        row_x, row_pa = left_rows.get(x, EMPTY), a_rows.get(pa, EMPTY)
+        row_ph = left_rows.get(ph, EMPTY)
+        for b, yb in a_after[y]:
+            lhs = None if yb is None else row_x.get(yb)
+            acted = row_ph.get(b)
+            rhs = None if acted is None else row_pa.get(acted)
             if lhs is None or rhs is None:
                 report.fail("e2", (x, y, b), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("e2", (x, y, b), f"lhs={lhs} rhs={rhs}")
+    h_before = _acting_before(h, h_rows, right_rows)
     for (x, y) in pairs:
-        for g in h_before[x]:
-            lhs = mp.phi_h(h.compose(g, x), y)
-            rhs = h.compose(mp.phi_h(g, mp.phi_a(x, y)), mp.phi_h(x, y))
+        pa, ph = left[(x, y)], right[(x, y)]
+        for g, row_g, row_gx in h_before[x]:
+            lhs = None if row_gx is None else row_gx.get(y)
+            acted = row_g.get(pa)
+            rhs = None if acted is None else h_rows.get(acted, EMPTY).get(ph)
             if lhs is None or rhs is None:
                 report.fail("e3", (g, x, y), "undefined evaluation")
             elif lhs != rhs:
@@ -372,30 +415,40 @@ def dcp_pairs(mp: MatchedPair) -> list[tuple[int, int]]:
     return mixed_pairs(mp.a, mp.h)
 
 
+def validated_components(mp: MatchedPair, check: bool = True) -> tuple[Quasigroupoid, ...]:
+    """A and H of mp, once the hypotheses of the paper's first theorem hold:
+    with `check` the matched-pair axioms are checked first, then A and H on
+    every call.  A failure raises `InvalidStructureError` with the report
+    that failed, the component's own for A or H."""
+    if check:
+        report = check_matched_pair(mp)
+        if not report.ok:
+            raise InvalidStructureError(report)
+    return _validated(mp.a), _validated(mp.h)
+
+
 def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
     """The quasigroupoid on dcp_pairs with the action-twisted product
     (a,g)*(b,h) = (a . phiA(g,b), phiH(g,b) . h).
 
     The result is not re-checked: by the paper's first theorem the double
     cross product of a matched pair of quasigroupoids is a quasigroupoid, so
-    the hypotheses are validated instead.  With `check` the matched-pair
-    axioms are checked first; A and H are checked on every call, and an
-    invalid component raises `InvalidStructureError` with its own report.
+    the hypotheses are validated instead (`validated_components`).  With
+    `check` the matched-pair axioms are checked first; A and H are checked
+    on every call, and an invalid component raises `InvalidStructureError`
+    with its own report.
     With `check=False` on a pair that fails `check_matched_pair` the result
     is unspecified; it may raise `StructureError` where a product, unit or
     inverse falls outside the arrow set."""
-    if check:
-        report = check_matched_pair(mp)
-        if not report.ok:
-            raise InvalidStructureError(report)
-    a, h = _validated(mp.a), _validated(mp.h)
+    a, h = validated_components(mp, check)
     pairs = dcp_pairs(mp)
-    index = {pq: i for i, pq in enumerate(pairs)}
+    at = pair_rows({pq: i for i, pq in enumerate(pairs)})  # at[p][q]: arrow (p, q)
 
     def pair_index(p, q, context):
-        if p is None or q is None or (p, q) not in index:
+        k = at.get(p, EMPTY).get(q)
+        if k is None:
             raise StructureError(f"double cross product not closed at {context}")
-        return index[(p, q)]
+        return k
 
     src = tuple(h.src[q] for (_, q) in pairs)
     tgt = tuple(a.tgt[p] for (p, _) in pairs)
@@ -411,24 +464,28 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
     # (p,g)*(b,q) depends on g and b only through the actions, so each h-arrow
     # g carries, for every b acting under it, phiA(g,b) and the pairs
     # (j, phiH(g,b).q) of the arrows j = (b,q), in increasing order of j
-    phi_a, phi_h, a_prod, h_prod = mp.left.table, mp.right.table, a.prod, h.prod
+    phi_a, phi_h = pair_rows(mp.left.table), pair_rows(mp.right.table)
+    a_rows, h_rows = pair_rows(a.prod), pair_rows(h.prod)
     starts = matching_arrows(h.src, a.tgt, a.n_objects)
     rows_of_a: list = [[] for _ in range(a.n_arrows)]
     for j, (b, q) in enumerate(pairs):
         rows_of_a[b].append((j, q))
     fill = []
     for g, bs in enumerate(starts):
+        row_a, row_h = phi_a.get(g, EMPTY), phi_h.get(g, EMPTY)
         row = []
         for b in bs:
-            ph = phi_h.get((g, b))  # a missing value looks up no product
-            row.append((phi_a.get((g, b)), [(j, h_prod.get((ph, q))) for j, q in rows_of_a[b]]))
+            # a missing value looks up no product
+            h_row = h_rows.get(row_h.get(b), EMPTY)
+            row.append((row_a.get(b), [(j, h_row.get(q)) for j, q in rows_of_a[b]]))
         fill.append(row)
     prod = {}
     for i, (p, g) in enumerate(pairs):
+        a_row = a_rows.get(p, EMPTY)
         for pa, row in fill[g]:
-            left = a_prod.get((p, pa))
+            at_left = at.get(a_row.get(pa), EMPTY)
             for j, right in row:
-                k = index.get((left, right))
+                k = at_left.get(right)
                 if k is None:
                     context = ("product", (p, g), pairs[j])
                     raise StructureError(f"double cross product not closed at {context}")

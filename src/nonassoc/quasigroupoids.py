@@ -12,6 +12,12 @@ by source or target object, in increasing order.  A sweep over pairs visits
 only the pairs whose endpoints match, in lexicographic order, instead of
 filtering all k^2 pairs.
 
+Next to the endpoint index, the sweeps look products and actions up by row:
+`pair_rows` turns a table keyed by pairs into rows[x][y], built afresh by
+each checker call, so a sweep fixes a factor once, hoists its row out of
+the inner loop and looks the other factor up there, instead of building and
+hashing a fresh pair on every lookup.
+
 Checkers report violations per axiom; the builders here validate what they
 return, so it can be trusted downstream.  The double cross product of
 `matched_pairs` is trusted by the paper's first theorem instead: it is a
@@ -22,6 +28,7 @@ matched pair and the two components, not the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .quasigroups import FiniteQuasigroup
 from .reports import InvalidStructureError, StructureError, StructureReport
@@ -89,6 +96,25 @@ def matching_arrows(keys, ends, n_objects: int) -> list[list[int]]:
     return matches
 
 
+# The row of a factor with no entries: rows.get(x, EMPTY).get(y) is None.
+EMPTY = MappingProxyType({})
+
+
+def pair_rows(table: dict) -> dict:
+    """The entries (x, y) -> v of a product or action table as rows:
+    rows[x][y] = v.  Only keys that are tuples of length 2 are read, so
+    rows.get(x, EMPTY).get(y) == table.get((x, y)) for every x and y."""
+    rows: dict = {}
+    for key, value in table.items():
+        if isinstance(key, tuple) and len(key) == 2:
+            x, y = key
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = {}
+            row[y] = value
+    return rows
+
+
 def _check_shape(q: Quasigroupoid) -> None:
     m, k = q.n_objects, q.n_arrows
     if m < 1:
@@ -134,10 +160,12 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     for (a, b) in prod:
         if src[a] != tgt[b]:
             report.fail("prod-domain", (a, b), "product defined on non-composable pair")
+    rows = pair_rows(prod)
     after = matching_arrows(src, tgt, q.n_objects)
     for a, bs in enumerate(after):
+        row = rows.get(a, EMPTY)
         for b in bs:
-            if (a, b) not in prod:
+            if b not in row:
                 report.fail("prod-domain", (a, b), "product missing on composable pair")
 
     for x in range(q.n_objects):
@@ -145,31 +173,33 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
         if src[e] != x or tgt[e] != x:
             report.fail("a1", (x,), f"src/tgt of identity arrow = {src[e]},{tgt[e]}")
 
+    unit_rows = [rows.get(e, EMPTY) for e in unit]
     for a in range(q.n_arrows):
-        left = prod.get((unit[tgt[a]], a))
+        left = unit_rows[tgt[a]].get(a)
         if left != a:
             report.fail("a2-1", (a,), f"id(tgt)*a = {left}")
-        right = prod.get((a, unit[src[a]]))
+        right = rows.get(a, EMPTY).get(unit[src[a]])
         if right != a:
             report.fail("a2-1", (a,), f"a*id(src) = {right}")
 
     for a, bs in enumerate(after):
         la = inv[a]
+        row_a, row_la = rows.get(a, EMPTY), rows.get(la, EMPTY)
         for b in bs:
-            c = prod.get((a, b))
+            c = row_a.get(b)
             if c is None:
                 continue  # already reported under prod-domain
             if src[c] != src[b] or tgt[c] != tgt[a]:
                 report.fail("a2-2", (a, b), f"src/tgt of product = {src[c]},{tgt[c]}")
             if src[la] != tgt[c]:
                 report.fail("a2-3", (a, b), "(inv(a), a*b) not composable")
-            elif prod.get((la, c)) != b:
-                report.fail("a2-3", (a, b), f"inv(a)*(a*b) = {prod.get((la, c))}")
+            elif row_la.get(c) != b:
+                report.fail("a2-3", (a, b), f"inv(a)*(a*b) = {row_la.get(c)}")
             lb = inv[b]
             if src[c] != tgt[lb]:
                 report.fail("a2-3", (a, b), "(a*b, inv(b)) not composable")
-            elif prod.get((c, lb)) != a:
-                report.fail("a2-3", (a, b), f"(a*b)*inv(b) = {prod.get((c, lb))}")
+            elif rows.get(c, EMPTY).get(lb) != a:
+                report.fail("a2-3", (a, b), f"(a*b)*inv(b) = {rows.get(c, EMPTY).get(lb)}")
     return report
 
 
@@ -197,11 +227,13 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
             report.fail("E-4", (a,))
         if q.inv[la] != a:
             report.fail("E-5", (a,))
-    inv, prod = q.inv, q.prod
-    for a, b in q.composable_pairs():
-        c = prod.get((a, b))
-        if c is not None and inv[c] != prod.get((inv[b], inv[a])):
-            report.fail("E-6", (a, b))
+    inv, rows = q.inv, pair_rows(q.prod)
+    for a, bs in enumerate(matching_arrows(q.src, q.tgt, q.n_objects)):
+        row_a, ia = rows.get(a, EMPTY), inv[a]
+        for b in bs:
+            c = row_a.get(b)
+            if c is not None and inv[c] != rows.get(inv[b], EMPTY).get(ia):
+                report.fail("E-6", (a, b))
     return report
 
 

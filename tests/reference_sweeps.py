@@ -1,7 +1,7 @@
-"""The weak-Hopf sweeps as they stood before they were restricted to the
-supports of the structure constants, kept as the oracle for
-`tests/test_sparse_sweeps.py`.
+"""Sweeps as they stood before two changes, kept as oracles.
 
+The weak-Hopf sweeps, from before they were restricted to the supports of
+the structure constants, are the oracle for `tests/test_sparse_sweeps.py`.
 Each function evaluates every term of its law, zero or not: d2 over all n^3
 triples, d1 over every pair of coproduct legs, d3 over every pair of legs of
 delta(1), the projection formulas over every leg of delta(1) for every
@@ -9,11 +9,35 @@ basis vector, d4-4..d4-7 over every leg, and the one-sided laws by
 multiplying out h(kl), k(hl) and k(lh) for every pair k, l.  They take the
 per-basis coproduct splits where the library's sweeps take the support
 index, and are otherwise the library's code from before that change.
+
+The combinatorial checkers at the end (`check_quasigroupoid`,
+`derived_identity_suite`, `check_exact_factorization`, `check_left_action`,
+`check_right_action`, `check_matched_pair`), from before they looked
+products and actions up by row, are the oracle for
+`tests/test_row_sweeps.py`.  They look every product and action value up
+by a fresh pair key, and the mixed laws build each configuration list and
+call a lambda per configuration; otherwise they are the library's code
+from before that change.
 """
 
+from nonassoc.factorizations import FactorizationCandidate, _require_identity_objects
 from nonassoc.hopf import MagmaCoalgebra
 from nonassoc.linalg import LinearMap, vec_add_into, vec_equal
-from nonassoc.reports import StructureReport
+from nonassoc.matched_pairs import (
+    MIXED_LAWS,
+    LeftAction,
+    MatchedPair,
+    RightAction,
+    _check_domain,
+    mixed_pairs,
+)
+from nonassoc.quasigroupoids import (
+    Quasigroupoid,
+    _check_shape,
+    check_morphism,
+    matching_arrows,
+)
+from nonassoc.reports import StructureError, StructureReport
 
 
 def _projection_formulas(d: MagmaCoalgebra):
@@ -203,3 +227,294 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj)
                 if not vec_equal(d.mul_vec(basis[k], d.mul_vec(basis[l], hvec)),
                                  d.mul_vec(d.mul_basis(k, l), hvec)):
                     report.fail(tag, (key, k, l), "k(lh) != (kl)h")
+
+
+def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
+    """Exhaustive verification of the quasigroupoid axioms.
+
+    Tags: `prod-domain` (product defined off the composable set, or missing
+    on it), `a1` (identity arrows are endo), `a2-1` (unit laws), `a2-2`
+    (source/target of products), `a2-3` (left/right cancellation through the
+    inverse map, including the composability of the cancelled pairs).
+    """
+    _check_shape(q)
+    report = StructureReport(
+        "quasigroupoid", axioms=("prod-domain", "a1", "a2-1", "a2-2", "a2-3")
+    )
+    src, tgt, unit, inv, prod = q.src, q.tgt, q.unit, q.inv, q.prod
+    for (a, b) in prod:
+        if src[a] != tgt[b]:
+            report.fail("prod-domain", (a, b), "product defined on non-composable pair")
+    after = matching_arrows(src, tgt, q.n_objects)
+    for a, bs in enumerate(after):
+        for b in bs:
+            if (a, b) not in prod:
+                report.fail("prod-domain", (a, b), "product missing on composable pair")
+
+    for x in range(q.n_objects):
+        e = unit[x]
+        if src[e] != x or tgt[e] != x:
+            report.fail("a1", (x,), f"src/tgt of identity arrow = {src[e]},{tgt[e]}")
+
+    for a in range(q.n_arrows):
+        left = prod.get((unit[tgt[a]], a))
+        if left != a:
+            report.fail("a2-1", (a,), f"id(tgt)*a = {left}")
+        right = prod.get((a, unit[src[a]]))
+        if right != a:
+            report.fail("a2-1", (a,), f"a*id(src) = {right}")
+
+    for a, bs in enumerate(after):
+        la = inv[a]
+        for b in bs:
+            c = prod.get((a, b))
+            if c is None:
+                continue  # already reported under prod-domain
+            if src[c] != src[b] or tgt[c] != tgt[a]:
+                report.fail("a2-2", (a, b), f"src/tgt of product = {src[c]},{tgt[c]}")
+            if src[la] != tgt[c]:
+                report.fail("a2-3", (a, b), "(inv(a), a*b) not composable")
+            elif prod.get((la, c)) != b:
+                report.fail("a2-3", (a, b), f"inv(a)*(a*b) = {prod.get((la, c))}")
+            lb = inv[b]
+            if src[c] != tgt[lb]:
+                report.fail("a2-3", (a, b), "(a*b, inv(b)) not composable")
+            elif prod.get((c, lb)) != a:
+                report.fail("a2-3", (a, b), f"(a*b)*inv(b) = {prod.get((c, lb))}")
+    return report
+
+
+def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
+    """Re-prove, at finite scale, the six identities that follow from the
+    axioms: endpoints of inverses, cancellation to identity arrows,
+    involutivity, and antimultiplicativity of the inverse map.
+
+    Must pass on anything that passes `check_quasigroupoid`; a violation
+    here indicates a checker bug, not a bad input.
+    """
+    report = StructureReport(
+        "quasigroupoid derived identities",
+        axioms=("E-1", "E-2", "E-3", "E-4", "E-5", "E-6"),
+    )
+    for a in range(q.n_arrows):
+        la = q.inv[a]
+        if q.src[la] != q.tgt[a]:
+            report.fail("E-1", (a,))
+        if q.tgt[la] != q.src[a]:
+            report.fail("E-2", (a,))
+        if q.compose(la, a) != q.unit[q.src[a]]:
+            report.fail("E-3", (a,))
+        if q.compose(a, la) != q.unit[q.tgt[a]]:
+            report.fail("E-4", (a,))
+        if q.inv[la] != a:
+            report.fail("E-5", (a,))
+    inv, prod = q.inv, q.prod
+    for a, b in q.composable_pairs():
+        c = prod.get((a, b))
+        if c is not None and inv[c] != prod.get((inv[b], inv[a])):
+            report.fail("E-6", (a, b))
+    return report
+
+
+def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
+    """Conditions on [A, H] inside B:
+
+    - both inclusions are injective quasigroupoid morphisms with identity
+      object maps (tags mono-A / mono-H);
+    - the six mixed associativity laws hold for the ambient product (tags
+      HAA..AHH, AHH in the order-matched reading); a configuration where one
+      side is defined and the other is not counts as a violation, and
+      configurations where neither side is defined are skipped;
+    - theta(a, h) = iA(a) * iH(h) is a bijection from the fibered pairs onto
+      the ambient arrows (tag theta-bijective).
+
+    On success, `report.data["theta"]` maps each fibered (a, h) to its
+    ambient arrow, and a note records that the two arrow images meet exactly
+    in the identity arrows (a consequence of bijectivity, kept as a derived
+    check rather than an axiom).
+    """
+    b, ia, ih = c.b, c.ia, c.ih
+    if ia.target != b or ih.target != b:
+        raise StructureError("inclusions do not land in the ambient structure")
+    if ia.source.n_objects != b.n_objects or ih.source.n_objects != b.n_objects:
+        raise StructureError("base mismatch between components and ambient structure")
+    _require_identity_objects(ia, "iA")
+    _require_identity_objects(ih, "iH")
+
+    report = StructureReport(
+        "exact factorization",
+        axioms=("mono-A", "mono-H", *MIXED_LAWS, "theta-bijective"),
+    )
+    for tag, incl in (("mono-A", ia), ("mono-H", ih)):
+        sub = check_morphism(incl)
+        for v in sub.violations:
+            report.fail(tag, v.witness, f"{v.axiom}: {v.detail}".rstrip(": "))
+        if len(set(incl.arrow_map)) != len(incl.arrow_map):
+            report.fail(tag, (), "arrow map not injective")
+
+    a, h = ia.source, ih.source
+    fa, fh = ia.arrow_map, ih.arrow_map
+
+    prod = b.prod
+
+    def assoc(tag, configs, triple):
+        for cfg in configs:
+            u, v, w = triple(*cfg)
+            vw, uv = prod.get((v, w)), prod.get((u, v))
+            lhs = None if vw is None else prod.get((u, vw))
+            rhs = None if uv is None else prod.get((uv, w))
+            if lhs is None and rhs is None:
+                continue
+            if lhs != rhs:
+                report.fail(tag, cfg, f"lhs={lhs} rhs={rhs}")
+
+    ha = mixed_pairs(h, a)
+    ah = mixed_pairs(a, h)
+    aa = list(a.composable_pairs())
+    hh = list(h.composable_pairs())
+    # x_y[i] lists the arrows j of the second structure with src(i) = tgt(j),
+    # so each law's triples are a join of its two fibered pairs on the middle
+    m = b.n_objects
+    a_a = matching_arrows(a.src, a.tgt, m)
+    a_h = matching_arrows(a.src, h.tgt, m)
+    h_a = matching_arrows(h.src, a.tgt, m)
+    h_h = matching_arrows(h.src, h.tgt, m)
+
+    assoc("HAA", [(g, p, q) for (g, p) in ha for q in a_a[p]],
+          lambda g, p, q: (fh[g], fa[p], fa[q]))
+    assoc("HHA", [(g, x, p) for (g, x) in hh for p in h_a[x]],
+          lambda g, x, p: (fh[g], fh[x], fa[p]))
+    assoc("HAH", [(x, p, f) for (x, p) in ha for f in a_h[p]],
+          lambda x, p, f: (fh[x], fa[p], fh[f]))
+    assoc("AHA", [(q, x, p) for (q, x) in ah for p in h_a[x]],
+          lambda q, x, p: (fa[q], fh[x], fa[p]))
+    assoc("AAH", [(p, q, g) for (p, q) in aa for g in a_h[q]],
+          lambda p, q, g: (fa[p], fa[q], fh[g]))
+    assoc("AHH", [(p, g, x) for (p, g) in ah for x in h_h[g]],
+          lambda p, g, x: (fa[p], fh[g], fh[x]))
+
+    theta = {}
+    image = {}
+    for (p, q) in ah:
+        val = b.compose(fa[p], fh[q])
+        if val is None:
+            report.fail("theta-bijective", (p, q), "theta undefined")
+            continue
+        theta[(p, q)] = val
+        if val in image:
+            report.fail(
+                "theta-bijective",
+                (p, q),
+                f"collides with {image[val]} at arrow {val}",
+            )
+        else:
+            image[val] = (p, q)
+    for arrow in range(b.n_arrows):
+        if arrow not in image:
+            report.fail("theta-bijective", (arrow,), "ambient arrow not reached")
+
+    report.data["theta"] = theta
+    if report.ok:
+        overlap = sorted(set(fa) & set(fh))
+        identities = sorted(b.unit)
+        report.notes.append(
+            f"arrow images intersect in {overlap}, identity arrows {identities}"
+        )
+        if overlap != identities:
+            report.fail("theta-bijective", tuple(overlap),
+                        "component images meet outside the identity arrows")
+    return report
+
+
+def check_left_action(action: LeftAction) -> StructureReport:
+    h, a, phi = action.h, action.a, action.table
+    _check_domain(phi, h, a, "left")
+    report = StructureReport("left action", axioms=("c1", "c2", "c3"))
+    for val in phi.values():
+        if not isinstance(val, int) or not 0 <= val < a.n_arrows:
+            raise StructureError(f"left action value {val!r} out of range")
+    for (x, y), val in phi.items():
+        if a.tgt[val] != h.tgt[x]:
+            report.fail("c1", (x, y), f"tgt phi={a.tgt[val]} tgt h={h.tgt[x]}")
+    before = matching_arrows(h.tgt, h.src, h.n_objects)
+    for (x, y), inner in phi.items():
+        for g in before[x]:
+            gx = h.compose(g, x)
+            lhs = phi.get((gx, y)) if gx is not None else None
+            rhs = phi.get((g, inner))
+            if lhs is None or rhs is None:
+                report.fail("c2", (g, x, y), "undefined evaluation")
+            elif lhs != rhs:
+                report.fail("c2", (g, x, y), f"phi(g*h,a)={lhs} phi(g,phi(h,a))={rhs}")
+    for y in range(a.n_arrows):
+        e = h.unit[a.tgt[y]]
+        if phi.get((e, y)) != y:
+            report.fail("c3", (y,), f"phi(id,a)={phi.get((e, y))}")
+    return report
+
+
+def check_right_action(action: RightAction) -> StructureReport:
+    h, a, phi = action.h, action.a, action.table
+    _check_domain(phi, h, a, "right")
+    report = StructureReport("right action", axioms=("d1", "d2", "d3"))
+    for val in phi.values():
+        if not isinstance(val, int) or not 0 <= val < h.n_arrows:
+            raise StructureError(f"right action value {val!r} out of range")
+    for (x, y), val in phi.items():
+        if h.src[val] != a.src[y]:
+            report.fail("d1", (x, y), f"src phi={h.src[val]} src a={a.src[y]}")
+    after = matching_arrows(a.src, a.tgt, a.n_objects)
+    for (x, y), inner in phi.items():
+        for b in after[y]:
+            yb = a.compose(y, b)
+            lhs = phi.get((x, yb)) if yb is not None else None
+            rhs = phi.get((inner, b))
+            if lhs is None or rhs is None:
+                report.fail("d2", (x, y, b), "undefined evaluation")
+            elif lhs != rhs:
+                report.fail("d2", (x, y, b), f"phi(h,a*b)={lhs} phi(phi(h,a),b)={rhs}")
+    for x in range(h.n_arrows):
+        e = a.unit[h.src[x]]
+        if phi.get((x, e)) != x:
+            report.fail("d3", (x,), f"phi(h,id)={phi.get((x, e))}")
+    return report
+
+
+def check_matched_pair(mp: MatchedPair) -> StructureReport:
+    """Action axioms plus the three compatibility conditions e1..e3.
+
+    Violations from the two action checks are folded into the report, so a
+    single perturbed table surfaces both the broken action law and any
+    compatibility law it drags down.
+    """
+    if mp.left.h != mp.h or mp.left.a != mp.a or mp.right.h != mp.h or mp.right.a != mp.a:
+        raise StructureError("actions do not reference the pair's structures")
+    report = StructureReport("matched pair")
+    report.extend(check_left_action(mp.left))
+    report.extend(check_right_action(mp.right))
+    report.axioms = report.axioms + ("e1", "e2", "e3")
+    a, h = mp.a, mp.h
+    pairs = mixed_pairs(h, a)
+    for (x, y) in pairs:
+        pa, ph = mp.phi_a(x, y), mp.phi_h(x, y)
+        if a.src[pa] != h.tgt[ph]:
+            report.fail("e1", (x, y), f"src phiA={a.src[pa]} tgt phiH={h.tgt[ph]}")
+    a_after = matching_arrows(a.src, a.tgt, a.n_objects)
+    h_before = matching_arrows(h.tgt, h.src, h.n_objects)
+    for (x, y) in pairs:
+        for b in a_after[y]:
+            lhs = mp.phi_a(x, a.compose(y, b))
+            rhs = a.compose(mp.phi_a(x, y), mp.phi_a(mp.phi_h(x, y), b))
+            if lhs is None or rhs is None:
+                report.fail("e2", (x, y, b), "undefined evaluation")
+            elif lhs != rhs:
+                report.fail("e2", (x, y, b), f"lhs={lhs} rhs={rhs}")
+    for (x, y) in pairs:
+        for g in h_before[x]:
+            lhs = mp.phi_h(h.compose(g, x), y)
+            rhs = h.compose(mp.phi_h(g, mp.phi_a(x, y)), mp.phi_h(x, y))
+            if lhs is None or rhs is None:
+                report.fail("e3", (g, x, y), "undefined evaluation")
+            elif lhs != rhs:
+                report.fail("e3", (g, x, y), f"lhs={lhs} rhs={rhs}")
+    return report

@@ -267,7 +267,7 @@ def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsy
     assert len(calls) == 1
 
 
-MP_COMMANDS = (["build", "dcp"], ["suite"], ["check-iso"])
+MP_COMMANDS = (["build", "dcp"], ["build", "bowtie"], ["suite"], ["check-iso"])
 
 
 def test_double_cross_products_are_trusted_from_checked_components(tmp_path, monkeypatch, capsys):
@@ -325,6 +325,17 @@ def test_a_broken_component_exits_1_with_its_own_report(tmp_path, capsys, which,
     for witness in witnesses:  # composable pairs of the broken component
         x, y = (int(part) for part in witness.split(","))
         assert broken.composable(x, y)
+
+
+@pytest.mark.parametrize("which", ["a", "h"])
+@pytest.mark.parametrize("what", ["dcp", "bowtie"])
+def test_a_broken_component_builds_no_document(tmp_path, capsys, which, what):
+    mp, broken = _with_broken_component(two_sided_pair(2), which)
+    path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(mp)))
+    output = tmp_path / "built.json"
+    code, out, err = run(capsys, "build", what, path, "-o", str(output))
+    assert (code, out, err) == (1, format_report(check_quasigroupoid(broken)), "")
+    assert not output.exists()
 
 
 @pytest.mark.parametrize("field,zero", [("Q", "0"), ("GF5", "0"), ("GF5", "10")])

@@ -1,0 +1,190 @@
+"""The CLI exit-code contract on small seeded mutants of quasigroupoid,
+matched-pair and factorization documents: every mutant still passes the
+document schema, and `validate`, `suite`, `build dcp`, `check-iso` and
+`factorize` on it exit 0 (pass), 1 (violations) or 2 (malformed input)
+without a traceback.
+
+All commands run through `cli.main` in one child process whose address
+space is capped, so an input that needs memory out of proportion to its
+size fails the test instead of the machine.
+"""
+
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+from nonassoc import (
+    canonical_factorization,
+    coarse_groupoid,
+    cyclic_group,
+    discrete_groupoid,
+    mp_action_left,
+    mp_discrete_right,
+    pair_quasigroupoid,
+    quasigroup_as_quasigroupoid,
+    symmetric_group,
+)
+from nonassoc.documents import (
+    emit,
+    factorization_to_doc,
+    matched_pair_to_doc,
+    parse,
+    quasigroupoid_to_doc,
+)
+from nonassoc.reports import StructureError
+from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+ADDRESS_SPACE = 1 << 30  # bytes the child may map
+COMMANDS = {
+    "quasigroupoid": [["validate"], ["suite"], ["factorize"]],
+    "matched-pair": [["validate"], ["suite"], ["build", "dcp"], ["check-iso"]],
+    "factorization": [["validate"], ["suite"]],
+}
+MUTANTS = 20  # per base document
+
+CHILD = """
+import io, json, sys, traceback
+from contextlib import redirect_stderr, redirect_stdout
+from nonassoc.cli import main
+
+results = []
+commands = json.loads(sys.argv[2])
+for kind, path in json.loads(sys.argv[1]):
+    for command in commands[kind]:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(command + [path])
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException:
+            code, err = None, io.StringIO(traceback.format_exc())
+        text = out.getvalue() + err.getvalue()
+        results.append([kind, path, command, code, "Traceback" in text, text[-300:]])
+print(json.dumps(results))
+"""
+
+
+def _int_slots(doc, path=()):
+    """Paths to the integer leaves of the arrow data of a document."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            if key not in ("objects", "arrows", "version"):
+                yield from _int_slots(doc[key], path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _int_slots(value, path + (i,))
+    elif isinstance(doc, int):
+        yield path
+
+
+TABLES = (
+    ("product",), ("left",), ("right",), ("a", "product"), ("h", "product"), ("b", "product"),
+)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutant(doc, rng):
+    """doc with one to three integer leaves set to small values, or one
+    entry of a product or action table dropped."""
+    doc = json.loads(json.dumps(doc))
+    if rng.random() < 0.2:
+        tables = [
+            _at(doc, path) for path in TABLES
+            if path[0] in doc and path[-1] in _at(doc, path[:-1])
+        ]
+        entries = rng.choice(tables)
+        del entries[rng.randrange(len(entries))]
+        return doc
+    slots = list(_int_slots(doc))
+    for _ in range(rng.randint(1, 3)):
+        *parents, last = rng.choice(slots)
+        holder = _at(doc, parents)
+        holder[last] = rng.randrange(max(4, holder[last] + 2))
+    return doc
+
+
+def _bases():
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    pairs = [
+        mp_discrete_right(coarse_groupoid(2)),
+        mp_discrete_right(pair_quasigroupoid(z2, 2)),
+        mp_action_left(z3, 3, z3_translation),
+        two_sided_pair(2, z2),
+    ]
+    return (
+        [quasigroupoid_to_doc(q) for q in (
+            coarse_groupoid(2),
+            discrete_groupoid(3),
+            pair_quasigroupoid(z2, 2),
+            quasigroup_as_quasigroupoid(symmetric_group(3)),
+        )]
+        + [matched_pair_to_doc(mp) for mp in pairs]
+        + [factorization_to_doc(canonical_factorization(mp)) for mp in pairs[:3]]
+        + [factorization_to_doc(two_sided_factorization(2, z2))]
+    )
+
+
+def _schema_valid(doc) -> bool:
+    try:
+        parse(emit(doc))
+    except StructureError:
+        return False
+    return True
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def test_mutated_documents_exit_0_1_or_2_without_a_traceback(tmp_path):
+    rng = random.Random(9)
+    inputs = []
+    for base in _bases():
+        kept = 0
+        while kept < MUTANTS:
+            doc = _mutant(base, rng)
+            if _schema_valid(doc):
+                path = tmp_path / f"mutant{len(inputs)}.json"
+                path.write_text(emit(doc))
+                inputs.append((doc["kind"], str(path)))
+                kept += 1
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(inputs), json.dumps(COMMANDS)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_cap_address_space,
+    )
+    assert child.returncode == 0, child.stderr[-2000:]
+    results = json.loads(child.stdout)
+    assert len(results) == sum(len(COMMANDS[kind]) for kind, _ in inputs)
+    seen = {}
+    for kind, path, command, code, traceback, tail in results:
+        assert code in (0, 1, 2) and not traceback, (path, command, code, tail)
+        seen.setdefault((kind, " ".join(command)), set()).add(code)
+    # every command reaches a pass and a violation; malformed input (2)
+    # reaches every command but those on quasigroupoid documents, whose
+    # schema-valid mutants are all well-formed structures to check
+    assert seen == {
+        ("quasigroupoid", "validate"): {0, 1},
+        ("quasigroupoid", "suite"): {0, 1},
+        ("quasigroupoid", "factorize"): {0, 1},
+        ("matched-pair", "validate"): {0, 1, 2},
+        ("matched-pair", "suite"): {0, 1, 2},
+        ("matched-pair", "build dcp"): {0, 1, 2},
+        ("matched-pair", "check-iso"): {0, 1, 2},
+        ("factorization", "validate"): {0, 1, 2},
+        ("factorization", "suite"): {0, 1, 2},
+    }

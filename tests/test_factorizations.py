@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from nonassoc import (
     BoundExceeded,
     FactorizationCandidate,
+    QgpdMorphism,
     canonical_factorization,
     check_exact_factorization,
     check_matched_pair,
@@ -18,6 +21,8 @@ from nonassoc import (
     reconstruct_matched_pair,
     sub_quasigroupoid,
 )
+from nonassoc.matched_pairs import MIXED_LAWS
+from tests.conftest import two_sided_factorization
 
 
 def test_canonical_factorization_passes(mp_family):
@@ -110,3 +115,38 @@ def test_theta_restricted_to_unit_pairs_is_inclusion(mp_family):
         for p in range(a.n_arrows):
             pair = (p, h.unit[a.src[p]])
             assert theta[pair] == candidate.ia.arrow_map[p], name
+
+
+@pytest.mark.parametrize("name,counts", [
+    ("two-sided m2", (96, 576, 576, 96, 96, 576)),
+    ("two-sided m3", (324, 1296, 1296, 324, 324, 1296)),
+    ("one-object m12", (144, 12, 12, 144, 144, 12)),
+])
+def test_each_mixed_law_evaluates_configurations(mp_family, name, counts):
+    """`data["evaluated"]` counts, per mixed law, the configurations where
+    at least one side is defined; on an exact factorization that is every
+    configuration of the law."""
+    if name.startswith("two-sided"):
+        c = two_sided_factorization(int(name[-1]))
+    else:
+        c = canonical_factorization(mp_family[name])
+    report = check_exact_factorization(c)
+    assert report.ok
+    assert report.data["evaluated"] == dict(zip(MIXED_LAWS, counts))
+
+
+def test_configurations_with_neither_side_defined_are_not_counted(coarse2):
+    """coarse(2) factors through itself twice, so each law sweeps its 16
+    composable triples.  Without the product 1*2, both sides are undefined
+    at (0, 1, 2), (1, 2, 0) and (1, 3, 2), one side at (1, 2, 1) and
+    (2, 1, 2)."""
+    ident = identity_morphism(coarse2)
+    full = check_exact_factorization(FactorizationCandidate(coarse2, ident, ident))
+    prod = dict(coarse2.prod)
+    del prod[(1, 2)]
+    b = dataclasses.replace(coarse2, prod=prod)
+    incl = QgpdMorphism(coarse2, b, ident.obj_map, ident.arrow_map)
+    broken = check_exact_factorization(FactorizationCandidate(b, incl, incl))
+    assert full.data["evaluated"] == dict.fromkeys(MIXED_LAWS, 16)
+    assert broken.data["evaluated"] == dict.fromkeys(MIXED_LAWS, 13)
+    assert [v.witness for v in broken.violations_for("HAA")] == [(1, 2, 1), (2, 1, 2)]
