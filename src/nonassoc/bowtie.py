@@ -22,6 +22,7 @@ from .matched_pairs import (
     double_cross_product,
     validated_components,
 )
+from .quasigroupoids import EMPTY, pair_rows, transposed_rows
 from .reports import StructureError, StructureReport
 
 
@@ -199,23 +200,20 @@ def module_law_report(mp: MatchedPair, check: bool = True) -> StructureReport:
     # tensor or to zero, so they are compared as the dicts of their nonzero
     # values, at the tensors where either side can be nonzero.
     left, right = mp.left.table, mp.right.table
-    left_on, left_by = _entries_by(left, 1), _entries_by(left, 0)
-    nested = {(x, g, y): w for (g, y), z in left.items() for x, w in left_on.get(z, ())}
-    product = {(x, g, y): w for (x, g), k in h.prod.items() for y, w in left_by.get(k, ())}
+    left_by, right_by = pair_rows(left), pair_rows(right)
+    left_on, right_on = transposed_rows(left_by, left_by), transposed_rows(right_by, right_by)
+    nested = {(x, g, y): w for (g, y), z in left.items() for x, w in left_on.get(z, EMPTY).items()}
+    product = {
+        (x, g, y): w for (x, g), k in h.prod.items() for y, w in left_by.get(k, EMPTY).items()
+    }
     if nested != product:  # h.(g.a) = (hg).a on h (x) g (x) a
         report.fail("left-assoc", ())
-    right_by, right_on = _entries_by(right, 0), _entries_by(right, 1)
-    nested = {(x, y, b): w for (x, y), k in right.items() for b, w in right_by.get(k, ())}
-    product = {(x, y, b): w for (y, b), c in a.prod.items() for x, w in right_on.get(c, ())}
+    nested = {
+        (x, y, b): w for (x, y), k in right.items() for b, w in right_by.get(k, EMPTY).items()
+    }
+    product = {
+        (x, y, b): w for (y, b), c in a.prod.items() for x, w in right_on.get(c, EMPTY).items()
+    }
     if nested != product:  # (h.a).b = h.(ab) on h (x) a (x) b
         report.fail("right-assoc", ())
     return report
-
-
-def _entries_by(table: dict, side: int) -> dict:
-    """The entries (x, y) -> v of an action table as lists of (other index,
-    v), keyed by x (side 0) or by y (side 1)."""
-    out: dict = {}
-    for key, v in table.items():
-        out.setdefault(key[side], []).append((key[1 - side], v))
-    return out

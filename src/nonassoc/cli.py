@@ -72,7 +72,11 @@ def _print_reports(reports: list[StructureReport], args) -> int:
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return documents.parse(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise documents.SchemaError(f"document is not UTF-8 text: {exc.reason}") from exc
+    return documents.parse(text)
 
 
 def _write_output(text: str, args) -> None:

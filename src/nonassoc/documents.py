@@ -113,6 +113,10 @@ def parse(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("not valid JSON: arrays or objects nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise SchemaError(f"not valid JSON: {str(exc).split(';')[0]}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document must be an object")
     kind = doc.get("kind")

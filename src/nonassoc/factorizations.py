@@ -301,19 +301,13 @@ def enumerate_factorizations(
 
     Exponential in the arrow count, so guarded by `max_arrows`; candidate
     order is deterministic (subset order from `closed_arrow_subsets`, the
-    a-component varying slowest).
+    a-component varying slowest).  Each closed subset's substructure is
+    built once and serves as either component.
     """
     if b.n_arrows > max_arrows:
         raise BoundExceeded(
             f"{b.n_arrows} arrows exceeds the enumeration bound {max_arrows}"
         )
-    subsets = closed_arrow_subsets(b)
-    found = []
-    for arrows_a in subsets:
-        _, incl_a = sub_quasigroupoid(b, arrows_a)
-        for arrows_h in subsets:
-            _, incl_h = sub_quasigroupoid(b, arrows_h)
-            candidate = FactorizationCandidate(b, incl_a, incl_h)
-            if check_exact_factorization(candidate).ok:
-                found.append(candidate)
-    return found
+    inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in closed_arrow_subsets(b)]
+    candidates = (FactorizationCandidate(b, ia, ih) for ia in inclusions for ih in inclusions)
+    return [c for c in candidates if check_exact_factorization(c).ok]

@@ -20,12 +20,14 @@ Every sweep enumerates its fibered set through the endpoint index of
 action and compatibility laws and the composable pairs of the double cross
 product are visited directly, in lexicographic order, never found by
 filtering a larger product of arrow sets.  The action and compatibility
-laws and the double cross product look products and action values up by
-row (`quasigroupoids.pair_rows`), and each value fixed over an inner loop,
-such as phiA(x,y) and phiH(x,y), is looked up once outside it.  The
-identity suite P-1..P-10 further restricts each sweep to the
-configurations whose product lookups are keys of the product tables, which
-are the only ones it evaluates.
+laws, the identity suite P-1..P-10 and the double cross product look
+products and action values up by row (`quasigroupoids.pair_rows`), and
+each value fixed over an inner loop, such as phiA(x,y) and phiH(x,y), is
+looked up once outside it.  The third arrow of P-5, P-6, P-9 and P-10
+enters through a product, so those identities walk it along the row, or
+the transposed row (`transposed_rows`), of the fixed factor: only the
+configurations whose product lookups are keys of the product tables,
+which are the only ones they evaluate.
 
 The double cross product factors exactly through its two inclusions, and the
 six mixed associativity laws and the bijectivity of theta are the conditions
@@ -51,6 +53,7 @@ from .quasigroupoids import (
     from_quasigroup_action,
     matching_arrows,
     pair_rows,
+    transposed_rows,
 )
 from .quasigroups import FiniteQuasigroup
 from .reports import InvalidStructureError, StructureError, StructureReport
@@ -258,22 +261,6 @@ def matched_pair(a: Quasigroupoid, h: Quasigroupoid, phi_a: dict, phi_h: dict) -
     return mp
 
 
-def _factor_index(q: Quasigroupoid, position: int) -> dict:
-    """The keys of q's product table grouped by the factor at `position`
-    (0 left, 1 right): each factor maps to the other factors that are arrows
-    of q, in increasing order.  These are exactly the arrows c for which a
-    lookup of (c, f) (position 1) or (f, c) (position 0) finds an entry."""
-    arrows = range(q.n_arrows)
-    index: dict = {}
-    for key in q.prod:
-        other = key[1 - position]
-        if other in arrows:
-            index.setdefault(key[position], []).append(int(other))
-    for others in index.values():
-        others.sort()
-    return index
-
-
 def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     """The ten consequences P-1..P-10 of the matched-pair axioms, swept over
     every configuration on which both sides are defined.
@@ -289,117 +276,62 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     a, h = mp.a, mp.h
     pairs = mixed_pairs(h, a)
     la, lh = a.inv, h.inv
-    a_before, a_after = _factor_index(a, 1), _factor_index(a, 0)
-    h_before, h_after = _factor_index(h, 1), _factor_index(h, 0)
+    left, right = pair_rows(mp.left.table), pair_rows(mp.right.table)
+    a_rows, h_rows = pair_rows(a.prod), pair_rows(h.prod)
+    # a_left[f][c] = c*f and a_right[f][c] = f*c for the arrows c of A with
+    # an entry, in increasing order; likewise for H
+    a_left = transposed_rows(a_rows, range(a.n_arrows))
+    h_left = transposed_rows(h_rows, range(h.n_arrows))
+    a_right = transposed_rows(transposed_rows(a_rows, a_rows), range(a.n_arrows))
+    h_right = transposed_rows(transposed_rows(h_rows, h_rows), range(h.n_arrows))
     report = StructureReport(
         "matched pair identities",
         axioms=tuple(f"P-{i}" for i in range(1, 11)),
     )
     evaluated = {tag: 0 for tag in report.axioms}
 
-    def sweep(tag, configs, sides):
-        for cfg in configs:
-            lhs, rhs = sides(*cfg)
-            if lhs is None or rhs is None:
-                continue
-            evaluated[tag] += 1
-            if lhs != rhs:
-                report.fail(tag, cfg, f"lhs={lhs} rhs={rhs}")
+    def check(tag, witness, lhs, rhs):
+        if lhs is None or rhs is None:
+            return
+        evaluated[tag] += 1
+        if lhs != rhs:
+            report.fail(tag, witness, f"lhs={lhs} rhs={rhs}")
 
-    sweep(
-        "P-1",
-        [(x,) for x in range(h.n_arrows)],
-        lambda x: (mp.phi_a(x, a.unit[h.src[x]]), a.unit[h.tgt[x]]),
-    )
-    sweep(
-        "P-2",
-        [(y,) for y in range(a.n_arrows)],
-        lambda y: (mp.phi_h(h.unit[a.tgt[y]], y), h.unit[a.src[y]]),
-    )
-    sweep(
-        "P-3",
-        pairs,
-        lambda x, y: (
-            la[mp.phi_a(x, y)] if mp.phi_a(x, y) is not None else None,
-            mp.phi_a(mp.phi_h(x, y), la[y]),
-        ),
-    )
-    sweep(
-        "P-4",
-        pairs,
-        lambda x, y: (
-            lh[mp.phi_h(x, y)] if mp.phi_h(x, y) is not None else None,
-            mp.phi_h(lh[x], mp.phi_a(x, y)),
-        ),
-    )
-    sweep(
-        "P-5",
-        [(x, y, b) for (x, y) in pairs for b in a_before.get(mp.phi_a(x, y), ())],
-        lambda x, y, b: (
-            a.compose(
-                a.compose(b, mp.phi_a(x, y)),
-                mp.phi_a(mp.phi_h(x, y), la[y]),
-            ),
-            b,
-        ),
-    )
-    sweep(
-        "P-6",
-        [(x, y, g) for (x, y) in pairs for g in h_after.get(mp.phi_h(x, y), ())],
-        lambda x, y, g: (
-            h.compose(
-                mp.phi_h(lh[x], mp.phi_a(x, y)),
-                h.compose(mp.phi_h(x, y), g),
-            ),
-            g,
-        ),
-    )
-
-    def p7(x, y):
-        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
-        if ph is None or pa is None:
-            return None, None
-        return mp.phi_a(lh[ph], la[pa]), la[y]
-
-    sweep("P-7", pairs, p7)
-
-    def p8(x, y):
-        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
-        if ph is None or pa is None:
-            return None, None
-        return mp.phi_h(lh[ph], la[pa]), lh[x]
-
-    sweep("P-8", pairs, p8)
-
-    def p9(x, y, b):
-        lhs = a.compose(la[y], mp.phi_a(lh[x], b))
-        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
-        if ph is None or pa is None:
-            return lhs, None
-        rhs = mp.phi_a(lh[ph], a.compose(la[pa], b))
-        return lhs, rhs
-
-    def defined(x, y):
-        return mp.phi_h(x, y) is not None and mp.phi_a(x, y) is not None
-
-    sweep("P-9", [
-        (x, y, b) for (x, y) in pairs if defined(x, y)
-        for b in a_after.get(la[mp.phi_a(x, y)], ())
-    ], p9)
-
-    def p10(x, y, g):
-        lhs = h.compose(mp.phi_h(g, la[y]), lh[x])
-        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
-        if ph is None or pa is None:
-            return lhs, None
-        rhs = mp.phi_h(h.compose(g, lh[ph]), la[pa])
-        return lhs, rhs
-
-    sweep("P-10", [
-        (x, y, g) for (x, y) in pairs if defined(x, y)
-        for g in h_before.get(lh[mp.phi_h(x, y)], ())
-    ], p10)
-
+    # each mixed pair with phiA(x,y) and phiH(x,y), None where undefined
+    acted = [(x, y, left.get(x, EMPTY).get(y), right.get(x, EMPTY).get(y)) for x, y in pairs]
+    for x in range(h.n_arrows):
+        check("P-1", (x,), left.get(x, EMPTY).get(a.unit[h.src[x]]), a.unit[h.tgt[x]])
+    for y in range(a.n_arrows):
+        check("P-2", (y,), right.get(h.unit[a.tgt[y]], EMPTY).get(y), h.unit[a.src[y]])
+    for x, y, pa, ph in acted:
+        lhs = None if pa is None else la[pa]
+        check("P-3", (x, y), lhs, left.get(ph, EMPTY).get(la[y]))
+    for x, y, pa, ph in acted:
+        lhs = None if ph is None else lh[ph]
+        check("P-4", (x, y), lhs, right.get(lh[x], EMPTY).get(pa))
+    for x, y, pa, ph in acted:
+        after = left.get(ph, EMPTY).get(la[y])
+        for b, bpa in a_left.get(pa, EMPTY).items():
+            check("P-5", (x, y, b), a_rows.get(bpa, EMPTY).get(after), b)
+    for x, y, pa, ph in acted:
+        before = h_rows.get(right.get(lh[x], EMPTY).get(pa), EMPTY)
+        for g, phg in h_right.get(ph, EMPTY).items():
+            check("P-6", (x, y, g), before.get(phg), g)
+    defined = [(x, y, pa, ph) for x, y, pa, ph in acted if pa is not None and ph is not None]
+    for x, y, pa, ph in defined:
+        check("P-7", (x, y), left.get(lh[ph], EMPTY).get(la[pa]), la[y])
+    for x, y, pa, ph in defined:
+        check("P-8", (x, y), right.get(lh[ph], EMPTY).get(la[pa]), lh[x])
+    for x, y, pa, ph in defined:
+        row_y = a_rows.get(la[y], EMPTY)
+        acts_x, acts_ph = left.get(lh[x], EMPTY), left.get(lh[ph], EMPTY)
+        for b, pab in a_right.get(la[pa], EMPTY).items():
+            check("P-9", (x, y, b), row_y.get(acts_x.get(b)), acts_ph.get(pab))
+    for x, y, pa, ph in defined:
+        lx, ly, lpa = lh[x], la[y], la[pa]
+        for g, gph in h_left.get(lh[ph], EMPTY).items():
+            lhs = h_rows.get(right.get(g, EMPTY).get(ly), EMPTY).get(lx)
+            check("P-10", (x, y, g), lhs, right.get(gph, EMPTY).get(lpa))
     report.data["evaluated"] = evaluated
     return report
 

@@ -115,6 +115,19 @@ def pair_rows(table: dict) -> dict:
     return rows
 
 
+def transposed_rows(rows: dict, keys) -> dict:
+    """The rows rows[x][y] = v of the x in `keys` as t[y][x] = v, each row
+    of t listing its x in the order of `keys`."""
+    out: dict = {}
+    for x in keys:
+        for y, value in rows.get(x, EMPTY).items():
+            row = out.get(y)
+            if row is None:
+                row = out[y] = {}
+            row[x] = value
+    return out
+
+
 def _check_shape(q: Quasigroupoid) -> None:
     m, k = q.n_objects, q.n_arrows
     if m < 1:

@@ -17,7 +17,10 @@ products and actions up by row, are the oracle for
 `tests/test_row_sweeps.py`.  They look every product and action value up
 by a fresh pair key, and the mixed laws build each configuration list and
 call a lambda per configuration; otherwise they are the library's code
-from before that change.
+from before that change.  `matched_pair_identity_suite`, the last sweep
+ported to rows, is kept as it stood then: it builds each identity's
+configuration list, through `_factor_index` for the third arrow of P-5,
+P-6, P-9 and P-10, and calls a lambda per configuration.
 """
 
 from nonassoc.factorizations import FactorizationCandidate, _require_identity_objects
@@ -517,4 +520,150 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
                 report.fail("e3", (g, x, y), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("e3", (g, x, y), f"lhs={lhs} rhs={rhs}")
+    return report
+
+
+def _factor_index(q: Quasigroupoid, position: int) -> dict:
+    """The keys of q's product table grouped by the factor at `position`
+    (0 left, 1 right): each factor maps to the other factors that are arrows
+    of q, in increasing order.  These are exactly the arrows c for which a
+    lookup of (c, f) (position 1) or (f, c) (position 0) finds an entry."""
+    arrows = range(q.n_arrows)
+    index: dict = {}
+    for key in q.prod:
+        other = key[1 - position]
+        if other in arrows:
+            index.setdefault(key[position], []).append(int(other))
+    for others in index.values():
+        others.sort()
+    return index
+
+
+def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
+    """The ten consequences P-1..P-10 of the matched-pair axioms, swept over
+    every configuration on which both sides are defined.
+
+    Configurations where a constituent product or action lookup is undefined
+    are skipped (the statements quantify only over defined operations); the
+    number of configurations actually evaluated per identity is recorded in
+    `report.data["evaluated"]` so callers can assert nonvacuity.  P-5, P-6,
+    P-9 and P-10 quantify over a third arrow that enters through a product;
+    they visit only the arrows for which that product has an entry, since
+    every other configuration is undefined.
+    """
+    a, h = mp.a, mp.h
+    pairs = mixed_pairs(h, a)
+    la, lh = a.inv, h.inv
+    a_before, a_after = _factor_index(a, 1), _factor_index(a, 0)
+    h_before, h_after = _factor_index(h, 1), _factor_index(h, 0)
+    report = StructureReport(
+        "matched pair identities",
+        axioms=tuple(f"P-{i}" for i in range(1, 11)),
+    )
+    evaluated = {tag: 0 for tag in report.axioms}
+
+    def sweep(tag, configs, sides):
+        for cfg in configs:
+            lhs, rhs = sides(*cfg)
+            if lhs is None or rhs is None:
+                continue
+            evaluated[tag] += 1
+            if lhs != rhs:
+                report.fail(tag, cfg, f"lhs={lhs} rhs={rhs}")
+
+    sweep(
+        "P-1",
+        [(x,) for x in range(h.n_arrows)],
+        lambda x: (mp.phi_a(x, a.unit[h.src[x]]), a.unit[h.tgt[x]]),
+    )
+    sweep(
+        "P-2",
+        [(y,) for y in range(a.n_arrows)],
+        lambda y: (mp.phi_h(h.unit[a.tgt[y]], y), h.unit[a.src[y]]),
+    )
+    sweep(
+        "P-3",
+        pairs,
+        lambda x, y: (
+            la[mp.phi_a(x, y)] if mp.phi_a(x, y) is not None else None,
+            mp.phi_a(mp.phi_h(x, y), la[y]),
+        ),
+    )
+    sweep(
+        "P-4",
+        pairs,
+        lambda x, y: (
+            lh[mp.phi_h(x, y)] if mp.phi_h(x, y) is not None else None,
+            mp.phi_h(lh[x], mp.phi_a(x, y)),
+        ),
+    )
+    sweep(
+        "P-5",
+        [(x, y, b) for (x, y) in pairs for b in a_before.get(mp.phi_a(x, y), ())],
+        lambda x, y, b: (
+            a.compose(
+                a.compose(b, mp.phi_a(x, y)),
+                mp.phi_a(mp.phi_h(x, y), la[y]),
+            ),
+            b,
+        ),
+    )
+    sweep(
+        "P-6",
+        [(x, y, g) for (x, y) in pairs for g in h_after.get(mp.phi_h(x, y), ())],
+        lambda x, y, g: (
+            h.compose(
+                mp.phi_h(lh[x], mp.phi_a(x, y)),
+                h.compose(mp.phi_h(x, y), g),
+            ),
+            g,
+        ),
+    )
+
+    def p7(x, y):
+        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
+        if ph is None or pa is None:
+            return None, None
+        return mp.phi_a(lh[ph], la[pa]), la[y]
+
+    sweep("P-7", pairs, p7)
+
+    def p8(x, y):
+        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
+        if ph is None or pa is None:
+            return None, None
+        return mp.phi_h(lh[ph], la[pa]), lh[x]
+
+    sweep("P-8", pairs, p8)
+
+    def p9(x, y, b):
+        lhs = a.compose(la[y], mp.phi_a(lh[x], b))
+        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
+        if ph is None or pa is None:
+            return lhs, None
+        rhs = mp.phi_a(lh[ph], a.compose(la[pa], b))
+        return lhs, rhs
+
+    def defined(x, y):
+        return mp.phi_h(x, y) is not None and mp.phi_a(x, y) is not None
+
+    sweep("P-9", [
+        (x, y, b) for (x, y) in pairs if defined(x, y)
+        for b in a_after.get(la[mp.phi_a(x, y)], ())
+    ], p9)
+
+    def p10(x, y, g):
+        lhs = h.compose(mp.phi_h(g, la[y]), lh[x])
+        ph, pa = mp.phi_h(x, y), mp.phi_a(x, y)
+        if ph is None or pa is None:
+            return lhs, None
+        rhs = mp.phi_h(h.compose(g, lh[ph]), la[pa])
+        return lhs, rhs
+
+    sweep("P-10", [
+        (x, y, g) for (x, y) in pairs if defined(x, y)
+        for g in h_before.get(lh[mp.phi_h(x, y)], ())
+    ], p10)
+
+    report.data["evaluated"] = evaluated
     return report

@@ -91,6 +91,20 @@ def test_schema_error_exits_2(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("content,problem", [
+    (b'{"kind": "quasigroup", "version": 1, "names": ["\xff"]}', "not UTF-8"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    (b'{"kind": "quasigroup", "version": 1, "order": 1' + b"0" * 4400 + b"}", "4300 digits"),
+], ids=["not-utf8", "nested-100000-deep", "integer-of-4401-digits"])
+def test_malformed_json_text_exits_2(tmp_path, capsys, content, problem):
+    path = tmp_path / "malformed.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error:") and problem in err
+    assert "Traceback" not in out + err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 2

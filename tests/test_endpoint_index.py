@@ -5,14 +5,16 @@ mixed associativity sweeps must list exactly what scanning all pairs of
 arrows and filtering them lists, in the same order.  P-5, P-6, P-9 and P-10
 of the matched-pair identity suite, which visit only the third arrows that
 their product lookups can find, must evaluate and fail exactly what the
-sweep over every third arrow does, also on corrupted tables.  The scans are
-kept here as the oracle.  Also: the sparse-base chain that the index makes
-linear in the number of arrows.
+sweep over every third arrow does, also on corrupted tables, among them
+tables inserted out of order and entries off the composable pairs.  The
+scans are kept here as the oracle.  Also: the sparse-base chain that the
+index makes linear in the number of arrows.
 """
 
 import dataclasses
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -36,6 +38,7 @@ from nonassoc import (
     quasigroup_as_quasigroupoid,
 )
 from nonassoc.quasigroupoids import arrows_by_object, matching_arrows
+from tests import reference_sweeps as ref
 from tests.conftest import two_sided_pair
 
 
@@ -206,20 +209,59 @@ def reference_third_arrow_sweeps(mp):
     return out
 
 
+def _with_entries_off_the_pairs(q, rng):
+    """q with product entries added at (c, f) and (f, c), f one arrow, for
+    every arrow c that does not compose with f there, and for c = -1 and c
+    = k just outside the arrows 0..k-1.  Each value is an arrow that a
+    product with f could be: one leaving src(f) for (c, f), one entering
+    tgt(f) for (f, c)."""
+    f = rng.randrange(q.n_arrows)
+    leaving = [v for v in range(q.n_arrows) if q.src[v] == q.src[f]]
+    entering = [v for v in range(q.n_arrows) if q.tgt[v] == q.tgt[f]]
+    prod = dict(q.prod)
+    for c in (-1, *range(q.n_arrows), q.n_arrows):
+        for key, values in (((c, f), leaving), ((f, c), entering)):
+            if key not in prod:
+                prod[key] = rng.choice(values)
+    return dataclasses.replace(q, prod=prod)
+
+
+def _shuffled(q, rng):
+    entries = list(q.prod.items())
+    rng.shuffle(entries)
+    return dataclasses.replace(q, prod=dict(entries))
+
+
+KINDS = ("left", "right", "a product", "h product", "shuffled", "off the pairs")
+
+
 def corrupted_pairs(mp, rng, count):
-    """Copies of mp with action values changed, or product entries of a
-    component changed or dropped."""
+    """(kind, copy of mp) with an action value changed; a product entry of
+    a component changed or dropped; both products re-inserted in shuffled
+    order, with a value of each action shifted, so that P-5, P-6, P-9 and
+    P-10 fail at several third arrows of one (x, y); or product entries
+    added off the composable pairs of a component."""
     out = []
     for _ in range(count):
         a, h = mp.a, mp.h
         left, right = dict(mp.left.table), dict(mp.right.table)
-        kind = rng.randrange(4)
-        if kind == 0:
+        kind = KINDS[rng.randrange(len(KINDS))]
+        if kind == "left":
             left[rng.choice(sorted(left))] = rng.randrange(a.n_arrows)
-        elif kind == 1:
+        elif kind == "right":
             right[rng.choice(sorted(right))] = rng.randrange(h.n_arrows)
+        elif kind == "shuffled":
+            a, h = _shuffled(a, rng), _shuffled(h, rng)
+            for table, n in ((left, a.n_arrows), (right, h.n_arrows)):
+                key = rng.choice(sorted(table))
+                table[key] = (table[key] + rng.randrange(n)) % n
+        elif kind == "off the pairs":
+            if rng.randrange(2):
+                a = _with_entries_off_the_pairs(a, rng)
+            else:
+                h = _with_entries_off_the_pairs(h, rng)
         else:
-            q = a if kind == 2 else h
+            q = a if kind == "a product" else h
             prod = dict(q.prod)
             key = rng.choice(sorted(prod))
             if rng.randrange(2):
@@ -227,16 +269,34 @@ def corrupted_pairs(mp, rng, count):
             else:
                 prod[key] = rng.randrange(q.n_arrows)
             q = dataclasses.replace(q, prod=prod)
-            a, h = (q, h) if kind == 2 else (a, q)
-        out.append(MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right)))
+            a, h = (q, h) if kind == "a product" else (a, q)
+        out.append((kind, MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))))
     return out
 
 
+def _report(report):
+    return report.violations, report.data
+
+
 def test_third_arrow_sweeps_equal_the_full_sweep(mp_family, z3):
+    """Also against the suite as it stood before it looked products up by
+    row (`tests/reference_sweeps.py`), report for report."""
     rng = random.Random(11)
-    pairs = list(mp_family.values()) + [two_sided_pair(2, z3)]
-    for mp in pairs + [bad for mp in pairs for bad in corrupted_pairs(mp, rng, 12)]:
+    two_sided = [two_sided_pair(2, z3), two_sided_pair(2)]
+    pairs = [("valid", mp) for mp in [*mp_family.values(), *two_sided]]
+    corrupted = [bad for _, mp in list(pairs) for bad in corrupted_pairs(mp, rng, 12)]
+    # the most third arrows failing one identity at one (x, y), per kind
+    most = Counter()
+    for kind, mp in pairs + corrupted:
         report = matched_pair_identity_suite(mp)
+        assert _report(report) == _report(ref.matched_pair_identity_suite(mp))
         for tag, (evaluated, failures) in reference_third_arrow_sweeps(mp).items():
             assert report.data["evaluated"][tag] == evaluated, tag
             assert [(v.witness, v.detail) for v in report.violations_for(tag)] == failures, tag
+            per_pair = Counter(witness[:2] for witness, _ in failures)
+            most[kind, tag] = max(most[kind, tag], *per_pair.values(), 0)
+    assert all(most["valid", tag] == 0 for tag in ("P-5", "P-6", "P-9", "P-10"))
+    assert all(most["shuffled", tag] >= 3 for tag in ("P-5", "P-6", "P-9", "P-10")), most
+    # entries off the composable pairs reach only P-5 and P-6: in P-9 and
+    # P-10 such a third arrow makes an action lookup undefined
+    assert all(most["off the pairs", tag] >= 3 for tag in ("P-5", "P-6")), most

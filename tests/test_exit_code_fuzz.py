@@ -1,8 +1,8 @@
-"""The CLI exit-code contract on small seeded mutants of quasigroupoid,
-matched-pair and factorization documents: every mutant still passes the
-document schema, and `validate`, `suite`, `build dcp`, `check-iso` and
-`factorize` on it exit 0 (pass), 1 (violations) or 2 (malformed input)
-without a traceback.
+"""The CLI exit-code contract on small seeded mutants of documents of every
+kind: every mutant still passes the document schema, and each command that
+takes its kind (`validate`, `suite`, `check-whq`, `build dcp|magma|bowtie`,
+`check-iso`, `factorize`) exits 0 (pass), 1 (violations) or 2 (malformed
+input) on it without a traceback.
 
 All commands run through `cli.main` in one child process whose address
 space is capped, so an input that needs memory out of proportion to its
@@ -22,6 +22,8 @@ from nonassoc import (
     coarse_groupoid,
     cyclic_group,
     discrete_groupoid,
+    magma_of_quasigroupoid,
+    moufang_loop_12,
     mp_action_left,
     mp_discrete_right,
     pair_quasigroupoid,
@@ -29,21 +31,29 @@ from nonassoc import (
     symmetric_group,
 )
 from nonassoc.documents import (
+    action_to_doc,
     emit,
     factorization_to_doc,
     matched_pair_to_doc,
     parse,
+    quasigroup_to_doc,
     quasigroupoid_to_doc,
+    whq_to_doc,
 )
 from nonassoc.reports import StructureError
-from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
+from tests.conftest import FLIP, two_sided_factorization, two_sided_pair, z3_translation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ADDRESS_SPACE = 1 << 30  # bytes the child may map
 COMMANDS = {
-    "quasigroupoid": [["validate"], ["suite"], ["factorize"]],
-    "matched-pair": [["validate"], ["suite"], ["build", "dcp"], ["check-iso"]],
+    "quasigroupoid": [["validate"], ["suite"], ["factorize"], ["build", "magma"]],
+    "matched-pair": [
+        ["validate"], ["suite"], ["build", "dcp"], ["check-iso"], ["build", "bowtie"],
+    ],
     "factorization": [["validate"], ["suite"]],
+    "quasigroup": [["validate"], ["suite"]],
+    "action": [["validate"], ["suite"]],
+    "whq": [["validate"], ["suite"], ["check-whq"]],
 }
 MUTANTS = 20  # per base document
 
@@ -94,15 +104,24 @@ def _at(doc, path):
     return doc
 
 
+WHQ_MAPS = ("unit", "counit", "product", "coproduct", "antipode")
+SCALARS = ("0", "1", "-1", "2", "1/2")
+
+
 def _mutant(doc, rng):
     """doc with one to three integer leaves set to small values, or one
-    entry of a product or action table dropped."""
+    entry of a product or action table dropped; a whq document may instead
+    have one structure constant replaced."""
     doc = json.loads(json.dumps(doc))
-    if rng.random() < 0.2:
-        tables = [
-            _at(doc, path) for path in TABLES
-            if path[0] in doc and path[-1] in _at(doc, path[:-1])
-        ]
+    if doc["kind"] == "whq" and rng.random() < 0.3:
+        entries = rng.choice([doc[key] for key in WHQ_MAPS if doc[key]])
+        rng.choice(entries)[-1] = rng.choice(SCALARS)
+        return doc
+    tables = [
+        _at(doc, path) for path in TABLES
+        if path[0] in doc and path[-1] in _at(doc, path[:-1])
+    ]
+    if tables and rng.random() < 0.2:
         entries = rng.choice(tables)
         del entries[rng.randrange(len(entries))]
         return doc
@@ -132,6 +151,13 @@ def _bases():
         + [matched_pair_to_doc(mp) for mp in pairs]
         + [factorization_to_doc(canonical_factorization(mp)) for mp in pairs[:3]]
         + [factorization_to_doc(two_sided_factorization(2, z2))]
+        + [quasigroup_to_doc(q) for q in (z3, symmetric_group(3), moufang_loop_12())]
+        + [action_to_doc(z3, 3, z3_translation), action_to_doc(z2, 2, FLIP)]
+        + [
+            whq_to_doc(magma_of_quasigroupoid(coarse_groupoid(2))),
+            whq_to_doc(magma_of_quasigroupoid(quasigroup_as_quasigroupoid(z3)), "GF5"),
+            whq_to_doc(magma_of_quasigroupoid(pair_quasigroupoid(z2, 2))),
+        ]
     )
 
 
@@ -175,16 +201,27 @@ def test_mutated_documents_exit_0_1_or_2_without_a_traceback(tmp_path):
         assert code in (0, 1, 2) and not traceback, (path, command, code, tail)
         seen.setdefault((kind, " ".join(command)), set()).add(code)
     # every command reaches a pass and a violation; malformed input (2)
-    # reaches every command but those on quasigroupoid documents, whose
-    # schema-valid mutants are all well-formed structures to check
+    # reaches only the commands on matched-pair and factorization
+    # documents, whose action tables or arrow subsets must fit components
+    # that a mutant can change: the schema-valid mutants of the other kinds
+    # are all well-formed structures to check
     assert seen == {
         ("quasigroupoid", "validate"): {0, 1},
         ("quasigroupoid", "suite"): {0, 1},
         ("quasigroupoid", "factorize"): {0, 1},
+        ("quasigroupoid", "build magma"): {0, 1},
         ("matched-pair", "validate"): {0, 1, 2},
         ("matched-pair", "suite"): {0, 1, 2},
         ("matched-pair", "build dcp"): {0, 1, 2},
         ("matched-pair", "check-iso"): {0, 1, 2},
+        ("matched-pair", "build bowtie"): {0, 1, 2},
         ("factorization", "validate"): {0, 1, 2},
         ("factorization", "suite"): {0, 1, 2},
+        ("quasigroup", "validate"): {0, 1},
+        ("quasigroup", "suite"): {0, 1},
+        ("action", "validate"): {0, 1},
+        ("action", "suite"): {0, 1},
+        ("whq", "validate"): {0, 1},
+        ("whq", "suite"): {0, 1},
+        ("whq", "check-whq"): {0, 1},
     }

@@ -21,6 +21,7 @@ from nonassoc import (
     reconstruct_matched_pair,
     sub_quasigroupoid,
 )
+from nonassoc import factorizations
 from nonassoc.matched_pairs import MIXED_LAWS
 from tests.conftest import two_sided_factorization
 
@@ -99,6 +100,21 @@ def test_enumerate_contains_canonical_candidate(z2):
     shapes = [(c.ia.arrow_map, c.ih.arrow_map) for c in found]
     canonical = canonical_factorization(mp)
     assert (canonical.ia.arrow_map, canonical.ih.arrow_map) in shapes
+
+
+def test_enumeration_builds_each_substructure_once(m12, monkeypatch):
+    """The one-object M12 has 24 closed arrow subsets, so 576 candidate
+    pairs, 2 of them exact factorizations."""
+    calls = []
+
+    def counted(b, arrows):
+        calls.append(arrows)
+        return sub_quasigroupoid(b, arrows)
+
+    monkeypatch.setattr(factorizations, "sub_quasigroupoid", counted)
+    found = enumerate_factorizations(quasigroup_as_quasigroupoid(m12))
+    assert len(found) == 2
+    assert len(calls) == len(set(calls)) == 24
 
 
 def test_enumeration_bound_is_enforced():

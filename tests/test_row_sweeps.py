@@ -4,7 +4,8 @@
 
 Both must give the same report, violation for violation and in the same
 order, with the same details, notes and data (theta in the same insertion
-order), or raise the same exception: on the test family, on the two-sided
+order, and the identity suite's counts of evaluated configurations), or
+raise the same exception: on the test family, on the two-sided
 pairs of pair(M12, m) for m = 2, 3, on every factorize candidate of the
 one-object M12, and on seeded corruptions of products, action tables,
 inclusion arrow maps and component endpoints.
@@ -30,6 +31,7 @@ from nonassoc import (
     check_quasigroupoid,
     check_right_action,
     derived_identity_suite,
+    matched_pair_identity_suite,
     quasigroup_as_quasigroupoid,
     sub_quasigroupoid,
 )
@@ -87,6 +89,7 @@ CHECKERS = {
     "right": (check_right_action, ref.check_right_action),
     "matched pair": (check_matched_pair, ref.check_matched_pair),
     "factorization": (check_exact_factorization, ref.check_exact_factorization),
+    "identities": (matched_pair_identity_suite, ref.matched_pair_identity_suite),
 }
 
 
@@ -115,8 +118,11 @@ def _compare(name, arg):
     new, old = CHECKERS[name]
     got = _outcome(new, arg)
     assert got == _outcome(old, arg), name
-    if name == "factorization" and got[0] != "raised":
-        assert new(arg).data["evaluated"] == _evaluated(arg)
+    if got[0] != "raised":
+        if name == "factorization":
+            assert new(arg).data["evaluated"] == _evaluated(arg)
+        elif name == "identities":
+            assert new(arg).data["evaluated"] == old(arg).data["evaluated"]
     return got
 
 
@@ -128,6 +134,7 @@ def _compare_all(mp, candidate):
     outcomes.append(_compare("left", mp.left))
     outcomes.append(_compare("right", mp.right))
     outcomes.append(_compare("matched pair", mp))
+    outcomes.append(_compare("identities", mp))
     outcomes.append(_compare("factorization", candidate))
     return outcomes
 
@@ -229,6 +236,7 @@ def test_seeded_corruptions_give_the_reference_reports(mp_family):
             compare("left", bad.left)
             compare("right", bad.right)
             compare("matched pair", bad)
+            compare("identities", bad)
         elif kind == "inclusion":
             which = "ia" if rng.random() < 0.5 else "ih"
             permuted = _permuted(getattr(c, which), rng)
@@ -251,6 +259,7 @@ def test_seeded_corruptions_give_the_reference_reports(mp_family):
                 compare("left", bad.left)
                 compare("right", bad.right)
                 compare("matched pair", bad)
+                compare("identities", bad)
     # how many corrupted inputs each checker passed, failed, or raised on
     assert tally == {
         "quasigroupoid": {"pass": 0, "fail": 360, "raised": 0},
@@ -259,4 +268,5 @@ def test_seeded_corruptions_give_the_reference_reports(mp_family):
         "right": {"pass": 246, "fail": 114, "raised": 1},
         "matched pair": {"pass": 106, "fail": 253, "raised": 2},
         "factorization": {"pass": 97, "fail": 262, "raised": 0},
+        "identities": {"pass": 162, "fail": 197, "raised": 2},
     }
