@@ -22,7 +22,7 @@ from .matched_pairs import (
     double_cross_product,
     validated_components,
 )
-from .quasigroupoids import EMPTY, pair_rows, transposed_rows
+from .quasigroupoids import EMPTY, transposed_rows
 from .reports import StructureError, StructureReport
 
 
@@ -200,7 +200,7 @@ def module_law_report(mp: MatchedPair, check: bool = True) -> StructureReport:
     # tensor or to zero, so they are compared as the dicts of their nonzero
     # values, at the tensors where either side can be nonzero.
     left, right = mp.left.table, mp.right.table
-    left_by, right_by = pair_rows(left), pair_rows(right)
+    left_by, right_by = left.rows, right.rows
     left_on, right_on = transposed_rows(left_by, left_by), transposed_rows(right_by, right_by)
     nested = {(x, g, y): w for (g, y), z in left.items() for x, w in left_on.get(z, EMPTY).items()}
     product = {

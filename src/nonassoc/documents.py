@@ -19,7 +19,7 @@ from .factorizations import FactorizationCandidate, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
 from .linalg import GFElement, LinearMap, field_by_name, vec_canonical
 from .matched_pairs import LeftAction, MatchedPair, RightAction
-from .quasigroupoids import Quasigroupoid
+from .quasigroupoids import PairTable, Quasigroupoid
 from .quasigroups import FiniteQuasigroup
 from .reports import StructureError
 
@@ -169,8 +169,8 @@ def _validate_quasigroup(doc: dict) -> None:
             raise SchemaError("names must list one string per element")
 
 
-def _validate_quasigroupoid(doc: dict) -> dict:
-    """Check a quasigroupoid document; return its product as (a, b) -> c."""
+def _validate_quasigroupoid(doc: dict) -> PairTable:
+    """Check a quasigroupoid document; return its product table."""
     objects = _need(doc, "objects", int)
     arrows = _need(doc, "arrows", int)
     if objects < 1 or arrows < objects:
@@ -179,26 +179,7 @@ def _validate_quasigroupoid(doc: dict) -> dict:
     tgt = _index_list(doc, "tgt", arrows, objects)
     _index_list(doc, "unit", objects, arrows)
     _index_list(doc, "inv", arrows, arrows)
-    product = _need(doc, "product", list)
-    prod = {}
-    for entry in product:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not isinstance(entry[0], int)
-            or not isinstance(entry[1], int)
-            or not isinstance(entry[2], int)
-        ):
-            raise SchemaError("product entries must be [a, b, c] index triples")
-        a, b, c = entry
-        if not 0 <= a < arrows or not 0 <= b < arrows or not 0 <= c < arrows:
-            raise RangeError(f"product entry {entry} out of range")
-        if src[a] != tgt[b]:
-            raise RangeError(f"product entry on non-composable pair ({a},{b})")
-        key = a, b
-        if key in prod:
-            raise SchemaError(f"duplicate product entry for pair ({a},{b})")
-        prod[key] = c
+    prod = _pair_table(doc, "product", "[a, b, c] index", (arrows, arrows, arrows), (src, tgt))
     for field in ("object_names", "arrow_names"):
         if field in doc:
             names = _need(doc, field, list)
@@ -226,22 +207,30 @@ def _validate_action(doc: dict) -> None:
                 raise RangeError(f"psi[{a}][{x}] = {y!r} out of range")
 
 
-def _validate_pair_table(doc, field, h_arrows, a_arrows, value_bound):
-    table = _need(doc, field, list)
-    seen = set()
-    for entry in table:
+def _pair_table(doc, field, shape, bounds, ends=None) -> PairTable:
+    """The [x, y, v] entries of `field` as a table: x, y and v must lie
+    below `bounds`, each pair appear once, and, with `ends` = (src, tgt),
+    src[x] = tgt[y].  The first bad entry is the one reported."""
+    (x_bound, y_bound, v_bound), rows = bounds, {}
+    for entry in _need(doc, field, list):
         if (
             not isinstance(entry, list)
             or len(entry) != 3
-            or not all(isinstance(i, int) for i in entry)
+            or not isinstance(entry[0], int)
+            or not isinstance(entry[1], int)
+            or not isinstance(entry[2], int)
         ):
-            raise SchemaError(f"{field} entries must be [h, a, value] triples")
+            raise SchemaError(f"{field} entries must be {shape} triples")
         x, y, v = entry
-        if not 0 <= x < h_arrows or not 0 <= y < a_arrows or not 0 <= v < value_bound:
+        if not 0 <= x < x_bound or not 0 <= y < y_bound or not 0 <= v < v_bound:
             raise RangeError(f"{field} entry {entry} out of range")
-        if (x, y) in seen:
+        if ends and ends[0][x] != ends[1][y]:
+            raise RangeError(f"{field} entry on non-composable pair ({x},{y})")
+        row = rows.setdefault(x, {})
+        if y in row:
             raise SchemaError(f"duplicate {field} entry for pair ({x},{y})")
-        seen.add((x, y))
+        row[y] = v
+    return PairTable(rows)
 
 
 def _validate_matched_pair(doc: dict) -> None:
@@ -251,8 +240,9 @@ def _validate_matched_pair(doc: dict) -> None:
     _validate_quasigroupoid(hdoc)
     if adoc["objects"] != hdoc["objects"]:
         raise RangeError("components must share one base")
-    _validate_pair_table(doc, "left", hdoc["arrows"], adoc["arrows"], adoc["arrows"])
-    _validate_pair_table(doc, "right", hdoc["arrows"], adoc["arrows"], hdoc["arrows"])
+    shape, na, nh = "[h, a, value]", adoc["arrows"], hdoc["arrows"]
+    _pair_table(doc, "left", shape, (nh, na, na))
+    _pair_table(doc, "right", shape, (nh, na, nh))
 
 
 def _validate_factorization(doc: dict) -> None:
@@ -262,13 +252,12 @@ def _validate_factorization(doc: dict) -> None:
     units = set(bdoc["unit"])
     for field in ("a_arrows", "h_arrows"):
         subset = _need(doc, field, list)
-        if len(set(subset)) != len(subset):
-            raise SchemaError(f"{field} contains duplicates")
-        chosen = set()
         for v in subset:
             if not isinstance(v, int) or not 0 <= v < arrows:
                 raise RangeError(f"{field} entry {v!r} out of range")
-            chosen.add(v)
+        chosen = set(subset)
+        if len(chosen) != len(subset):
+            raise SchemaError(f"{field} contains duplicates")
         if not units <= chosen:
             raise RangeError(f"{field} must contain every identity arrow")
         for x in chosen:
@@ -379,13 +368,18 @@ def quasigroupoid_to_doc(q: Quasigroupoid) -> dict:
         "tgt": list(q.tgt),
         "unit": list(q.unit),
         "inv": list(q.inv),
-        "product": [[a, b, c] for (a, b), c in sorted(q.prod.items())],
+        "product": _sorted_entries(q.prod),
     }
     if q.object_names:
         doc["object_names"] = list(q.object_names)
     if q.arrow_names:
         doc["arrow_names"] = list(q.arrow_names)
     return doc
+
+
+def _sorted_entries(table: PairTable) -> list:
+    """The entries [x, y, v] of a table, sorted by (x, y), read row by row."""
+    return [[x, y, row[y]] for x, row in sorted(table.rows.items()) for y in sorted(row)]
 
 
 def doc_to_quasigroupoid(doc: dict) -> Quasigroupoid:
@@ -395,7 +389,7 @@ def doc_to_quasigroupoid(doc: dict) -> Quasigroupoid:
         tgt=tuple(doc["tgt"]),
         unit=tuple(doc["unit"]),
         inv=tuple(doc["inv"]),
-        prod={(a, b): c for a, b, c in doc["product"]},
+        prod=PairTable.from_triples(doc["product"]),
         object_names=tuple(doc["object_names"]) if "object_names" in doc else None,
         arrow_names=tuple(doc["arrow_names"]) if "arrow_names" in doc else None,
     )
@@ -423,16 +417,15 @@ def matched_pair_to_doc(mp: MatchedPair) -> dict:
         "version": VERSION,
         "a": quasigroupoid_to_doc(mp.a),
         "h": quasigroupoid_to_doc(mp.h),
-        "left": [[x, y, v] for (x, y), v in sorted(mp.left.table.items())],
-        "right": [[x, y, v] for (x, y), v in sorted(mp.right.table.items())],
+        "left": _sorted_entries(mp.left.table),
+        "right": _sorted_entries(mp.right.table),
     }
 
 
 def doc_to_matched_pair(doc: dict) -> MatchedPair:
     a = doc_to_quasigroupoid(doc["a"])
     h = doc_to_quasigroupoid(doc["h"])
-    left = {(x, y): v for x, y, v in doc["left"]}
-    right = {(x, y): v for x, y, v in doc["right"]}
+    left, right = PairTable.from_triples(doc["left"]), PairTable.from_triples(doc["right"])
     return MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
 
 

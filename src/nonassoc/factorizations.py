@@ -14,9 +14,10 @@ matched pair, `matched_pairs.mixed_associativity_suite` and
 The fibered triples of the six mixed laws, the products of a substructure
 and the closure test of an arrow subset are enumerated through the endpoint
 index of `quasigroupoids` (`matching_arrows`), in lexicographic order, never
-by filtering all pairs of arrows.  The mixed laws and theta look the ambient
-product up by row (`pair_rows`): each law fixes the first two factors of a
-configuration and their product once, then walks the third factor.
+by filtering all pairs of arrows.  The mixed laws and theta read the rows
+of the ambient product (`quasigroupoids.PairTable`): each law fixes the
+first two factors of a configuration and their product once, then walks the
+third factor.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .matched_pairs import (
     LeftAction,
     MatchedPair,
     RightAction,
-    check_matched_pair,
     dcp_pairs,
     double_cross_product,
     inclusion_a,
@@ -42,7 +42,6 @@ from .quasigroupoids import (
     Quasigroupoid,
     check_morphism,
     matching_arrows,
-    pair_rows,
 )
 from .reports import (
     BoundExceeded,
@@ -109,7 +108,7 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
 
     a, h = ia.source, ih.source
     fa, fh = ia.arrow_map, ih.arrow_map
-    rows = pair_rows(b.prod)
+    rows = b.prod.rows
     evaluated = {}
 
     def assoc(tag, pairs, f1, f2, third, f3):
@@ -125,13 +124,10 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
                     continue
                 v = f2[y]
                 row_v = rows.get(v, EMPTY)
-                uv = row_u.get(v)
-                row_uv = EMPTY if uv is None else rows.get(uv, EMPTY)
+                row_uv = rows.get(row_u.get(v), EMPTY)  # empty where u*v is undefined
                 for z in zs:
                     w = f3[z]
-                    vw = row_v.get(w)
-                    lhs = None if vw is None else row_u.get(vw)
-                    rhs = None if uv is None else row_uv.get(w)
+                    lhs, rhs = row_u.get(row_v.get(w)), row_uv.get(w)
                     if lhs is None and rhs is None:
                         continue
                     count += 1
@@ -191,9 +187,7 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     return report
 
 
-def reconstruct_matched_pair(
-    c: FactorizationCandidate, check: bool = True
-) -> tuple[MatchedPair, QgpdMorphism]:
+def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, QgpdMorphism]:
     """Recover the actions from an exact factorization and the isomorphism
     (identity on objects, theta on arrows) from the rebuilt double cross
     product onto the ambient structure.
@@ -202,7 +196,7 @@ def reconstruct_matched_pair(
     theta to the unique (a', h') with iA(a') * iH(h') equal to it.
     """
     fact_report = check_exact_factorization(c)
-    if check and not fact_report.ok:
+    if not fact_report.ok:
         raise InvalidStructureError(fact_report)
     theta = fact_report.data["theta"]
     theta_inv = {arrow: pair for pair, arrow in theta.items()}
@@ -217,10 +211,7 @@ def reconstruct_matched_pair(
             )
         left[(x, y)], right[(x, y)] = theta_inv[mixed]
     mp = MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
-    mp_report = check_matched_pair(mp)
-    if check and not mp_report.ok:
-        raise InvalidStructureError(mp_report)
-    dcp = double_cross_product(mp, check=False)
+    dcp = double_cross_product(mp)  # raises on a pair failing check_matched_pair
     pairs = dcp_pairs(mp)
     gamma = QgpdMorphism(
         dcp,
@@ -243,6 +234,7 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
     identities = set(b.unit)
     others = sorted(set(range(b.n_arrows)) - identities)
     after = matching_arrows(b.src, b.tgt, b.n_objects)
+    rows = b.prod.rows
     subsets = []
     for r in range(len(others) + 1):
         for extra in combinations(others, r):
@@ -250,7 +242,7 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
             if any(b.inv[x] not in chosen for x in chosen):
                 continue
             closed = all(
-                b.prod[(x, y)] in chosen
+                rows[x][y] in chosen
                 for x in chosen
                 for y in after[x]
                 if y in chosen

@@ -48,7 +48,7 @@ from .linalg import (
     vec_equal,
     vec_tensor,
 )
-from .quasigroupoids import QgpdMorphism, Quasigroupoid, check_morphism
+from .quasigroupoids import EMPTY, QgpdMorphism, Quasigroupoid, check_morphism
 from .reports import (
     DimensionMismatch,
     InvalidStructureError,
@@ -129,9 +129,9 @@ def magma_of_quasigroupoid(b: Quasigroupoid) -> MagmaCoalgebra:
     """Free vector space on the arrows: composable products, zero otherwise;
     group-like coproduct, counit 1 on arrows, antipode from the inverse map,
     unit the sum of the identity arrows."""
-    n = b.n_arrows
+    n, rows = b.n_arrows, b.prod.rows
     product = LinearMap.from_basis(
-        n * n, n, lambda t: b.prod.get((t // n, t % n))
+        n * n, n, lambda t: rows.get(t // n, EMPTY).get(t % n)
     )
     delta, counit = free_coalgebra(n)
     antipode = LinearMap.from_basis(n, n, lambda i: b.inv[i])

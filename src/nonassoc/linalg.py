@@ -226,10 +226,6 @@ class LinearMap:
     def identity(cls, n: int) -> "LinearMap":
         return cls(n, n, tuple({j: 1} for j in range(n)))
 
-    @classmethod
-    def zero(cls, dom: int, cod: int) -> "LinearMap":
-        return cls(dom, cod, tuple({} for _ in range(dom)))
-
     def __call__(self, vec: dict) -> dict:
         out: dict = {}
         for j, c in vec.items():

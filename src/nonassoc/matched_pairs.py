@@ -20,14 +20,15 @@ Every sweep enumerates its fibered set through the endpoint index of
 action and compatibility laws and the composable pairs of the double cross
 product are visited directly, in lexicographic order, never found by
 filtering a larger product of arrow sets.  The action and compatibility
-laws, the identity suite P-1..P-10 and the double cross product look
-products and action values up by row (`quasigroupoids.pair_rows`), and
-each value fixed over an inner loop, such as phiA(x,y) and phiH(x,y), is
-looked up once outside it.  The third arrow of P-5, P-6, P-9 and P-10
-enters through a product, so those identities walk it along the row, or
-the transposed row (`transposed_rows`), of the fixed factor: only the
-configurations whose product lookups are keys of the product tables,
-which are the only ones they evaluate.
+laws, the identity suite P-1..P-10 and the double cross product read
+products and action values from the stored rows of their tables
+(`quasigroupoids.PairTable`), and look each value fixed over an inner loop,
+such as phiA(x,y) and phiH(x,y), up once outside it; a lookup of an
+undefined value, None, misses in every row.  The third arrow of P-5, P-6,
+P-9 and P-10 enters through a product, so those identities walk it along
+the row, or the transposed row (`transposed_rows`, built per call), of the
+fixed factor: only the configurations whose product lookups are keys of the
+product tables, which are the only ones they evaluate.
 
 The double cross product factors exactly through its two inclusions, and the
 six mixed associativity laws and the bijectivity of theta are the conditions
@@ -44,15 +45,15 @@ from typing import TYPE_CHECKING
 
 from .quasigroupoids import (
     EMPTY,
+    PairTable,
     QgpdMorphism,
     Quasigroupoid,
     _validated,
-    check_action_on_set,
     check_morphism,
+    compose_morphisms,
     discrete_groupoid,
     from_quasigroup_action,
     matching_arrows,
-    pair_rows,
     transposed_rows,
 )
 from .quasigroups import FiniteQuasigroup
@@ -66,21 +67,21 @@ MIXED_LAWS = ("HAA", "HHA", "HAH", "AHA", "AAH", "AHH")
 
 
 @dataclass(frozen=True)
-class LeftAction:
+class _Action:
+    h: Quasigroupoid
+    a: Quasigroupoid
+    table: PairTable  # a mapping keyed by (h-arrow, a-arrow) is converted
+
+    def __post_init__(self):
+        object.__setattr__(self, "table", PairTable.of(self.table))
+
+
+class LeftAction(_Action):
     """h acting on a: table[(h-arrow, a-arrow)] is an arrow of `a`."""
 
-    h: Quasigroupoid
-    a: Quasigroupoid
-    table: dict
 
-
-@dataclass(frozen=True)
-class RightAction:
+class RightAction(_Action):
     """a acting on h: table[(h-arrow, a-arrow)] is an arrow of `h`."""
-
-    h: Quasigroupoid
-    a: Quasigroupoid
-    table: dict
 
 
 @dataclass(frozen=True)
@@ -91,14 +92,10 @@ class MatchedPair:
     right: RightAction
 
     def phi_a(self, harrow: int | None, aarrow: int | None) -> int | None:
-        if harrow is None or aarrow is None:
-            return None
-        return self.left.table.get((harrow, aarrow))
+        return self.left.table.rows.get(harrow, EMPTY).get(aarrow)
 
     def phi_h(self, harrow: int | None, aarrow: int | None) -> int | None:
-        if harrow is None or aarrow is None:
-            return None
-        return self.right.table.get((harrow, aarrow))
+        return self.right.table.rows.get(harrow, EMPTY).get(aarrow)
 
 
 def mixed_pairs(left: Quasigroupoid, right: Quasigroupoid):
@@ -111,7 +108,7 @@ def mixed_pairs(left: Quasigroupoid, right: Quasigroupoid):
     return [(x, y) for x, ys in enumerate(after) for y in ys]
 
 
-def _check_domain(table: dict, h: Quasigroupoid, a: Quasigroupoid, kind: str) -> None:
+def _check_domain(table: PairTable, h: Quasigroupoid, a: Quasigroupoid, kind: str) -> None:
     expected = set(mixed_pairs(h, a))
     if set(table) != expected:
         extra = sorted(set(table) - expected)
@@ -121,54 +118,54 @@ def _check_domain(table: dict, h: Quasigroupoid, a: Quasigroupoid, kind: str) ->
         )
 
 
-def _acting_before(h: Quasigroupoid, h_rows: dict, action_rows: dict) -> list:
+def _check_table(action: _Action, values: Quasigroupoid, kind: str) -> None:
+    """Raise StructureError unless every value of the action table is an
+    arrow of `values`, checked first, and its keys are the mixed pairs."""
+    for row in action.table.rows.values():
+        for val in row.values():
+            if not isinstance(val, int) or not 0 <= val < values.n_arrows:
+                raise StructureError(f"{kind} action value {val!r} out of range")
+    _check_domain(action.table, action.h, action.a, kind)
+
+
+def _acting_before(h: Quasigroupoid, action: PairTable) -> list:
     """Entry x lists, for each h-arrow g with src(g) = tgt(x) in increasing
-    order, (g, the action row of g, the action row of g*x or None where
-    g*x is undefined); h_rows and action_rows are `pair_rows` of h's
-    product and of an action table."""
-    out = []
-    for x, gs in enumerate(matching_arrows(h.tgt, h.src, h.n_objects)):
-        entry = []
-        for g in gs:
-            gx = h_rows.get(g, EMPTY).get(x)
-            entry.append((g, action_rows.get(g, EMPTY),
-                          None if gx is None else action_rows.get(gx, EMPTY)))
-        out.append(entry)
-    return out
-
-
-def _products_after(a: Quasigroupoid, a_rows: dict) -> list:
-    """Entry y lists, for each a-arrow b with tgt(b) = src(y) in increasing
-    order, (b, y*b), y*b None where the product is undefined; a_rows is
-    `pair_rows` of a's product."""
+    order, (g, the action row of g, the action row of g*x), the row being
+    empty where g*x is undefined."""
+    rows, h_rows = action.rows, h.prod.rows
     return [
-        [(b, a_rows.get(y, EMPTY).get(b)) for b in bs]
+        [(g, rows.get(g, EMPTY), rows.get(h_rows.get(g, EMPTY).get(x), EMPTY)) for g in gs]
+        for x, gs in enumerate(matching_arrows(h.tgt, h.src, h.n_objects))
+    ]
+
+
+def _products_after(a: Quasigroupoid) -> list:
+    """Entry y lists, for each a-arrow b with tgt(b) = src(y) in increasing
+    order, (b, y*b), y*b None where the product is undefined."""
+    rows = a.prod.rows
+    return [
+        [(b, rows.get(y, EMPTY).get(b)) for b in bs]
         for y, bs in enumerate(matching_arrows(a.src, a.tgt, a.n_objects))
     ]
 
 
 def check_left_action(action: LeftAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
-    _check_domain(phi, h, a, "left")
+    _check_table(action, a, "left")
     report = StructureReport("left action", axioms=("c1", "c2", "c3"))
-    for val in phi.values():
-        if not isinstance(val, int) or not 0 <= val < a.n_arrows:
-            raise StructureError(f"left action value {val!r} out of range")
     for (x, y), val in phi.items():
         if a.tgt[val] != h.tgt[x]:
             report.fail("c1", (x, y), f"tgt phi={a.tgt[val]} tgt h={h.tgt[x]}")
-    rows = pair_rows(phi)
-    before = _acting_before(h, pair_rows(h.prod), rows)
+    before = _acting_before(h, phi)
     for (x, y), inner in phi.items():
         for g, row_g, row_gx in before[x]:
-            lhs = None if row_gx is None else row_gx.get(y)
-            rhs = row_g.get(inner)
+            lhs, rhs = row_gx.get(y), row_g.get(inner)
             if lhs is None or rhs is None:
                 report.fail("c2", (g, x, y), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("c2", (g, x, y), f"phi(g*h,a)={lhs} phi(g,phi(h,a))={rhs}")
     for y in range(a.n_arrows):
-        image = rows.get(h.unit[a.tgt[y]], EMPTY).get(y)
+        image = phi.rows.get(h.unit[a.tgt[y]], EMPTY).get(y)
         if image != y:
             report.fail("c3", (y,), f"phi(id,a)={image}")
     return report
@@ -176,27 +173,22 @@ def check_left_action(action: LeftAction) -> StructureReport:
 
 def check_right_action(action: RightAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
-    _check_domain(phi, h, a, "right")
+    _check_table(action, h, "right")
     report = StructureReport("right action", axioms=("d1", "d2", "d3"))
-    for val in phi.values():
-        if not isinstance(val, int) or not 0 <= val < h.n_arrows:
-            raise StructureError(f"right action value {val!r} out of range")
     for (x, y), val in phi.items():
         if h.src[val] != a.src[y]:
             report.fail("d1", (x, y), f"src phi={h.src[val]} src a={a.src[y]}")
-    rows = pair_rows(phi)
-    after = _products_after(a, pair_rows(a.prod))
+    after = _products_after(a)
     for (x, y), inner in phi.items():
-        row_x, row_inner = rows.get(x, EMPTY), rows.get(inner, EMPTY)
+        row_x, row_inner = phi.rows.get(x, EMPTY), phi.rows.get(inner, EMPTY)
         for b, yb in after[y]:
-            lhs = None if yb is None else row_x.get(yb)
-            rhs = row_inner.get(b)
+            lhs, rhs = row_x.get(yb), row_inner.get(b)
             if lhs is None or rhs is None:
                 report.fail("d2", (x, y, b), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("d2", (x, y, b), f"phi(h,a*b)={lhs} phi(phi(h,a),b)={rhs}")
     for x in range(h.n_arrows):
-        image = rows.get(x, EMPTY).get(a.unit[h.src[x]])
+        image = phi.rows.get(x, EMPTY).get(a.unit[h.src[x]])
         if image != x:
             report.fail("d3", (x,), f"phi(h,id)={image}")
     return report
@@ -216,35 +208,27 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
     report.extend(check_right_action(mp.right))
     report.axioms = report.axioms + ("e1", "e2", "e3")
     a, h = mp.a, mp.h
-    pairs = mixed_pairs(h, a)
-    for (x, y) in pairs:
-        pa, ph = mp.phi_a(x, y), mp.phi_h(x, y)
+    left_rows, right_rows = mp.left.table.rows, mp.right.table.rows
+    # the action checks above passed, so phiA(x,y) and phiH(x,y) are arrows
+    acted = [(x, y, left_rows[x][y], right_rows[x][y]) for x, y in mixed_pairs(h, a)]
+    for x, y, pa, ph in acted:
         if a.src[pa] != h.tgt[ph]:
             report.fail("e1", (x, y), f"src phiA={a.src[pa]} tgt phiH={h.tgt[ph]}")
-    # the action checks above passed, so phiA(x,y) and phiH(x,y) are arrows
-    left, right = mp.left.table, mp.right.table
-    left_rows, right_rows = pair_rows(left), pair_rows(right)
-    a_rows, h_rows = pair_rows(a.prod), pair_rows(h.prod)
-    a_after = _products_after(a, a_rows)
-    for (x, y) in pairs:
-        pa, ph = left[(x, y)], right[(x, y)]
+    a_rows, h_rows = a.prod.rows, h.prod.rows
+    a_after = _products_after(a)
+    for x, y, pa, ph in acted:
         row_x, row_pa = left_rows.get(x, EMPTY), a_rows.get(pa, EMPTY)
         row_ph = left_rows.get(ph, EMPTY)
         for b, yb in a_after[y]:
-            lhs = None if yb is None else row_x.get(yb)
-            acted = row_ph.get(b)
-            rhs = None if acted is None else row_pa.get(acted)
+            lhs, rhs = row_x.get(yb), row_pa.get(row_ph.get(b))
             if lhs is None or rhs is None:
                 report.fail("e2", (x, y, b), "undefined evaluation")
             elif lhs != rhs:
                 report.fail("e2", (x, y, b), f"lhs={lhs} rhs={rhs}")
-    h_before = _acting_before(h, h_rows, right_rows)
-    for (x, y) in pairs:
-        pa, ph = left[(x, y)], right[(x, y)]
+    h_before = _acting_before(h, mp.right.table)
+    for x, y, pa, ph in acted:
         for g, row_g, row_gx in h_before[x]:
-            lhs = None if row_gx is None else row_gx.get(y)
-            acted = row_g.get(pa)
-            rhs = None if acted is None else h_rows.get(acted, EMPTY).get(ph)
+            lhs, rhs = row_gx.get(y), h_rows.get(row_g.get(pa), EMPTY).get(ph)
             if lhs is None or rhs is None:
                 report.fail("e3", (g, x, y), "undefined evaluation")
             elif lhs != rhs:
@@ -254,7 +238,7 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
 
 def matched_pair(a: Quasigroupoid, h: Quasigroupoid, phi_a: dict, phi_h: dict) -> MatchedPair:
     """Assemble and eagerly validate a matched pair from raw action tables."""
-    mp = MatchedPair(a, h, LeftAction(h, a, dict(phi_a)), RightAction(h, a, dict(phi_h)))
+    mp = MatchedPair(a, h, LeftAction(h, a, phi_a), RightAction(h, a, phi_h))
     report = check_matched_pair(mp)
     if not report.ok:
         raise InvalidStructureError(report)
@@ -274,10 +258,11 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     every other configuration is undefined.
     """
     a, h = mp.a, mp.h
-    pairs = mixed_pairs(h, a)
+    _check_table(mp.left, a, "left")
+    _check_table(mp.right, h, "right")
     la, lh = a.inv, h.inv
-    left, right = pair_rows(mp.left.table), pair_rows(mp.right.table)
-    a_rows, h_rows = pair_rows(a.prod), pair_rows(h.prod)
+    left, right = mp.left.table.rows, mp.right.table.rows
+    a_rows, h_rows = a.prod.rows, h.prod.rows
     # a_left[f][c] = c*f and a_right[f][c] = f*c for the arrows c of A with
     # an entry, in increasing order; likewise for H
     a_left = transposed_rows(a_rows, range(a.n_arrows))
@@ -297,18 +282,16 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
         if lhs != rhs:
             report.fail(tag, witness, f"lhs={lhs} rhs={rhs}")
 
-    # each mixed pair with phiA(x,y) and phiH(x,y), None where undefined
-    acted = [(x, y, left.get(x, EMPTY).get(y), right.get(x, EMPTY).get(y)) for x, y in pairs]
+    # each mixed pair with phiA(x,y) and phiH(x,y), arrows by _check_table
+    acted = [(x, y, left[x][y], right[x][y]) for x, y in mixed_pairs(h, a)]
     for x in range(h.n_arrows):
         check("P-1", (x,), left.get(x, EMPTY).get(a.unit[h.src[x]]), a.unit[h.tgt[x]])
     for y in range(a.n_arrows):
         check("P-2", (y,), right.get(h.unit[a.tgt[y]], EMPTY).get(y), h.unit[a.src[y]])
     for x, y, pa, ph in acted:
-        lhs = None if pa is None else la[pa]
-        check("P-3", (x, y), lhs, left.get(ph, EMPTY).get(la[y]))
+        check("P-3", (x, y), la[pa], left.get(ph, EMPTY).get(la[y]))
     for x, y, pa, ph in acted:
-        lhs = None if ph is None else lh[ph]
-        check("P-4", (x, y), lhs, right.get(lh[x], EMPTY).get(pa))
+        check("P-4", (x, y), lh[ph], right.get(lh[x], EMPTY).get(pa))
     for x, y, pa, ph in acted:
         after = left.get(ph, EMPTY).get(la[y])
         for b, bpa in a_left.get(pa, EMPTY).items():
@@ -317,17 +300,16 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
         before = h_rows.get(right.get(lh[x], EMPTY).get(pa), EMPTY)
         for g, phg in h_right.get(ph, EMPTY).items():
             check("P-6", (x, y, g), before.get(phg), g)
-    defined = [(x, y, pa, ph) for x, y, pa, ph in acted if pa is not None and ph is not None]
-    for x, y, pa, ph in defined:
+    for x, y, pa, ph in acted:
         check("P-7", (x, y), left.get(lh[ph], EMPTY).get(la[pa]), la[y])
-    for x, y, pa, ph in defined:
+    for x, y, pa, ph in acted:
         check("P-8", (x, y), right.get(lh[ph], EMPTY).get(la[pa]), lh[x])
-    for x, y, pa, ph in defined:
+    for x, y, pa, ph in acted:
         row_y = a_rows.get(la[y], EMPTY)
         acts_x, acts_ph = left.get(lh[x], EMPTY), left.get(lh[ph], EMPTY)
         for b, pab in a_right.get(la[pa], EMPTY).items():
             check("P-9", (x, y, b), row_y.get(acts_x.get(b)), acts_ph.get(pab))
-    for x, y, pa, ph in defined:
+    for x, y, pa, ph in acted:
         lx, ly, lpa = lh[x], la[y], la[pa]
         for g, gph in h_left.get(lh[ph], EMPTY).items():
             lhs = h_rows.get(right.get(g, EMPTY).get(ly), EMPTY).get(lx)
@@ -374,7 +356,8 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
     inverse falls outside the arrow set."""
     a, h = validated_components(mp, check)
     pairs = dcp_pairs(mp)
-    at = pair_rows({pq: i for i, pq in enumerate(pairs)})  # at[p][q]: arrow (p, q)
+    # at[p][q]: the arrow (p, q)
+    at = PairTable.from_triples((p, q, i) for i, (p, q) in enumerate(pairs)).rows
 
     def pair_index(p, q, context):
         k = at.get(p, EMPTY).get(q)
@@ -396,8 +379,8 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
     # (p,g)*(b,q) depends on g and b only through the actions, so each h-arrow
     # g carries, for every b acting under it, phiA(g,b) and the pairs
     # (j, phiH(g,b).q) of the arrows j = (b,q), in increasing order of j
-    phi_a, phi_h = pair_rows(mp.left.table), pair_rows(mp.right.table)
-    a_rows, h_rows = pair_rows(a.prod), pair_rows(h.prod)
+    phi_a, phi_h = mp.left.table.rows, mp.right.table.rows
+    a_rows, h_rows = a.prod.rows, h.prod.rows
     starts = matching_arrows(h.src, a.tgt, a.n_objects)
     rows_of_a: list = [[] for _ in range(a.n_arrows)]
     for j, (b, q) in enumerate(pairs):
@@ -411,17 +394,18 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
             h_row = h_rows.get(row_h.get(b), EMPTY)
             row.append((row_a.get(b), [(j, h_row.get(q)) for j, q in rows_of_a[b]]))
         fill.append(row)
-    prod = {}
+    rows: dict = {}  # no row is empty: (p, g) composes with the unit pair at src(g)
     for i, (p, g) in enumerate(pairs):
         a_row = a_rows.get(p, EMPTY)
-        for pa, row in fill[g]:
+        row = rows[i] = {}
+        for pa, fills in fill[g]:
             at_left = at.get(a_row.get(pa), EMPTY)
-            for j, right in row:
+            for j, right in fills:
                 k = at_left.get(right)
                 if k is None:
                     context = ("product", (p, g), pairs[j])
                     raise StructureError(f"double cross product not closed at {context}")
-                prod[(i, j)] = k
+                row[j] = k
     names = tuple(f"({a.arrow_name(p)},{h.arrow_name(q)})" for (p, q) in pairs)
     return Quasigroupoid(
         n_objects=a.n_objects,
@@ -429,7 +413,7 @@ def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
         tgt=tgt,
         unit=unit,
         inv=inv,
-        prod=prod,
+        prod=PairTable(rows),
         object_names=a.object_names,
         arrow_names=names,
     )
@@ -533,9 +517,6 @@ def mp_discrete_right(a: Quasigroupoid) -> MatchedPair:
 
 def mp_action_left(q: FiniteQuasigroup, n_points: int, psi) -> MatchedPair:
     """(discrete groupoid on the point set, action quasigroupoid of psi)."""
-    action_report = check_action_on_set(q, n_points, psi)
-    if not action_report.ok:
-        raise InvalidStructureError(action_report)
     h = from_quasigroup_action(q, n_points, psi)
     a = discrete_groupoid(n_points)
     left = {(x, h.src[x]): h.tgt[x] for x in range(h.n_arrows)}
@@ -567,39 +548,29 @@ def check_mp_morphism(m: MpMorphism) -> StructureReport:
     report.axioms = ("base-agree",)
     if m.gamma.obj_map != m.omega.obj_map:
         report.fail("base-agree", (), "gamma and omega differ on objects")
-    gamma_report = check_morphism(m.gamma)
-    omega_report = check_morphism(m.omega)
-    for tag in gamma_report.axioms:
-        report.axioms = report.axioms + (f"gamma-{tag}",)
-    for v in gamma_report.violations:
-        report.fail(f"gamma-{v.axiom}", v.witness, v.detail)
-    for tag in omega_report.axioms:
-        report.axioms = report.axioms + (f"omega-{tag}",)
-    for v in omega_report.violations:
-        report.fail(f"omega-{v.axiom}", v.witness, v.detail)
+    for name, sub in (("gamma", check_morphism(m.gamma)), ("omega", check_morphism(m.omega))):
+        report.axioms = report.axioms + tuple(f"{name}-{tag}" for tag in sub.axioms)
+        for v in sub.violations:
+            report.fail(f"{name}-{v.axiom}", v.witness, v.detail)
     report.axioms = report.axioms + ("mp-left", "mp-right")
     src, dst = m.source, m.target
+    sides = (
+        ("mp-left", src.phi_a, dst.phi_a, m.gamma.arrow_map),
+        ("mp-right", src.phi_h, dst.phi_h, m.omega.arrow_map),
+    )
     for (x, y) in mixed_pairs(src.h, src.a):
         fx, fy = m.omega.arrow_map[x], m.gamma.arrow_map[y]
-        lhs = m.gamma.arrow_map[src.phi_a(x, y)]
-        rhs = dst.phi_a(fx, fy)
-        if rhs is None:
-            report.fail("mp-left", (x, y), "image pair not in the target domain")
-        elif lhs != rhs:
-            report.fail("mp-left", (x, y), f"lhs={lhs} rhs={rhs}")
-        lhs = m.omega.arrow_map[src.phi_h(x, y)]
-        rhs = dst.phi_h(fx, fy)
-        if rhs is None:
-            report.fail("mp-right", (x, y), "image pair not in the target domain")
-        elif lhs != rhs:
-            report.fail("mp-right", (x, y), f"lhs={lhs} rhs={rhs}")
+        for tag, acted, image, f in sides:
+            lhs, rhs = f[acted(x, y)], image(fx, fy)
+            if rhs is None:
+                report.fail(tag, (x, y), "image pair not in the target domain")
+            elif lhs != rhs:
+                report.fail(tag, (x, y), f"lhs={lhs} rhs={rhs}")
     return report
 
 
 def compose_mp_morphisms(f: MpMorphism, g: MpMorphism) -> MpMorphism:
     """f after g."""
-    from .quasigroupoids import compose_morphisms
-
     if g.target is not f.source and g.target != f.source:
         raise StructureError("composition mismatch between matched pairs")
     return MpMorphism(

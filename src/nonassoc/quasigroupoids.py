@@ -1,10 +1,10 @@
 """Finite quasigroupoids: many-object IP loops.
 
 A structure is a set of objects 0..m-1 and arrows 0..k-1 with source, target,
-identity-arrow and inverse maps, plus a partial product stored as a lookup
-keyed by the composable pairs {(a, b) : src(a) = tgt(b)}.  Looking up a
-non-composable pair is not an error: `compose` returns None, the distinct
-"undefined" outcome that the linear-magma construction later maps to zero.
+identity-arrow and inverse maps, plus a partial product on the composable
+pairs {(a, b) : src(a) = tgt(b)}.  Looking up a non-composable pair is not
+an error: `compose` returns None, the distinct "undefined" outcome that the
+linear-magma construction later maps to zero.
 
 Sweeps enumerate fibered sets such as the composable pairs through the
 endpoint index (`arrows_by_object`, `matching_arrows`): the arrows grouped
@@ -12,11 +12,11 @@ by source or target object, in increasing order.  A sweep over pairs visits
 only the pairs whose endpoints match, in lexicographic order, instead of
 filtering all k^2 pairs.
 
-Next to the endpoint index, the sweeps look products and actions up by row:
-`pair_rows` turns a table keyed by pairs into rows[x][y], built afresh by
-each checker call, so a sweep fixes a factor once, hoists its row out of
-the inner loop and looks the other factor up there, instead of building and
-hashing a fresh pair on every lookup.
+Next to the endpoint index, the sweeps look products and actions up by row.
+Each table is stored once, as a `PairTable` of rows rows[x][y] = v, so a
+sweep fixes a factor once, hoists its row out of the inner loop and looks
+the other factor up there, instead of building and hashing a fresh pair on
+every lookup.
 
 Checkers report violations per axiom; the builders here validate what they
 return, so it can be trusted downstream.  The double cross product of
@@ -27,11 +27,80 @@ matched pair and the two components, not the result.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
 from .quasigroups import FiniteQuasigroup
 from .reports import InvalidStructureError, StructureError, StructureReport
+
+# The row of a factor with no entries: rows.get(x, EMPTY).get(y) is None.
+EMPTY = MappingProxyType({})
+
+
+class PairTable(Mapping):
+    """A product or action table, the partial map (x, y) -> v, stored only
+    as its rows: rows[x][y] = v, with no empty row.  Read-only.
+
+    As a mapping it is keyed by the pairs (x, y), so it reads like the dict
+    it is built from.  It iterates over its entries grouped by first factor,
+    in the order each first factor first appears."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict):
+        self.rows = rows
+
+    @classmethod
+    def from_triples(cls, triples) -> PairTable:
+        """The table of (x, y, v) triples; the last triple for a pair wins."""
+        rows: dict = {}
+        for x, y, v in triples:
+            row = rows.get(x)
+            if row is None:
+                row = rows[x] = {}
+            row[y] = v
+        return cls(rows)
+
+    @classmethod
+    def of(cls, table: Mapping) -> PairTable:
+        """`table` if it is a PairTable, else the table of its entries.
+        Raises StructureError on a key that is not a pair."""
+        if isinstance(table, PairTable):
+            return table
+        for key in table:
+            if not isinstance(key, tuple) or len(key) != 2:
+                raise StructureError(f"table key {key!r} is not a pair")
+        return cls.from_triples((x, y, v) for (x, y), v in table.items())
+
+    def get(self, key, default=None):
+        if isinstance(key, tuple) and len(key) == 2:
+            return self.rows.get(key[0], EMPTY).get(key[1], default)
+        return default
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2:
+            return self.rows.get(key[0], EMPTY)[key[1]]
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((x, y) for x, row in self.rows.items() for y in row)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows.values()))
+
+    def items(self):  # walks the rows, with no lookup per key
+        return _PairItems(self)
+
+    def __repr__(self) -> str:
+        return f"PairTable({dict(self.items())!r})"
+
+
+class _PairItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return (((x, y), v) for x, row in self._mapping.rows.items() for y, v in row.items())
 
 
 @dataclass(frozen=True, eq=True)
@@ -41,9 +110,12 @@ class Quasigroupoid:
     tgt: tuple[int, ...]
     unit: tuple[int, ...]  # identity arrow of each object
     inv: tuple[int, ...]
-    prod: dict
+    prod: PairTable  # a mapping keyed by pairs is converted on construction
     object_names: tuple[str, ...] | None = None
     arrow_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "prod", PairTable.of(self.prod))
 
     @property
     def n_arrows(self) -> int:
@@ -55,9 +127,7 @@ class Quasigroupoid:
     def compose(self, a: int | None, b: int | None) -> int | None:
         """Product of two arrows, or None when undefined (either input None
         or the pair not composable)."""
-        if a is None or b is None:
-            return None
-        return self.prod.get((a, b))
+        return self.prod.rows.get(a, EMPTY).get(b)
 
     def composable_pairs(self):
         """The pairs (a, b) with src(a) = tgt(b), lexicographic."""
@@ -96,25 +166,6 @@ def matching_arrows(keys, ends, n_objects: int) -> list[list[int]]:
     return matches
 
 
-# The row of a factor with no entries: rows.get(x, EMPTY).get(y) is None.
-EMPTY = MappingProxyType({})
-
-
-def pair_rows(table: dict) -> dict:
-    """The entries (x, y) -> v of a product or action table as rows:
-    rows[x][y] = v.  Only keys that are tuples of length 2 are read, so
-    rows.get(x, EMPTY).get(y) == table.get((x, y)) for every x and y."""
-    rows: dict = {}
-    for key, value in table.items():
-        if isinstance(key, tuple) and len(key) == 2:
-            x, y = key
-            row = rows.get(x)
-            if row is None:
-                row = rows[x] = {}
-            row[y] = value
-    return rows
-
-
 def transposed_rows(rows: dict, keys) -> dict:
     """The rows rows[x][y] = v of the x in `keys` as t[y][x] = v, each row
     of t listing its x in the order of `keys`."""
@@ -145,9 +196,7 @@ def _check_shape(q: Quasigroupoid) -> None:
                 raise StructureError(f"{name}[{i}] = {val!r} out of range")
     for key, val in q.prod.items():
         if (
-            not isinstance(key, tuple)
-            or len(key) != 2
-            or not isinstance(key[0], int)
+            not isinstance(key[0], int)
             or not 0 <= key[0] < k
             or not isinstance(key[1], int)
             or not 0 <= key[1] < k
@@ -169,11 +218,10 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     report = StructureReport(
         "quasigroupoid", axioms=("prod-domain", "a1", "a2-1", "a2-2", "a2-3")
     )
-    src, tgt, unit, inv, prod = q.src, q.tgt, q.unit, q.inv, q.prod
-    for (a, b) in prod:
+    src, tgt, unit, inv, rows = q.src, q.tgt, q.unit, q.inv, q.prod.rows
+    for (a, b) in q.prod:
         if src[a] != tgt[b]:
             report.fail("prod-domain", (a, b), "product defined on non-composable pair")
-    rows = pair_rows(prod)
     after = matching_arrows(src, tgt, q.n_objects)
     for a, bs in enumerate(after):
         row = rows.get(a, EMPTY)
@@ -240,7 +288,7 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
             report.fail("E-4", (a,))
         if q.inv[la] != a:
             report.fail("E-5", (a,))
-    inv, rows = q.inv, pair_rows(q.prod)
+    inv, rows = q.inv, q.prod.rows
     for a, bs in enumerate(matching_arrows(q.src, q.tgt, q.n_objects)):
         row_a, ia = rows.get(a, EMPTY), inv[a]
         for b in bs:
@@ -465,7 +513,7 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
         p, a, _ = triples[i]
         for j in after:
             _, b, r2 = triples[j]
-            prod[(i, j)] = index[(p, q.prod[(a, b)], r2)]
+            prod[(i, j)] = index[(p, q.prod.rows[a][b], r2)]
     names = tuple(f"({p},{q.arrow_name(a)},{r})" for (p, a, r) in triples)
     return _validated(
         Quasigroupoid(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nonassoc import (
@@ -145,6 +147,19 @@ def test_factorization_documents_must_be_closed(coarse2):
     doc = factorization_to_doc(canonical_factorization(mp))
     doc["a_arrows"] = doc["a_arrows"][:-1]  # drop one arrow: closure breaks
     with pytest.raises(RangeError):
+        parse(emit(doc))
+
+
+def test_a_subset_entry_that_is_not_an_arrow_is_a_range_error(coarse2):
+    """Checked before duplicates, so an unhashable entry cannot escape as
+    a TypeError."""
+    doc = factorization_to_doc(canonical_factorization(mp_discrete_right(coarse2)))
+    for bad, shown in (([0], "[0]"), ({}, "{}"), (9, "9")):
+        doc["a_arrows"] = [bad, *doc["h_arrows"], bad]
+        with pytest.raises(RangeError, match=re.escape(f"a_arrows entry {shown} out of range")):
+            parse(emit(doc))
+    doc["a_arrows"] = doc["h_arrows"] * 2
+    with pytest.raises(SchemaError, match="a_arrows contains duplicates"):
         parse(emit(doc))
 
 

@@ -7,6 +7,7 @@ from nonassoc import (
     MatchedPair,
     MpMorphism,
     QgpdMorphism,
+    StructureError,
     canonical_factorization,
     check_exact_factorization,
     check_left_action,
@@ -289,3 +290,19 @@ def test_dcp_inverse_is_the_unique_cancellation_inverse(z2, z3):
         dcp = double_cross_product(mp)
         for arrow in range(dcp.n_arrows):
             assert quasigroupoid_inverse_candidates(dcp, arrow) == [dcp.inv[arrow]]
+
+
+def test_the_identity_suite_refuses_a_table_as_check_matched_pair_does(coarse2):
+    """A value past the last arrow, or a mixed pair without a value, raises
+    the same StructureError in the suite as in check_matched_pair."""
+    mp = mp_discrete_right(coarse2)
+    key = sorted(mp.left.table)[0]
+    past = {**mp.left.table, key: coarse2.n_arrows}
+    missing = {k: v for k, v in mp.left.table.items() if k != key}
+    for table, message in ((past, "left action value 4 out of range"),
+                           (missing, "left action domain mismatch")):
+        bad = MatchedPair(mp.a, mp.h, LeftAction(mp.h, mp.a, table), mp.right)
+        for check in (check_matched_pair, matched_pair_identity_suite):
+            with pytest.raises(StructureError, match=message) as raised:
+                check(bad)
+            assert type(raised.value) is StructureError

@@ -1,6 +1,6 @@
 """The combinatorial sweeps that look products and actions up by row
-(`quasigroupoids.pair_rows`) against the tuple-keyed checkers they replaced
-(`tests/reference_sweeps.py`).
+(`quasigroupoids.PairTable.rows`) against the tuple-keyed checkers they
+replaced (`tests/reference_sweeps.py`).
 
 Both must give the same report, violation for violation and in the same
 order, with the same details, notes and data (theta in the same insertion
@@ -8,15 +8,14 @@ order, and the identity suite's counts of evaluated configurations), or
 raise the same exception: on the test family, on the two-sided
 pairs of pair(M12, m) for m = 2, 3, on every factorize candidate of the
 one-object M12, and on seeded corruptions of products, action tables,
-inclusion arrow maps and component endpoints.
+inclusion arrow maps and component endpoints.  One exception is allowed:
+where the reference identity suite indexes past the last arrow with an
+`IndexError`, the library's raises the `StructureError` that
+`check_matched_pair` raises on the same pair.
 """
 
 import dataclasses
 import random
-from collections import namedtuple
-
-from hypothesis import given
-from hypothesis import strategies as st
 
 from nonassoc import (
     FactorizationCandidate,
@@ -37,33 +36,9 @@ from nonassoc import (
 )
 from nonassoc.factorizations import closed_arrow_subsets
 from nonassoc.matched_pairs import MIXED_LAWS
-from nonassoc.quasigroupoids import EMPTY, pair_rows
+from nonassoc.reports import StructureError
 from tests import reference_sweeps as ref
 from tests.conftest import two_sided_pair
-
-Pair = namedtuple("Pair", "x y")
-Triple = namedtuple("Triple", "x y z")
-
-atoms = st.one_of(st.integers(-3, 3), st.sampled_from(["a", "b", "", "ab"]))
-keys = st.one_of(
-    atoms,
-    st.tuples(atoms, atoms),
-    st.tuples(atoms, atoms, atoms),
-    st.builds(Pair, atoms, atoms),
-    st.builds(Triple, atoms, atoms, atoms),
-)
-
-
-@given(st.dictionaries(keys, st.integers(), max_size=30), st.lists(atoms, max_size=6))
-def test_pair_rows_looks_up_what_the_table_holds(table, probes):
-    rows = pair_rows(table)
-    pairs = [key for key in table if isinstance(key, tuple) and len(key) == 2]
-    assert sum(len(row) for row in rows.values()) == len(pairs)
-    for x, y in pairs:
-        assert rows[x][y] == table[(x, y)]
-    for x in probes + [key[0] for key in pairs]:
-        for y in probes + [key[1] for key in pairs]:
-            assert rows.get(x, EMPTY).get(y) == table.get((x, y))
 
 
 def _outcome(check, *args):
@@ -116,8 +91,11 @@ def _evaluated(c):
 
 def _compare(name, arg):
     new, old = CHECKERS[name]
-    got = _outcome(new, arg)
-    assert got == _outcome(old, arg), name
+    got, expected = _outcome(new, arg), _outcome(old, arg)
+    if name == "identities" and expected[:2] == ("raised", IndexError):
+        expected = _outcome(check_matched_pair, arg)
+        assert expected[:2] == ("raised", StructureError)
+    assert got == expected, name
     if got[0] != "raised":
         if name == "factorization":
             assert new(arg).data["evaluated"] == _evaluated(arg)
