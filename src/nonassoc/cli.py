@@ -29,7 +29,7 @@ from .matched_pairs import (
     theta_identity_report,
 )
 from .quasigroupoids import check_action_on_set, check_quasigroupoid, derived_identity_suite
-from .quasigroups import check_quasigroup, derived_inverse_suite, is_associative, quasigroup
+from .quasigroups import check_quasigroup, derived_inverse_suite, is_associative
 from .reports import (
     InvalidStructureError,
     StructureError,
@@ -70,13 +70,35 @@ def _print_reports(reports: list[StructureReport], args) -> int:
     return 0 if violations == 0 else 1
 
 
-def _load(path: str) -> dict:
+def _load(path: str) -> tuple[str, object]:
+    """The kind of the document at `path` and the structure its reader
+    builds.  A fault the reader finds once the schema holds (a broken
+    quasigroup law, a product missing inside a factor) is returned in place
+    of the structure, to be raised only after the command has checked the
+    kind."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise documents.SchemaError(f"document is not UTF-8 text: {exc.reason}") from exc
-    return documents.parse(text)
+    doc = documents.parse(text)
+    kind = doc["kind"]
+    try:
+        return kind, getattr(documents, "doc_to_" + kind.replace("-", "_"))(doc)
+    except documents.SchemaError:
+        raise
+    except StructureError as exc:
+        return kind, exc
+
+
+def _load_kind(path: str, kind: str, command: str):
+    """The structure of the document at `path`, which must be of `kind`."""
+    found, value = _load(path)
+    if found != kind:
+        raise StructureError(f"{command} expects a {kind} document")
+    if isinstance(value, StructureError):
+        raise value
+    return value
 
 
 def _write_output(text: str, args) -> None:
@@ -87,97 +109,80 @@ def _write_output(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _checker_reports(doc: dict, suite: bool) -> list[StructureReport]:
-    kind = doc["kind"]
+def _checker_reports(kind: str, value, suite: bool) -> list[StructureReport]:
+    if isinstance(value, StructureError):
+        if kind == "quasigroup":  # the report of its broken laws
+            return [value.report]
+        raise value
     if kind == "quasigroup":
-        report = check_quasigroup(doc["table"], doc["identity"])
+        report = check_quasigroup(value.table, value.identity)
         reports = [report]
-        if suite and report.ok:
-            q = quasigroup(doc["table"], doc["identity"], doc.get("names"))
-            derived = derived_inverse_suite(q)
-            associative, witness = is_associative(q)
+        if suite:
+            derived = derived_inverse_suite(value)
+            associative, witness = is_associative(value)
             derived.notes.append(
                 "associative" if associative else f"nonassociative, witness {witness}"
             )
             reports.append(derived)
         return reports
     if kind == "quasigroupoid":
-        q = documents.doc_to_quasigroupoid(doc)
-        report = check_quasigroupoid(q)
+        report = check_quasigroupoid(value)
         reports = [report]
         if suite and report.ok:
-            reports.append(derived_identity_suite(q))
+            reports.append(derived_identity_suite(value))
         return reports
     if kind == "action":
-        q, points, psi = documents.doc_to_action(doc)
-        return [check_action_on_set(q, points, psi)]
+        return [check_action_on_set(*value)]
     if kind == "matched-pair":
-        mp = documents.doc_to_matched_pair(doc)
-        report = check_matched_pair(mp)
+        report = check_matched_pair(value)
         reports = [report]
         if suite and report.ok:
-            c = canonical_factorization(mp)
+            c = canonical_factorization(value)
             fact = check_exact_factorization(c)
-            reports.append(matched_pair_identity_suite(mp))
+            reports.append(matched_pair_identity_suite(value))
             reports.append(mixed_associativity_suite(c, fact))
             reports.append(theta_identity_report(c, fact))
         return reports
     if kind == "factorization":
-        return [check_exact_factorization(documents.doc_to_factorization(doc))]
-    if kind == "whq":
-        d = documents.doc_to_whq(doc)
-        report = check_whq(d)
-        reports = [report]
-        if suite and report.ok:
-            reports.append(derived_property_suite(d, report))
-        return reports
-    raise StructureError(f"no checker for kind {kind!r}")
+        return [check_exact_factorization(value)]
+    report = check_whq(value)
+    reports = [report]
+    if suite and report.ok:
+        reports.append(derived_property_suite(value, report))
+    return reports
 
 
 def cmd_validate(args) -> int:
-    return _print_reports(_checker_reports(_load(args.file), suite=False), args)
+    return _print_reports(_checker_reports(*_load(args.file), suite=False), args)
 
 
 def cmd_suite(args) -> int:
-    return _print_reports(_checker_reports(_load(args.file), suite=True), args)
+    return _print_reports(_checker_reports(*_load(args.file), suite=True), args)
 
 
 def cmd_check_whq(args) -> int:
-    doc = _load(args.file)
-    if doc["kind"] != "whq":
-        raise StructureError("check-whq expects a whq document")
-    return _print_reports(_checker_reports(doc, suite=False), args)
+    return _print_reports([check_whq(_load_kind(args.file, "whq", "check-whq"))], args)
 
 
 def cmd_build(args) -> int:
-    doc = _load(args.file)
-    if args.what == "dcp":
-        if doc["kind"] != "matched-pair":
-            raise StructureError("build dcp expects a matched-pair document")
-        mp = documents.doc_to_matched_pair(doc)
-        out = documents.quasigroupoid_to_doc(double_cross_product(mp))
-    elif args.what == "magma":
-        if doc["kind"] != "quasigroupoid":
-            raise StructureError("build magma expects a quasigroupoid document")
-        q = documents.doc_to_quasigroupoid(doc)
+    if args.what == "magma":
+        q = _load_kind(args.file, "quasigroupoid", "build magma")
         report = check_quasigroupoid(q)
         if not report.ok:
             raise InvalidStructureError(report)
         out = documents.whq_to_doc(magma_of_quasigroupoid(q), args.field)
     else:
-        if doc["kind"] != "matched-pair":
-            raise StructureError("build bowtie expects a matched-pair document")
-        mp = documents.doc_to_matched_pair(doc)
-        out = documents.whq_to_doc(bowtie_whq(mp), args.field)
+        mp = _load_kind(args.file, "matched-pair", f"build {args.what}")
+        if args.what == "dcp":
+            out = documents.quasigroupoid_to_doc(double_cross_product(mp))
+        else:
+            out = documents.whq_to_doc(bowtie_whq(mp), args.field)
     _write_output(documents.emit(out), args)
     return 0
 
 
 def cmd_factorize(args) -> int:
-    doc = _load(args.file)
-    if doc["kind"] != "quasigroupoid":
-        raise StructureError("factorize expects a quasigroupoid document")
-    q = documents.doc_to_quasigroupoid(doc)
+    q = _load_kind(args.file, "quasigroupoid", "factorize")
     report = check_quasigroupoid(q)
     if not report.ok:
         raise InvalidStructureError(report)
@@ -194,10 +199,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_check_iso(args) -> int:
-    doc = _load(args.file)
-    if doc["kind"] != "matched-pair":
-        raise StructureError("check-iso expects a matched-pair document")
-    mp = documents.doc_to_matched_pair(doc)
+    mp = _load_kind(args.file, "matched-pair", "check-iso")
     return _print_reports([verify_canonical_iso(mp)], args)
 
 
@@ -248,7 +250,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InvalidStructureError as exc:
-        sys.stdout.write(format_report(exc.report))
+        if args.format == "machine":
+            payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}
+            sys.stdout.write(documents.emit(payload))
+        else:
+            sys.stdout.write(format_report(exc.report))
         return 1
     except (StructureError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -8,6 +8,15 @@ documents, and emitted bytes are deterministic: by definition they are the
 bytes of `json.dumps(doc, sort_keys=True, indent=1) + "\n"`.  `emit` is the
 package's one JSON writer; every JSON text the CLI prints or writes,
 machine reports included, goes through it.
+
+Reading takes two steps.  `parse` checks only the envelope: valid JSON, an
+object, a known `kind`, the current `version`.  The reader of the kind,
+`doc_to_<kind>`, then checks the schema while it builds the structure, in
+one pass over the document, and raises SchemaError or RangeError naming
+the first fault; it accepts any dict.  Only once the schema holds do the
+readers of quasigroup and action documents check the quasigroup laws
+(InvalidStructureError), and the factorization reader build the two
+components (StructureError when a product inside one is missing).
 """
 
 from __future__ import annotations
@@ -19,8 +28,8 @@ from .factorizations import FactorizationCandidate, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
 from .linalg import GFElement, LinearMap, field_by_name, vec_canonical
 from .matched_pairs import LeftAction, MatchedPair, RightAction
-from .quasigroupoids import PairTable, Quasigroupoid
-from .quasigroups import FiniteQuasigroup
+from .quasigroupoids import EMPTY, PairTable, Quasigroupoid
+from .quasigroups import FiniteQuasigroup, quasigroup
 from .reports import StructureError
 
 
@@ -109,6 +118,9 @@ def _write_rows(rows: list, nl: str) -> str | None:
 
 
 def parse(text: str) -> dict:
+    """The document object of `text`, with only its envelope checked: valid
+    JSON, an object, a known `kind` and the current `version`.  The rest of
+    the document is checked by the reader of its kind, `doc_to_<kind>`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -124,7 +136,6 @@ def parse(text: str) -> dict:
         raise SchemaError(f"field 'kind' must be one of {KINDS}, got {kind!r}")
     if doc.get("version") != VERSION:
         raise SchemaError(f"field 'version' must be {VERSION}")
-    _VALIDATORS[kind](doc)
     return doc
 
 
@@ -147,64 +158,15 @@ def _index_list(doc, field, length, bound):
     return seq
 
 
-def _validate_quasigroup(doc: dict) -> None:
-    order = _need(doc, "order", int)
-    if order < 1:
-        raise SchemaError("order must be positive")
-    identity = _need(doc, "identity", int)
-    if not 0 <= identity < order:
-        raise RangeError(f"identity {identity} out of range")
-    table = _need(doc, "table", list)
-    if len(table) != order:
-        raise SchemaError("table must have 'order' rows")
-    for u, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != order:
-            raise SchemaError(f"table row {u} must have length {order}")
-        for v, w in enumerate(row):
-            if not isinstance(w, int) or not 0 <= w < order:
-                raise RangeError(f"table[{u}][{v}] = {w!r} out of range")
-    if "names" in doc:
-        names = _need(doc, "names", list)
-        if len(names) != order or not all(isinstance(s, str) for s in names):
-            raise SchemaError("names must list one string per element")
-
-
-def _validate_quasigroupoid(doc: dict) -> PairTable:
-    """Check a quasigroupoid document; return its product table."""
-    objects = _need(doc, "objects", int)
-    arrows = _need(doc, "arrows", int)
-    if objects < 1 or arrows < objects:
-        raise SchemaError("need at least one object and an arrow per object")
-    src = _index_list(doc, "src", arrows, objects)
-    tgt = _index_list(doc, "tgt", arrows, objects)
-    _index_list(doc, "unit", objects, arrows)
-    _index_list(doc, "inv", arrows, arrows)
-    prod = _pair_table(doc, "product", "[a, b, c] index", (arrows, arrows, arrows), (src, tgt))
-    for field in ("object_names", "arrow_names"):
-        if field in doc:
-            names = _need(doc, field, list)
-            expect = objects if field == "object_names" else arrows
-            if len(names) != expect or not all(isinstance(s, str) for s in names):
-                raise SchemaError(f"{field} must list one string per entry")
-    return prod
-
-
-def _validate_action(doc: dict) -> None:
-    qdoc = _need(doc, "quasigroup", dict)
-    _validate_quasigroup(qdoc)
-    points = _need(doc, "points", int)
-    if points < 1:
-        raise SchemaError("points must be positive")
-    order = qdoc["order"]
-    psi = _need(doc, "psi", list)
-    if len(psi) != order:
-        raise SchemaError("psi must have one row per element")
-    for a, row in enumerate(psi):
-        if not isinstance(row, list) or len(row) != points:
-            raise SchemaError(f"psi row {a} must have length {points}")
-        for x, y in enumerate(row):
-            if not isinstance(y, int) or not 0 <= y < points:
-                raise RangeError(f"psi[{a}][{x}] = {y!r} out of range")
+def _names(doc, field, length, per):
+    """The optional list `field` of `length` strings as a tuple, or None
+    when absent."""
+    if field not in doc:
+        return None
+    names = _need(doc, field, list)
+    if len(names) != length or not all(isinstance(s, str) for s in names):
+        raise SchemaError(f"{field} must list one string per {per}")
+    return tuple(names)
 
 
 def _pair_table(doc, field, shape, bounds, ends=None) -> PairTable:
@@ -213,60 +175,46 @@ def _pair_table(doc, field, shape, bounds, ends=None) -> PairTable:
     src[x] = tgt[y].  The first bad entry is the one reported."""
     (x_bound, y_bound, v_bound), rows = bounds, {}
     for entry in _need(doc, field, list):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or not isinstance(entry[0], int)
-            or not isinstance(entry[1], int)
-            or not isinstance(entry[2], int)
-        ):
+        if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{field} entries must be {shape} triples")
         x, y, v = entry
-        if not 0 <= x < x_bound or not 0 <= y < y_bound or not 0 <= v < v_bound:
+        if not (isinstance(x, int) and isinstance(y, int) and isinstance(v, int)):
+            raise SchemaError(f"{field} entries must be {shape} triples")
+        if not (0 <= x < x_bound and 0 <= y < y_bound and 0 <= v < v_bound):
             raise RangeError(f"{field} entry {entry} out of range")
         if ends and ends[0][x] != ends[1][y]:
             raise RangeError(f"{field} entry on non-composable pair ({x},{y})")
-        row = rows.setdefault(x, {})
-        if y in row:
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = {}
+        elif y in row:
             raise SchemaError(f"duplicate {field} entry for pair ({x},{y})")
         row[y] = v
     return PairTable(rows)
 
 
-def _validate_matched_pair(doc: dict) -> None:
-    adoc = _need(doc, "a", dict)
-    hdoc = _need(doc, "h", dict)
-    _validate_quasigroupoid(adoc)
-    _validate_quasigroupoid(hdoc)
-    if adoc["objects"] != hdoc["objects"]:
-        raise RangeError("components must share one base")
-    shape, na, nh = "[h, a, value]", adoc["arrows"], hdoc["arrows"]
-    _pair_table(doc, "left", shape, (nh, na, na))
-    _pair_table(doc, "right", shape, (nh, na, nh))
-
-
-def _validate_factorization(doc: dict) -> None:
-    bdoc = _need(doc, "b", dict)
-    prod = _validate_quasigroupoid(bdoc)
-    arrows = bdoc["arrows"]
-    units = set(bdoc["unit"])
-    for field in ("a_arrows", "h_arrows"):
-        subset = _need(doc, field, list)
-        for v in subset:
-            if not isinstance(v, int) or not 0 <= v < arrows:
-                raise RangeError(f"{field} entry {v!r} out of range")
-        chosen = set(subset)
-        if len(chosen) != len(subset):
-            raise SchemaError(f"{field} contains duplicates")
-        if not units <= chosen:
-            raise RangeError(f"{field} must contain every identity arrow")
-        for x in chosen:
-            if bdoc["inv"][x] not in chosen:
-                raise RangeError(f"{field} not closed under the inverse map at {x}")
-        for x in chosen:
-            for y in chosen:
-                if (x, y) in prod and prod[(x, y)] not in chosen:
-                    raise RangeError(f"{field} not closed under the product at ({x},{y})")
+def _arrow_subset(doc, field, b: Quasigroupoid) -> tuple[int, ...]:
+    """The arrow subset `field` of `b`: arrows of `b`, each listed once,
+    holding every identity arrow and closed under the inverse map and the
+    product."""
+    subset = _need(doc, field, list)
+    for v in subset:
+        if not isinstance(v, int) or not 0 <= v < b.n_arrows:
+            raise RangeError(f"{field} entry {v!r} out of range")
+    chosen = set(subset)
+    if len(chosen) != len(subset):
+        raise SchemaError(f"{field} contains duplicates")
+    if not set(b.unit) <= chosen:
+        raise RangeError(f"{field} must contain every identity arrow")
+    for x in chosen:
+        if b.inv[x] not in chosen:
+            raise RangeError(f"{field} not closed under the inverse map at {x}")
+    for x in chosen:
+        row = b.prod.rows.get(x, EMPTY)
+        if any(v not in chosen for y, v in row.items() if y in chosen):
+            y = next(y for y in chosen if y in row and row[y] not in chosen)
+            raise RangeError(f"{field} not closed under the product at ({x},{y})")
+    return tuple(subset)
 
 
 def _scalar_to_str(value) -> str:
@@ -276,20 +224,13 @@ def _scalar_to_str(value) -> str:
     return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 
-def _parse_scalar(text, field):
-    if not isinstance(text, str):
-        raise SchemaError(f"scalar {text!r} must be a string")
-    try:
-        return field.from_string(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad scalar {text!r}: {exc}") from exc
-
-
-def _validate_sparse(entries, what, *bounds):
-    if not isinstance(entries, list):
-        raise SchemaError(f"{what} must be a list")
-    seen = set()
-    for entry in entries:
+def _sparse(doc, what, field, bad, *bounds) -> list:
+    """The [indices..., scalar] entries of `what` as (indices, value) pairs,
+    in document order.  Indices must lie below `bounds` and appear once.  A
+    scalar that `field` cannot read is appended to `bad` as its error, to be
+    raised once the rest of the document has been checked."""
+    out, seen = [], set()
+    for entry in _need(doc, what, list):
         if not isinstance(entry, list) or len(entry) != len(bounds) + 1:
             raise SchemaError(f"{what} entries must be [indices..., scalar]")
         *idx, scalar = entry
@@ -302,36 +243,11 @@ def _validate_sparse(entries, what, *bounds):
         if key in seen:
             raise SchemaError(f"duplicate {what} entry at {key}")
         seen.add(key)
-
-
-def _validate_whq(doc: dict) -> None:
-    dim = _need(doc, "dim", int)
-    if dim < 1:
-        raise SchemaError("dim must be positive")
-    name = _need(doc, "field", str)
-    try:
-        field_by_name(name)
-    except StructureError as exc:
-        raise SchemaError(f"field 'field': {exc}") from exc
-    _validate_sparse(_need(doc, "unit", list), "unit", dim)
-    _validate_sparse(_need(doc, "counit", list), "counit", dim)
-    _validate_sparse(_need(doc, "product", list), "product", dim, dim, dim)
-    _validate_sparse(_need(doc, "coproduct", list), "coproduct", dim, dim, dim)
-    _validate_sparse(_need(doc, "antipode", list), "antipode", dim, dim)
-    if "basis_names" in doc:
-        names = _need(doc, "basis_names", list)
-        if len(names) != dim or not all(isinstance(s, str) for s in names):
-            raise SchemaError("basis_names must list one string per basis vector")
-
-
-_VALIDATORS = {
-    "quasigroup": _validate_quasigroup,
-    "quasigroupoid": _validate_quasigroupoid,
-    "action": _validate_action,
-    "matched-pair": _validate_matched_pair,
-    "factorization": _validate_factorization,
-    "whq": _validate_whq,
-}
+        try:
+            out.append((key, field.from_string(scalar)))
+        except (ValueError, ZeroDivisionError) as exc:
+            bad.append(SchemaError(f"bad scalar {scalar!r}: {exc}"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +268,31 @@ def quasigroup_to_doc(q: FiniteQuasigroup) -> dict:
     return doc
 
 
-def doc_to_quasigroup(doc: dict) -> FiniteQuasigroup:
-    from .quasigroups import quasigroup
+def _quasigroup_fields(doc: dict) -> tuple[list, int, tuple | None]:
+    """The table, identity and names of a quasigroup document, its schema
+    checked and its laws not."""
+    order = _need(doc, "order", int)
+    if order < 1:
+        raise SchemaError("order must be positive")
+    identity = _need(doc, "identity", int)
+    if not 0 <= identity < order:
+        raise RangeError(f"identity {identity} out of range")
+    table = _need(doc, "table", list)
+    if len(table) != order:
+        raise SchemaError("table must have 'order' rows")
+    for u, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != order:
+            raise SchemaError(f"table row {u} must have length {order}")
+        for v, w in enumerate(row):
+            if not isinstance(w, int) or not 0 <= w < order:
+                raise RangeError(f"table[{u}][{v}] = {w!r} out of range")
+    names = _names(doc, "names", order, "element")
+    return table, identity, names
 
-    return quasigroup(doc["table"], doc["identity"], doc.get("names"))
+
+def doc_to_quasigroup(doc: dict) -> FiniteQuasigroup:
+    """Raises InvalidStructureError when the table breaks a quasigroup law."""
+    return quasigroup(*_quasigroup_fields(doc))
 
 
 def quasigroupoid_to_doc(q: Quasigroupoid) -> dict:
@@ -383,15 +320,24 @@ def _sorted_entries(table: PairTable) -> list:
 
 
 def doc_to_quasigroupoid(doc: dict) -> Quasigroupoid:
+    objects = _need(doc, "objects", int)
+    arrows = _need(doc, "arrows", int)
+    if objects < 1 or arrows < objects:
+        raise SchemaError("need at least one object and an arrow per object")
+    src = _index_list(doc, "src", arrows, objects)
+    tgt = _index_list(doc, "tgt", arrows, objects)
+    unit = _index_list(doc, "unit", objects, arrows)
+    inv = _index_list(doc, "inv", arrows, arrows)
+    prod = _pair_table(doc, "product", "[a, b, c] index", (arrows, arrows, arrows), (src, tgt))
     return Quasigroupoid(
-        n_objects=doc["objects"],
-        src=tuple(doc["src"]),
-        tgt=tuple(doc["tgt"]),
-        unit=tuple(doc["unit"]),
-        inv=tuple(doc["inv"]),
-        prod=PairTable.from_triples(doc["product"]),
-        object_names=tuple(doc["object_names"]) if "object_names" in doc else None,
-        arrow_names=tuple(doc["arrow_names"]) if "arrow_names" in doc else None,
+        n_objects=objects,
+        src=tuple(src),
+        tgt=tuple(tgt),
+        unit=tuple(unit),
+        inv=tuple(inv),
+        prod=prod,
+        object_names=_names(doc, "object_names", objects, "entry"),
+        arrow_names=_names(doc, "arrow_names", arrows, "entry"),
     )
 
 
@@ -408,7 +354,22 @@ def action_to_doc(q: FiniteQuasigroup, n_points: int, psi) -> dict:
 
 
 def doc_to_action(doc: dict) -> tuple[FiniteQuasigroup, int, list[list[int]]]:
-    return doc_to_quasigroup(doc["quasigroup"]), doc["points"], doc["psi"]
+    """Raises InvalidStructureError, after the schema checks, when the
+    quasigroup breaks a law."""
+    qfields = _quasigroup_fields(_need(doc, "quasigroup", dict))
+    points = _need(doc, "points", int)
+    if points < 1:
+        raise SchemaError("points must be positive")
+    psi = _need(doc, "psi", list)
+    if len(psi) != len(qfields[0]):
+        raise SchemaError("psi must have one row per element")
+    for a, row in enumerate(psi):
+        if not isinstance(row, list) or len(row) != points:
+            raise SchemaError(f"psi row {a} must have length {points}")
+        for x, y in enumerate(row):
+            if not isinstance(y, int) or not 0 <= y < points:
+                raise RangeError(f"psi[{a}][{x}] = {y!r} out of range")
+    return quasigroup(*qfields), points, psi
 
 
 def matched_pair_to_doc(mp: MatchedPair) -> dict:
@@ -423,9 +384,15 @@ def matched_pair_to_doc(mp: MatchedPair) -> dict:
 
 
 def doc_to_matched_pair(doc: dict) -> MatchedPair:
-    a = doc_to_quasigroupoid(doc["a"])
-    h = doc_to_quasigroupoid(doc["h"])
-    left, right = PairTable.from_triples(doc["left"]), PairTable.from_triples(doc["right"])
+    adoc = _need(doc, "a", dict)
+    hdoc = _need(doc, "h", dict)
+    a = doc_to_quasigroupoid(adoc)
+    h = doc_to_quasigroupoid(hdoc)
+    if a.n_objects != h.n_objects:
+        raise RangeError("components must share one base")
+    shape, na, nh = "[h, a, value]", a.n_arrows, h.n_arrows
+    left = _pair_table(doc, "left", shape, (nh, na, na))
+    right = _pair_table(doc, "right", shape, (nh, na, nh))
     return MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
 
 
@@ -440,9 +407,12 @@ def factorization_to_doc(c: FactorizationCandidate) -> dict:
 
 
 def doc_to_factorization(doc: dict) -> FactorizationCandidate:
-    b = doc_to_quasigroupoid(doc["b"])
-    _, ia = sub_quasigroupoid(b, tuple(doc["a_arrows"]))
-    _, ih = sub_quasigroupoid(b, tuple(doc["h_arrows"]))
+    """Raises StructureError, after the schema checks, when `b` has no
+    product on a composable pair inside one of the subsets."""
+    b = doc_to_quasigroupoid(_need(doc, "b", dict))
+    a_arrows, h_arrows = _arrow_subset(doc, "a_arrows", b), _arrow_subset(doc, "h_arrows", b)
+    _, ia = sub_quasigroupoid(b, a_arrows)
+    _, ih = sub_quasigroupoid(b, h_arrows)
     return FactorizationCandidate(b, ia, ih)
 
 
@@ -474,35 +444,41 @@ def whq_to_doc(d: MagmaCoalgebra, field_name: str = "Q") -> dict:
 
 
 def doc_to_whq(doc: dict) -> MagmaCoalgebra:
-    n = doc["dim"]
-    field = field_by_name(doc["field"])
-
-    def gather(entries):
-        table: dict = {}
-        for entry in entries:
-            *idx, scalar = entry
-            table[tuple(idx)] = _parse_scalar(scalar, field)
-        return table
-
-    unit = vec_canonical({i: c for (i,), c in gather(doc["unit"]).items()})
+    n = _need(doc, "dim", int)
+    if n < 1:
+        raise SchemaError("dim must be positive")
+    name = _need(doc, "field", str)
+    try:
+        field = field_by_name(name)
+    except StructureError as exc:
+        raise SchemaError(f"field 'field': {exc}") from exc
+    bad: list = []
+    unit = _sparse(doc, "unit", field, bad, n)
+    counit = _sparse(doc, "counit", field, bad, n)
+    product = _sparse(doc, "product", field, bad, n, n, n)
+    coproduct = _sparse(doc, "coproduct", field, bad, n, n, n)
+    antipode = _sparse(doc, "antipode", field, bad, n, n)
+    basis_names = _names(doc, "basis_names", n, "basis vector")
+    if bad:
+        raise bad[0]
     counit_cols: list[dict] = [{} for _ in range(n)]
-    for (i,), c in gather(doc["counit"]).items():
+    for (i,), c in counit:
         counit_cols[i][0] = c
     product_cols: list[dict] = [{} for _ in range(n * n)]
-    for (i, j, k), c in gather(doc["product"]).items():
+    for (i, j, k), c in product:
         product_cols[i * n + j][k] = c
     coproduct_cols: list[dict] = [{} for _ in range(n)]
-    for (i, j, k), c in gather(doc["coproduct"]).items():
+    for (i, j, k), c in coproduct:
         coproduct_cols[i][j * n + k] = c
     antipode_cols: list[dict] = [{} for _ in range(n)]
-    for (i, k), c in gather(doc["antipode"]).items():
+    for (i, k), c in antipode:
         antipode_cols[i][k] = c
     return MagmaCoalgebra(
         n,
-        unit,
+        vec_canonical({i: c for (i,), c in unit}),
         LinearMap.from_cols(n * n, n, product_cols),
         LinearMap.from_cols(n, 1, counit_cols),
         LinearMap.from_cols(n, n * n, coproduct_cols),
         LinearMap.from_cols(n, n, antipode_cols),
-        basis_names=tuple(doc["basis_names"]) if "basis_names" in doc else None,
+        basis_names=basis_names,
     )

@@ -21,16 +21,18 @@ from nonassoc import (
     quasigroupoids,
     reconstruct_matched_pair,
 )
-from nonassoc import documents, hopf
-from nonassoc.cli import main
+from nonassoc import check_quasigroup, cyclic_group, documents, hopf
+from nonassoc.cli import _jsonable, main
 from nonassoc.documents import (
+    action_to_doc,
     emit,
     factorization_to_doc,
     matched_pair_to_doc,
+    quasigroup_to_doc,
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from nonassoc.reports import format_report
+from nonassoc.reports import format_report, report_as_document
 from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
 
 
@@ -379,3 +381,64 @@ def test_suite_on_a_whq_document_builds_the_projections_once(tmp_path, coarse2, 
     assert code == 0
     assert "== weak Hopf quasigroup derived properties" in out
     assert sorted(calls) == ["_convolution_projections", "_group_like", "_projection_formulas"]
+
+
+def _bad_z3():
+    """The Z3 quasigroup document with table row 1 set to [1, 1, 1]."""
+    doc = quasigroup_to_doc(cyclic_group(3))
+    doc["table"][1] = [1, 1, 1]
+    return doc
+
+
+def _bad_quasigroup_action():
+    doc = action_to_doc(cyclic_group(3), 3, z3_translation)
+    doc["quasigroup"] = _bad_z3()
+    return doc
+
+
+def test_machine_format_holds_when_a_command_stops_on_a_broken_structure(tmp_path, capsys):
+    """A command that stops on a structure breaking its laws writes the
+    machine payload under --format machine; human output is its report."""
+    action = write(tmp_path, "action.json", emit(_bad_quasigroup_action()))
+    cases = [(["validate"], action, check_quasigroup(_bad_z3()["table"], 0))]
+    mp, broken = _with_broken_component(two_sided_pair(2), "a")
+    mp_path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(mp)))
+    cases += [(command, mp_path, check_quasigroupoid(broken)) for command in MP_COMMANDS]
+    for command, path, report in cases:
+        assert not report.ok
+        payload = {"ok": False, "reports": [_jsonable(report_as_document(report))]}
+        assert run(capsys, "--format", "machine", *command, path) == (1, emit(payload), ""), command
+        assert run(capsys, *command, path) == (1, format_report(report), ""), command
+
+
+# The order of events: the envelope, then the schema of the whole document,
+# then the command's kind, then the laws.
+def test_a_schema_fault_comes_before_the_kind_check(tmp_path, coarse2, capsys):
+    doc = quasigroupoid_to_doc(coarse2)
+    doc["product"].append([1, 0, 0])
+    path = write(tmp_path, "coarse.json", emit(doc))
+    assert run(capsys, "check-whq", path) == (
+        2, "", "error: product entry on non-composable pair (1,0)\n"
+    )
+
+
+@pytest.mark.parametrize("what,doc,kind", [
+    ("magma", _bad_z3(), "quasigroupoid"),
+    ("dcp", _bad_quasigroup_action(), "matched-pair"),
+])
+def test_the_kind_check_comes_before_the_quasigroup_laws(tmp_path, capsys, what, doc, kind):
+    path = write(tmp_path, "doc.json", emit(doc))
+    assert run(capsys, "build", what, path) == (
+        2, "", f"error: build {what} expects a {kind} document\n"
+    )
+
+
+def test_a_bad_scalar_comes_before_the_kind_check(tmp_path, coarse2, capsys):
+    """A scalar the field cannot read is a schema fault of the whole
+    document, so it is named before the command's kind is checked."""
+    doc = whq_to_doc(magma_of_quasigroupoid(coarse2))
+    doc["unit"][0][-1] = "1/0"
+    path = write(tmp_path, "magma.json", emit(doc))
+    code, out, err = run(capsys, "build", "dcp", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad scalar '1/0': ")

@@ -30,7 +30,9 @@ from nonassoc import (
     quasigroup_as_quasigroupoid,
     symmetric_group,
 )
+from nonassoc import documents
 from nonassoc.documents import (
+    SchemaError,
     action_to_doc,
     emit,
     factorization_to_doc,
@@ -162,10 +164,15 @@ def _bases():
 
 
 def _schema_valid(doc) -> bool:
+    """Whether the reader of doc's kind finds no schema fault in its text; a
+    broken law or a missing product, found once the schema holds, is none."""
+    read = getattr(documents, "doc_to_" + doc["kind"].replace("-", "_"))
     try:
-        parse(emit(doc))
-    except StructureError:
+        read(parse(emit(doc)))
+    except SchemaError:
         return False
+    except StructureError:
+        pass
     return True
 
 
