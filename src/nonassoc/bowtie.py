@@ -10,33 +10,26 @@ last theorem builds from them, with the magmas of A and H:
 on the image of nabla_phi, whose basis is the composable pairs (a, h) in the
 order of `matched_pairs.dcp_pairs`.  No formula of the combinatorial double
 cross product is used, so `verify_canonical_iso` compares two code paths.
+
+Only `bowtie_whq` and `verify_canonical_iso`, whose results are trusted
+without a further check, validate the matched pair (`validated_components`,
+once per call).  The linear pieces `linearized_actions`, `phi_map`,
+`nabla_phi` and `canonical_iso` are defined for any action tables whose
+values are arrows, and `module_law_report`, a checker, validates nothing.
 """
 
 from __future__ import annotations
 
 from .hopf import MagmaCoalgebra, check_whq_morphism, magma_of_quasigroupoid
 from .linalg import LinearMap, free_coalgebra, twist, vec_add_into, vec_equal, vec_tensor
-from .matched_pairs import (
-    MatchedPair,
-    dcp_pairs,
-    double_cross_product,
-    validated_components,
-)
+from .matched_pairs import MatchedPair, _dcp_fill, dcp_pairs, validated_components
 from .quasigroupoids import EMPTY, transposed_rows
 from .reports import StructureError, StructureReport
 
 
-def _require_valid(mp: MatchedPair, check: bool) -> None:
-    """With `check`, the hypotheses the double cross product is built from:
-    the matched-pair axioms, then A and H."""
-    if check:
-        validated_components(mp)
-
-
-def linearized_actions(mp: MatchedPair, check: bool = True) -> tuple[LinearMap, LinearMap]:
+def linearized_actions(mp: MatchedPair) -> tuple[LinearMap, LinearMap]:
     """The two action tables as linear maps on K[H] (x) K[A]: composable
     pairs act, everything else is sent to zero."""
-    _require_valid(mp, check)
     a, h = mp.a, mp.h
     na, nh = a.n_arrows, h.n_arrows
 
@@ -54,20 +47,19 @@ def linearized_actions(mp: MatchedPair, check: bool = True) -> tuple[LinearMap, 
     )
 
 
-def phi_map(mp: MatchedPair, check: bool = True) -> LinearMap:
+def phi_map(mp: MatchedPair) -> LinearMap:
     """h (x) a -> phiA(h,a) (x) phiH(h,a) on composable pairs, zero otherwise:
     the two linearized actions tensored column by column."""
-    left, right = linearized_actions(mp, check)
+    left, right = linearized_actions(mp)
     nh = right.cod
     return LinearMap.from_basis(
         left.dom, left.cod * nh, lambda t: vec_tensor(left.cols[t], right.cols[t], nh)
     )
 
 
-def nabla_phi(mp: MatchedPair, check: bool = True) -> LinearMap:
+def nabla_phi(mp: MatchedPair) -> LinearMap:
     """Idempotent on K[A] (x) K[H] keeping exactly the composable tensors,
     whose image carries the double cross product."""
-    _require_valid(mp, check)
     a, h = mp.a, mp.h
     na, nh = a.n_arrows, h.n_arrows
 
@@ -78,15 +70,21 @@ def nabla_phi(mp: MatchedPair, check: bool = True) -> LinearMap:
     return LinearMap.from_basis(na * nh, na * nh, col)
 
 
-def bowtie_whq(mp: MatchedPair, check: bool = True) -> MagmaCoalgebra:
-    """K[A] bowtie K[H], built as the module docstring states.  The product
-    is evaluated only at the pairs of basis tensors that Phi acts on.  A
-    value outside the image of nabla_phi raises StructureError."""
-    _require_valid(mp, check)
+def bowtie_whq(mp: MatchedPair) -> MagmaCoalgebra:
+    """K[A] bowtie K[H], built as the module docstring states, from a
+    matched pair it validates first (`validated_components`)."""
+    validated_components(mp)
+    return _bowtie_whq(mp)
+
+
+def _bowtie_whq(mp: MatchedPair) -> MagmaCoalgebra:
+    """`bowtie_whq` of a validated pair.  The product is evaluated only at
+    the pairs of basis tensors that Phi acts on.  A value outside the image
+    of nabla_phi raises StructureError."""
     a, h = mp.a, mp.h
     na, nh = a.n_arrows, h.n_arrows
-    phi = phi_map(mp, check=False)
-    grad = nabla_phi(mp, check=False)
+    phi = phi_map(mp)
+    grad = nabla_phi(mp)
     mu_a, mu_h = magma_of_quasigroupoid(a), magma_of_quasigroupoid(h)
     basis = [t for t, col in enumerate(grad.cols) if col]  # a (x) h at a * nh + h
     index = {t: i for i, t in enumerate(basis)}
@@ -128,23 +126,24 @@ def bowtie_whq(mp: MatchedPair, check: bool = True) -> MagmaCoalgebra:
     return MagmaCoalgebra(n, unit, product, counit, coproduct, antipode, names)
 
 
-def canonical_iso(mp: MatchedPair, check: bool = True) -> LinearMap:
+def canonical_iso(mp: MatchedPair) -> LinearMap:
     """The basis bijection (a,g) -> a (x) g from the magma of the
     combinatorial double cross product to the linearized one.  Because both
     sides enumerate the same composable pairs, the map is the identity on
     indices; `verify_canonical_iso` certifies it is an isomorphism."""
-    _require_valid(mp, check)
     return LinearMap.identity(len(dcp_pairs(mp)))
 
 
-def verify_canonical_iso(mp: MatchedPair, check: bool = True) -> StructureReport:
+def verify_canonical_iso(mp: MatchedPair) -> StructureReport:
     """Certify the canonical isomorphism: the map is bijective, satisfies
     the weak-Hopf-quasigroup morphism laws between the two constructions,
     and transports every structure constant onto its counterpart exactly
-    (unit, product, counit, coproduct, antipode)."""
-    source = magma_of_quasigroupoid(double_cross_product(mp, check=check))
-    target = bowtie_whq(mp, check=False)
-    f = canonical_iso(mp, check=False)
+    (unit, product, counit, coproduct, antipode).  The matched pair is
+    validated once, then both constructions are built from it."""
+    validated_components(mp)
+    source = magma_of_quasigroupoid(_dcp_fill(mp))
+    target = _bowtie_whq(mp)
+    f = canonical_iso(mp)
     report = StructureReport(
         "canonical isomorphism",
         axioms=(
@@ -176,13 +175,12 @@ def verify_canonical_iso(mp: MatchedPair, check: bool = True) -> StructureReport
     return report
 
 
-def module_law_report(mp: MatchedPair, check: bool = True) -> StructureReport:
+def module_law_report(mp: MatchedPair) -> StructureReport:
     """The linearized actions are unital module structures: acting by the
     unit is the identity, and acting twice equals acting by a product."""
-    _require_valid(mp, check)
     a, h = mp.a, mp.h
     na, nh = a.n_arrows, h.n_arrows
-    phi_ka, phi_kh = linearized_actions(mp, check=False)
+    phi_ka, phi_kh = linearized_actions(mp)
     mu_a, mu_h = magma_of_quasigroupoid(a), magma_of_quasigroupoid(h)
     report = StructureReport(
         "linearized action module laws",

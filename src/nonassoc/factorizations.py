@@ -30,6 +30,7 @@ from .matched_pairs import (
     LeftAction,
     MatchedPair,
     RightAction,
+    _dcp_fill,
     dcp_pairs,
     double_cross_product,
     inclusion_a,
@@ -40,6 +41,7 @@ from .quasigroupoids import (
     EMPTY,
     QgpdMorphism,
     Quasigroupoid,
+    _validated,
     check_morphism,
     matching_arrows,
 )
@@ -59,8 +61,12 @@ class FactorizationCandidate:
 
 
 def canonical_factorization(mp: MatchedPair) -> FactorizationCandidate:
-    """The factorization of the double cross product by its two inclusions."""
-    dcp = double_cross_product(mp, check=False)
+    """The factorization of the double cross product by its two inclusions.
+    The caller has checked the matched-pair axioms; A and H are checked
+    here, and a failure raises `InvalidStructureError` with their report."""
+    _validated(mp.a)
+    _validated(mp.h)
+    dcp = _dcp_fill(mp)
     return FactorizationCandidate(dcp, inclusion_a(mp, dcp), inclusion_h(mp, dcp))
 
 

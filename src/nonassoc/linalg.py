@@ -12,6 +12,7 @@ order, so coefficientwise comparisons are meaningful across modules.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,6 +94,17 @@ class GFElement:
 MAX_MODULUS = 2**31
 
 
+_SCALAR = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _scalar_text(text: str) -> str:
+    """text, if it is a scalar as documents write one: "num" or "num/den".
+    Anything else, exponent notation included, raises ValueError."""
+    if _SCALAR.fullmatch(text) is None:
+        raise ValueError("not of the form num or num/den")
+    return text
+
+
 class PrimeField:
     """Scalar factory for GF(p), p < 2^31; `RATIONALS` is the Fraction-based
     default."""
@@ -108,7 +120,7 @@ class PrimeField:
         return GFElement(value, self.p)
 
     def from_string(self, text: str) -> GFElement:
-        if "/" in text:
+        if "/" in _scalar_text(text):
             num, den = text.split("/", 1)
             return self(int(num)) * self(int(den)).inverse()
         return self(int(text))
@@ -123,7 +135,7 @@ class _Rationals:
         return Fraction(value)
 
     def from_string(self, text: str) -> Fraction:
-        return Fraction(text)
+        return Fraction(_scalar_text(text))
 
     name = "Q"
 
@@ -243,31 +255,10 @@ class LinearMap:
     def __matmul__(self, inner: "LinearMap") -> "LinearMap":
         return self.compose(inner)
 
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        self._same_shape(other)
-        cols = []
-        for u, v in zip(self.cols, other.cols):
-            acc = dict(u)
-            vec_add_into(acc, v)
-            cols.append(acc)
-        return LinearMap(self.dom, self.cod, tuple(cols))
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return self + other.scale(-1)
-
-    def scale(self, coeff) -> "LinearMap":
-        return LinearMap(self.dom, self.cod, tuple(vec_scale(coeff, c) for c in self.cols))
-
     def tensor(self, other: "LinearMap") -> "LinearMap":
         """Kronecker product in the row-major basis convention."""
         cols = [vec_tensor(cu, cv, other.cod) for cu in self.cols for cv in other.cols]
         return LinearMap(self.dom * other.dom, self.cod * other.cod, tuple(cols))
-
-    def _same_shape(self, other: "LinearMap") -> None:
-        if self.dom != other.dom or self.cod != other.cod:
-            raise DimensionMismatch(
-                f"shape mismatch {self.dom}->{self.cod} vs {other.dom}->{other.cod}"
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearMap):
@@ -275,9 +266,6 @@ class LinearMap:
         if self.dom != other.dom or self.cod != other.cod:
             return False
         return all(vec_equal(u, v) for u, v in zip(self.cols, other.cols))
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.cols)
 
     def rank(self) -> int:
         return len(span_basis(self.cols, self.cod))

@@ -11,9 +11,11 @@ order; `dcp_pairs` exposes that enumeration so the linear-algebra layer can
 share the same basis indexing.  It is built from validated hypotheses, the
 matched pair and its two components, and not checked afterwards: by the
 paper's first theorem it is then a quasigroupoid (`tests/test_dcp_theorem.py`
-checks that theorem exhaustively on small components).  Its product is
-filled once per mixed pair, since (a,g)*(b,h) depends on (g, b) only
-through the two actions.
+checks that theorem exhaustively on small components).
+`double_cross_product` validates them once per call (`validated_components`);
+code that has already validated them builds through the private fill.  Its
+product is filled once per mixed pair, since (a,g)*(b,h) depends on (g, b)
+only through the two actions.
 
 Every sweep enumerates its fibered set through the endpoint index of
 `quasigroupoids` (`matching_arrows`): the mixed pairs, the triples of the
@@ -329,32 +331,34 @@ def dcp_pairs(mp: MatchedPair) -> list[tuple[int, int]]:
     return mixed_pairs(mp.a, mp.h)
 
 
-def validated_components(mp: MatchedPair, check: bool = True) -> tuple[Quasigroupoid, ...]:
+def validated_components(mp: MatchedPair) -> tuple[Quasigroupoid, ...]:
     """A and H of mp, once the hypotheses of the paper's first theorem hold:
-    with `check` the matched-pair axioms are checked first, then A and H on
-    every call.  A failure raises `InvalidStructureError` with the report
-    that failed, the component's own for A or H."""
-    if check:
-        report = check_matched_pair(mp)
-        if not report.ok:
-            raise InvalidStructureError(report)
+    the matched-pair axioms are checked first, then A and H.  A failure
+    raises `InvalidStructureError` with the report that failed, the
+    component's own for A or H."""
+    report = check_matched_pair(mp)
+    if not report.ok:
+        raise InvalidStructureError(report)
     return _validated(mp.a), _validated(mp.h)
 
 
-def double_cross_product(mp: MatchedPair, check: bool = True) -> Quasigroupoid:
+def double_cross_product(mp: MatchedPair) -> Quasigroupoid:
     """The quasigroupoid on dcp_pairs with the action-twisted product
     (a,g)*(b,h) = (a . phiA(g,b), phiH(g,b) . h).
 
     The result is not re-checked: by the paper's first theorem the double
     cross product of a matched pair of quasigroupoids is a quasigroupoid, so
-    the hypotheses are validated instead (`validated_components`).  With
-    `check` the matched-pair axioms are checked first; A and H are checked
-    on every call, and an invalid component raises `InvalidStructureError`
-    with its own report.
-    With `check=False` on a pair that fails `check_matched_pair` the result
-    is unspecified; it may raise `StructureError` where a product, unit or
-    inverse falls outside the arrow set."""
-    a, h = validated_components(mp, check)
+    the hypotheses are validated instead, once (`validated_components`)."""
+    validated_components(mp)
+    return _dcp_fill(mp)
+
+
+def _dcp_fill(mp: MatchedPair) -> Quasigroupoid:
+    """`double_cross_product` of a pair whose hypotheses the caller has
+    validated.  On a pair that fails them the result is unspecified; it may
+    raise `StructureError` where a product, unit or inverse falls outside
+    the arrow set."""
+    a, h = mp.a, mp.h
     pairs = dcp_pairs(mp)
     # at[p][q]: the arrow (p, q)
     at = PairTable.from_triples((p, q, i) for i, (p, q) in enumerate(pairs)).rows

@@ -144,7 +144,7 @@ def test_criterion_4_exact_factorization_round_trip(mp_family):
 def criterion_5_structures(z2, z3, m12, mp_family):
     structures = dict(builder_instances(z2, z3, m12))
     for name, mp in mp_family.items():
-        structures[f"dcp {name}"] = double_cross_product(mp, check=False)
+        structures[f"dcp {name}"] = double_cross_product(mp)
         structures[f"a of {name}"] = mp.a
         structures[f"h of {name}"] = mp.h
     return {name: q for name, q in structures.items() if q.n_arrows <= 50}

@@ -269,7 +269,7 @@ def _patch_every_binding(monkeypatch, original, replacement) -> int:
 
 
 def test_suite_on_a_matched_pair_builds_the_dcp_once(mp_file, monkeypatch, capsys):
-    original = matched_pairs.double_cross_product
+    original = matched_pairs._dcp_fill
     calls = []
 
     def counting(*args, **kwargs):
@@ -309,6 +309,39 @@ def test_double_cross_products_are_trusted_from_checked_components(tmp_path, mon
     mp, _ = reconstruct_matched_pair(factorization)
     assert [q.n_arrows for q in checked] == [4, 24]
     assert checked[0] is mp.a and checked[1] is mp.h
+
+
+VALIDATIONS = {  # command -> (check_matched_pair calls, check_quasigroupoid calls)
+    ("validate",): (1, 0),
+    ("suite",): (1, 2),
+    ("build", "dcp"): (1, 2),
+    ("build", "bowtie"): (1, 2),
+    ("check-iso",): (1, 2),
+}
+
+
+@pytest.mark.parametrize("name", ["two-sided m2", "action-left z3 translation"])
+def test_each_command_validates_a_matched_pair_once(tmp_path, mp_family, monkeypatch, capsys, name):
+    mp = two_sided_pair(2) if name == "two-sided m2" else mp_family[name]
+    path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(mp)))
+    calls = []
+
+    def counting(checker):
+        def counted(*args):
+            calls.append(checker)
+            return checker(*args)
+
+        return counted
+
+    for checker in (check_matched_pair, check_quasigroupoid):
+        assert _patch_every_binding(monkeypatch, checker, counting(checker)) > 1
+    for command, (pairs, components) in VALIDATIONS.items():
+        calls.clear()
+        code, _, _ = run(capsys, *command, path)
+        assert code == 0, command
+        assert (calls.count(check_matched_pair), calls.count(check_quasigroupoid)) == (
+            pairs, components,
+        ), command
 
 
 def _with_broken_component(mp, which):

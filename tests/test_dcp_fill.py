@@ -3,7 +3,7 @@ against the per-pair loop it replaced (`tests/reference_dcp.py`).
 
 Both must give the same structure with the product entries inserted in the
 same order, on the test family and on the two-sided pairs of pair(M12, m).
-On action tables corrupted after validation, built with `check=False`, both
+On action tables corrupted after validation, built by the fill alone, both
 must return the same structure or raise the same `StructureError`, naming
 the same first pair whose product is not an arrow.
 """
@@ -13,6 +13,7 @@ import random
 import pytest
 
 from nonassoc import LeftAction, MatchedPair, RightAction, double_cross_product
+from nonassoc.matched_pairs import _dcp_fill
 from nonassoc.reports import StructureError
 from tests import reference_dcp
 from tests.conftest import two_sided_pair
@@ -61,7 +62,7 @@ def test_corrupted_actions_fail_at_the_same_product(mp_family):
         for _ in range(60):
             bad = _corrupted(mp, rng)
             expected = _outcome(reference_dcp.double_cross_product, bad)
-            assert _outcome(lambda q: double_cross_product(q, check=False), bad) == expected, name
+            assert _outcome(_dcp_fill, bad) == expected, name
             if expected[0] == "built":
                 seen["built"] += 1
             elif "not closed at ('product'" in expected[1]:

@@ -232,3 +232,22 @@ def test_mutated_documents_exit_0_1_or_2_without_a_traceback(tmp_path):
         ("whq", "suite"): {0, 1},
         ("whq", "check-whq"): {0, 1},
     }
+
+
+def test_a_scalar_in_exponent_notation_exits_2_at_once(tmp_path):
+    """Scalars are "num" or "num/den"; exponent notation, which Fraction would
+    expand to an integer of a billion digits, is a bad scalar."""
+    doc = whq_to_doc(magma_of_quasigroupoid(coarse_groupoid(2)))
+    doc["unit"][0][-1] = "1e1000000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(emit(doc))
+    child = subprocess.run(
+        [sys.executable, "-m", "nonassoc", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_cap_address_space,
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr.startswith("error: bad scalar '1e1000000000': ")

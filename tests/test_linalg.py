@@ -16,7 +16,7 @@ from nonassoc import (
     span_equal,
     twist,
 )
-from nonassoc.linalg import GFElement, RATIONALS, field_by_name, vec_equal
+from nonassoc.linalg import GFElement, RATIONALS, field_by_name, vec_add_into, vec_equal
 
 
 def test_twist_involution():
@@ -82,7 +82,6 @@ def test_compose_add_scale_tensor():
     assert ident @ f == f
     assert f @ ident == f
     assert ident.tensor(LinearMap.identity(3)) == LinearMap.identity(6)
-    assert (f + f.scale(-1)).is_zero()
 
 
 def test_shape_mismatch_raises():
@@ -90,16 +89,18 @@ def test_shape_mismatch_raises():
     g = LinearMap.identity(3)
     with pytest.raises(DimensionMismatch):
         f @ g
-    with pytest.raises(DimensionMismatch):
-        f + g
 
 
 def test_exact_fraction_arithmetic():
     f = LinearMap.from_cols(1, 1, [{0: Fraction(1, 3)}])
     g = LinearMap.from_cols(1, 1, [{0: Fraction(1, 6)}])
-    assert (f + g).cols[0] == {0: Fraction(1, 2)}
-    third = LinearMap.from_cols(1, 1, [{0: Fraction(1, 3)}])
-    assert (f + g + f.scale(-1) + g.scale(-1) + third).cols[0] == {0: Fraction(1, 3)}
+    assert (f @ g).cols[0] == {0: Fraction(1, 18)}
+    acc = dict(f.cols[0])
+    vec_add_into(acc, g.cols[0])
+    assert acc == {0: Fraction(1, 2)}
+    vec_add_into(acc, f.cols[0], -1)
+    vec_add_into(acc, g.cols[0], -1)
+    assert acc == {}  # cancels exactly, and the zero is pruned
 
 
 def test_span_basis_and_rank():
@@ -151,8 +152,11 @@ def test_prime_field_modulus_is_below_2_to_31():
 def test_gf_vectors_in_maps():
     gf3 = PrimeField(3)
     f = LinearMap.from_cols(1, 1, [{0: gf3(2)}])
-    assert (f + f).cols[0] == {0: gf3(1)}
-    assert (f + f + f).is_zero()
+    assert (f @ f).cols[0] == {0: gf3(1)}
+    acc: dict = {}
+    for _ in range(3):
+        vec_add_into(acc, f.cols[0])
+    assert acc == {}  # 2 + 2 + 2 = 0 in GF(3), pruned
 
 
 def test_vec_equal_ignores_representation():
