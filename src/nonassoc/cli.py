@@ -28,7 +28,12 @@ from .matched_pairs import (
     mixed_associativity_suite,
     theta_identity_report,
 )
-from .quasigroupoids import check_action_on_set, check_quasigroupoid, derived_identity_suite
+from .quasigroupoids import (
+    _validated,
+    check_action_on_set,
+    check_quasigroupoid,
+    derived_identity_suite,
+)
 from .quasigroups import check_quasigroup, derived_inverse_suite, is_associative
 from .reports import (
     InvalidStructureError,
@@ -144,6 +149,7 @@ def _checker_reports(kind: str, value, suite: bool) -> list[StructureReport]:
             reports.append(theta_identity_report(c, fact))
         return reports
     if kind == "factorization":
+        _validated(value.b)  # A and H, wide and closed in B, are then quasigroupoids
         return [check_exact_factorization(value)]
     report = check_whq(value)
     reports = [report]
@@ -166,10 +172,7 @@ def cmd_check_whq(args) -> int:
 
 def cmd_build(args) -> int:
     if args.what == "magma":
-        q = _load_kind(args.file, "quasigroupoid", "build magma")
-        report = check_quasigroupoid(q)
-        if not report.ok:
-            raise InvalidStructureError(report)
+        q = _validated(_load_kind(args.file, "quasigroupoid", "build magma"))
         out = documents.whq_to_doc(magma_of_quasigroupoid(q), args.field)
     else:
         mp = _load_kind(args.file, "matched-pair", f"build {args.what}")
@@ -182,10 +185,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    q = _load_kind(args.file, "quasigroupoid", "factorize")
-    report = check_quasigroupoid(q)
-    if not report.ok:
-        raise InvalidStructureError(report)
+    q = _validated(_load_kind(args.file, "quasigroupoid", "factorize"))
     found = enumerate_factorizations(q, args.max_arrows)
     if args.format == "machine":
         sys.stdout.write(documents.emit([documents.factorization_to_doc(c) for c in found]))

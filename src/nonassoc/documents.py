@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .factorizations import FactorizationCandidate, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
-from .linalg import GFElement, LinearMap, field_by_name, vec_canonical
+from .linalg import GFElement, LinearMap, field_by_name
 from .matched_pairs import LeftAction, MatchedPair, RightAction
 from .quasigroupoids import EMPTY, PairTable, Quasigroupoid
 from .quasigroups import FiniteQuasigroup, quasigroup
@@ -225,10 +225,10 @@ def _scalar_to_str(value) -> str:
 
 
 def _sparse(doc, what, field, bad, *bounds) -> list:
-    """The [indices..., scalar] entries of `what` as (indices, value) pairs,
-    in document order.  Indices must lie below `bounds` and appear once.  A
-    scalar that `field` cannot read is appended to `bad` as its error, to be
-    raised once the rest of the document has been checked."""
+    """The [indices..., scalar] entries of `what` with a nonzero scalar, as
+    (indices, value) pairs in document order.  Indices must lie below
+    `bounds` and appear once.  A scalar that `field` cannot read is appended
+    to `bad` as its error, raised once the rest of the document is checked."""
     out, seen = [], set()
     for entry in _need(doc, what, list):
         if not isinstance(entry, list) or len(entry) != len(bounds) + 1:
@@ -244,9 +244,12 @@ def _sparse(doc, what, field, bad, *bounds) -> list:
             raise SchemaError(f"duplicate {what} entry at {key}")
         seen.add(key)
         try:
-            out.append((key, field.from_string(scalar)))
+            value = field.from_string(scalar)
         except (ValueError, ZeroDivisionError) as exc:
             bad.append(SchemaError(f"bad scalar {scalar!r}: {exc}"))
+            continue
+        if value:
+            out.append((key, value))
     return out
 
 
@@ -475,10 +478,10 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
         antipode_cols[i][k] = c
     return MagmaCoalgebra(
         n,
-        vec_canonical({i: c for (i,), c in unit}),
-        LinearMap.from_cols(n * n, n, product_cols),
-        LinearMap.from_cols(n, 1, counit_cols),
-        LinearMap.from_cols(n, n * n, coproduct_cols),
-        LinearMap.from_cols(n, n, antipode_cols),
+        {i: c for (i,), c in unit},
+        LinearMap(n * n, n, tuple(product_cols)),
+        LinearMap(n, 1, tuple(counit_cols)),
+        LinearMap(n, n * n, tuple(coproduct_cols)),
+        LinearMap(n, n, tuple(antipode_cols)),
         basis_names=basis_names,
     )

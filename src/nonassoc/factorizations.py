@@ -35,10 +35,10 @@ from .matched_pairs import (
     double_cross_product,
     inclusion_a,
     inclusion_h,
-    mixed_pairs,
 )
 from .quasigroupoids import (
     EMPTY,
+    PairTable,
     QgpdMorphism,
     Quasigroupoid,
     _validated,
@@ -209,14 +209,17 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
     b, ia, ih = c.b, c.ia, c.ih
     a, h = ia.source, ih.source
     left, right = {}, {}
-    for (x, y) in mixed_pairs(h, a):
-        mixed = b.compose(ih.arrow_map[x], ia.arrow_map[y])
-        if mixed is None or mixed not in theta_inv:
-            raise StructureError(
-                f"cannot invert theta at mixed pair ({x},{y}): image {mixed}"
-            )
-        left[(x, y)], right[(x, y)] = theta_inv[mixed]
-    mp = MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
+    for x, ys in enumerate(matching_arrows(h.src, a.tgt, b.n_objects)):
+        row = b.prod.rows.get(ih.arrow_map[x], EMPTY)
+        left_x, right_x = left[x], right[x] = {}, {}
+        for y in ys:
+            mixed = row.get(ia.arrow_map[y])
+            if mixed not in theta_inv:
+                raise StructureError(
+                    f"cannot invert theta at mixed pair ({x},{y}): image {mixed}"
+                )
+            left_x[y], right_x[y] = theta_inv[mixed]
+    mp = MatchedPair(a, h, LeftAction(h, a, PairTable(left)), RightAction(h, a, PairTable(right)))
     dcp = double_cross_product(mp)  # raises on a pair failing check_matched_pair
     pairs = dcp_pairs(mp)
     gamma = QgpdMorphism(
@@ -270,21 +273,23 @@ def sub_quasigroupoid(
     tgt = tuple(b.tgt[x] for x in arrows)
     unit = tuple(index[b.unit[o]] for o in range(b.n_objects))
     inv = tuple(index[b.inv[x]] for x in arrows)
-    prod = {}
-    for i, after in enumerate(matching_arrows(src, tgt, b.n_objects)):
-        x = arrows[i]
+    rows = {}
+    for i, (x, after) in enumerate(zip(arrows, matching_arrows(src, tgt, b.n_objects))):
+        row_x, row = b.prod.rows.get(x, EMPTY), {}
         for j in after:
-            y = arrows[j]
-            if (x, y) not in b.prod:
-                raise StructureError(f"product missing on composable pair ({x},{y})")
-            prod[(i, j)] = index[b.prod[(x, y)]]
+            xy = row_x.get(arrows[j])
+            if xy is None:
+                raise StructureError(f"product missing on composable pair ({x},{arrows[j]})")
+            row[j] = index[xy]
+        if row:  # empty only where b's identity arrows have the wrong ends
+            rows[i] = row
     sub = Quasigroupoid(
         n_objects=b.n_objects,
         src=src,
         tgt=tgt,
         unit=unit,
         inv=inv,
-        prod=prod,
+        prod=PairTable(rows),
         object_names=b.object_names,
         arrow_names=tuple(b.arrow_name(x) for x in arrows),
     )

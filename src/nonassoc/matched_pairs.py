@@ -15,7 +15,8 @@ checks that theorem exhaustively on small components).
 `double_cross_product` validates them once per call (`validated_components`);
 code that has already validated them builds through the private fill.  Its
 product is filled once per mixed pair, since (a,g)*(b,h) depends on (g, b)
-only through the two actions.
+only through the two actions.  The families `mp_discrete_right` and
+`mp_action_left` are matched pairs by construction; each checks only its input.
 
 Every sweep enumerates its fibered set through the endpoint index of
 `quasigroupoids` (`matching_arrows`): the mixed pairs, the triples of the
@@ -512,20 +513,22 @@ def mixed_associativity_suite(c: FactorizationCandidate, fact: StructureReport) 
 
 def mp_discrete_right(a: Quasigroupoid) -> MatchedPair:
     """(a, discrete groupoid on its base): the discrete side acts trivially,
-    a acts back by recording sources."""
-    h = discrete_groupoid(a.n_objects)
-    left = {(x, p): p for p in range(a.n_arrows) for x in [a.tgt[p]]}
-    right = {(x, p): a.src[p] for p in range(a.n_arrows) for x in [a.tgt[p]]}
-    return matched_pair(a, h, left, right)
+    a acts back by recording sources.  Validates a (`check_quasigroupoid`)."""
+    h = discrete_groupoid(_validated(a).n_objects)
+    left = {x: {} for x in dict.fromkeys(a.tgt)}  # in order of first appearance
+    right = {x: {} for x in left}
+    for p, x in enumerate(a.tgt):
+        left[x][p], right[x][p] = p, a.src[p]
+    return MatchedPair(a, h, LeftAction(h, a, PairTable(left)), RightAction(h, a, PairTable(right)))
 
 
 def mp_action_left(q: FiniteQuasigroup, n_points: int, psi) -> MatchedPair:
-    """(discrete groupoid on the point set, action quasigroupoid of psi)."""
+    """(discrete groupoid on the point set, action quasigroupoid of psi).  Validates psi."""
     h = from_quasigroup_action(q, n_points, psi)
     a = discrete_groupoid(n_points)
-    left = {(x, h.src[x]): h.tgt[x] for x in range(h.n_arrows)}
-    right = {(x, h.src[x]): x for x in range(h.n_arrows)}
-    return matched_pair(a, h, left, right)
+    left = {x: {h.src[x]: h.tgt[x]} for x in range(h.n_arrows)}
+    right = {x: {h.src[x]: x} for x in range(h.n_arrows)}
+    return MatchedPair(a, h, LeftAction(h, a, PairTable(left)), RightAction(h, a, PairTable(right)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ sweep fixes a factor once, hoists its row out of the inner loop and looks
 the other factor up there, instead of building and hashing a fresh pair on
 every lookup.
 
-Checkers report violations per axiom; the builders here validate what they
-return, so it can be trusted downstream.  The double cross product of
-`matched_pairs` is trusted by the paper's first theorem instead: it is a
-quasigroupoid whenever its hypotheses are, so its builder validates the
-matched pair and the two components, not the result.
+Checkers report violations per axiom.  The builders here return
+quasigroupoids by construction, as the double cross product of
+`matched_pairs` is one by the paper's first theorem: each writes its product
+rows directly and validates only its inputs, never its result, and a
+`FiniteQuasigroup` is valid once `quasigroups.quasigroup` has made it.
 """
 
 from __future__ import annotations
@@ -315,17 +315,15 @@ def discrete_groupoid(n_points: int) -> Quasigroupoid:
     if n_points < 1:
         raise StructureError("empty base")
     idx = tuple(range(n_points))
-    return _validated(
-        Quasigroupoid(
-            n_objects=n_points,
-            src=idx,
-            tgt=idx,
-            unit=idx,
-            inv=idx,
-            prod={(x, x): x for x in idx},
-            object_names=tuple(str(x) for x in idx),
-            arrow_names=tuple(str(x) for x in idx),
-        )
+    return Quasigroupoid(
+        n_objects=n_points,
+        src=idx,
+        tgt=idx,
+        unit=idx,
+        inv=idx,
+        prod=PairTable({x: {x: x} for x in idx}),
+        object_names=tuple(str(x) for x in idx),
+        arrow_names=tuple(str(x) for x in idx),
     )
 
 
@@ -338,40 +336,34 @@ def coarse_groupoid(n_points: int) -> Quasigroupoid:
     tgt = tuple(pair // n for pair in range(n * n))
     unit = tuple(x * n + x for x in range(n))
     inv = tuple((pair % n) * n + pair // n for pair in range(n * n))
-    prod = {}
-    for z in range(n):
-        for x in range(n):
-            for y in range(n):
-                prod[(z * n + x, x * n + y)] = z * n + y
+    rows = {
+        z * n + x: {x * n + y: z * n + y for y in range(n)} for z in range(n) for x in range(n)
+    }
     names = tuple(f"({x},{y})" for x in range(n) for y in range(n))
-    return _validated(
-        Quasigroupoid(
-            n_objects=n,
-            src=src,
-            tgt=tgt,
-            unit=unit,
-            inv=inv,
-            prod=prod,
-            object_names=tuple(str(x) for x in range(n)),
-            arrow_names=names,
-        )
+    return Quasigroupoid(
+        n_objects=n,
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=PairTable(rows),
+        object_names=tuple(str(x) for x in range(n)),
+        arrow_names=names,
     )
 
 
 def quasigroup_as_quasigroupoid(q: FiniteQuasigroup) -> Quasigroupoid:
     """One object; arrows are the elements and every pair is composable."""
     n = q.order
-    return _validated(
-        Quasigroupoid(
-            n_objects=1,
-            src=(0,) * n,
-            tgt=(0,) * n,
-            unit=(q.identity,),
-            inv=q.inverse,
-            prod={(u, v): q.mul(u, v) for u in range(n) for v in range(n)},
-            object_names=("*",),
-            arrow_names=tuple(q.name(u) for u in range(n)),
-        )
+    return Quasigroupoid(
+        n_objects=1,
+        src=(0,) * n,
+        tgt=(0,) * n,
+        unit=(q.identity,),
+        inv=q.inverse,
+        prod=PairTable({u: dict(enumerate(row)) for u, row in enumerate(q.table)}),
+        object_names=("*",),
+        arrow_names=tuple(q.name(u) for u in range(n)),
     )
 
 
@@ -413,7 +405,8 @@ def check_action_on_set(q: FiniteQuasigroup, n_points: int, psi) -> StructureRep
 
 
 def from_quasigroup_action(q: FiniteQuasigroup, n_points: int, psi) -> Quasigroupoid:
-    """Arrows (a, x) from x to psi(a, x); (a,x)*(b,y) = (a.b, y) when psi(b,y)=x."""
+    """Arrows (a, x) from x to psi(a, x); (a,x)*(b,y) = (a.b, y) when psi(b,y)=x.
+    Validates the action (`check_action_on_set`)."""
     action_report = check_action_on_set(q, n_points, psi)
     if not action_report.ok:
         raise InvalidStructureError(action_report)
@@ -428,24 +421,22 @@ def from_quasigroup_action(q: FiniteQuasigroup, n_points: int, psi) -> Quasigrou
     tgt = tuple(table[i // m][i % m] for i in range(k))
     unit = tuple(arrow(q.identity, x) for x in range(m))
     inv = tuple(arrow(q.inv(i // m), table[i // m][i % m]) for i in range(k))
-    prod = {}
-    for a in range(q.order):
-        for b in range(q.order):
-            ab = q.mul(a, b)
+    # psi(0, -) is a bijection, so the sweep over b, y reaches each x first at b = 0
+    rows = {arrow(a, x): {} for a in range(q.order) for x in table[0]}
+    for a, mul_a in enumerate(q.table):
+        for b, ab in enumerate(mul_a):
             for y in range(m):
-                prod[(arrow(a, table[b][y]), arrow(b, y))] = arrow(ab, y)
+                rows[arrow(a, table[b][y])][arrow(b, y)] = arrow(ab, y)
     names = tuple(f"({q.name(i // m)},{i % m})" for i in range(k))
-    return _validated(
-        Quasigroupoid(
-            n_objects=m,
-            src=src,
-            tgt=tgt,
-            unit=unit,
-            inv=inv,
-            prod=prod,
-            object_names=tuple(str(x) for x in range(m)),
-            arrow_names=names,
-        )
+    return Quasigroupoid(
+        n_objects=m,
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=PairTable(rows),
+        object_names=tuple(str(x) for x in range(m)),
+        arrow_names=names,
     )
 
 
@@ -463,34 +454,32 @@ def pair_quasigroupoid(q: FiniteQuasigroup, n_points: int) -> Quasigroupoid:
     tgt = tuple((i // m) % m for i in range(k))
     unit = tuple(arrow(q.identity, x, x) for x in range(m))
     inv = tuple(arrow(q.inv(i // (m * m)), i % m, (i // m) % m) for i in range(k))
-    prod = {}
-    for a in range(q.order):
-        for b in range(q.order):
-            ab = q.mul(a, b)
-            for x in range(m):
-                for y in range(m):
-                    for r in range(m):
-                        prod[(arrow(a, x, y), arrow(b, y, r))] = arrow(ab, x, r)
+    rows = {}
+    for a, mul_a in enumerate(q.table):
+        for x in range(m):
+            for y in range(m):
+                rows[arrow(a, x, y)] = {
+                    arrow(b, y, r): arrow(ab, x, r) for b, ab in enumerate(mul_a) for r in range(m)
+                }
     names = tuple(
         f"({q.name(i // (m * m))},{(i // m) % m},{i % m})" for i in range(k)
     )
-    return _validated(
-        Quasigroupoid(
-            n_objects=m,
-            src=src,
-            tgt=tgt,
-            unit=unit,
-            inv=inv,
-            prod=prod,
-            object_names=tuple(str(x) for x in range(m)),
-            arrow_names=names,
-        )
+    return Quasigroupoid(
+        n_objects=m,
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=PairTable(rows),
+        object_names=tuple(str(x) for x in range(m)),
+        arrow_names=names,
     )
 
 
 def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid:
     """Reindex the base along a surjection pi: arrows are triples (p, a, r)
-    with pi(p) = tgt(a) and pi(r) = src(a), composed through the middle leg."""
+    with pi(p) = tgt(a) and pi(r) = src(a), composed through the middle leg.
+    Validates q (`check_quasigroupoid`)."""
     pi = list(pi)
     if len(pi) != n_points:
         raise StructureError("pi must assign an object to every point")
@@ -499,6 +488,7 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
             raise StructureError(f"pi[{p}] = {x!r} out of range")
     if set(pi) != set(range(q.n_objects)):
         raise StructureError("pi must be surjective")
+    _validated(q)
 
     into = matching_arrows(pi, q.tgt, q.n_objects)  # p -> the a with tgt(a) = pi(p)
     over = matching_arrows(q.src, pi, q.n_objects)  # a -> the r with pi(r) = src(a)
@@ -508,24 +498,21 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
     tgt = tuple(t[0] for t in triples)
     unit = tuple(index[(p, q.unit[pi[p]], p)] for p in range(n_points))
     inv = tuple(index[(r, q.inv[a], p)] for (p, a, r) in triples)
-    prod = {}
+    rows = {}  # no row is empty: (p, a, r) composes with the unit triple at r
     for i, after in enumerate(matching_arrows(src, tgt, n_points)):
         p, a, _ = triples[i]
-        for j in after:
-            _, b, r2 = triples[j]
-            prod[(i, j)] = index[(p, q.prod.rows[a][b], r2)]
+        row_a = q.prod.rows[a]
+        rows[i] = {j: index[(p, row_a[triples[j][1]], triples[j][2])] for j in after}
     names = tuple(f"({p},{q.arrow_name(a)},{r})" for (p, a, r) in triples)
-    return _validated(
-        Quasigroupoid(
-            n_objects=n_points,
-            src=src,
-            tgt=tgt,
-            unit=unit,
-            inv=inv,
-            prod=prod,
-            object_names=tuple(str(p) for p in range(n_points)),
-            arrow_names=names,
-        )
+    return Quasigroupoid(
+        n_objects=n_points,
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=PairTable(rows),
+        object_names=tuple(str(p) for p in range(n_points)),
+        arrow_names=names,
     )
 
 

@@ -11,6 +11,7 @@ from nonassoc import (
     MatchedPair,
     RightAction,
     canonical_factorization,
+    check_exact_factorization,
     check_matched_pair,
     check_quasigroupoid,
     magma_of_quasigroupoid,
@@ -193,6 +194,23 @@ def test_factorization_missing_a_product_inside_a_component_exits_2(tmp_path, z2
     assert err == "error: product missing on composable pair (1,2)\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "suite"])
+def test_a_factorization_in_a_broken_ambient_structure_exits_1_with_its_report(
+    tmp_path, z2, capsys, command
+):
+    """B's inverse map is broken at arrow 1, and no condition of the exact
+    factorization reads inverses; B is checked first, and its report is the
+    command's."""
+    doc = factorization_to_doc(canonical_factorization(mp_discrete_right(pair_quasigroupoid(z2, 2))))
+    assert doc["b"]["inv"][1] == 2
+    doc["b"]["inv"][1] = 6
+    report = check_quasigroupoid(documents.doc_to_quasigroupoid(doc["b"]))
+    assert [v.axiom for v in report.violations] == ["a2-3"] * 8
+    assert check_exact_factorization(documents.doc_to_factorization(doc)).ok
+    path = write(tmp_path, "fact.json", emit(doc))
+    assert run(capsys, command, path) == (1, format_report(report), "")
+
+
 def test_only_flag_restricts_report(tmp_path, coarse2, capsys):
     doc = quasigroupoid_to_doc(coarse2)
     doc["inv"][1] = 1
@@ -290,7 +308,7 @@ def test_double_cross_products_are_trusted_from_checked_components(tmp_path, mon
     """A matched pair's double cross product is a quasigroupoid once A and H
     are: the commands and the reconstruction check A and H, never the
     48-arrow product."""
-    factorization = two_sided_factorization(2)  # its ambient pair(M12, 2) is checked once built
+    factorization = two_sided_factorization(2)  # built before the checker is recorded
     mp_path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(two_sided_pair(2))))
     loaded = documents.doc_to_matched_pair(documents.parse((tmp_path / "mp.json").read_text()))
     checked = []
