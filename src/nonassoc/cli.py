@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import documents
 from .bowtie import bowtie_whq, verify_canonical_iso
 from .factorizations import (
+    FactorizationCandidate,
     canonical_factorization,
     check_exact_factorization,
     enumerate_factorizations,
@@ -22,6 +23,7 @@ from .factorizations import (
 from .hopf import check_whq, derived_property_suite, magma_of_quasigroupoid
 from .linalg import GFElement
 from .matched_pairs import (
+    MatchedPair,
     check_matched_pair,
     double_cross_product,
     matched_pair_identity_suite,
@@ -29,12 +31,13 @@ from .matched_pairs import (
     theta_identity_report,
 )
 from .quasigroupoids import (
+    Quasigroupoid,
     _validated,
     check_action_on_set,
     check_quasigroupoid,
     derived_identity_suite,
 )
-from .quasigroups import check_quasigroup, derived_inverse_suite, is_associative
+from .quasigroups import FiniteQuasigroup, check_quasigroup, derived_inverse_suite, is_associative
 from .reports import (
     InvalidStructureError,
     StructureError,
@@ -75,35 +78,21 @@ def _print_reports(reports: list[StructureReport], args) -> int:
     return 0 if violations == 0 else 1
 
 
-def _load(path: str) -> tuple[str, object]:
-    """The kind of the document at `path` and the structure its reader
-    builds.  A fault the reader finds once the schema holds (a broken
-    quasigroup law, a product missing inside a factor) is returned in place
-    of the structure, to be raised only after the command has checked the
-    kind."""
+def _load(path: str, kind: str | None = None, command: str = ""):
+    """The structure the document at `path` holds, read in the order
+    docs/file-format.md gives: `documents.parse` checks the envelope; for a
+    command that takes one `kind`, the kind comes next, so that no command
+    reads the body of a document it cannot use; then the reader of the kind
+    checks the schema as it builds the structure, and the laws last."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:
             raise documents.SchemaError(f"document is not UTF-8 text: {exc.reason}") from exc
     doc = documents.parse(text)
-    kind = doc["kind"]
-    try:
-        return kind, getattr(documents, "doc_to_" + kind.replace("-", "_"))(doc)
-    except documents.SchemaError:
-        raise
-    except StructureError as exc:
-        return kind, exc
-
-
-def _load_kind(path: str, kind: str, command: str):
-    """The structure of the document at `path`, which must be of `kind`."""
-    found, value = _load(path)
-    if found != kind:
+    if kind is not None and doc["kind"] != kind:
         raise StructureError(f"{command} expects a {kind} document")
-    if isinstance(value, StructureError):
-        raise value
-    return value
+    return getattr(documents, "doc_to_" + doc["kind"].replace("-", "_"))(doc)
 
 
 def _write_output(text: str, args) -> None:
@@ -114,12 +103,12 @@ def _write_output(text: str, args) -> None:
         sys.stdout.write(text)
 
 
-def _checker_reports(kind: str, value, suite: bool) -> list[StructureReport]:
-    if isinstance(value, StructureError):
-        if kind == "quasigroup":  # the report of its broken laws
-            return [value.report]
-        raise value
-    if kind == "quasigroup":
+def _checker_reports(path: str, suite: bool) -> list[StructureReport]:
+    try:
+        value = _load(path)
+    except InvalidStructureError as exc:  # the report of a quasigroup's broken laws
+        return [exc.report]
+    if isinstance(value, FiniteQuasigroup):
         report = check_quasigroup(value.table, value.identity)
         reports = [report]
         if suite:
@@ -130,15 +119,15 @@ def _checker_reports(kind: str, value, suite: bool) -> list[StructureReport]:
             )
             reports.append(derived)
         return reports
-    if kind == "quasigroupoid":
+    if isinstance(value, Quasigroupoid):
         report = check_quasigroupoid(value)
         reports = [report]
         if suite and report.ok:
             reports.append(derived_identity_suite(value))
         return reports
-    if kind == "action":
+    if isinstance(value, tuple):  # an action: quasigroup, points, psi
         return [check_action_on_set(*value)]
-    if kind == "matched-pair":
+    if isinstance(value, MatchedPair):
         report = check_matched_pair(value)
         reports = [report]
         if suite and report.ok:
@@ -148,7 +137,7 @@ def _checker_reports(kind: str, value, suite: bool) -> list[StructureReport]:
             reports.append(mixed_associativity_suite(c, fact))
             reports.append(theta_identity_report(c, fact))
         return reports
-    if kind == "factorization":
+    if isinstance(value, FactorizationCandidate):
         _validated(value.b)  # A and H, wide and closed in B, are then quasigroupoids
         return [check_exact_factorization(value)]
     report = check_whq(value)
@@ -159,23 +148,23 @@ def _checker_reports(kind: str, value, suite: bool) -> list[StructureReport]:
 
 
 def cmd_validate(args) -> int:
-    return _print_reports(_checker_reports(*_load(args.file), suite=False), args)
+    return _print_reports(_checker_reports(args.file, suite=False), args)
 
 
 def cmd_suite(args) -> int:
-    return _print_reports(_checker_reports(*_load(args.file), suite=True), args)
+    return _print_reports(_checker_reports(args.file, suite=True), args)
 
 
 def cmd_check_whq(args) -> int:
-    return _print_reports([check_whq(_load_kind(args.file, "whq", "check-whq"))], args)
+    return _print_reports([check_whq(_load(args.file, "whq", "check-whq"))], args)
 
 
 def cmd_build(args) -> int:
     if args.what == "magma":
-        q = _validated(_load_kind(args.file, "quasigroupoid", "build magma"))
+        q = _validated(_load(args.file, "quasigroupoid", "build magma"))
         out = documents.whq_to_doc(magma_of_quasigroupoid(q), args.field)
     else:
-        mp = _load_kind(args.file, "matched-pair", f"build {args.what}")
+        mp = _load(args.file, "matched-pair", f"build {args.what}")
         if args.what == "dcp":
             out = documents.quasigroupoid_to_doc(double_cross_product(mp))
         else:
@@ -185,7 +174,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    q = _validated(_load_kind(args.file, "quasigroupoid", "factorize"))
+    q = _validated(_load(args.file, "quasigroupoid", "factorize"))
     found = enumerate_factorizations(q, args.max_arrows)
     if args.format == "machine":
         sys.stdout.write(documents.emit([documents.factorization_to_doc(c) for c in found]))
@@ -199,7 +188,7 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_check_iso(args) -> int:
-    mp = _load_kind(args.file, "matched-pair", "check-iso")
+    mp = _load(args.file, "matched-pair", "check-iso")
     return _print_reports([verify_canonical_iso(mp)], args)
 
 

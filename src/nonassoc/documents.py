@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .factorizations import FactorizationCandidate, sub_quasigroupoid
+from .factorizations import FactorizationCandidate, closure_fault, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
 from .linalg import GFElement, LinearMap, field_by_name
 from .matched_pairs import LeftAction, MatchedPair, RightAction
-from .quasigroupoids import EMPTY, PairTable, Quasigroupoid
+from .quasigroupoids import PairTable, Quasigroupoid
 from .quasigroups import FiniteQuasigroup, quasigroup
 from .reports import StructureError
 
@@ -204,16 +204,9 @@ def _arrow_subset(doc, field, b: Quasigroupoid) -> tuple[int, ...]:
     chosen = set(subset)
     if len(chosen) != len(subset):
         raise SchemaError(f"{field} contains duplicates")
-    if not set(b.unit) <= chosen:
-        raise RangeError(f"{field} must contain every identity arrow")
-    for x in chosen:
-        if b.inv[x] not in chosen:
-            raise RangeError(f"{field} not closed under the inverse map at {x}")
-    for x in chosen:
-        row = b.prod.rows.get(x, EMPTY)
-        if any(v not in chosen for y, v in row.items() if y in chosen):
-            y = next(y for y in chosen if y in row and row[y] not in chosen)
-            raise RangeError(f"{field} not closed under the product at ({x},{y})")
+    fault = closure_fault(b, chosen)
+    if fault:
+        raise RangeError(f"{field} {fault}")
     return tuple(subset)
 
 

@@ -11,10 +11,11 @@ associativity sweeps and of theta: on the canonical factorization of a
 matched pair, `matched_pairs.mixed_associativity_suite` and
 `matched_pairs.theta_identity_report` are views of its report.
 
-The fibered triples of the six mixed laws, the products of a substructure
-and the closure test of an arrow subset are enumerated through the endpoint
-index of `quasigroupoids` (`matching_arrows`), in lexicographic order, never
-by filtering all pairs of arrows.  The mixed laws and theta read the rows
+The fibered triples of the six mixed laws and the products of a
+substructure are enumerated through the endpoint index of `quasigroupoids`
+(`matching_arrows`), in lexicographic order, never by filtering all pairs of
+arrows; `closure_fault`, the one test of a wide closed arrow subset, walks
+the rows of the ambient product.  The mixed laws and theta read the rows
 of the ambient product (`quasigroupoids.PairTable`): each law fixes the
 first two factors of a configuration and their product once, then walks the
 third factor.
@@ -236,27 +237,37 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
 # ---------------------------------------------------------------------------
 
 
+def closure_fault(b: Quasigroupoid, chosen: set) -> str | None:
+    """How the arrow set `chosen` first fails to be a wide closed subset of
+    `b`, or None: it must hold every identity arrow and be closed under the
+    inverse map and under the product wherever both factors lie inside.
+    Arrows are tried in the iteration order of `chosen`, and `b` may lack
+    products (a document being read)."""
+    inv, rows = b.inv, b.prod.rows
+    if not chosen.issuperset(b.unit):
+        return "must contain every identity arrow"
+    for x in chosen:
+        if inv[x] not in chosen:
+            return f"not closed under the inverse map at {x}"
+    for x in chosen:
+        row = rows.get(x, EMPTY)
+        for y, v in row.items():
+            if y in chosen and v not in chosen:  # name the first such y in `chosen`
+                y = next(y for y in chosen if y in row and row[y] not in chosen)
+                return f"not closed under the product at ({x},{y})"
+    return None
+
+
 def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
-    """Arrow subsets containing every identity, closed under the inverse map
-    and under the product wherever both factors lie inside; ordered by size
+    """Arrow subsets on which `closure_fault` finds none, ordered by size
     then lexicographically."""
     identities = set(b.unit)
     others = sorted(set(range(b.n_arrows)) - identities)
-    after = matching_arrows(b.src, b.tgt, b.n_objects)
-    rows = b.prod.rows
     subsets = []
     for r in range(len(others) + 1):
         for extra in combinations(others, r):
             chosen = identities | set(extra)
-            if any(b.inv[x] not in chosen for x in chosen):
-                continue
-            closed = all(
-                rows[x][y] in chosen
-                for x in chosen
-                for y in after[x]
-                if y in chosen
-            )
-            if closed:
+            if closure_fault(b, chosen) is None:
                 subsets.append(tuple(sorted(chosen)))
     return subsets
 

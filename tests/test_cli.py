@@ -462,13 +462,30 @@ def test_machine_format_holds_when_a_command_stops_on_a_broken_structure(tmp_pat
         assert run(capsys, *command, path) == (1, format_report(report), ""), command
 
 
-# The order of events: the envelope, then the schema of the whole document,
-# then the command's kind, then the laws.
-def test_a_schema_fault_comes_before_the_kind_check(tmp_path, coarse2, capsys):
+@pytest.mark.parametrize("command", ["validate", "suite"])
+@pytest.mark.parametrize("doc", [_bad_z3(), _bad_quasigroup_action()], ids=["quasigroup", "action"])
+def test_only_filters_the_report_of_a_broken_quasigroup(tmp_path, capsys, command, doc):
+    """The report of a quasigroup that breaks its laws, read from its own
+    document or from an action's, is filtered by --only, and the exit code
+    counts only the violations shown."""
+    path = write(tmp_path, "doc.json", emit(doc))
+    report = check_quasigroup(_bad_z3()["table"], 0)
+    for tag, code in (("identity", 0), ("inverse", 1)):
+        assert run(capsys, "--only", tag, command, path) == (code, format_report(report, tag), "")
+        payload = {"ok": code == 0, "reports": [_jsonable(report_as_document(report, tag))]}
+        machine = run(capsys, "--format", "machine", "--only", tag, command, path)
+        assert machine == (code, emit(payload), "")
+
+
+# The order of events: the envelope, then the command's kind, then the
+# schema of the document, then the laws.  A command that takes one kind
+# never reads the body of a document of another; `validate` takes any kind.
+def test_the_kind_check_comes_before_a_schema_fault(tmp_path, coarse2, capsys):
     doc = quasigroupoid_to_doc(coarse2)
     doc["product"].append([1, 0, 0])
     path = write(tmp_path, "coarse.json", emit(doc))
-    assert run(capsys, "check-whq", path) == (
+    assert run(capsys, "check-whq", path) == (2, "", "error: check-whq expects a whq document\n")
+    assert run(capsys, "validate", path) == (
         2, "", "error: product entry on non-composable pair (1,0)\n"
     )
 
@@ -484,12 +501,15 @@ def test_the_kind_check_comes_before_the_quasigroup_laws(tmp_path, capsys, what,
     )
 
 
-def test_a_bad_scalar_comes_before_the_kind_check(tmp_path, coarse2, capsys):
-    """A scalar the field cannot read is a schema fault of the whole
-    document, so it is named before the command's kind is checked."""
+def test_the_kind_check_comes_before_a_bad_scalar(tmp_path, coarse2, capsys):
+    """A scalar the field cannot read is a schema fault of the whq document:
+    `build dcp` names the kind it expects, `validate` the scalar."""
     doc = whq_to_doc(magma_of_quasigroupoid(coarse2))
     doc["unit"][0][-1] = "1/0"
     path = write(tmp_path, "magma.json", emit(doc))
-    code, out, err = run(capsys, "build", "dcp", path)
+    assert run(capsys, "build", "dcp", path) == (
+        2, "", "error: build dcp expects a matched-pair document\n"
+    )
+    code, out, err = run(capsys, "validate", path)
     assert (code, out) == (2, "")
     assert err.startswith("error: bad scalar '1/0': ")

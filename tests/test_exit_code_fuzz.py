@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from nonassoc import (
     canonical_factorization,
     coarse_groupoid,
@@ -251,3 +253,30 @@ def test_a_scalar_in_exponent_notation_exits_2_at_once(tmp_path):
     )
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr.startswith("error: bad scalar '1e1000000000': ")
+
+
+@pytest.mark.parametrize("command,kind", [
+    (["build", "dcp"], "matched-pair"),
+    (["build", "magma"], "quasigroupoid"),
+    (["build", "bowtie"], "matched-pair"),
+    (["factorize"], "quasigroupoid"),
+    (["check-iso"], "matched-pair"),
+])
+def test_a_command_of_another_kind_reads_no_whq_body(tmp_path, command, kind):
+    """A whq document declaring a large `dim` and holding no entries: a
+    command that takes another kind names it at once, before the reader
+    would allocate one product column per pair of basis vectors."""
+    doc = {"kind": "whq", "version": 1, "dim": 4000, "field": "Q", "unit": [],
+           "counit": [], "product": [], "coproduct": [], "antipode": []}
+    path = tmp_path / "dim4000.json"
+    path.write_text(emit(doc))
+    child = subprocess.run(
+        [sys.executable, "-m", "nonassoc", *command, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_cap_address_space,
+    )
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"error: {' '.join(command)} expects a {kind} document\n"
