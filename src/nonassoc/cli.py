@@ -58,6 +58,11 @@ def _jsonable(value):
 
 
 def _print_reports(reports: list[StructureReport], args) -> int:
+    """Print the reports, filtered to the --only tag, and return the exit
+    code.  A tag that no report declares is a usage error: it would
+    otherwise pass whatever the reports found."""
+    if args.only is not None and not any(args.only in r.axioms for r in reports):
+        raise StructureError(f"no report of this command declares the tag {args.only!r}")
     violations = 0
     for report in reports:
         violations += len(
@@ -143,7 +148,7 @@ def _checker_reports(path: str, suite: bool) -> list[StructureReport]:
     report = check_whq(value)
     reports = [report]
     if suite and report.ok:
-        reports.append(derived_property_suite(value, report))
+        reports.append(derived_property_suite(value))
     return reports
 
 

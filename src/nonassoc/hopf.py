@@ -7,20 +7,22 @@ basis vector by basis vector (complete by linearity: no sampling, no
 tolerance).
 
 Each law has one reference sweep, and each sweep visits only the terms
-that can be nonzero.  `_Supports` reads, once per checker run, where the
-stored structure constants are nonzero: the product columns by left and by
-right factor, the legs of each delta(k) and of delta(1) by leg, and the
-nonzero counits of products eps(hk) by row.  d2 then evaluates only the
-triples that some nonzero term reaches, instead of all n^3; d1 and d3 join
-coproduct legs on nonzero products.  Dropping a term with a zero factor
-never changes a value, so the restriction uses no property of valid
-structures, and witness order and detail strings are those of a sweep over
-every term.
+that can be nonzero.  A `MagmaCoalgebra` keeps, as cached fields built on
+first use, where its stored structure constants are nonzero: the product
+columns by left and by right factor, and the legs of each delta(k) and of
+delta(1) by leg.  d2 tabulates the nonzero counits of products eps(hk) by
+row and then evaluates only the triples that some nonzero term reaches,
+instead of all n^3; d1 and d3 join coproduct legs on nonzero products.
+Dropping a term with a zero factor never changes a value, so the
+restriction uses no property of valid structures, and witness order and
+detail strings are those of a sweep over every term.  The projections are
+cached fields too, so `check_whq`, `derived_property_suite` and
+`check_whq_morphism` on one structure build each of them once.
 
 Most inputs of interest are group-like on their basis (delta(i) = i (x) i,
 eps = 1, basis products are basis vectors or zero): every quasigroupoid
 magma, hence every double cross product.  On those `_group_like` yields
-integer product and antipode tables once per checker run, and a kernel
+integer product and antipode tables once per structure, and a kernel
 decides d1, d2 and d4-4..d4-7 (and the derived antimult and one-sided
 associativity laws) from table lookups and composability bitsets, exactly.
 The kernel only ever concludes that a law holds; when it finds a failing
@@ -59,6 +61,16 @@ from .reports import (
 
 @dataclass(frozen=True, eq=False)
 class MagmaCoalgebra:
+    """A unital magma and a coalgebra on one basis, with an antipode.
+
+    No code changes a stored column after construction: a structure with
+    other maps is a new instance (`dataclasses.replace`).  So what is
+    derived from the maps is built on first use and kept on the instance,
+    as the cached fields below, and every checker run on one structure
+    reads the same objects; their readers, `projections`' callers among
+    them, never change them either.
+    """
+
     dim: int
     unit: dict  # the image of 1 under the unit map
     product: LinearMap  # n^2 -> n
@@ -112,6 +124,78 @@ class MagmaCoalgebra:
     def name(self, i: int) -> str:
         return self.basis_names[i] if self.basis_names else str(i)
 
+    # --- supports of the structure constants ----------------------------------
+    # A sweep that visits only these entries drops exactly the terms that
+    # have a zero factor, so it reaches the values of a sweep over every term.
+
+    @cached_property
+    def splits(self) -> list:
+        """splits[i] is delta(i) as (first leg, second leg, c)."""
+        return [self.delta_split(i) for i in range(self.dim)]
+
+    @cached_property
+    def unit_split(self) -> list:
+        """delta(1) as (first leg, second leg, c)."""
+        n = self.dim
+        return [(t // n, t % n, c) for t, c in self.coproduct(self.unit).items()]
+
+    @cached_property
+    def unit_legs(self):
+        """(first, second): first[u] and second[v] list the positions in
+        unit_split of the legs u (x) v."""
+        first: list = [[] for _ in range(self.dim)]
+        second: list = [[] for _ in range(self.dim)]
+        for pos, (u, v, _) in enumerate(self.unit_split):
+            first[u].append(pos)
+            second[v].append(pos)
+        return first, second
+
+    @cached_property
+    def factors(self):
+        """(right, left): right[h] and left[k] list the k and the h,
+        increasing, with hk stored as a nonempty column (an entry stored as
+        zero only adds zero terms)."""
+        n = self.dim
+        right: list = [[] for _ in range(n)]
+        left: list = [[] for _ in range(n)]
+        for t, col in enumerate(self.product.cols):
+            if col:
+                h, k = divmod(t, n)
+                right[h].append(k)
+                left[k].append(h)
+        return right, left
+
+    @cached_property
+    def legs(self):
+        """(by_first, by_second): by_first[x] lists (i, y, c) for each leg
+        x (x) y of delta(i) with c != 0, and by_second[y] lists (i, x, c)
+        for the same legs."""
+        by_first: list = [[] for _ in range(self.dim)]
+        by_second: list = [[] for _ in range(self.dim)]
+        for i, split in enumerate(self.splits):
+            for x, y, c in split:
+                if c:
+                    by_first[x].append((i, y, c))
+                    by_second[y].append((i, x, c))
+        return by_first, by_second
+
+    # --- projections and the group-like tables ---------------------------------
+
+    @cached_property
+    def convolution_projections(self):
+        """(PiL, PiR) as convolutions with the antipode."""
+        return _convolution_projections(self)
+
+    @cached_property
+    def projection_formulas(self):
+        """(PiL, PiR, barred PiL, barred PiR) from the unit-coproduct forms."""
+        return _projection_formulas(self)
+
+    @cached_property
+    def group_like(self):
+        """The kernel's tables (prod, anti), or None if not group-like."""
+        return _group_like(self)
+
     def __eq__(self, other):
         if not isinstance(other, MagmaCoalgebra):
             return NotImplemented
@@ -141,105 +225,25 @@ def magma_of_quasigroupoid(b: Quasigroupoid) -> MagmaCoalgebra:
 
 
 # ---------------------------------------------------------------------------
-# supports of the structure constants
-# ---------------------------------------------------------------------------
-
-
-class _Supports:
-    """Where the structure constants of one structure are nonzero, read from
-    the stored columns once per checker run; the indexes that only some
-    sweeps need are built on first use.  A sweep that visits only these
-    entries drops exactly the terms that have a zero factor, so it reaches
-    the values of a sweep over every term.
-
-    splits[i] is delta(i) as (first leg, second leg, c), and unit_split is
-    delta(1) likewise; unit_first[u] and unit_second[v] list the positions
-    in unit_split of the legs u (x) v.  right[h] and left[k] list the k and
-    the h, increasing, with hk stored as a nonempty column (an entry stored
-    as zero only adds zero terms).
-    """
-
-    def __init__(self, d: MagmaCoalgebra):
-        self.d = d
-        n = d.dim
-        self.splits = [d.delta_split(i) for i in range(n)]
-        self.unit_split = [(t // n, t % n, c) for t, c in d.coproduct(d.unit).items()]
-        self.unit_first: list = [[] for _ in range(n)]
-        self.unit_second: list = [[] for _ in range(n)]
-        for pos, (u, v, _) in enumerate(self.unit_split):
-            self.unit_first[u].append(pos)
-            self.unit_second[v].append(pos)
-        self.right: list = [[] for _ in range(n)]
-        self.left: list = [[] for _ in range(n)]
-        for t, col in enumerate(d.product.cols):
-            if col:
-                h, k = divmod(t, n)
-                self.right[h].append(k)
-                self.left[k].append(h)
-
-    @cached_property
-    def legs(self):
-        """(by_first, by_second): by_first[x] lists (i, y, c) for each leg
-        x (x) y of delta(i) with c != 0, and by_second[y] lists (i, x, c)
-        for the same legs."""
-        n = self.d.dim
-        by_first: list = [[] for _ in range(n)]
-        by_second: list = [[] for _ in range(n)]
-        for i, split in enumerate(self.splits):
-            for x, y, c in split:
-                if c:
-                    by_first[x].append((i, y, c))
-                    by_second[y].append((i, x, c))
-        return by_first, by_second
-
-    @cached_property
-    def prod_rows(self):
-        """prod_rows[m] lists the (k, l) with a nonzero m-entry in kl."""
-        n = self.d.dim
-        rows: list = [[] for _ in range(n)]
-        for t, col in enumerate(self.d.product.cols):
-            for m, c in col.items():
-                if c:
-                    rows[m].append(divmod(t, n))
-        return rows
-
-    @cached_property
-    def counits(self):
-        """(em, em_rows): em[h][k] = eps(hk), the exact value eps_vec gives
-        (the int 0 for an empty column), and em_rows[h] lists the k,
-        increasing, with eps(hk) != 0."""
-        d, n = self.d, self.d.dim
-        em = [[0] * n for _ in range(n)]
-        em_rows: list = [[] for _ in range(n)]
-        for t, col in enumerate(d.product.cols):
-            if col:
-                h, k = divmod(t, n)
-                em[h][k] = value = d.eps_vec(col)
-                if value:
-                    em_rows[h].append(k)
-        return em, em_rows
-
-
-# ---------------------------------------------------------------------------
 # projections
 # ---------------------------------------------------------------------------
 
 
-def _projection_formulas(d: MagmaCoalgebra, sup: _Supports | None = None):
+def _projection_formulas(d: MagmaCoalgebra):
     """The four unit-coproduct forms: target, source and their barred twins.
 
     A leg of delta(1) adds to the column of h only where the counit of the
     product of its probe leg with h is nonzero, so counits are taken only
     of the nonzero products of probe legs, and each column visits its legs
     in their order in delta(1)."""
-    sup = sup or _Supports(d)
-    n, cols, unit_split = d.dim, d.product.cols, sup.unit_split
+    n, cols, unit_split = d.dim, d.product.cols, d.unit_split
+    (unit_first, unit_second), (right, left) = d.unit_legs, d.factors
 
     def form(probe_first, probe_times_h):
         # probe_first picks which leg of delta(1) multiplies against h (the
         # other leg survives); probe_times_h picks the side h sits on.
-        by_probe = sup.unit_first if probe_first else sup.unit_second
-        partners = sup.right if probe_times_h else sup.left
+        by_probe = unit_first if probe_first else unit_second
+        partners = right if probe_times_h else left
         reached: list = [[] for _ in range(n)]  # h -> (position, counit of the product)
         for p in range(n):
             if by_probe[p]:
@@ -278,8 +282,8 @@ def projections(d: MagmaCoalgebra):
     (that is exactly axioms d4-1 and d4-2), otherwise the input is not a
     weak Hopf quasigroup and a StructureError is raised.
     """
-    pi_l, pi_r = _convolution_projections(d)
-    form_l, form_r, bar_l, bar_r = _projection_formulas(d)
+    pi_l, pi_r = d.convolution_projections
+    form_l, form_r, bar_l, bar_r = d.projection_formulas
     if pi_l != form_l or pi_r != form_r:
         raise StructureError("projection formulas disagree: not a weak Hopf quasigroup")
     return pi_l, pi_r, bar_l, bar_r
@@ -313,12 +317,13 @@ def _group_like(d: MagmaCoalgebra):
     return None if None in anti else (prod, anti)
 
 
-def _d2_holds(prod: list, n: int) -> bool:
+def _d2_holds(d: MagmaCoalgebra) -> bool:
     """(d2) on a group-like basis, where every counit value of a product is
     1 if the product is defined and 0 otherwise: for all h, k, l,
     [(hk)l defined] = [h(kl) defined] = [hk defined][kl defined].
 
     Decided with bitsets over l: rows[x] holds the l with xl defined."""
+    prod, n = d.group_like[0], d.dim
     rows = []
     for x in range(n):
         bits = 0
@@ -348,9 +353,10 @@ def _d2_holds(prod: list, n: int) -> bool:
     return True
 
 
-def _rows(prod: list, n: int):
+def _rows(d: MagmaCoalgebra):
     """row(x)[y] is the index of xy or None, with row(None) all None, and
     after(a, b)[y] = a[b[y]] composes two such rows."""
+    prod, n = d.group_like[0], d.dim
     rows = [prod[x * n:(x + 1) * n] for x in range(n)]
     zero = [None] * n
 
@@ -363,11 +369,12 @@ def _rows(prod: list, n: int):
     return row, after
 
 
-def _d4_4_to_7_hold(prod: list, anti: list, n: int) -> bool:
+def _d4_4_to_7_hold(d: MagmaCoalgebra) -> bool:
     """d4-4..d4-7 on a group-like basis, with PiL(h) = h S(h) and
     PiR(h) = S(h) h, for all k:  S(h)(hk) = PiR(h)k,  h(S(h)k) = PiL(h)k,
     (hk)S(k) = h PiL(k)  and  (hS(k))k = h PiR(k)."""
-    row, after = _rows(prod, n)
+    anti, n = d.group_like[1], d.dim
+    row, after = _rows(d)
     pi_l = [row(h)[anti[h]] for h in range(n)]
     pi_r = [row(anti[h])[h] for h in range(n)]
     for h in range(n):
@@ -382,9 +389,10 @@ def _d4_4_to_7_hold(prod: list, anti: list, n: int) -> bool:
     return True
 
 
-def _antimult_holds(prod: list, anti: list, n: int) -> bool:
+def _antimult_holds(d: MagmaCoalgebra) -> bool:
     """S(hg) = S(g)S(h) on a group-like basis (S sends zero to zero)."""
-    row, after = _rows(prod, n)
+    anti, n = d.group_like[1], d.dim
+    row, after = _rows(d)
     for h in range(n):
         s_h = anti[h]
         if after(anti, row(h)) != [row(anti[g])[s_h] for g in range(n)]:
@@ -392,11 +400,17 @@ def _antimult_holds(prod: list, anti: list, n: int) -> bool:
     return True
 
 
-def _one_sided_holds(prod: list, proj: LinearMap, n: int) -> bool:
-    """For every basis vector h in the image of the projection and all k, l:
-    (hk)l = h(kl), k(hl) = (kh)l and k(lh) = (kl)h, on a group-like basis
-    (where each nonzero column of a projection is one basis vector)."""
-    row, after = _rows(prod, n)
+# the one-sided associativity laws, by the index of their projection in
+# d.convolution_projections: the image of PiL, then of PiR
+_ONE_SIDED = {"target-assoc": 0, "source-assoc": 1}
+
+
+def _one_sided_holds(d: MagmaCoalgebra, tag: str) -> bool:
+    """For every basis vector h in the image of the tag's projection and all
+    k, l: (hk)l = h(kl), k(hl) = (kh)l and k(lh) = (kl)h, on a group-like
+    basis (where each nonzero column of a projection is one basis vector)."""
+    proj, n = d.convolution_projections[_ONE_SIDED[tag]], d.dim
+    row, after = _rows(d)
     for h in {min(col) for col in proj.cols if col}:
         row_h = row(h)
         col_h = [row(l)[h] for l in range(n)]
@@ -423,7 +437,7 @@ def _add_at(acc: dict, key, value) -> None:
     acc[key] = value if old is None else old + value
 
 
-def _check_preconditions(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> None:
+def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
     n = d.dim
     for k in range(n):
         left: dict = {}
@@ -435,7 +449,7 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport, sup: _Suppo
             report.fail("magma-unit", (k,), f"1*{d.name(k)} = {left}")
         if not vec_equal(right, {k: 1}):
             report.fail("magma-unit", (k,), f"{d.name(k)}*1 = {right}")
-    splits = sup.splits
+    splits = d.splits
     for i in range(n):
         split = splits[i]
         # (delta x id) delta(i) and (id x delta) delta(i), keyed (j1 n + j2) n + j3
@@ -459,21 +473,19 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport, sup: _Suppo
             report.fail("coalg2", (i,), f"h1 eps(h2) = {right}")
 
 
-def _law_d1(d: MagmaCoalgebra, report: StructureReport, sup: _Supports, kernel) -> None:
+def _law_d1(d: MagmaCoalgebra, report: StructureReport) -> None:
     """(d1): delta of a product is the product of the deltas in D (x) D.
 
     Holds on every group-like structure, where delta(hk) = hk (x) hk =
-    delta(h)delta(k); the sweep runs on every other input.  For each h it
-    joins the legs h1 (x) h2 of delta(h) with the legs k1 (x) k2 of every
-    delta(k) on the nonzero products h1k1 and h2k2."""
-    if kernel is not None:
-        return
+    delta(h)delta(k), so callers sweep it on every other input.  For each h
+    it joins the legs h1 (x) h2 of delta(h) with the legs k1 (x) k2 of
+    every delta(k) on the nonzero products h1k1 and h2k2."""
     n = d.dim
-    mul_cols, (by_first, _) = d.product.cols, sup.legs
+    mul_cols, (by_first, _), (right, _) = d.product.cols, d.legs, d.factors
     for h in range(n):
         rhs: list = [{} for _ in range(n)]  # rhs[k] = delta(h)delta(k), keyed m1 n + m2
-        for (h1, h2, c) in sup.splits[h]:
-            for k1 in sup.right[h1]:
+        for (h1, h2, c) in d.splits[h]:
+            for k1 in right[h1]:
                 first = mul_cols[h1 * n + k1].items()
                 for (k, k2, c2) in by_first[k1]:
                     second = mul_cols[h2 * n + k2].items()
@@ -488,7 +500,7 @@ def _law_d1(d: MagmaCoalgebra, report: StructureReport, sup: _Supports, kernel) 
                 report.fail("d1", (h, k), "delta(hk) != delta(h)delta(k)")
 
 
-def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> None:
+def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
     """(d2): the four weak counit-of-triple-product expressions
 
         e1 = eps((hk)l),  e2 = eps(h(kl)),
@@ -498,15 +510,24 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> Non
     no zero factor, so for each h only the (k, l) reached by such a term
     are evaluated, in increasing order, each from all of its stored terms.
     The l of each k are collected as a bitset."""
-    n = d.dim
-    em, em_rows = sup.counits
-    by_first, by_second = sup.legs
-    prod_rows = sup.prod_rows
+    n, mul_cols, splits = d.dim, d.product.cols, d.splits
+    (by_first, by_second), (right, _) = d.legs, d.factors
+    em = [[0] * n for _ in range(n)]  # em[h][k] = eps(hk), the int 0 for an empty column
+    em_rows: list = [[] for _ in range(n)]  # em_rows[h]: the k, increasing, with eps(hk) != 0
+    prod_rows: list = [[] for _ in range(n)]  # prod_rows[m]: the (k, l) with kl_m != 0
+    for t, col in enumerate(mul_cols):
+        if col:
+            h, k = divmod(t, n)
+            em[h][k] = value = d.eps_vec(col)
+            if value:
+                em_rows[h].append(k)
+            for m, c in col.items():
+                if c:
+                    prod_rows[m].append((h, k))
     row_bits = [sum(1 << l for l in row) for row in em_rows]
-    mul_cols, splits = d.product.cols, sup.splits
     for h in range(n):
         reach: dict = {}  # k -> bitset of the l to evaluate
-        for k in sup.right[h]:  # e1: (hk)_m eps(ml)
+        for k in right[h]:  # e1: (hk)_m eps(ml)
             for m, c in mul_cols[h * n + k].items():
                 if c:
                     reach[k] = reach.get(k, 0) | row_bits[m]
@@ -544,7 +565,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> Non
                     )
 
 
-def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> None:
+def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
     """(d3): both weak coassociativity forms of delta(1):
 
         (delta x id) delta(1) = sum u1 (x) u2 v1 (x) v2 = sum u1 (x) v1 u2 (x) v2
@@ -553,18 +574,18 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> Non
     sums over v1 (x) v2 are formed once per u2, joining the legs of delta(1)
     on the nonzero products u2 v1 and v1 u2.  Tensors are keyed
     (a n + b) n + c."""
-    n = d.dim
-    unit_split, mul_cols = sup.unit_split, d.product.cols
+    n, unit_split, mul_cols = d.dim, d.unit_split, d.product.cols
+    (unit_first, _), (right, left) = d.unit_legs, d.factors
     lhs3: dict = {}
     for (u, v, c) in unit_split:
-        for (u1, u2, c1) in sup.splits[u]:
+        for (u1, u2, c1) in d.splits[u]:
             _add_at(lhs3, (u1 * n + u2) * n + v, c * c1)
 
     def inner(partners, col_of) -> dict:
         out: dict = {}  # keyed m n + v2
         for v1 in partners:
             col = mul_cols[col_of(v1)].items()
-            for pos in sup.unit_first[v1]:
+            for pos in unit_first[v1]:
                 _, v2, c2 = unit_split[pos]
                 for m, a in col:
                     _add_at(out, m * n + v2, c2 * a)
@@ -572,8 +593,8 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> Non
 
     inners = {
         u2: (
-            inner(sup.right[u2], lambda v1: u2 * n + v1),  # sum (u2 v1) (x) v2
-            inner(sup.left[u2], lambda v1: v1 * n + u2),  # sum (v1 u2) (x) v2
+            inner(right[u2], lambda v1: u2 * n + v1),  # sum (u2 v1) (x) v2
+            inner(left[u2], lambda v1: v1 * n + u2),  # sum (v1 u2) (x) v2
         )
         for u2 in dict.fromkeys(u2 for _, u2, _ in unit_split)
     }
@@ -591,18 +612,20 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, sup: _Supports) -> Non
         report.fail("d3", ("twist",), "delta2(1) != (id x mu.c x id)(delta(1) x delta(1))")
 
 
-def _sweep_d4_1_2(report: StructureReport, pi_l, pi_r, form_l, form_r) -> None:
+def _sweep_d4_1_2(d: MagmaCoalgebra, report: StructureReport) -> None:
     """(d4-1), (d4-2): the convolution projections equal their unit-coproduct
     formulas."""
-    for h in range(pi_l.dom):
+    (pi_l, pi_r), (form_l, form_r, _, _) = d.convolution_projections, d.projection_formulas
+    for h in range(d.dim):
         if not vec_equal(pi_l.cols[h], form_l.cols[h]):
             report.fail("d4-1", (h,), f"conv={pi_l.cols[h]} formula={form_l.cols[h]}")
         if not vec_equal(pi_r.cols[h], form_r.cols[h]):
             report.fail("d4-2", (h,), f"conv={pi_r.cols[h]} formula={form_r.cols[h]}")
 
 
-def _sweep_d4_3(d: MagmaCoalgebra, report: StructureReport, pi_l, pi_r) -> None:
+def _sweep_d4_3(d: MagmaCoalgebra, report: StructureReport) -> None:
     """(d4-3): lambda * PiL = lambda = PiR * lambda."""
+    pi_l, pi_r = d.convolution_projections
     conv_left = convolution(d.antipode, pi_l, d.coproduct, d.product)
     conv_right = convolution(pi_r, d.antipode, d.coproduct, d.product)
     for h in range(d.dim):
@@ -612,14 +635,14 @@ def _sweep_d4_3(d: MagmaCoalgebra, report: StructureReport, pi_l, pi_r) -> None:
             report.fail("d4-3", (h,), "PiR * lambda != lambda")
 
 
-def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport, splits, pi_l, pi_r) -> None:
+def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
     """(d4-4)..(d4-7): the antipode absorbed by the projections, on both
     sides, for every pair of basis vectors.
 
     A leg of delta(h) or delta(k) whose inner product (h2 k, S(h2) k, h k1
     or h S(k1)) is zero adds nothing, so only the other legs are multiplied
     out, in their order; S(x)y and xS(y) are formed once per pair."""
-    n = d.dim
+    n, splits, (pi_l, pi_r) = d.dim, d.splits, d.convolution_projections
     basis = [{i: 1} for i in range(n)]
     anti, mul_cols = d.antipode.cols, d.product.cols
     s_times = [[d.mul_vec(anti[x], basis[y]) for y in range(n)] for x in range(n)]
@@ -663,9 +686,7 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
     d-axioms themselves are all evaluated even after failures so a report
     lists every broken law.  On a group-like input the kernel decides d1,
     d2 and d4-4..d4-7; a law it cannot confirm is swept by its reference
-    sweep, which alone writes violations.  On a clean precondition pass the
-    report's data carries the four projections and the kernel's tables
-    (None when d is not group-like).
+    sweep, which alone writes violations.
     """
     report = StructureReport(
         "weak Hopf quasigroup",
@@ -675,32 +696,23 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
             "d4-1", "d4-2", "d4-3", "d4-4", "d4-5", "d4-6", "d4-7",
         ),
     )
-    sup = _Supports(d)
-    _check_preconditions(d, report, sup)
+    _check_preconditions(d, report)
     if not report.ok:
         report.notes.append("preconditions failed; axiom sweep skipped")
         return report
 
-    n = d.dim
-    kernel = _group_like(d)
-    _law_d1(d, report, sup, kernel)
-    if kernel is None or not _d2_holds(kernel[0], n):
-        _sweep_d2(d, report, sup)
-    _sweep_d3(d, report, sup)
+    kernel = d.group_like is not None
+    if not kernel:
+        _law_d1(d, report)
+    if not kernel or not _d2_holds(d):
+        _sweep_d2(d, report)
+    _sweep_d3(d, report)
 
     # (d4): antipode laws, phrased through the two projections
-    pi_l, pi_r = _convolution_projections(d)
-    form_l, form_r, bar_l, bar_r = _projection_formulas(d, sup)
-    _sweep_d4_1_2(report, pi_l, pi_r, form_l, form_r)
-    _sweep_d4_3(d, report, pi_l, pi_r)
-    if kernel is None or not _d4_4_to_7_hold(*kernel, n):
-        _sweep_d4_4_to_7(d, report, sup.splits, pi_l, pi_r)
-
-    report.data["pi_l"] = pi_l
-    report.data["pi_r"] = pi_r
-    report.data["bar_pi_l"] = bar_l
-    report.data["bar_pi_r"] = bar_r
-    report.data["group_like"] = kernel
+    _sweep_d4_1_2(d, report)
+    _sweep_d4_3(d, report)
+    if not kernel or not _d4_4_to_7_hold(d):
+        _sweep_d4_4_to_7(d, report)
     return report
 
 
@@ -709,9 +721,7 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
 # ---------------------------------------------------------------------------
 
 
-def derived_property_suite(
-    d: MagmaCoalgebra, whq: StructureReport | None = None
-) -> StructureReport:
+def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
     """Consequences of the axioms, re-proved exhaustively on the basis:
     convolution unit laws, projection idempotency (both kinds), unit and
     counit compatibilities, anti(co)multiplicativity of the antipode, the
@@ -719,9 +729,9 @@ def derived_property_suite(
     associativity enjoyed by elements of the target/source subalgebras.
 
     Expected to pass on every valid weak Hopf quasigroup; a violation here
-    means the checker itself is broken.  `whq`, a passing `check_whq`
-    report of d, supplies the four projections and the group-like tables
-    that check built; without it they are built here.
+    means the checker itself is broken.  The projections and group-like
+    tables are d's own, so after `check_whq(d)` nothing is built twice;
+    `projections` raises StructureError if d fails d4-1 or d4-2.
     """
     report = StructureReport(
         "weak Hopf quasigroup derived properties",
@@ -733,18 +743,8 @@ def derived_property_suite(
         ),
     )
     n = d.dim
-    if whq is None:
-        pi_l, pi_r, bar_l, bar_r = projections(d)
-        kernel = _group_like(d)
-    else:
-        if not whq.ok or "pi_l" not in whq.data:
-            raise StructureError("derived properties need a passing check_whq report")
-        pi_l, pi_r, bar_l, bar_r = (
-            whq.data[key] for key in ("pi_l", "pi_r", "bar_pi_l", "bar_pi_r")
-        )
-        if pi_l.dom != n:
-            raise DimensionMismatch("the check_whq report is of another dimension")
-        kernel = whq.data["group_like"]
+    pi_l, pi_r, bar_l, bar_r = projections(d)
+    kernel = d.group_like is not None
     ident = LinearMap.identity(n)
 
     if convolution(pi_l, ident, d.coproduct, d.product) != ident:
@@ -765,7 +765,7 @@ def derived_property_suite(
     if d.counit @ d.antipode != d.counit:
         report.fail("antipode-counit", ())
 
-    if kernel is None or not _antimult_holds(*kernel, n):
+    if not kernel or not _antimult_holds(d):
         _sweep_antimult(d, report)
     if not _anticomultiplicative(d):
         report.fail("anticomult", ())
@@ -786,9 +786,9 @@ def derived_property_suite(
         if pi_r != bar_r:
             report.fail("cocomm-bars", ("R",))
 
-    for tag, proj in (("target-assoc", pi_l), ("source-assoc", pi_r)):
-        if kernel is None or not _one_sided_holds(kernel[0], proj, n):
-            _sweep_one_sided(d, report, tag, proj)
+    for tag in _ONE_SIDED:
+        if not kernel or not _one_sided_holds(d, tag):
+            _sweep_one_sided(d, report, tag)
     return report
 
 
@@ -810,8 +810,8 @@ def _anticomultiplicative(d: MagmaCoalgebra) -> bool:
     of delta(i)."""
     s = d.antipode.cols
     return all(
-        vec_equal(d.coproduct(s[i]), _square_along(d.antipode, d.delta_split(i), flip=True))
-        for i in range(d.dim)
+        vec_equal(d.coproduct(s[i]), _square_along(d.antipode, split, flip=True))
+        for i, split in enumerate(d.splits)
     )
 
 
@@ -826,12 +826,12 @@ def _sweep_antimult(d: MagmaCoalgebra, report: StructureReport) -> None:
                 report.fail("antimult", (h, g), f"lhs={lhs} rhs={rhs}")
 
 
-def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj) -> None:
-    """Every distinct nonzero value h of the projection associates with all
-    basis pairs k, l in the three one-sided forms.  Multiplication by h on
-    either side is tabulated once per h, so h(kl) and (kl)h are read off by
-    linearity from the products of h with basis vectors."""
-    n = d.dim
+def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str) -> None:
+    """Every distinct nonzero value h of the tag's projection associates
+    with all basis pairs k, l in the three one-sided forms.  Multiplication
+    by h on either side is tabulated once per h, so h(kl) and (kl)h are read
+    off by linearity from the products of h with basis vectors."""
+    proj, n = d.convolution_projections[_ONE_SIDED[tag]], d.dim
     basis = [{i: 1} for i in range(n)]
     distinct = {tuple(sorted(col.items(), key=repr)): col for col in proj.cols if col}
     for key in sorted(distinct, key=repr):
@@ -856,12 +856,12 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj)
 # ---------------------------------------------------------------------------
 
 
-def _nabla_col(d: MagmaCoalgebra, pi_r: LinearMap, split, k: int) -> dict:
-    """nabla(h (x) k) = h(1) (x) PiR(h(2)) k, summed over split, the legs of
+def _nabla_col(d: MagmaCoalgebra, h: int, k: int) -> dict:
+    """nabla(h (x) k) = h(1) (x) PiR(h(2)) k, summed over the legs of
     delta(h)."""
-    n = d.dim
+    n, (_, pi_r) = d.dim, d.convolution_projections
     out: dict = {}
-    for (h1, h2, c) in split:
+    for (h1, h2, c) in d.splits[h]:
         for m, a in d.mul_vec(pi_r.cols[h2], {k: 1}).items():
             vec_add_into(out, {h1 * n + m: 1}, c * a)
     return out
@@ -871,10 +871,7 @@ def nabla(d: MagmaCoalgebra) -> LinearMap:
     """The idempotent h (x) k -> h(1) (x) PiR(h(2)) k cutting out the
     composable part of the tensor square."""
     n = d.dim
-    _, pi_r = _convolution_projections(d)
-    return LinearMap.from_basis(
-        n * n, n * n, lambda t: _nabla_col(d, pi_r, d.delta_split(t // n), t % n)
-    )
+    return LinearMap.from_basis(n * n, n * n, lambda t: _nabla_col(d, t // n, t % n))
 
 
 def check_whq_morphism(
@@ -896,18 +893,16 @@ def check_whq_morphism(
     )
     if d2.counit @ f != d.counit:
         report.fail("coalg-counit", ())
-    sup = _Supports(d)
     # delta2 . f == (f x f) . delta, column by column over the support of delta(j)
     if not all(
         vec_equal(d2.coproduct(f.cols[j]), _square_along(f, split))
-        for j, split in enumerate(sup.splits)
+        for j, split in enumerate(d.splits)
     ):
         report.fail("coalg-coprod", ())
 
-    pi_l, pi_r = _convolution_projections(d)
-    pi_l2, pi_r2 = _convolution_projections(d2)
-    _, _, bar_l, _ = _projection_formulas(d, sup)
-    _, _, bar_l2, _ = _projection_formulas(d2)
+    pi_l, pi_r = d.convolution_projections
+    pi_l2, pi_r2 = d2.convolution_projections
+    bar_l, bar_l2 = d.projection_formulas[2], d2.projection_formulas[2]
 
     for tag, lhs, rhs in (
         ("mkl1", pi_r2 @ f, f @ pi_r),
@@ -917,15 +912,15 @@ def check_whq_morphism(
         for h in range(d.dim):
             if not vec_equal(lhs.cols[h], rhs.cols[h]):
                 report.fail(tag, (h,), f"lhs={lhs.cols[h]} rhs={rhs.cols[h]}")
-    n = d.dim
-    for h, split in enumerate(sup.splits):
+    n, (right, _) = d.dim, d.factors
+    for h, split in enumerate(d.splits):
         # f(hk) and nabla(h (x) k) vanish unless k is a right factor of h or
         # of a basis vector in the support of some PiR(h(2))
         factors = {h}.union(*(pi_r.cols[h2] for _, h2, _ in split))
-        for k in sorted({k for x in factors for k in sup.right[x]}):
+        for k in sorted({k for x in factors for k in right[x]}):
             lhs = f(d.product.cols[h * n + k])
             rhs = {}
-            for x, c in _nabla_col(d, pi_r, split, k).items():
+            for x, c in _nabla_col(d, h, k).items():
                 vec_add_into(rhs, d2.mul_vec(f.cols[x // n], f.cols[x % n]), c)
             if not vec_equal(lhs, rhs):
                 report.fail("mkl4", (h, k), f"lhs={lhs} rhs={rhs}")
@@ -944,14 +939,13 @@ def magma_functor(g: QgpdMorphism) -> LinearMap:
 
 
 def is_cocommutative(d: MagmaCoalgebra) -> bool:
-    """tau . delta == delta, compared column by column over the support of
+    """tau . delta == delta, compared column by column over the legs of
     delta(i) instead of through the n^2-column twist."""
     n = d.dim
-    for col in d.coproduct.cols:
-        flipped = {(t % n) * n + t // n: c for t, c in col.items() if c}
-        if not vec_equal(flipped, col):
-            return False
-    return True
+    return all(
+        vec_equal({v * n + u: c for u, v, c in split if c}, col)
+        for split, col in zip(d.splits, d.coproduct.cols)
+    )
 
 
 def is_commutative(d: MagmaCoalgebra) -> bool:
@@ -970,7 +964,10 @@ def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:
         for j in range(n):
             if d.eps_vec(d.mul_basis(i, j)) != d.eps(i) * d.eps(j):
                 return False
-    # multiplicativity of the coproduct is axiom d1
+    # multiplicativity of the coproduct is axiom d1, which holds on every
+    # group-like basis
+    if d.group_like is not None:
+        return True
     report = StructureReport("coproduct multiplicativity", axioms=("d1",))
-    _law_d1(d, report, _Supports(d), _group_like(d))
+    _law_d1(d, report)
     return report.ok

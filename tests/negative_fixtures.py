@@ -88,6 +88,22 @@ def _two_dim_broken_unit_coassociativity():
     return MagmaCoalgebra(2, {0: 1, 1: 1}, product, counit, coproduct, antipode)
 
 
+def whq_precondition_fixtures():
+    """The magma-coalgebra of coarse(2) with one precondition of check_whq
+    broken at a time, by the tag that fails."""
+    kc = magma_of_quasigroupoid(coarse_groupoid(2))  # identities 0 and 3
+    # delta(1) gains 0(x)0 - 0(x)3 - 3(x)0 + 3(x)3: the counit laws still
+    # hold, coassociativity does not
+    cols = list(kc.coproduct.cols)
+    cols[1] = {**cols[1], 0: 1, 3: -1, 12: -1, 15: 1}
+    counit = LinearMap.from_basis(4, 1, lambda i: {0: 2 if i == 1 else 1})
+    return {
+        "magma-unit": dataclasses.replace(kc, unit={0: 1}),
+        "coalg1": dataclasses.replace(kc, coproduct=LinearMap.from_cols(4, 16, cols)),
+        "coalg2": dataclasses.replace(kc, counit=counit),
+    }
+
+
 def whq_fixtures():
     """The corrupted magma-coalgebras behind the whq/* tags, by name."""
     kc = magma_of_quasigroupoid(coarse_groupoid(2))
@@ -159,6 +175,8 @@ def collect():
         out[f"whq/{tag}"] = (dropped_report, tag)
     out["whq/d3"] = (check_whq(whq["broken unit coassociativity"]), "d3")
     out["whq/d4-3"] = (check_whq(whq["redirected antipode"]), "d4-3")
+    for tag, d in whq_precondition_fixtures().items():
+        out[f"whq/{tag}"] = (check_whq(d), tag)
 
     # weak Hopf quasigroup morphism laws --------------------------------------
     kc = magma_of_quasigroupoid(coarse_groupoid(2))
@@ -174,6 +192,7 @@ ALL_TAGS = (
     + ["action/c1", "action/c2", "action/c3"]
     + ["action/d1", "action/d2", "action/d3"]
     + ["mp/e1", "mp/e2", "mp/e3"]
+    + [f"whq/{t}" for t in ("magma-unit", "coalg1", "coalg2")]
     + [f"whq/{t}" for t in ("d1", "d2", "d3", "d4-1", "d4-2", "d4-3", "d4-4", "d4-5", "d4-6", "d4-7")]
     + [f"morphism/{t}" for t in ("mkl1", "mkl2", "mkl3", "mkl4")]
 )

@@ -17,6 +17,7 @@ from nonassoc import (
     magma_of_quasigroupoid,
     matched_pairs,
     mp_action_left,
+    moufang_loop_12,
     mp_discrete_right,
     pair_quasigroupoid,
     quasigroupoids,
@@ -417,21 +418,69 @@ def test_zero_unit_entry_reads_as_a_missing_one(tmp_path, coarse2, capsys, field
     assert run(capsys, "suite", padded) == expected
 
 
-def test_suite_on_a_whq_document_builds_the_projections_once(tmp_path, coarse2, monkeypatch, capsys):
+def _count_builds(monkeypatch):
+    """(name, id of the structure) for each call of the functions that build
+    a structure's projections and group-like tables."""
     calls = []
     for name in ("projections", "_projection_formulas", "_convolution_projections", "_group_like"):
         original = getattr(hopf, name)
 
-        def counting(*args, original=original, name=name):
-            calls.append(name)
-            return original(*args)
+        def counting(d, original=original, name=name):
+            calls.append((name, id(d)))
+            return original(d)
 
         monkeypatch.setattr(hopf, name, counting)
+    return calls
+
+
+def test_suite_on_a_whq_document_builds_the_projections_once(tmp_path, coarse2, monkeypatch, capsys):
+    calls = _count_builds(monkeypatch)
     path = write(tmp_path, "magma.json", emit(whq_to_doc(magma_of_quasigroupoid(coarse2))))
     code, out, _ = run(capsys, "suite", path)
     assert code == 0
     assert "== weak Hopf quasigroup derived properties" in out
-    assert sorted(calls) == ["_convolution_projections", "_group_like", "_projection_formulas"]
+    # check_whq builds each object once; the derived suite's one call of
+    # projections reads them from the structure
+    assert sorted(name for name, _ in calls) == [
+        "_convolution_projections", "_group_like", "_projection_formulas", "projections",
+    ]
+    assert len({d for _, d in calls}) == 1
+
+
+def test_check_iso_builds_the_projections_once_per_structure(mp_file, monkeypatch, capsys):
+    calls = _count_builds(monkeypatch)
+    assert run(capsys, "check-iso", mp_file)[0] == 0
+    names = [name for name, _ in calls]
+    assert sorted(set(names)) == ["_convolution_projections", "_projection_formulas"]
+    assert len(calls) == len(set(calls)) == 4  # each of the two structures, once each
+
+
+def _pair_missing_a_product():
+    """The discrete-right pair(M12, 2) document with A's first product
+    entry dropped: check_matched_pair fails, and nothing past it runs."""
+    doc = matched_pair_to_doc(mp_discrete_right(pair_quasigroupoid(moufang_loop_12(), 2)))
+    del doc["a"]["product"][0]
+    return doc
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "machine"]], ids=["human", "machine"])
+def test_only_with_a_tag_no_printed_report_declares_exits_2(tmp_path, capsys, fmt):
+    path = write(tmp_path, "mp.json", emit(_pair_missing_a_product()))
+    clean = write(tmp_path, "clean.json", emit(
+        matched_pair_to_doc(mp_discrete_right(pair_quasigroupoid(moufang_loop_12(), 2)))
+    ))
+    assert run(capsys, *fmt, "validate", path)[0] == 1
+    assert run(capsys, *fmt, "--only", "d2", "validate", path)[0] == 1
+    assert run(capsys, *fmt, "--only", "P-3", "suite", clean)[0] == 0
+    for command, tag, doc in (
+        ("validate", "bogus", path),
+        ("suite", "P-3", path),  # the identity suite runs only on a passing pair
+        ("validate", "P-3", clean),  # validate runs no identity suite
+        ("check-iso", "d2", clean),
+    ):
+        assert run(capsys, *fmt, "--only", tag, command, doc) == (
+            2, "", f"error: no report of this command declares the tag {tag!r}\n"
+        ), (command, tag)
 
 
 def _bad_z3():

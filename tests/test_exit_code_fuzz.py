@@ -2,7 +2,9 @@
 kind: every mutant still passes the document schema, and each command that
 takes its kind (`validate`, `suite`, `check-whq`, `build dcp|magma|bowtie`,
 `check-iso`, `factorize`) exits 0 (pass), 1 (violations) or 2 (malformed
-input) on it without a traceback.
+input) on it without a traceback.  The commands that print reports run
+also with `--only`, once with a tag that one of their reports declares and
+once with a tag that none declares.
 
 All commands run through `cli.main` in one child process whose address
 space is capped, so an input that needs memory out of proportion to its
@@ -59,6 +61,17 @@ COMMANDS = {
     "action": [["validate"], ["suite"]],
     "whq": [["validate"], ["suite"], ["check-whq"]],
 }
+# a tag declared by the first report of each kind's checker, and of check-iso
+DECLARED = {
+    "quasigroupoid": "a2-1", "matched-pair": "e2", "factorization": "theta-bijective",
+    "quasigroup": "inverse", "action": "action-mult", "whq": "d2", "check-iso": "mkl4",
+}
+for kind, commands in COMMANDS.items():
+    COMMANDS[kind] = commands + [
+        ["--only", tag, *command]
+        for command in commands if command[0] in ("validate", "suite", "check-whq", "check-iso")
+        for tag in (DECLARED.get(command[0], DECLARED[kind]), "bogus")
+    ]
 MUTANTS = 20  # per base document
 
 CHILD = """
@@ -233,6 +246,39 @@ def test_mutated_documents_exit_0_1_or_2_without_a_traceback(tmp_path):
         ("whq", "validate"): {0, 1},
         ("whq", "suite"): {0, 1},
         ("whq", "check-whq"): {0, 1},
+        # with --only, a declared tag exits as without it, except that an
+        # action whose quasigroup breaks its laws prints the quasigroup's
+        # report, which declares no action tag (2); a tag no report declares
+        # exits 2, or 1 where a command stops on a broken component and
+        # prints that component's report, unfiltered
+        ("quasigroupoid", "--only a2-1 validate"): {0, 1},
+        ("quasigroupoid", "--only bogus validate"): {2},
+        ("quasigroupoid", "--only a2-1 suite"): {0, 1},
+        ("quasigroupoid", "--only bogus suite"): {2},
+        ("matched-pair", "--only e2 validate"): {0, 1, 2},
+        ("matched-pair", "--only bogus validate"): {2},
+        ("matched-pair", "--only e2 suite"): {0, 1, 2},
+        ("matched-pair", "--only bogus suite"): {1, 2},
+        ("matched-pair", "--only mkl4 check-iso"): {0, 1, 2},
+        ("matched-pair", "--only bogus check-iso"): {1, 2},
+        ("factorization", "--only theta-bijective validate"): {0, 1, 2},
+        ("factorization", "--only bogus validate"): {1, 2},
+        ("factorization", "--only theta-bijective suite"): {0, 1, 2},
+        ("factorization", "--only bogus suite"): {1, 2},
+        ("quasigroup", "--only inverse validate"): {0, 1},
+        ("quasigroup", "--only bogus validate"): {2},
+        ("quasigroup", "--only inverse suite"): {0, 1},
+        ("quasigroup", "--only bogus suite"): {2},
+        ("action", "--only action-mult validate"): {0, 1, 2},
+        ("action", "--only bogus validate"): {2},
+        ("action", "--only action-mult suite"): {0, 1, 2},
+        ("action", "--only bogus suite"): {2},
+        ("whq", "--only d2 validate"): {0, 1},
+        ("whq", "--only bogus validate"): {2},
+        ("whq", "--only d2 suite"): {0, 1},
+        ("whq", "--only bogus suite"): {2},
+        ("whq", "--only d2 check-whq"): {0, 1},
+        ("whq", "--only bogus check-whq"): {2},
     }
 
 

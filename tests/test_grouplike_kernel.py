@@ -188,25 +188,19 @@ def reference_ok(sweep, d, *args) -> bool:
 def law_verdicts(d):
     """law -> (kernel verdict, reference verdict), for each law the kernel
     decides, on a group-like structure."""
-    prod, anti = hopf._group_like(d)
-    n = d.dim
-    splits = [d.delta_split(i) for i in range(n)]
-    pi_l, pi_r = hopf._convolution_projections(d)
+    assert d.group_like is not None
     return {
-        "d1": (True, reference_ok(hopf._law_d1, d, hopf._Supports(d), None)),
-        "d2": (hopf._d2_holds(prod, n), reference_ok(hopf._sweep_d2, d, hopf._Supports(d))),
-        "d4-4..7": (
-            hopf._d4_4_to_7_hold(prod, anti, n),
-            reference_ok(hopf._sweep_d4_4_to_7, d, splits, pi_l, pi_r),
-        ),
-        "antimult": (hopf._antimult_holds(prod, anti, n), reference_ok(hopf._sweep_antimult, d)),
+        "d1": (True, reference_ok(hopf._law_d1, d)),
+        "d2": (hopf._d2_holds(d), reference_ok(hopf._sweep_d2, d)),
+        "d4-4..7": (hopf._d4_4_to_7_hold(d), reference_ok(hopf._sweep_d4_4_to_7, d)),
+        "antimult": (hopf._antimult_holds(d), reference_ok(hopf._sweep_antimult, d)),
         "target-assoc": (
-            hopf._one_sided_holds(prod, pi_l, n),
-            reference_ok(hopf._sweep_one_sided, d, "target-assoc", pi_l),
+            hopf._one_sided_holds(d, "target-assoc"),
+            reference_ok(hopf._sweep_one_sided, d, "target-assoc"),
         ),
         "source-assoc": (
-            hopf._one_sided_holds(prod, pi_r, n),
-            reference_ok(hopf._sweep_one_sided, d, "source-assoc", pi_r),
+            hopf._one_sided_holds(d, "source-assoc"),
+            reference_ok(hopf._sweep_one_sided, d, "source-assoc"),
         ),
     }
 
@@ -243,8 +237,7 @@ def test_detection_rejects_non_group_like():
 def test_single_d4_law_fixtures_fail_alone(tag):
     d = from_tables(*ONE_D4_LAW_FAILS[tag])
     report = StructureReport("reference")
-    splits = [d.delta_split(i) for i in range(d.dim)]
-    hopf._sweep_d4_4_to_7(d, report, splits, *hopf._convolution_projections(d))
+    hopf._sweep_d4_4_to_7(d, report)
     assert report.failed_axioms() == (tag,)
 
 
@@ -263,37 +256,56 @@ def test_kernel_verdicts_equal_reference_verdicts(corpus):
 
 
 def outcome(checker, d):
-    """Everything a checker run shows: the report (with its data, apart from
-    the kernel's own tables, which a patched `_group_like` replaces by None)
-    or the error it raised."""
+    """Everything a checker run shows: the report or the error it raised."""
     try:
         report = checker(d)
     except StructureError as exc:
         return ("raised", str(exc))
-    data = {key: value for key, value in report.data.items() if key != "group_like"}
     return (report.subject, report.axioms, report.violations, report.notes,
-            format_report(report), data)
+            format_report(report), report.data)
+
+
+def without_kernel(monkeypatch, run, d):
+    """run on a fresh copy of d, whose group-like tables are built by a
+    `_group_like` patched to report none; returns (result, copies the
+    patched function saw).  The copy starts with an empty cache, so the
+    tables of an earlier run cannot stand in for the patched ones."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(hopf, "_group_like", lambda d: seen.append(d))
+        copy = dataclasses.replace(d)
+        return run(copy), [x is copy for x in seen]
 
 
 @pytest.mark.parametrize("checker", [check_whq, derived_property_suite])
 def test_reports_equal_with_and_without_kernel(corpus, monkeypatch, checker):
-    failing = 0
+    failing = kernel = 0
     for name, d in corpus.items():
-        fast = outcome(checker, d)
-        with monkeypatch.context() as m:
-            m.setattr(hopf, "_group_like", lambda d: None)
-            slow = outcome(checker, d)
+        fast = outcome(checker, dataclasses.replace(d))
+        slow, seen = without_kernel(monkeypatch, lambda x: outcome(checker, x), d)
         assert fast == slow, name
+        # the tables are read after the preconditions and the projections
+        skipped = slow[0] == "raised" or "preconditions failed; axiom sweep skipped" in slow[3]
+        assert seen == ([] if skipped else [True]), name
         failing += fast[0] != "raised" and bool(fast[2])
-    assert failing > 0
+        kernel += not skipped and hopf._group_like(d) is not None
+    assert failing > 0 and kernel > 0
 
 
 def test_is_hopf_quasigroup_through_the_d1_law(corpus, monkeypatch):
+    reached = 0
     for name, d in corpus.items():
-        fast = is_hopf_quasigroup(d)
+        fast = is_hopf_quasigroup(dataclasses.replace(d))
+        swept = []
         with monkeypatch.context() as m:
-            m.setattr(hopf, "_group_like", lambda d: None)
-            assert is_hopf_quasigroup(d) == fast, name
+            law_d1 = hopf._law_d1
+            m.setattr(hopf, "_law_d1", lambda d, report: swept.append(law_d1(d, report)))
+            slow, seen = without_kernel(monkeypatch, is_hopf_quasigroup, d)
+        assert slow == fast, name
+        # the tables are read where d1 is reached, and without them d1 is swept
+        assert seen == [True] * len(swept) and len(swept) <= 1, name
+        reached += bool(swept) and hopf._group_like(d) is not None
+    assert reached > 0
 
 
 def dcp_magma_48():

@@ -1,6 +1,8 @@
 import dataclasses
 from itertools import permutations
 
+import pytest
+
 from nonassoc import (
     LinearMap,
     hopf,
@@ -26,8 +28,10 @@ from nonassoc import (
     projections,
     quasigroup_as_quasigroupoid,
     span_equal,
+    symmetric_group,
 )
 from nonassoc.linalg import vec_equal
+from nonassoc.reports import StructureError
 from nonassoc.quasigroupoids import QgpdMorphism
 from tests.conftest import FLIP
 
@@ -94,6 +98,21 @@ def test_derived_property_suite_passes(z2, z3, m12):
         d = magma_of_quasigroupoid(q)
         report = derived_property_suite(d)
         assert report.ok, (name, report.failed_axioms())
+
+
+def test_derived_properties_read_the_structure_s_own_projections():
+    """K[S3] with antipode columns 1 and 2 swapped fails d4-1..d4-3, and the
+    derived suite, which takes no report from elsewhere, refuses it."""
+    good = magma_of_quasigroupoid(quasigroup_as_quasigroupoid(symmetric_group(3)))
+    cols = list(good.antipode.cols)
+    cols[1], cols[2] = cols[2], cols[1]
+    bad = dataclasses.replace(good, antipode=LinearMap(6, 6, tuple(cols)))
+    assert check_whq(good).ok and derived_property_suite(good).ok
+    assert {"d4-1", "d4-2", "d4-3"} <= set(check_whq(bad).failed_axioms())
+    with pytest.raises(StructureError, match="^projection formulas disagree"):
+        derived_property_suite(bad)
+    with pytest.raises(TypeError):
+        derived_property_suite(bad, check_whq(good))
 
 
 def test_antipode_antimultiplicative_matches_loop_inverse(m12):

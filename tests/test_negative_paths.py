@@ -25,6 +25,13 @@ def test_corruption_is_rejected(outcomes, key):
     assert all(isinstance(v.witness, tuple) for v in bad)
 
 
+@pytest.mark.parametrize("tag", ["magma-unit", "coalg1", "coalg2"])
+def test_a_failed_precondition_skips_the_axiom_sweep(outcomes, tag):
+    report, _ = outcomes[f"whq/{tag}"]
+    assert report.failed_axioms() == (tag,)
+    assert report.notes == ["preconditions failed; axiom sweep skipped"]
+
+
 def test_d2_witness_reevaluates_to_the_discrepancy(outcomes):
     # recompute one reported d2 witness directly from the corrupted data
     report, _ = outcomes["whq/d2"]

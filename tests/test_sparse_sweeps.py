@@ -139,22 +139,21 @@ def sweeps_of(name):
 
 def _sweeps(d):
     splits = [d.delta_split(i) for i in range(d.dim)]
-    sup = hopf._Supports(d)
     pi_l, pi_r = hopf._convolution_projections(d)
-    yield "preconditions", lines(old._check_preconditions, d), lines(hopf._check_preconditions, d, sup)
-    yield "d1", lines(old._law_d1, d, splits), lines(hopf._law_d1, d, sup, None)
-    yield "d2", lines(old._sweep_d2, d, splits), lines(hopf._sweep_d2, d, sup)
-    yield "d3", lines(old._sweep_d3, d, splits), lines(hopf._sweep_d3, d, sup)
+    yield "preconditions", lines(old._check_preconditions, d), lines(hopf._check_preconditions, d)
+    yield "d1", lines(old._law_d1, d, splits), lines(hopf._law_d1, d)
+    yield "d2", lines(old._sweep_d2, d, splits), lines(hopf._sweep_d2, d)
+    yield "d3", lines(old._sweep_d3, d, splits), lines(hopf._sweep_d3, d)
     yield (
         "d4-4..7",
         lines(old._sweep_d4_4_to_7, d, splits, pi_l, pi_r),
-        lines(hopf._sweep_d4_4_to_7, d, splits, pi_l, pi_r),
+        lines(hopf._sweep_d4_4_to_7, d),
     )
     for tag, proj in (("target-assoc", pi_l), ("source-assoc", pi_r)):
         yield (
             tag,
             lines(old._sweep_one_sided, d, tag, proj),
-            lines(hopf._sweep_one_sided, d, tag, proj),
+            lines(hopf._sweep_one_sided, d, tag),
         )
 
 
@@ -256,10 +255,9 @@ def test_d1_and_d2_on_a_large_function_algebra_are_fast():
     # the sweeps of tests/reference_sweeps.py take about 3.7 s (d1) and 18 s
     # (d2) on this input on a 2-core Xeon; these take 0.03 s and 1 ms
     d = round_trip(function_algebra(cyclic_group(32)), "Q")
-    sup = hopf._Supports(d)
-    for sweep, args in ((hopf._law_d1, (sup, None)), (hopf._sweep_d2, (sup,))):
+    for sweep in (hopf._law_d1, hopf._sweep_d2):
         report = StructureReport("sweep")
         start = time.perf_counter()
-        sweep(d, report, *args)
+        sweep(d, report)
         assert time.perf_counter() - start < 1.0
         assert report.ok
