@@ -57,12 +57,20 @@ def _jsonable(value):
     return value
 
 
+def _undeclared_tag(reports: list[StructureReport], only) -> str | None:
+    """The error for an --only tag that none of the reports declares, a
+    usage error: the filter would otherwise pass whatever they found."""
+    if only is not None and not any(only in r.axioms for r in reports):
+        return f"no report of this command declares the tag {only!r}"
+    return None
+
+
 def _print_reports(reports: list[StructureReport], args) -> int:
     """Print the reports, filtered to the --only tag, and return the exit
-    code.  A tag that no report declares is a usage error: it would
-    otherwise pass whatever the reports found."""
-    if args.only is not None and not any(args.only in r.axioms for r in reports):
-        raise StructureError(f"no report of this command declares the tag {args.only!r}")
+    code."""
+    error = _undeclared_tag(reports, args.only)
+    if error is not None:
+        raise StructureError(error)
     violations = 0
     for report in reports:
         violations += len(
@@ -244,15 +252,19 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InvalidStructureError as exc:
-        if args.format == "machine":
-            payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}
-            sys.stdout.write(documents.emit(payload))
-        else:
-            sys.stdout.write(format_report(exc.report))
-        return 1
+        # a component breaks its laws: its report is printed whole
+        error = _undeclared_tag([exc.report], args.only)
+        if error is None:
+            if args.format == "machine":
+                payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}
+                sys.stdout.write(documents.emit(payload))
+            else:
+                sys.stdout.write(format_report(exc.report))
+            return 1
     except (StructureError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        error = str(exc)
+    sys.stderr.write(f"error: {error}\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ components (StructureError when a product inside one is missing).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .factorizations import FactorizationCandidate, closure_fault, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
@@ -213,8 +212,7 @@ def _arrow_subset(doc, field, b: Quasigroupoid) -> tuple[int, ...]:
 def _scalar_to_str(value) -> str:
     if isinstance(value, GFElement):
         return str(value.residue)
-    frac = Fraction(value)
-    return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
+    return str(value)  # an int, or a Fraction, which prints as "num" or "num/den"
 
 
 def _sparse(doc, what, field, bad, *bounds) -> list:

@@ -3,7 +3,11 @@
 Vectors are dicts {basis index: coefficient} with no stored zeros; linear
 maps hold one such column per domain basis vector.  Coefficients are plain
 ints or `fractions.Fraction` (which interoperate exactly), or `GFElement`
-values when working mod p.  Nothing here ever rounds.
+values when working mod p.  Nothing here ever rounds.  A scalar read over Q
+is an int when it is integral and a Fraction otherwise, so the unit
+coefficients of group algebras and their duals stay in integer arithmetic;
+since an int equals and hashes as the Fraction of the same value, no
+verdict or witness depends on which of the two holds it.
 
 Tensor bases are row-major: basis (i, j) of an m x n tensor product sits at
 index i*n + j.  Every module that builds maps on tensor spaces uses this
@@ -106,8 +110,7 @@ def _scalar_text(text: str) -> str:
 
 
 class PrimeField:
-    """Scalar factory for GF(p), p < 2^31; `RATIONALS` is the Fraction-based
-    default."""
+    """Scalar factory for GF(p), p < 2^31; `RATIONALS` is the default."""
 
     def __init__(self, p: int):
         if p >= MAX_MODULUS:
@@ -134,8 +137,12 @@ class _Rationals:
     def __call__(self, value):
         return Fraction(value)
 
-    def from_string(self, text: str) -> Fraction:
-        return Fraction(_scalar_text(text))
+    def from_string(self, text: str) -> int | Fraction:
+        """An integral value as an exact int, any other as a Fraction."""
+        if "/" in _scalar_text(text):
+            value = Fraction(text)
+            return value.numerator if value.denominator == 1 else value
+        return int(text)
 
     name = "Q"
 

@@ -526,6 +526,29 @@ def test_only_filters_the_report_of_a_broken_quasigroup(tmp_path, capsys, comman
         assert machine == (code, emit(payload), "")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "machine"]], ids=["human", "machine"])
+def test_only_on_a_broken_component_needs_a_tag_its_report_declares(tmp_path, z2, capsys, fmt):
+    """A command that stops on a component breaking its laws prints that
+    component's report whole.  An --only tag that report declares keeps that
+    output and exit 1; any other tag, one of the command's own reports
+    included, is the usage error it is where those reports print."""
+    mp, _ = _with_broken_component(two_sided_pair(2), "a")
+    fact = factorization_to_doc(canonical_factorization(mp_discrete_right(pair_quasigroupoid(z2, 2))))
+    fact["b"]["inv"][1] = 6  # B breaks a2-3; see the test of a broken ambient structure
+    mp_path = write(tmp_path, "mp.json", emit(matched_pair_to_doc(mp)))
+    fact_path = write(tmp_path, "fact.json", emit(fact))
+    cases = [(command, mp_path) for command in MP_COMMANDS]
+    cases += [([command], fact_path) for command in ("validate", "suite")]
+    for command, path in cases:
+        whole = run(capsys, *fmt, *command, path)
+        assert whole[0] == 1 and whole[1], command
+        assert run(capsys, *fmt, "--only", "a2-3", *command, path) == whole, command
+        for tag in ("bogus", "theta-bijective"):
+            assert run(capsys, *fmt, "--only", tag, *command, path) == (
+                2, "", f"error: no report of this command declares the tag {tag!r}\n"
+            ), (command, tag)
+
+
 # The order of events: the envelope, then the command's kind, then the
 # schema of the document, then the laws.  A command that takes one kind
 # never reads the body of a document of another; `validate` takes any kind.

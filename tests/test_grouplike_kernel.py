@@ -10,16 +10,23 @@ quasigroupoid magmas, the whq negative fixtures, and seeded corruptions
 that stay group-like (a redirected product entry, a dropped product entry,
 two antipode columns swapped), and random partial product tables on two or
 three basis vectors, where single law instances fail on their own.  Each
-structure comes with int scalars, with Fraction scalars (a document round
-trip over Q) and with GF(5) scalars.
+structure comes with int scalars, read back from a document over Q (which
+holds integral scalars as ints), with every scalar of that reading a
+Fraction, and with GF(5) scalars.
 The reference sweeps over Fraction and GF(5) scalars cost about twenty
-times the int ones, so those two variants are taken for the structures of
-at most 9 basis vectors; the 12- and 48-arrow magmas over Q and GF(5) are pinned
+times the int ones, so those variants are taken for the structures of at
+most 9 basis vectors; the 12- and 48-arrow magmas over Q and GF(5) are pinned
 by the golden CLI outputs instead.
+
+A run on a structure and a run on its all-Fraction copy must write the
+same report, but for `Fraction(n, 1)` printed where the other prints `n`:
+the oracle for reading integral scalars over Q as ints, on this corpus and
+on the whq inputs of the golden CLI tests over Q.
 """
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,7 +52,7 @@ from nonassoc import (
 from nonassoc import hopf
 from nonassoc.documents import doc_to_whq, emit, parse, whq_to_doc
 from nonassoc.linalg import GFElement
-from nonassoc.reports import StructureError, StructureReport, format_report
+from nonassoc.reports import StructureError, StructureReport, Violation, format_report
 from tests.negative_fixtures import whq_fixtures
 from tests.test_acceptance import criterion_5_structures
 from tests.test_hopf import sweedler_four_dim
@@ -73,6 +80,21 @@ def function_algebra(g) -> MagmaCoalgebra:
 
 def round_trip(d: MagmaCoalgebra, field: str) -> MagmaCoalgebra:
     return doc_to_whq(parse(emit(whq_to_doc(d, field))))
+
+
+def as_fractions(d: MagmaCoalgebra) -> MagmaCoalgebra:
+    """d with every stored scalar a Fraction.  Of a structure read over Q,
+    this is the reading that held integral scalars as Fraction(n, 1)."""
+
+    def convert(m: LinearMap) -> LinearMap:
+        cols = tuple({i: Fraction(c) for i, c in col.items()} for col in m.cols)
+        return LinearMap(m.dom, m.cod, cols)
+
+    return dataclasses.replace(
+        d,
+        unit={i: Fraction(c) for i, c in d.unit.items()},
+        **{name: convert(getattr(d, name)) for name in ("product", "counit", "coproduct", "antipode")},
+    )
 
 
 def with_cols(d, name, updates):
@@ -175,6 +197,7 @@ def corpus(mp_family, z2, z3, m12):
         out[f"{name} [int]"] = d
         if d.dim <= SMALL:
             out[f"{name} [Q]"] = round_trip(d, "Q")
+            out[f"{name} [Fraction]"] = as_fractions(out[f"{name} [Q]"])
             out[f"{name} [GF5]"] = round_trip(d, "GF5")
     return out
 
@@ -308,6 +331,44 @@ def test_is_hopf_quasigroup_through_the_d1_law(corpus, monkeypatch):
     assert reached > 0
 
 
+INTEGRAL_FRACTION = re.compile(r"Fraction\((-?\d+), 1\)")
+
+
+def without_integral_fractions(result):
+    """A checker outcome with every `Fraction(n, 1)` in its strings as `n`."""
+    if isinstance(result, str):
+        return INTEGRAL_FRACTION.sub(r"\1", result)
+    if isinstance(result, (list, tuple)):
+        return type(result)(without_integral_fractions(x) for x in result)
+    if isinstance(result, Violation):
+        return dataclasses.replace(result, detail=without_integral_fractions(result.detail))
+    return result
+
+
+@pytest.mark.parametrize("checker", [check_whq, derived_property_suite])
+def test_integral_scalars_read_as_ints_give_the_reports_of_fractions(corpus, checker):
+    from tests.test_golden_cli import golden_documents  # which imports this module
+
+    # the corpus structures read over Q, and the golden whq inputs over Q
+    structures = {name: d for name, d in corpus.items() if name.endswith("[Q]")}
+    for name, text in golden_documents().items():
+        if name.endswith("-Q"):
+            structures[f"golden {name}"] = doc_to_whq(parse(text))
+    assert sum(name.startswith("golden ") for name in structures) == 10
+    reprs = failing = 0
+    for name, d in structures.items():
+        ints = outcome(checker, d)
+        fractions = outcome(checker, as_fractions(d))
+        assert INTEGRAL_FRACTION.search(repr(ints)) is None, name
+        # same axioms, same witnesses in the same order, same details up to
+        # the printing of integral scalars
+        assert ints == without_integral_fractions(fractions), name
+        reprs += ints != fractions
+        failing += ints[0] != "raised" and bool(ints[2])
+    # a vector detail printed Fraction(n, 1) before, and violations were compared
+    assert reprs > 0 and failing > 0
+
+
 def dcp_magma_48():
     mp = mp_discrete_right(pair_quasigroupoid(moufang_loop_12(), 2))
     return magma_of_quasigroupoid(double_cross_product(mp))
@@ -425,6 +486,7 @@ def twist_corpus():
     bases["K^S3 GF5"] = round_trip(bases["K^S3"], "GF5")
     bases["sweedler"] = sweedler_four_dim()
     bases["sweedler Q"] = round_trip(bases["sweedler"], "Q")
+    bases["sweedler Fraction"] = as_fractions(bases["sweedler Q"])
     for m in (2, 3, 4):
         mp = mp_discrete_right(pair_quasigroupoid(moufang_loop_12(), m))
         bases[f"ladder m{m}"] = magma_of_quasigroupoid(double_cross_product(mp))

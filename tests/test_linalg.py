@@ -125,6 +125,32 @@ def test_prime_field_arithmetic():
     assert a.inverse() * a == gf5(1)
 
 
+def test_rationals_read_an_integral_scalar_as_an_int():
+    for text, value in (("3", 3), ("6/3", 2), ("9/3", 3), ("-4", -4), ("-0", 0), ("0/7", 0)):
+        got = RATIONALS.from_string(text)
+        assert (type(got), got) == (int, value), text
+    for text, value in (("-1/2", Fraction(-1, 2)), ("4/6", Fraction(2, 3))):
+        got = RATIONALS.from_string(text)
+        assert (type(got), got) == (Fraction, value), text
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "9" * 4301, "1/" + "9" * 4301], ids=["zero-denominator", "digits", "denominator-digits"]
+)
+def test_rationals_refuse_a_scalar_with_the_error_of_fraction(text):
+    """The error text is the document reader's `bad scalar` detail, as when
+    every scalar over Q was read as a Fraction."""
+    with pytest.raises((ValueError, ZeroDivisionError)) as fraction:
+        Fraction(text)
+    with pytest.raises(fraction.type) as got:
+        RATIONALS.from_string(text)
+    assert str(got.value) == str(fraction.value)
+    if text == "1/0":
+        assert str(got.value) == "Fraction(1, 0)"
+    else:
+        assert str(got.value).startswith("Exceeds the limit (4300 digits) for integer string conversion")
+
+
 def test_prime_field_rejects_composites():
     with pytest.raises(StructureError):
         PrimeField(6)

@@ -11,9 +11,10 @@ not group-like, the whq negative fixtures, and seeded perturbations of
 product, coproduct and counit entries: single entries added, a +-e_c block
 on a 2x2 set of product pairs or of coproduct legs (whose added terms
 cancel in the unit laws and in sums over delta(1)), and entries stored with
-the coefficient zero.  Each structure comes with int scalars, with Fraction
-scalars (a document round trip over Q) and with GF(5) scalars, Sweedler's
-with GF(3) as well.
+the coefficient zero.  Each structure comes with int scalars, read back
+from a document over Q (which holds integral scalars as ints), with every
+scalar of that reading a Fraction, and with GF(5) scalars, Sweedler's with
+GF(3) as well.
 """
 
 import dataclasses
@@ -39,7 +40,7 @@ from nonassoc.linalg import vec_equal
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
 from tests.negative_fixtures import whq_fixtures
-from tests.test_grouplike_kernel import function_algebra, round_trip
+from tests.test_grouplike_kernel import as_fractions, function_algebra, round_trip
 from tests.test_hopf import sweedler_four_dim
 
 
@@ -117,6 +118,7 @@ def scalar_variants(structures):
         out[f"{name} [int]"] = d
         for field in fields:
             out[f"{name} [{field}]"] = round_trip(d, field)
+        out[f"{name} [Fraction]"] = as_fractions(out[f"{name} [Q]"])
     return out
 
 
