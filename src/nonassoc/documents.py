@@ -428,7 +428,8 @@ def whq_to_doc(d: MagmaCoalgebra, field_name: str = "Q") -> dict:
         "field": field_name,
         "unit": [[i, _scalar_to_str(c)] for i, c in sorted(d.unit.items())],
         "counit": [[i, _scalar_to_str(d.eps(i))] for i in range(n) if d.eps(i)],
-        "product": sparse_map(d.product, lambda j, i: [j // n, j % n, i]),
+        "product": [[h, k, m, _scalar_to_str(c)] for (h, k), vec in sorted(d.product.items())
+                    for m, c in sorted(vec.items())],
         "coproduct": sparse_map(d.coproduct, lambda j, i: [j, i // n, i % n]),
         "antipode": sparse_map(d.antipode, lambda j, i: [j, i]),
     }
@@ -458,9 +459,9 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     counit_cols: list[dict] = [{} for _ in range(n)]
     for (i,), c in counit:
         counit_cols[i][0] = c
-    product_cols: list[dict] = [{} for _ in range(n * n)]
+    product_rows: dict = {}
     for (i, j, k), c in product:
-        product_cols[i * n + j][k] = c
+        product_rows.setdefault(i, {}).setdefault(j, {})[k] = c
     coproduct_cols: list[dict] = [{} for _ in range(n)]
     for (i, j, k), c in coproduct:
         coproduct_cols[i][j * n + k] = c
@@ -470,7 +471,7 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     return MagmaCoalgebra(
         n,
         {i: c for (i,), c in unit},
-        LinearMap(n * n, n, tuple(product_cols)),
+        PairTable(product_rows),
         LinearMap(n, 1, tuple(counit_cols)),
         LinearMap(n, n * n, tuple(coproduct_cols)),
         LinearMap(n, n, tuple(antipode_cols)),

@@ -7,12 +7,13 @@ basis vector by basis vector (complete by linearity: no sampling, no
 tolerance).
 
 Each law has one reference sweep, and each sweep visits only the terms
-that can be nonzero.  A `MagmaCoalgebra` keeps, as cached fields built on
-first use, where its stored structure constants are nonzero: the product
-columns by left and by right factor, and the legs of each delta(k) and of
+that can be nonzero.  The product is stored as the rows of its nonzero
+values (a `quasigroupoids.PairTable`, rows[h][k] = hk, with no entry where
+hk = 0), and a `MagmaCoalgebra` keeps, as cached fields built on first use,
+the stored products by right factor and the legs of each delta(k) and of
 delta(1) by leg.  d2 tabulates the nonzero counits of products eps(hk) by
 row and then evaluates only the triples that some nonzero term reaches,
-instead of all n^3; d1 and d3 join coproduct legs on nonzero products.
+instead of all n^3; d1 and d3 join coproduct legs on stored products.
 Dropping a term with a zero factor never changes a value, so the
 restriction uses no property of valid structures, and witness order and
 detail strings are those of a sweep over every term.  The projections are
@@ -31,7 +32,8 @@ reports are the same with or without it.  Coalgebras that are not
 group-like (K^G, Sweedler's algebra) always take the reference sweeps.
 
 The group-like construction `magma_of_quasigroupoid` is the workhorse
-example: products of non-composable arrows are the literal zero vector.
+example: its product rows are those of the quasigroupoid, and products of
+non-composable arrows are zero, so they have no entry.
 """
 
 from __future__ import annotations
@@ -44,13 +46,12 @@ from .linalg import (
     convolution,
     free_coalgebra,
     span_equal,
-    twist,
     vec_add_into,
     vec_canonical,
     vec_equal,
     vec_tensor,
 )
-from .quasigroupoids import EMPTY, QgpdMorphism, Quasigroupoid, check_morphism
+from .quasigroupoids import EMPTY, PairTable, QgpdMorphism, Quasigroupoid, check_morphism, transposed_rows
 from .reports import (
     DimensionMismatch,
     InvalidStructureError,
@@ -63,8 +64,8 @@ from .reports import (
 class MagmaCoalgebra:
     """A unital magma and a coalgebra on one basis, with an antipode.
 
-    No code changes a stored column after construction: a structure with
-    other maps is a new instance (`dataclasses.replace`).  So what is
+    No code changes a stored column or row after construction: a structure
+    with other maps is a new instance (`dataclasses.replace`).  So what is
     derived from the maps is built on first use and kept on the instance,
     as the cached fields below, and every checker run on one structure
     reads the same objects; their readers, `projections`' callers among
@@ -73,33 +74,34 @@ class MagmaCoalgebra:
 
     dim: int
     unit: dict  # the image of 1 under the unit map
-    product: LinearMap  # n^2 -> n
+    product: PairTable  # rows[h][k] = hk where nonzero; an n^2 -> n LinearMap is converted
     counit: LinearMap  # n -> 1
     coproduct: LinearMap  # n -> n^2
     antipode: LinearMap  # n -> n
     basis_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n = self.dim
-        if (
-            self.product.dom != n * n
-            or self.product.cod != n
-            or self.counit.dom != n
-            or self.counit.cod != 1
-            or self.coproduct.dom != n
-            or self.coproduct.cod != n * n
-            or self.antipode.dom != n
-            or self.antipode.cod != n
-        ):
+        n, product = self.dim, self.product
+        if isinstance(product, LinearMap):
+            if (product.dom, product.cod) != (n * n, n):
+                raise DimensionMismatch("structure maps inconsistent with dimension")
+            cols = map(vec_canonical, product.cols)
+            product = PairTable.from_triples((t // n, t % n, v) for t, v in enumerate(cols) if v)
+        object.__setattr__(self, "product", product)
+        shapes = [(m.dom, m.cod) for m in (self.counit, self.coproduct, self.antipode)]
+        if shapes != [(n, 1), (n, n * n), (n, n)]:
             raise DimensionMismatch("structure maps inconsistent with dimension")
+        for (h, k), vec in self.product.items():
+            if not (0 <= h < n and 0 <= k < n and all(0 <= m < n for m in vec)):
+                raise DimensionMismatch("product index out of range")
         for i in self.unit:
             if not 0 <= i < n:
                 raise DimensionMismatch("unit vector index out of range")
 
     # --- basis-level access -------------------------------------------------
 
-    def mul_basis(self, i: int, j: int) -> dict:
-        return self.product.cols[i * self.dim + j]
+    def mul_basis(self, i: int, j: int):
+        return self.product.rows.get(i, EMPTY).get(j, EMPTY)
 
     def mul_vec(self, u: dict, v: dict) -> dict:
         out: dict = {}
@@ -151,19 +153,10 @@ class MagmaCoalgebra:
         return first, second
 
     @cached_property
-    def factors(self):
-        """(right, left): right[h] and left[k] list the k and the h,
-        increasing, with hk stored as a nonempty column (an entry stored as
-        zero only adds zero terms)."""
-        n = self.dim
-        right: list = [[] for _ in range(n)]
-        left: list = [[] for _ in range(n)]
-        for t, col in enumerate(self.product.cols):
-            if col:
-                h, k = divmod(t, n)
-                right[h].append(k)
-                left[k].append(h)
-        return right, left
+    def columns(self) -> dict:
+        """columns[k][h] = hk: the stored products by right factor."""
+        rows = self.product.rows
+        return transposed_rows(rows, rows)
 
     @cached_property
     def legs(self):
@@ -213,10 +206,8 @@ def magma_of_quasigroupoid(b: Quasigroupoid) -> MagmaCoalgebra:
     """Free vector space on the arrows: composable products, zero otherwise;
     group-like coproduct, counit 1 on arrows, antipode from the inverse map,
     unit the sum of the identity arrows."""
-    n, rows = b.n_arrows, b.prod.rows
-    product = LinearMap.from_basis(
-        n * n, n, lambda t: rows.get(t // n, EMPTY).get(t % n)
-    )
+    n = b.n_arrows
+    product = PairTable({x: {y: {v: 1} for y, v in row.items()} for x, row in b.prod.rows.items()})
     delta, counit = free_coalgebra(n)
     antipode = LinearMap.from_basis(n, n, lambda i: b.inv[i])
     unit = {b.unit[x]: 1 for x in range(b.n_objects)}
@@ -234,21 +225,20 @@ def _projection_formulas(d: MagmaCoalgebra):
 
     A leg of delta(1) adds to the column of h only where the counit of the
     product of its probe leg with h is nonzero, so counits are taken only
-    of the nonzero products of probe legs, and each column visits its legs
+    of the stored products of probe legs, and each column visits its legs
     in their order in delta(1)."""
-    n, cols, unit_split = d.dim, d.product.cols, d.unit_split
-    (unit_first, unit_second), (right, left) = d.unit_legs, d.factors
+    n, unit_split, (unit_first, unit_second) = d.dim, d.unit_split, d.unit_legs
 
     def form(probe_first, probe_times_h):
         # probe_first picks which leg of delta(1) multiplies against h (the
         # other leg survives); probe_times_h picks the side h sits on.
         by_probe = unit_first if probe_first else unit_second
-        partners = right if probe_times_h else left
+        products = d.product.rows if probe_times_h else d.columns  # products[p][h] = ph or hp
         reached: list = [[] for _ in range(n)]  # h -> (position, counit of the product)
         for p in range(n):
             if by_probe[p]:
-                for h in partners[p]:
-                    e = d.eps_vec(cols[p * n + h] if probe_times_h else cols[h * n + p])
+                for h, vec in products.get(p, EMPTY).items():
+                    e = d.eps_vec(vec)
                     if e:
                         reached[h] += [(pos, e) for pos in by_probe[p]]
         out = []
@@ -308,13 +298,14 @@ def _group_like(d: MagmaCoalgebra):
         return None
     if any(col != {0: 1} for col in d.counit.cols):
         return None
-    images = []
-    for col in d.antipode.cols + d.product.cols:
-        if len(col) > 1 or any(c != 1 for c in col.values()):
+    if any(len(col) != 1 or any(c != 1 for c in col.values()) for col in d.antipode.cols):
+        return None
+    prod = [None] * (n * n)
+    for (h, k), vec in d.product.items():
+        if len(vec) != 1 or any(c != 1 for c in vec.values()):
             return None
-        images.append(next(iter(col), None))
-    anti, prod = images[:n], images[n:]
-    return None if None in anti else (prod, anti)
+        prod[h * n + k] = next(iter(vec))
+    return prod, [next(iter(col)) for col in d.antipode.cols]
 
 
 def _d2_holds(d: MagmaCoalgebra) -> bool:
@@ -479,24 +470,23 @@ def _law_d1(d: MagmaCoalgebra, report: StructureReport) -> None:
     Holds on every group-like structure, where delta(hk) = hk (x) hk =
     delta(h)delta(k), so callers sweep it on every other input.  For each h
     it joins the legs h1 (x) h2 of delta(h) with the legs k1 (x) k2 of
-    every delta(k) on the nonzero products h1k1 and h2k2."""
-    n = d.dim
-    mul_cols, (by_first, _), (right, _) = d.product.cols, d.legs, d.factors
+    every delta(k) on the stored products h1k1 and h2k2."""
+    n, rows, (by_first, _) = d.dim, d.product.rows, d.legs
     for h in range(n):
         rhs: list = [{} for _ in range(n)]  # rhs[k] = delta(h)delta(k), keyed m1 n + m2
         for (h1, h2, c) in d.splits[h]:
-            for k1 in right[h1]:
-                first = mul_cols[h1 * n + k1].items()
+            row_h2 = rows.get(h2, EMPTY)
+            for k1, first in rows.get(h1, EMPTY).items():
                 for (k, k2, c2) in by_first[k1]:
-                    second = mul_cols[h2 * n + k2].items()
-                    if not second:
+                    second = row_h2.get(k2)
+                    if second is None:
                         continue
                     acc, coeff = rhs[k], c * c2
-                    for m1, a in first:
-                        for m2, b2 in second:
+                    for m1, a in first.items():
+                        for m2, b2 in second.items():
                             _add_at(acc, m1 * n + m2, coeff * a * b2)
         for k in range(n):
-            if not vec_equal(d.coproduct(mul_cols[h * n + k]), vec_canonical(rhs[k])):
+            if not vec_equal(d.coproduct(d.mul_basis(h, k)), vec_canonical(rhs[k])):
                 report.fail("d1", (h, k), "delta(hk) != delta(h)delta(k)")
 
 
@@ -510,25 +500,23 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
     no zero factor, so for each h only the (k, l) reached by such a term
     are evaluated, in increasing order, each from all of its stored terms.
     The l of each k are collected as a bitset."""
-    n, mul_cols, splits = d.dim, d.product.cols, d.splits
-    (by_first, by_second), (right, _) = d.legs, d.factors
-    em = [[0] * n for _ in range(n)]  # em[h][k] = eps(hk), the int 0 for an empty column
-    em_rows: list = [[] for _ in range(n)]  # em_rows[h]: the k, increasing, with eps(hk) != 0
+    n, rows, splits, (by_first, by_second) = d.dim, d.product.rows, d.splits, d.legs
+    em = [[0] * n for _ in range(n)]  # em[h][k] = eps(hk), the int 0 where hk = 0
+    em_rows: list = [[] for _ in range(n)]  # em_rows[h]: the k with eps(hk) != 0
     prod_rows: list = [[] for _ in range(n)]  # prod_rows[m]: the (k, l) with kl_m != 0
-    for t, col in enumerate(mul_cols):
-        if col:
-            h, k = divmod(t, n)
-            em[h][k] = value = d.eps_vec(col)
-            if value:
-                em_rows[h].append(k)
-            for m, c in col.items():
-                if c:
-                    prod_rows[m].append((h, k))
+    for (h, k), col in d.product.items():
+        em[h][k] = value = d.eps_vec(col)
+        if value:
+            em_rows[h].append(k)
+        for m, c in col.items():
+            if c:
+                prod_rows[m].append((h, k))
     row_bits = [sum(1 << l for l in row) for row in em_rows]
     for h in range(n):
+        row_h = rows.get(h, EMPTY)
         reach: dict = {}  # k -> bitset of the l to evaluate
-        for k in right[h]:  # e1: (hk)_m eps(ml)
-            for m, c in mul_cols[h * n + k].items():
+        for k, hk in row_h.items():  # e1: (hk)_m eps(ml)
+            for m, c in hk.items():
                 if c:
                     reach[k] = reach.get(k, 0) | row_bits[m]
         for m in em_rows[h]:  # e2: eps(hm) (kl)_m
@@ -541,7 +529,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
                 reach[k] = reach.get(k, 0) | row_bits[y]
         em_h = em[h]
         for k in sorted(reach):
-            hk = mul_cols[h * n + k]
+            hk, row_k = row_h.get(k, EMPTY), rows.get(k, EMPTY)
             split_k = splits[k]
             bits = reach[k]
             while bits:
@@ -552,7 +540,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
                 for m, c in hk.items():
                     e1 = e1 + c * em[m][l]
                 e2 = 0
-                for m, c in mul_cols[k * n + l].items():
+                for m, c in row_k.get(l, EMPTY).items():
                     e2 = e2 + c * em_h[m]
                 e3 = 0
                 e4 = 0
@@ -572,19 +560,18 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
 
     over the pairs of legs u1 (x) u2 and v1 (x) v2 of delta(1).  The inner
     sums over v1 (x) v2 are formed once per u2, joining the legs of delta(1)
-    on the nonzero products u2 v1 and v1 u2.  Tensors are keyed
+    on the stored products u2 v1 and v1 u2.  Tensors are keyed
     (a n + b) n + c."""
-    n, unit_split, mul_cols = d.dim, d.unit_split, d.product.cols
-    (unit_first, _), (right, left) = d.unit_legs, d.factors
+    n, unit_split, unit_first = d.dim, d.unit_split, d.unit_legs[0]
     lhs3: dict = {}
     for (u, v, c) in unit_split:
         for (u1, u2, c1) in d.splits[u]:
             _add_at(lhs3, (u1 * n + u2) * n + v, c * c1)
 
-    def inner(partners, col_of) -> dict:
+    def inner(products) -> dict:
         out: dict = {}  # keyed m n + v2
-        for v1 in partners:
-            col = mul_cols[col_of(v1)].items()
+        for v1, col in products.items():
+            col = col.items()
             for pos in unit_first[v1]:
                 _, v2, c2 = unit_split[pos]
                 for m, a in col:
@@ -593,8 +580,8 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
 
     inners = {
         u2: (
-            inner(right[u2], lambda v1: u2 * n + v1),  # sum (u2 v1) (x) v2
-            inner(left[u2], lambda v1: v1 * n + u2),  # sum (v1 u2) (x) v2
+            inner(d.product.rows.get(u2, EMPTY)),  # sum (u2 v1) (x) v2
+            inner(d.columns.get(u2, EMPTY)),  # sum (v1 u2) (x) v2
         )
         for u2 in dict.fromkeys(u2 for _, u2, _ in unit_split)
     }
@@ -644,7 +631,7 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
     out, in their order; S(x)y and xS(y) are formed once per pair."""
     n, splits, (pi_l, pi_r) = d.dim, d.splits, d.convolution_projections
     basis = [{i: 1} for i in range(n)]
-    anti, mul_cols = d.antipode.cols, d.product.cols
+    anti, mul = d.antipode.cols, d.mul_basis
     s_times = [[d.mul_vec(anti[x], basis[y]) for y in range(n)] for x in range(n)]
     times_s = [[d.mul_vec(basis[x], anti[y]) for y in range(n)] for x in range(n)]
     for h in range(n):
@@ -653,7 +640,7 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
             lhs44: dict = {}
             lhs45: dict = {}
             for (h1, h2, c) in split_h:
-                h2k = mul_cols[h2 * n + k]
+                h2k = mul(h2, k)
                 if h2k:
                     vec_add_into(lhs44, d.mul_vec(anti[h1], h2k), c)
                 s_h2k = s_times[h2][k]
@@ -666,7 +653,7 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
             lhs46: dict = {}
             lhs47: dict = {}
             for (k1, k2, c) in splits[k]:
-                hk1 = mul_cols[h * n + k1]
+                hk1 = mul(h, k1)
                 if hk1:
                     vec_add_into(lhs46, d.mul_vec(hk1, anti[k2]), c)
                 h_sk1 = times_s[h][k1]
@@ -912,13 +899,13 @@ def check_whq_morphism(
         for h in range(d.dim):
             if not vec_equal(lhs.cols[h], rhs.cols[h]):
                 report.fail(tag, (h,), f"lhs={lhs.cols[h]} rhs={rhs.cols[h]}")
-    n, (right, _) = d.dim, d.factors
+    n, rows = d.dim, d.product.rows
     for h, split in enumerate(d.splits):
         # f(hk) and nabla(h (x) k) vanish unless k is a right factor of h or
         # of a basis vector in the support of some PiR(h(2))
         factors = {h}.union(*(pi_r.cols[h2] for _, h2, _ in split))
-        for k in sorted({k for x in factors for k in right[x]}):
-            lhs = f(d.product.cols[h * n + k])
+        for k in sorted({k for x in factors for k in rows.get(x, EMPTY)}):
+            lhs = f(d.mul_basis(h, k))
             rhs = {}
             for x, c in _nabla_col(d, h, k).items():
                 vec_add_into(rhs, d2.mul_vec(f.cols[x // n], f.cols[x % n]), c)
@@ -949,7 +936,8 @@ def is_cocommutative(d: MagmaCoalgebra) -> bool:
 
 
 def is_commutative(d: MagmaCoalgebra) -> bool:
-    return d.product @ twist(d.dim, d.dim) == d.product
+    """hk == kh, compared at each stored product."""
+    return all(vec_equal(hk, d.mul_basis(k, h)) for (h, k), hk in d.product.items())
 
 
 def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:

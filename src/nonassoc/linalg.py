@@ -11,7 +11,8 @@ verdict or witness depends on which of the two holds it.
 
 Tensor bases are row-major: basis (i, j) of an m x n tensor product sits at
 index i*n + j.  Every module that builds maps on tensor spaces uses this
-order, so coefficientwise comparisons are meaningful across modules.
+order, so coefficientwise comparisons are meaningful across modules.  A
+magma's product is no such map: `convolution` reads it as stored rows.
 """
 
 from __future__ import annotations
@@ -294,21 +295,20 @@ def free_coalgebra(n: int) -> tuple[LinearMap, LinearMap]:
     return delta, counit
 
 
-def convolution(f: LinearMap, g: LinearMap, delta: LinearMap, mu: LinearMap) -> LinearMap:
+def convolution(f: LinearMap, g: LinearMap, delta: LinearMap, mu) -> LinearMap:
     """(f * g)(h) = sum over (t, c) in delta(h) of c mu(f(t1) (x) g(t2)), for
-    maps from a coalgebra to a magma.
+    maps from a coalgebra to a magma whose product mu is stored as the rows
+    of its nonzero values, mu.rows[x][y] = xy (`hopf.MagmaCoalgebra.product`).
 
-    Each column is summed straight from the support of delta(h), so the
-    n^2-column map f (x) g is never built.  This is exact for any coalgebra,
-    group-like or not, and equals mu o (f (x) g) o delta column for column,
-    down to the order of each column's entries, so reports that print a
-    convolution read the same either way.
+    Each column is summed straight from the support of delta(h) and the
+    stored rows, so the n^2-column map f (x) g is never built.  This is exact
+    for any coalgebra, group-like or not, and equals mu o (f (x) g) o delta
+    column for column, down to the order of each column's entries, so
+    reports that print a convolution read the same either way.
     """
-    if f.dom != g.dom or f.dom != delta.dom or delta.cod != f.dom * g.dom:
-        raise DimensionMismatch("convolution: coalgebra shapes do not line up")
-    if f.cod != g.cod or mu.dom != f.cod * g.cod or mu.cod != f.cod:
-        raise DimensionMismatch("convolution: magma shapes do not line up")
-    n, cod = g.dom, g.cod
+    if f.dom != g.dom or f.dom != delta.dom or delta.cod != f.dom * g.dom or f.cod != g.cod:
+        raise DimensionMismatch("convolution: shapes do not line up")
+    n, rows = g.dom, mu.rows
     cols = []
     for col in delta.cols:
         out: dict = {}
@@ -316,8 +316,10 @@ def convolution(f: LinearMap, g: LinearMap, delta: LinearMap, mu: LinearMap) -> 
             term: dict = {}
             right = g.cols[t % n]
             for iu, a in f.cols[t // n].items():
+                row = rows.get(iu, {})
                 for iv, b in right.items():
-                    vec_add_into(term, mu.cols[iu * cod + iv], a * b)
+                    if iv in row:
+                        vec_add_into(term, row[iv], a * b)
             vec_add_into(out, term, c)
         cols.append(out)
     return LinearMap(f.dom, f.cod, tuple(cols))

@@ -4,6 +4,7 @@ import pytest
 
 from nonassoc import (
     FactorizationCandidate,
+    LinearMap,
     coarse_groupoid,
     cyclic_group,
     moufang_loop_12,
@@ -21,6 +22,15 @@ def z3_translation(a, x):
 
 
 FLIP = [[0, 1], [1, 0]]
+
+
+def product_map(product, n: int) -> LinearMap:
+    """A product stored as rows, rows[h][k] = hk with no entry where hk = 0
+    (`MagmaCoalgebra.product`), as the n^2 -> n linear map whose column
+    h * n + k is hk: the form the composite oracles and the column-editing
+    fixtures read."""
+    rows = product.rows
+    return LinearMap.from_basis(n * n, n, lambda t: dict(rows.get(t // n, {}).get(t % n, {})))
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,7 @@ from nonassoc import (
     mp_discrete_right,
     quasigroup_as_quasigroupoid,
 )
+from tests.conftest import product_map
 
 FLIP = [[0, 1], [1, 0]]
 
@@ -71,7 +72,7 @@ def _with_antipode(d, fn):
 
 def _with_product_col(d, pair, col):
     n = d.dim
-    cols = list(d.product.cols)
+    cols = list(product_map(d.product, n).cols)
     cols[pair[0] * n + pair[1]] = col
     return dataclasses.replace(d, product=LinearMap.from_cols(n * n, n, cols))
 

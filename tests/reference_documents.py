@@ -5,8 +5,9 @@ it built, kept as the oracle for `tests/test_document_readers.py`.
 document's kind over the whole document, which builds and drops every
 product and action table; the `doc_to_*` decoders then trust the validated
 document and build the structure again.  The import inside
-`doc_to_quasigroup` is absolute here; otherwise this is the library's code
-from before that change.
+`doc_to_quasigroup` is absolute here, and `doc_to_whq` builds the product
+as rows of its nonzero entries in document order, the form the library
+stores; otherwise this is the library's code from before that change.
 """
 
 import json
@@ -291,9 +292,10 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     counit_cols: list[dict] = [{} for _ in range(n)]
     for (i,), c in gather(doc["counit"]).items():
         counit_cols[i][0] = c
-    product_cols: list[dict] = [{} for _ in range(n * n)]
+    product_rows: dict = {}
     for (i, j, k), c in gather(doc["product"]).items():
-        product_cols[i * n + j][k] = c
+        if c:
+            product_rows.setdefault(i, {}).setdefault(j, {})[k] = c
     coproduct_cols: list[dict] = [{} for _ in range(n)]
     for (i, j, k), c in gather(doc["coproduct"]).items():
         coproduct_cols[i][j * n + k] = c
@@ -303,7 +305,7 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     return MagmaCoalgebra(
         n,
         unit,
-        LinearMap.from_cols(n * n, n, product_cols),
+        PairTable(product_rows),
         LinearMap.from_cols(n, 1, counit_cols),
         LinearMap.from_cols(n, n * n, coproduct_cols),
         LinearMap.from_cols(n, n, antipode_cols),

@@ -41,6 +41,7 @@ from nonassoc.quasigroupoids import (
     matching_arrows,
 )
 from nonassoc.reports import StructureError, StructureReport
+from tests.conftest import product_map
 
 
 def _projection_formulas(d: MagmaCoalgebra):
@@ -124,7 +125,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
     n^3 scalar checks."""
     n = d.dim
     em = [[d.eps_vec(d.mul_basis(i, j)) for j in range(n)] for i in range(n)]
-    mul_cols = d.product.cols
+    mul_cols = product_map(d.product, n).cols
     for h in range(n):
         em_h = em[h]
         for k in range(n):

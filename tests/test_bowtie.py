@@ -27,8 +27,8 @@ from nonassoc import (
     verify_canonical_iso,
 )
 from nonassoc.linalg import vec_equal
-from nonassoc.quasigroupoids import Quasigroupoid
-from tests.conftest import z3_translation
+from nonassoc.quasigroupoids import PairTable, Quasigroupoid
+from tests.conftest import product_map, z3_translation
 
 
 def test_linearized_action_unit_law(z3):
@@ -231,8 +231,10 @@ def _composite_module_laws(mp):
     mu_a, mu_h = magma_of_quasigroupoid(mp.a), magma_of_quasigroupoid(mp.h)
     ident_a, ident_h = LinearMap.identity(mp.a.n_arrows), LinearMap.identity(mp.h.n_arrows)
     return {
-        "left-assoc": phi_ka @ ident_h.tensor(phi_ka) == phi_ka @ mu_h.product.tensor(ident_a),
-        "right-assoc": phi_kh @ phi_kh.tensor(ident_a) == phi_kh @ ident_h.tensor(mu_a.product),
+        "left-assoc": phi_ka @ ident_h.tensor(phi_ka)
+        == phi_ka @ product_map(mu_h.product, mu_h.dim).tensor(ident_a),
+        "right-assoc": phi_kh @ phi_kh.tensor(ident_a)
+        == phi_kh @ ident_h.tensor(product_map(mu_a.product, mu_a.dim)),
     }
 
 
@@ -261,3 +263,52 @@ def test_module_law_report_agrees_with_the_composite_maps(mp_family):
                 verdicts.add((tag, holds))
             assert all(v.witness == () for v in report.violations if v.axiom in expected)
     assert verdicts == {(tag, holds) for tag in ("left-assoc", "right-assoc") for holds in (True, False)}
+
+
+def _changed(tag, d):
+    """d with the structure constant behind an oracle tag changed: the unit
+    coefficient of the first identity doubled, eps(0) = 2, or the leg
+    0 (x) 1 added to delta(0)."""
+    if tag == "oracle-unit":
+        first = min(d.unit)
+        return dataclasses.replace(d, unit={**d.unit, first: 2})
+    if tag == "oracle-counit":
+        counit = LinearMap.from_basis(d.dim, 1, lambda i: {0: 2 if i == 0 else 1})
+        return dataclasses.replace(d, counit=counit)
+    cols = list(d.coproduct.cols)
+    cols[0] = {**cols[0], 1: 1}
+    return dataclasses.replace(d, coproduct=LinearMap.from_cols(d.dim, d.dim * d.dim, cols))
+
+
+def _oracle_failures(monkeypatch, mp, change):
+    """The oracle-* violations of `verify_canonical_iso(mp)` when the
+    linearized side is replaced by change(linearized side)."""
+    build = bowtie._bowtie_whq
+    monkeypatch.setattr(bowtie, "_bowtie_whq", lambda pair: change(build(pair)))
+    report = verify_canonical_iso(mp)
+    return [(v.axiom, v.witness, v.detail) for v in report.violations if v.axiom.startswith("oracle-")]
+
+
+@pytest.mark.parametrize("tag", ["oracle-unit", "oracle-counit", "oracle-coproduct"])
+def test_each_oracle_tag_fails_when_its_constant_differs(z3, monkeypatch, tag):
+    mp = mp_action_left(z3, 3, z3_translation)
+    failures = _oracle_failures(monkeypatch, mp, lambda d: _changed(tag, d))
+    assert {axiom for axiom, _, _ in failures} == {tag}
+
+
+def test_oracle_product_fails_at_a_product_only_one_side_stores(z3, monkeypatch):
+    """The linearized side gains a product on a pair the combinatorial side
+    multiplies to zero: the witness is the pair's index h * n + k in the
+    tensor square, and the zero side prints as {}."""
+    mp = mp_action_left(z3, 3, z3_translation)
+    source = magma_of_quasigroupoid(double_cross_product(mp))
+    n = source.dim
+    h, k = next((h, k) for h in range(n) for k in range(n) if not source.mul_basis(h, k))
+
+    def with_extra_product(d):
+        rows = {x: dict(row) for x, row in d.product.rows.items()}
+        rows.setdefault(h, {})[k] = {0: 1}
+        return dataclasses.replace(d, product=PairTable(rows))
+
+    failures = _oracle_failures(monkeypatch, mp, with_extra_product)
+    assert failures == [("oracle-product", (h * n + k,), "{} vs {0: 1}")]

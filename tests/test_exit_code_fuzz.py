@@ -307,11 +307,15 @@ def test_a_scalar_in_exponent_notation_exits_2_at_once(tmp_path):
     (["build", "bowtie"], "matched-pair"),
     (["factorize"], "quasigroupoid"),
     (["check-iso"], "matched-pair"),
+    (["validate"], None),
+    (["suite"], None),
+    (["check-whq"], None),
 ])
 def test_a_command_of_another_kind_reads_no_whq_body(tmp_path, command, kind):
     """A whq document declaring a large `dim` and holding no entries: a
-    command that takes another kind names it at once, before the reader
-    would allocate one product column per pair of basis vectors."""
+    command that takes another kind names it at once, and a command that
+    reads it stores the product's entries only, none per pair of basis
+    vectors, so it reports the missing unit within the address-space cap."""
     doc = {"kind": "whq", "version": 1, "dim": 4000, "field": "Q", "unit": [],
            "counit": [], "product": [], "coproduct": [], "antipode": []}
     path = tmp_path / "dim4000.json"
@@ -324,5 +328,11 @@ def test_a_command_of_another_kind_reads_no_whq_body(tmp_path, command, kind):
         env={**os.environ, "PYTHONPATH": str(SRC)},
         preexec_fn=_cap_address_space,
     )
+    if kind is None:
+        assert (child.returncode, child.stderr) == (1, "")
+        assert child.stdout.startswith(
+            "== weak Hopf quasigroup\nFAIL axiom=magma-unit witness=(0) 1*0 = {}\n"
+        )
+        return
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == f"error: {' '.join(command)} expects a {kind} document\n"

@@ -100,7 +100,7 @@ from nonassoc.documents import (
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from tests.conftest import build_family, two_sided_pair
+from tests.conftest import build_family, product_map, two_sided_pair
 from tests.test_grouplike_kernel import function_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -133,7 +133,7 @@ def _dual_forms(g):
     a, b, c, e = [x for x in range(n) if x != g.identity][:4]
     swap = {a: b, b: a}
     antipode = LinearMap.from_cols(n, n, [d.antipode.cols[swap.get(k, k)] for k in range(n)])
-    cols = [dict(col) for col in d.product.cols]
+    cols = [dict(col) for col in product_map(d.product, n).cols]
     for (x, y), sign in (((a, c), 1), ((a, e), -1), ((b, c), -1), ((b, e), 1)):
         col = cols[x * n + y]
         col[g.identity] = col.get(g.identity, 0) + sign

@@ -52,7 +52,9 @@ from nonassoc import (
 from nonassoc import hopf
 from nonassoc.documents import doc_to_whq, emit, parse, whq_to_doc
 from nonassoc.linalg import GFElement
+from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureError, StructureReport, Violation, format_report
+from tests.conftest import product_map
 from tests.negative_fixtures import whq_fixtures
 from tests.test_acceptance import criterion_5_structures
 from tests.test_hopf import sweedler_four_dim
@@ -93,13 +95,18 @@ def as_fractions(d: MagmaCoalgebra) -> MagmaCoalgebra:
     return dataclasses.replace(
         d,
         unit={i: Fraction(c) for i, c in d.unit.items()},
-        **{name: convert(getattr(d, name)) for name in ("product", "counit", "coproduct", "antipode")},
+        **{name: convert(structure_map(d, name)) for name in ("product", "counit", "coproduct", "antipode")},
     )
+
+
+def structure_map(d, name) -> LinearMap:
+    """The named structure map of d, the product as its n^2 -> n map."""
+    return product_map(d.product, d.dim) if name == "product" else getattr(d, name)
 
 
 def with_cols(d, name, updates):
     """d with some columns of the named structure map replaced."""
-    m = getattr(d, name)
+    m = structure_map(d, name)
     cols = tuple(updates.get(j, col) for j, col in enumerate(m.cols))
     return dataclasses.replace(d, **{name: LinearMap(m.dom, m.cod, cols)})
 
@@ -110,16 +117,17 @@ def seeded_corruptions(name, d, seeds=(0, 1)):
     n = d.dim
     units = set(d.unit)
     others = [x for x in range(n) if x not in units]
+    products = product_map(d.product, n).cols
     defined = [
         t for t in range(n * n)
-        if d.product.cols[t] and t // n not in units and t % n not in units
+        if products[t] and t // n not in units and t % n not in units
     ]
     out = {}
     for seed in seeds:
         rng = random.Random(seed)
         if defined:
             t = rng.choice(defined)
-            (old,) = d.product.cols[t]
+            (old,) = products[t]
             new = rng.choice([x for x in range(n) if x != old])
             out[f"{name} redirect {seed}"] = with_cols(d, "product", {t: {new: 1}})
             out[f"{name} drop {seed}"] = with_cols(d, "product", {rng.choice(defined): {}})
@@ -412,7 +420,7 @@ def test_non_group_like_input_takes_the_reference_sweeps(monkeypatch, d):
 
 def assert_convolution_matches_composite(f, g, delta, mu):
     fast = convolution(f, g, delta, mu)
-    composite = mu @ f.tensor(g) @ delta
+    composite = product_map(mu, f.cod) @ f.tensor(g) @ delta
     assert fast == composite
     # same entries in the same order, so reports print identically
     assert [list(col.items()) for col in fast.cols] == [list(col.items()) for col in composite.cols]
@@ -456,7 +464,9 @@ def test_convolution_equals_composite_on_random_sparse_maps(seed):
     scalars = [-1, 1, 2, Fraction(1, 2), Fraction(-3, 2)] if seed % 2 else [-1, 1]
     n, m = rng.randint(1, 5), rng.randint(1, 4)
     delta = random_map(rng, n, n * n, 0.3, scalars)
-    mu = random_map(rng, m * m, m, 0.4, scalars)
+    mu = PairTable.from_triples(
+        (t // m, t % m, col) for t, col in enumerate(random_map(rng, m * m, m, 0.4, scalars).cols) if col
+    )
     f = random_map(rng, n, m, 0.5, scalars)
     g = random_map(rng, n, m, 0.5, scalars)
     assert_convolution_matches_composite(f, g, delta, mu)

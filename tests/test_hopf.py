@@ -33,7 +33,7 @@ from nonassoc import (
 from nonassoc.linalg import vec_equal
 from nonassoc.reports import StructureError
 from nonassoc.quasigroupoids import QgpdMorphism
-from tests.conftest import FLIP
+from tests.conftest import FLIP, product_map
 
 
 def small_structures(z2, z3, m12):
@@ -204,10 +204,11 @@ def test_product_law_needs_nabla():
     f = magma_functor(collapse)
     small = magma_of_quasigroupoid(discrete_groupoid(2))
     big = magma_of_quasigroupoid(discrete_groupoid(1))
-    with_nabla = big.product @ f.tensor(f) @ nabla(small)
-    without = big.product @ f.tensor(f)
-    assert f @ small.product == with_nabla
-    assert f @ small.product != without
+    big_product, small_product = product_map(big.product, 1), product_map(small.product, 2)
+    with_nabla = big_product @ f.tensor(f) @ nabla(small)
+    without = big_product @ f.tensor(f)
+    assert f @ small_product == with_nabla
+    assert f @ small_product != without
     assert without.cols[0 * 2 + 1] == {0: 1}  # the offending pair
     assert check_whq_morphism(f, small, big).ok
 

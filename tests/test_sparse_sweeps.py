@@ -39,16 +39,18 @@ from nonassoc import hopf
 from nonassoc.linalg import vec_equal
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
+from tests.conftest import product_map
 from tests.negative_fixtures import whq_fixtures
-from tests.test_grouplike_kernel import as_fractions, function_algebra, round_trip
+from tests.test_grouplike_kernel import as_fractions, function_algebra, round_trip, structure_map
 from tests.test_hopf import sweedler_four_dim
 
 
 def with_entries(d, name, updates):
     """d with entries of the named structure map changed: updates maps
     (column, row) to an added coefficient.  Columns are stored as given, so
-    an entry that becomes zero stays in the column."""
-    m = getattr(d, name)
+    an entry that becomes zero stays in the column, except in the product,
+    which keeps only its nonzero entries."""
+    m = structure_map(d, name)
     cols = [dict(col) for col in m.cols]
     for (j, i), c in updates.items():
         cols[j][i] = cols[j].get(i, 0) + c
@@ -239,8 +241,8 @@ def test_product_morphism_law_equals_the_composite():
     verdicts = set()
     for d, f, d2 in cases:
         n = d.dim
-        lhs = f @ d.product
-        rhs = d2.product @ f.tensor(f) @ hopf.nabla(d)
+        lhs = f @ product_map(d.product, n)
+        rhs = product_map(d2.product, d2.dim) @ f.tensor(f) @ hopf.nabla(d)
         expected = [
             ((t // n, t % n), f"lhs={lhs.cols[t]} rhs={rhs.cols[t]}")
             for t in range(n * n)
