@@ -19,12 +19,15 @@ the rows of the ambient product.  The mixed laws and theta read the rows
 of the ambient product (`quasigroupoids.PairTable`): each law fixes the
 first two factors of a configuration and their product once, then walks the
 third factor.
+
+`enumerate_factorizations` grows the closed subsets by closure and runs
+`check_exact_factorization` only on the pairs of them that can be exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .matched_pairs import (
     MIXED_LAWS,
@@ -233,7 +236,7 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
 
 
 # ---------------------------------------------------------------------------
-# brute-force enumeration at tiny sizes
+# enumeration by closure
 # ---------------------------------------------------------------------------
 
 
@@ -259,17 +262,35 @@ def closure_fault(b: Quasigroupoid, chosen: set) -> str | None:
 
 
 def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
-    """Arrow subsets on which `closure_fault` finds none, ordered by size
-    then lexicographically."""
-    identities = set(b.unit)
-    others = sorted(set(range(b.n_arrows)) - identities)
-    subsets = []
-    for r in range(len(others) + 1):
-        for extra in combinations(others, r):
-            chosen = identities | set(extra)
-            if closure_fault(b, chosen) is None:
-                subsets.append(tuple(sorted(chosen)))
-    return subsets
+    """The arrow subsets on which `closure_fault` finds none, ordered by size
+    then lexicographically.  Each closed set S, from the closure of the
+    identities on, is grown to the closure of S and x for every arrow x;
+    that depends on x only through the closure of the identities and x."""
+    inv, rows = b.inv, b.prod.rows
+    # links[y] holds the (s, v) where v must join a closed set holding y
+    # and s: y's inverse (s = y), then ys and sy
+    links = [[(y, inv[y]), *rows.get(y, EMPTY).items()] for y in range(b.n_arrows)]
+    for x, row in rows.items():
+        for y, v in row.items():
+            links[y].append((x, v))
+
+    def closure(inside: set, todo: list) -> frozenset:
+        # `inside` is closed but for the links of the arrows in `todo`
+        while todo:
+            for s, v in links[todo.pop()]:
+                if v not in inside and s in inside:
+                    inside.add(v)
+                    todo.append(v)
+        return frozenset(inside)
+
+    start = closure(set(b.unit), list(b.unit))
+    generated = {closure({*start, x}, [x]) for x in range(b.n_arrows)}
+    found, layer = {start}, {start}
+    while layer:
+        layer = {closure(set(s | g), list(g - s)) for s in layer for g in generated if not g <= s}
+        layer -= found
+        found |= layer
+    return sorted((tuple(sorted(t)) for t in found), key=lambda t: (len(t), t))
 
 
 def sub_quasigroupoid(
@@ -313,15 +334,30 @@ def enumerate_factorizations(
 ) -> list[FactorizationCandidate]:
     """All exact factorizations of b over pairs of closed arrow subsets.
 
-    Exponential in the arrow count, so guarded by `max_arrows`; candidate
-    order is deterministic (subset order from `closed_arrow_subsets`, the
-    a-component varying slowest).  Each closed subset's substructure is
-    built once and serves as either component.
+    Guarded by `max_arrows`, which does not bound the closed-subset count;
+    candidate order is deterministic (subset order from
+    `closed_arrow_subsets`, the a-component varying slowest).  Each closed
+    subset's substructure is built once and serves as either component.
+
+    `check_exact_factorization` runs only on the pairs (A, H) that meet in
+    the identity arrows, as it requires of the two images, and whose fibered
+    pairs (a, h), src a = tgt h, are as many as the arrows of b, as a
+    bijective theta requires; every pair skipped is one it fails.
     """
     if b.n_arrows > max_arrows:
         raise BoundExceeded(
             f"{b.n_arrows} arrows exceeds the enumeration bound {max_arrows}"
         )
-    inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in closed_arrow_subsets(b)]
-    candidates = (FactorizationCandidate(b, ia, ih) for ia in inclusions for ih in inclusions)
+    subsets = closed_arrow_subsets(b)
+    inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in subsets]
+    extra = [set(arrows).difference(b.unit) for arrows in subsets]
+    srcs = [Counter(b.src[x] for x in arrows) for arrows in subsets]
+    tgts = [Counter(b.tgt[x] for x in arrows) for arrows in subsets]
+    candidates = (
+        FactorizationCandidate(b, ia, ih)
+        for i, ia in enumerate(inclusions)
+        for j, ih in enumerate(inclusions)
+        if extra[i].isdisjoint(extra[j])
+        and sum(count * tgts[j][x] for x, count in srcs[i].items()) == b.n_arrows
+    )
     return [c for c in candidates if check_exact_factorization(c).ok]

@@ -313,15 +313,11 @@ def _d2_holds(d: MagmaCoalgebra) -> bool:
     1 if the product is defined and 0 otherwise: for all h, k, l,
     [(hk)l defined] = [h(kl) defined] = [hk defined][kl defined].
 
-    Decided with bitsets over l: rows[x] holds the l with xl defined."""
-    prod, n = d.group_like[0], d.dim
-    rows = []
-    for x in range(n):
-        bits = 0
-        for l in range(n):
-            if prod[x * n + l] is not None:
-                bits |= 1 << l
-        rows.append(bits)
+    Decided with bitsets over l: rows[x] holds the l with xl defined, read
+    from the stored products of x, and each inner set walks only the
+    stored products of its row."""
+    prod, n, stored = d.group_like[0], d.dim, d.product.rows
+    rows = [sum(1 << l for l in stored.get(x, EMPTY)) for x in range(n)]
     inner: dict = {}  # (rows[h], k) -> {l : kl and h(kl) defined}
     for h in range(n):
         row_h = rows[h]
@@ -330,9 +326,8 @@ def _d2_holds(d: MagmaCoalgebra) -> bool:
             e2 = inner.get(key)
             if e2 is None:
                 e2 = 0
-                for l in range(n):
-                    kl = prod[k * n + l]
-                    if kl is not None and row_h >> kl & 1:
+                for l in stored.get(k, EMPTY):
+                    if row_h >> prod[k * n + l] & 1:
                         e2 |= 1 << l
                 inner[key] = e2
             hk = prod[h * n + k]

@@ -20,8 +20,10 @@ from nonassoc import (
     moufang_loop_12,
     mp_discrete_right,
     pair_quasigroupoid,
+    quasigroup_as_quasigroupoid,
     quasigroupoids,
     reconstruct_matched_pair,
+    symmetric_group,
 )
 from nonassoc import check_quasigroup, cyclic_group, documents, hopf
 from nonassoc.cli import _jsonable, main
@@ -170,6 +172,17 @@ def test_factorize_discrete(tmp_path, capsys):
     assert code == 0
     assert "PASS 1 factorizations" in out
     assert "factorization 0: A=[0, 1] H=[0, 1]" in out
+
+
+def test_factorize_past_the_default_bound(tmp_path, capsys):
+    """`--max-arrows` bounds the arrows, not the closed subsets: raised to
+    24 it admits the one-object S4, whose 30 closed subsets give 70 exact
+    factorizations."""
+    s4 = quasigroup_as_quasigroupoid(symmetric_group(4))
+    path = write(tmp_path, "s4.json", emit(quasigroupoid_to_doc(s4)))
+    code, out, _ = run(capsys, "factorize", path, "--max-arrows", "24")
+    assert code == 0
+    assert out.endswith("PASS 70 factorizations\n")
 
 
 def test_factorize_machine_format(coarse_file, capsys):

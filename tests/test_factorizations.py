@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -6,24 +7,33 @@ from nonassoc import (
     BoundExceeded,
     FactorizationCandidate,
     QgpdMorphism,
+    Quasigroupoid,
     canonical_factorization,
     check_exact_factorization,
     check_matched_pair,
     check_morphism,
     coarse_groupoid,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
     discrete_groupoid,
     double_cross_product,
     enumerate_factorizations,
     identity_morphism,
     is_isomorphism,
+    moufang_loop_12,
     mp_discrete_right,
+    pair_quasigroupoid,
     quasigroup_as_quasigroupoid,
+    quaternion_group,
     reconstruct_matched_pair,
     sub_quasigroupoid,
 )
 from nonassoc import factorizations
 from nonassoc.matched_pairs import MIXED_LAWS
+from tests import reference_factorizations as brute
 from tests.conftest import two_sided_factorization
+from tests.test_builders import relabelled, renumbering
 
 
 def test_canonical_factorization_passes(mp_family):
@@ -115,6 +125,77 @@ def test_enumeration_builds_each_substructure_once(m12, monkeypatch):
     found = enumerate_factorizations(quasigroup_as_quasigroupoid(m12))
     assert len(found) == 2
     assert len(calls) == len(set(calls)) == 24
+
+
+# every catalogue input of at most 18 arrows
+CATALOGUE = {
+    "M12": lambda: quasigroup_as_quasigroupoid(moufang_loop_12()),
+    "D6": lambda: quasigroup_as_quasigroupoid(dihedral_group(6)),
+    "Q8": lambda: quasigroup_as_quasigroupoid(quaternion_group()),
+    "Q8xC2": lambda: quasigroup_as_quasigroupoid(direct_product(quaternion_group(), cyclic_group(2))),
+    "pair(C3,2)": lambda: pair_quasigroupoid(cyclic_group(3), 2),
+    "pair(C2,3)": lambda: pair_quasigroupoid(cyclic_group(2), 3),
+    "coarse(3)": lambda: coarse_groupoid(3),
+    "coarse(4)": lambda: coarse_groupoid(4),
+    "discrete(3)": lambda: discrete_groupoid(3),
+}
+
+
+@pytest.mark.parametrize("name,checked,exact", [
+    ("M12", 56, 2),
+    ("D6", 36, 36),
+])
+def test_enumeration_checks_only_the_pairs_that_can_be_exact(name, checked, exact, monkeypatch):
+    """Of the 576 pairs of M12's closed subsets and the 256 of D6's, only
+    those that meet in the identity and have 12 fibered pairs reach the
+    full check."""
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return check_exact_factorization(c)
+
+    monkeypatch.setattr(factorizations, "check_exact_factorization", counted)
+    found = enumerate_factorizations(CATALOGUE[name]())
+    assert (len(calls), len(found)) == (checked, exact)
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+@pytest.mark.parametrize("seed", [None, 0])
+def test_enumeration_equals_the_brute_force(name, seed):
+    """Closure finds the subsets that trying every subset finds, and the
+    pruned pairs hide no factorization: both lists equal the brute force's,
+    in order, on the input and on a renumbering of its arrows."""
+    b = CATALOGUE[name]()
+    if seed is not None:
+        b = relabelled(b, renumbering(b.n_arrows, seed))
+    subsets = factorizations.closed_arrow_subsets(b)
+    assert subsets == brute.closed_arrow_subsets(b)
+
+    def shapes(found):
+        return [(c.ia.arrow_map, c.ih.arrow_map) for c in found]
+
+    found = enumerate_factorizations(b, max_arrows=18)
+    assert shapes(found) == shapes(brute.enumerate_factorizations(b))
+    assert found
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closed_subsets_need_no_law_of_the_ambient_table(seed):
+    """On a random partial table and inverse map, where neither cancels nor
+    inverts the other, closure still finds the subsets `closure_fault`
+    passes: it closes under xy and yx apart, and under the inverse."""
+    rng = random.Random(seed)
+    n = 7
+    b = Quasigroupoid(
+        n_objects=1,
+        src=(0,) * n,
+        tgt=(0,) * n,
+        unit=(0,),
+        inv=tuple(rng.randrange(n) for _ in range(n)),
+        prod={(x, y): rng.randrange(n) for x in range(n) for y in range(n) if rng.random() < 0.3},
+    )
+    assert factorizations.closed_arrow_subsets(b) == brute.closed_arrow_subsets(b)
 
 
 def test_enumeration_bound_is_enforced():

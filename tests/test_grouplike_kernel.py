@@ -40,6 +40,7 @@ from nonassoc import (
     convolution,
     cyclic_group,
     derived_property_suite,
+    discrete_groupoid,
     double_cross_product,
     is_hopf_quasigroup,
     magma_of_quasigroupoid,
@@ -54,6 +55,7 @@ from nonassoc.documents import doc_to_whq, emit, parse, whq_to_doc
 from nonassoc.linalg import GFElement
 from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureError, StructureReport, Violation, format_report
+from tests import reference_sweeps
 from tests.conftest import product_map
 from tests.negative_fixtures import whq_fixtures
 from tests.test_acceptance import criterion_5_structures
@@ -284,6 +286,21 @@ def test_kernel_verdicts_equal_reference_verdicts(corpus):
     assert seen.pop("d1") == {True}
     for law, verdicts in seen.items():
         assert verdicts == {True, False}, (law, verdicts)
+
+
+def test_d2_kernel_equals_the_reference_sweep(corpus):
+    """The kernel's d2 walks only the stored products of each row; its
+    verdict equals the n^3 sweep of `tests/reference_sweeps.py` on the
+    magmas of discrete groupoids, where every row holds one product, and on
+    the group-like structures of the corpus."""
+    cases = {f"discrete {n}": magma_of_quasigroupoid(discrete_groupoid(n)) for n in (1, 2, 5, 20)}
+    cases.update((name, d) for name, d in corpus.items() if d.group_like is not None)
+    verdicts = set()
+    for name, d in cases.items():
+        expected = reference_ok(reference_sweeps._sweep_d2, d, [d.delta_split(i) for i in range(d.dim)])
+        assert hopf._d2_holds(d) == expected, name
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def outcome(checker, d):
