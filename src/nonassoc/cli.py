@@ -4,6 +4,12 @@ checkers and builders, and prints stable PASS/FAIL reports.
 Exit codes: 0 all checks passed, 1 violations found, 2 malformed input or
 usage error.  Output is deterministic byte-for-byte for identical inputs.
 No construction logic lives here; every command composes library calls.
+
+A command runs with the cyclic garbage collector paused, and `main` then
+restores the state it found.  What a command builds holds no reference
+cycles (int-keyed dicts, tuples, lists of ints), so reference counting
+frees all of it, and the collector would only sweep, over and over, the
+list or tuple that a large table holds per product entry.
 """
 
 from __future__ import annotations
@@ -247,24 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except InvalidStructureError as exc:
-        # a component breaks its laws: its report is printed whole
-        error = _undeclared_tag([exc.report], args.only)
-        if error is None:
-            if args.format == "machine":
-                payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}
-                sys.stdout.write(documents.emit(payload))
-            else:
-                sys.stdout.write(format_report(exc.report))
-            return 1
-    except (StructureError, OSError) as exc:
-        error = str(exc)
-    sys.stderr.write(f"error: {error}\n")
-    return 2
+    with documents._collector_paused():
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except InvalidStructureError as exc:
+            # a component breaks its laws: its report is printed whole
+            error = _undeclared_tag([exc.report], args.only)
+            if error is None:
+                if args.format == "machine":
+                    payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}
+                    sys.stdout.write(documents.emit(payload))
+                else:
+                    sys.stdout.write(format_report(exc.report))
+                return 1
+        except (StructureError, OSError) as exc:
+            error = str(exc)
+        sys.stderr.write(f"error: {error}\n")
+        return 2
 
 
 if __name__ == "__main__":

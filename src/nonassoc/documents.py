@@ -21,7 +21,10 @@ components (StructureError when a product inside one is missing).
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
+from itertools import chain
 
 from .factorizations import FactorizationCandidate, closure_fault, sub_quasigroupoid
 from .hopf import MagmaCoalgebra
@@ -96,32 +99,55 @@ def _key(key) -> str:
 
 def _write_rows(rows: list, nl: str) -> str | None:
     """Lists of one length whose every column holds only `int` or only
-    `str`, each written by one `fmt % row`; None for any other rows."""
+    `str`, all written by one `%`; None for any other rows."""
     widths = set(map(len, rows))
     if widths == {0} or len(widths) != 1:
         return None
-    columns = list(zip(*rows))
+    (width,) = widths
+    cells = list(chain.from_iterable(rows))
     inner = nl + " "
     specs = []
-    for i, column in enumerate(columns):
-        kinds = set(map(type, column))
+    for i in range(width):
+        kinds = set(map(type, cells[i::width]))
         if kinds == {int}:
             specs.append("%d")
         elif kinds == {str}:
             specs.append("%s")
-            columns[i] = map(_encode_str, column)
+            cells[i::width] = map(_encode_str, cells[i::width])
         else:
             return None
     fmt = "[" + inner + ("," + inner).join(specs) + nl + "]"
-    return ("," + nl).join(map(fmt.__mod__, zip(*columns)))
+    return ("," + nl).join([fmt] * len(rows)) % tuple(cells)
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore the state it had.
+
+    The structures a command builds hold no reference cycles (int-keyed
+    dicts, tuples, lists of ints), so reference counting frees them, and
+    the collector, which runs once per 700 new containers by default,
+    would sweep them without freeing any."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse(text: str) -> dict:
     """The document object of `text`, with only its envelope checked: valid
     JSON, an object, a known `kind` and the current `version`.  The rest of
-    the document is checked by the reader of its kind, `doc_to_<kind>`."""
+    the document is checked by the reader of its kind, `doc_to_<kind>`.
+
+    The cyclic garbage collector is paused while `json.loads` runs: the
+    lists and dicts it builds, one list per table entry, hold no cycles,
+    so its sweeps over them would free nothing."""
     try:
-        doc = json.loads(text)
+        with _collector_paused():
+            doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:

@@ -179,7 +179,10 @@ def transposed_rows(rows: dict, keys) -> dict:
     return out
 
 
-def _check_shape(q: Quasigroupoid) -> None:
+def _check_shape(q: Quasigroupoid) -> list[tuple[int, int]]:
+    """The product's pairs that are not composable, in row order, from one
+    walk of its rows.  Raises StructureError on the first endpoint, unit,
+    inverse or product entry that is not an arrow or object index."""
     m, k = q.n_objects, q.n_arrows
     if m < 1:
         raise StructureError("empty base")
@@ -194,16 +197,21 @@ def _check_shape(q: Quasigroupoid) -> None:
         for i, val in enumerate(seq):
             if not isinstance(val, int) or not 0 <= val < bound:
                 raise StructureError(f"{name}[{i}] = {val!r} out of range")
-    for key, val in q.prod.items():
-        if (
-            not isinstance(key[0], int)
-            or not 0 <= key[0] < k
-            or not isinstance(key[1], int)
-            or not 0 <= key[1] < k
-            or not isinstance(val, int)
-            or not 0 <= val < k
-        ):
-            raise StructureError(f"product entry {key} -> {val!r} out of range")
+    src, tgt, off = q.src, q.tgt, []
+    for x, row in q.prod.rows.items():
+        end = src[x] if isinstance(x, int) and 0 <= x < k else None
+        for y, v in row.items():
+            if (
+                end is None
+                or not isinstance(y, int)
+                or not 0 <= y < k
+                or not isinstance(v, int)
+                or not 0 <= v < k
+            ):
+                raise StructureError(f"product entry {(x, y)} -> {v!r} out of range")
+            if tgt[y] != end:
+                off.append((x, y))
+    return off
 
 
 def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
@@ -214,14 +222,12 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     (source/target of products), `a2-3` (left/right cancellation through the
     inverse map, including the composability of the cancelled pairs).
     """
-    _check_shape(q)
     report = StructureReport(
         "quasigroupoid", axioms=("prod-domain", "a1", "a2-1", "a2-2", "a2-3")
     )
+    for pair in _check_shape(q):
+        report.fail("prod-domain", pair, "product defined on non-composable pair")
     src, tgt, unit, inv, rows = q.src, q.tgt, q.unit, q.inv, q.prod.rows
-    for (a, b) in q.prod:
-        if src[a] != tgt[b]:
-            report.fail("prod-domain", (a, b), "product defined on non-composable pair")
     after = matching_arrows(src, tgt, q.n_objects)
     for a, bs in enumerate(after):
         row = rows.get(a, EMPTY)

@@ -1,3 +1,4 @@
+import gc
 from functools import cache
 
 import pytest
@@ -92,6 +93,16 @@ def two_sided_factorization(m, q=None):
 @cache
 def two_sided_pair(m, q=None):
     """The matched pair reconstructed from `two_sided_factorization(m, q)`:
-    A has m^2 arrows, H has |q| m, and their double cross product |q| m^3.
+    A has m^2 arrows, H has |q| m, and their double cross product |q| m^2.
     Shared between tests, so callers must not mutate it."""
     return reconstruct_matched_pair(two_sided_factorization(m, q))[0]
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic garbage collector switched on or off for the test, and
+    switched back to its earlier state afterwards."""
+    was = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was else gc.disable()

@@ -10,7 +10,8 @@ multiplying out h(kl), k(hl) and k(lh) for every pair k, l.  They take the
 per-basis coproduct splits where the library's sweeps take the support
 index, and are otherwise the library's code from before that change.
 
-The combinatorial checkers at the end (`check_quasigroupoid`,
+The combinatorial checkers at the end (`check_quasigroupoid` with its own
+`_check_shape`, which walks the product apart from the prod-domain sweep,
 `derived_identity_suite`, `check_exact_factorization`, `check_left_action`,
 `check_right_action`, `check_matched_pair`), from before they looked
 products and actions up by row, are the oracle for
@@ -36,7 +37,6 @@ from nonassoc.matched_pairs import (
 )
 from nonassoc.quasigroupoids import (
     Quasigroupoid,
-    _check_shape,
     check_morphism,
     matching_arrows,
 )
@@ -231,6 +231,33 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj)
                 if not vec_equal(d.mul_vec(basis[k], d.mul_vec(basis[l], hvec)),
                                  d.mul_vec(d.mul_basis(k, l), hvec)):
                     report.fail(tag, (key, k, l), "k(lh) != (kl)h")
+
+
+def _check_shape(q: Quasigroupoid) -> None:
+    m, k = q.n_objects, q.n_arrows
+    if m < 1:
+        raise StructureError("empty base")
+    if len(q.tgt) != k or len(q.inv) != k or len(q.unit) != m:
+        raise StructureError("map lengths inconsistent with arrow/object counts")
+    for name, seq, bound in (
+        ("src", q.src, m),
+        ("tgt", q.tgt, m),
+        ("unit", q.unit, k),
+        ("inv", q.inv, k),
+    ):
+        for i, val in enumerate(seq):
+            if not isinstance(val, int) or not 0 <= val < bound:
+                raise StructureError(f"{name}[{i}] = {val!r} out of range")
+    for key, val in q.prod.items():
+        if (
+            not isinstance(key[0], int)
+            or not 0 <= key[0] < k
+            or not isinstance(key[1], int)
+            or not 0 <= key[1] < k
+            or not isinstance(val, int)
+            or not 0 <= val < k
+        ):
+            raise StructureError(f"product entry {key} -> {val!r} out of range")
 
 
 def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:

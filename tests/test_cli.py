@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import sys
 import time
@@ -598,3 +599,38 @@ def test_the_kind_check_comes_before_a_bad_scalar(tmp_path, coarse2, capsys):
     code, out, err = run(capsys, "validate", path)
     assert (code, out) == (2, "")
     assert err.startswith("error: bad scalar '1/0': ")
+
+
+def _escaping(args):
+    assert not gc.isenabled()  # the command runs with the collector paused
+    raise RuntimeError("escapes main")
+
+
+@pytest.mark.parametrize("case", [
+    "exit-0", "exit-1", "exit-2", "usage-error", "broken-structure", "escaping-exception",
+])
+def test_main_leaves_the_collector_as_it_found_it(
+    tmp_path, coarse2, monkeypatch, capsys, collector, case
+):
+    good = write(tmp_path, "good.json", emit(quasigroupoid_to_doc(coarse2)))
+    doc = quasigroupoid_to_doc(coarse2)
+    doc["inv"][1] = 1
+    bad = write(tmp_path, "bad.json", emit(doc))
+    if case == "exit-0":
+        assert run(capsys, "validate", good)[0] == 0
+    elif case == "exit-1":
+        assert run(capsys, "validate", bad)[0] == 1
+    elif case == "exit-2":
+        assert run(capsys, "validate", write(tmp_path, "empty.json", "{}"))[0] == 2
+    elif case == "usage-error":
+        with pytest.raises(SystemExit) as info:
+            main(["validate"])
+        assert info.value.code == 2
+    elif case == "broken-structure":  # InvalidStructureError, reported by main
+        code, out, _ = run(capsys, "build", "magma", bad)
+        assert code == 1 and out.startswith("== quasigroupoid\n")
+    else:
+        monkeypatch.setattr("nonassoc.cli.cmd_validate", _escaping)
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["validate", good])
+    assert gc.isenabled() is collector

@@ -1,3 +1,5 @@
+import gc
+import json
 import re
 
 import pytest
@@ -223,3 +225,26 @@ def test_factorization_with_a_missing_product_entry_exits_2(tmp_path, z2, capsys
     assert main(["validate", str(path)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: product missing on composable pair (0,0)\n")
+
+
+@pytest.mark.parametrize("text,error", [
+    ('{"kind": "quasigroup", "version": 1}', None),
+    ("not json", "line 1: Expecting value"),
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ('{"order": 1' + "0" * 4400 + "}", "4300 digits"),
+], ids=["valid", "json-decode-error", "recursion-error", "long-integer-value-error"])
+def test_parse_leaves_the_collector_as_it_found_it(monkeypatch, collector, text, error):
+    states, json_loads = [], json.loads
+
+    def loads(text):
+        states.append(gc.isenabled())
+        return json_loads(text)
+
+    monkeypatch.setattr(json, "loads", loads)
+    if error is None:
+        assert parse(text)["kind"] == "quasigroup"
+    else:
+        with pytest.raises(SchemaError, match=error):
+            parse(text)
+    assert states == [False]
+    assert gc.isenabled() is collector

@@ -31,7 +31,7 @@ from nonassoc.documents import (
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from tests.conftest import FLIP, z3_translation
+from tests.conftest import FLIP, two_sided_pair, z3_translation
 
 
 def oracle(value) -> str:
@@ -119,6 +119,8 @@ def _library_documents():
     return {
         "quasigroup": quasigroup_to_doc(m12),
         "quasigroupoid": quasigroupoid_to_doc(double_cross_product(mp)),
+        # 192 arrows, 9,216 product entries: one table written by one `%`
+        "quasigroupoid-192": quasigroupoid_to_doc(double_cross_product(two_sided_pair(4))),
         "action": action_to_doc(z3, 3, z3_translation),
         "matched-pair": matched_pair_to_doc(mp_action_left(z2, 2, FLIP)),
         "factorization": factorization_to_doc(canonical_factorization(mp)),

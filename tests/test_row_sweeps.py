@@ -7,8 +7,9 @@ order, with the same details, notes and data (theta in the same insertion
 order, and the identity suite's counts of evaluated configurations), or
 raise the same exception: on the test family, on the two-sided
 pairs of pair(M12, m) for m = 2, 3, on every factorize candidate of the
-one-object M12, and on seeded corruptions of products, action tables,
-inclusion arrow maps and component endpoints.  One exception is allowed:
+one-object M12, on seeded corruptions of products, action tables,
+inclusion arrow maps and component endpoints, and on product tables at the
+edges of the shape check.  One exception is allowed:
 where the reference identity suite indexes past the last arrow with an
 `IndexError`, the library's raises the `StructureError` that
 `check_matched_pair` raises on the same pair.
@@ -36,6 +37,7 @@ from nonassoc import (
 )
 from nonassoc.factorizations import closed_arrow_subsets
 from nonassoc.matched_pairs import MIXED_LAWS
+from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureError
 from tests import reference_sweeps as ref
 from tests.conftest import two_sided_pair
@@ -134,6 +136,31 @@ def test_every_factorize_candidate_of_m12_gives_the_reference_report(m12):
         for ih in inclusions
     ]
     assert (len(verdicts), verdicts.count(True)) == (576, 2)
+
+
+def test_shape_edge_cases_give_the_reference_reports():
+    b = canonical_factorization(two_sided_pair(2)).b
+    k, rows = b.n_arrows, b.prod.rows
+    first, *_, last = rows  # the first and the last row, in row order
+    off = next(y for y in range(k) if not b.composable(first, y))
+    # a pair that is not composable, then, later in row order, an entry past
+    # the last arrow: the shape check raises on the second
+    bad = {x: dict(row) for x, row in rows.items()}
+    bad[first][off] = 0
+    bad[last][k] = 0
+    # an empty row keyed by a non-arrow, which holds no entry to check
+    empty = PairTable({**rows, 10**6: {}})
+    # True for the arrow 1 as a first and a second factor
+    as_bool = {(True if x == 1 else x): {(True if y == 1 else y): v for y, v in row.items()}
+               for x, row in rows.items()}
+    outcomes = [
+        _compare("quasigroupoid", dataclasses.replace(b, prod=table))
+        for table in (PairTable(bad), empty, PairTable(as_bool))
+    ]
+    assert outcomes[0] == (
+        "raised", StructureError, f"product entry ({last}, {k}) -> 0 out of range"
+    )
+    assert [outcome[0] for outcome in outcomes[1:]] == [True, True]
 
 
 # ---------------------------------------------------------------------------
