@@ -22,10 +22,11 @@ cached fields too, so `check_whq`, `derived_property_suite` and
 
 Most inputs of interest are group-like on their basis (delta(i) = i (x) i,
 eps = 1, basis products are basis vectors or zero): every quasigroupoid
-magma, hence every double cross product.  On those `_group_like` yields
-integer product and antipode tables once per structure, and a kernel
-decides d1, d2 and d4-4..d4-7 (and the derived antimult and one-sided
-associativity laws) from table lookups and composability bitsets, exactly.
+magma, hence every double cross product.  On those `_group_like` reads
+the stored products once per structure as integer rows and columns, and a
+kernel decides d1, d2 and d4-4..d4-7 (and the derived antimult and
+one-sided associativity laws) exactly, comparing these partial maps and
+their composites, so it never visits a pair whose product is zero.
 The kernel only ever concludes that a law holds; when it finds a failing
 instance, the law's reference sweep runs and writes the violations, so
 reports are the same with or without it.  Coalgebras that are not
@@ -186,7 +187,7 @@ class MagmaCoalgebra:
 
     @cached_property
     def group_like(self):
-        """The kernel's tables (prod, anti), or None if not group-like."""
+        """The kernel's tables (prod, cols, anti), or None if not group-like."""
         return _group_like(self)
 
     def __eq__(self, other):
@@ -285,27 +286,30 @@ def projections(d: MagmaCoalgebra):
 
 
 def _group_like(d: MagmaCoalgebra):
-    """Integer tables (prod, anti) when d is group-like on its basis, else None.
+    """The kernel's tables (prod, cols, anti) when d is group-like, else None.
 
     Group-like means delta(i) = i (x) i, eps(i) = 1, the antipode sends each
     basis vector to a basis vector, and each basis product is a basis
     vector or zero, every coefficient being exactly 1 (so int, Fraction and
-    GF(p) scalars all qualify).  prod[i * n + j] is the index of ij or None;
-    anti[i] is the index of S(i).
+    GF(p) scalars all qualify).  prod[h][k] is the index of hk, stored only
+    where hk is nonzero; cols[k][h] is the same, by right factor; anti[i]
+    is the index of S(i).
     """
-    n = d.dim
+    n, rows = d.dim, d.product.rows
     if any(col != {i * n + i: 1} for i, col in enumerate(d.coproduct.cols)):
         return None
     if any(col != {0: 1} for col in d.counit.cols):
         return None
-    if any(len(col) != 1 or any(c != 1 for c in col.values()) for col in d.antipode.cols):
+    vecs = [*d.antipode.cols, *(vec for row in rows.values() for vec in row.values())]
+    if any(len(vec) != 1 or any(c != 1 for c in vec.values()) for vec in vecs):
         return None
-    prod = [None] * (n * n)
-    for (h, k), vec in d.product.items():
-        if len(vec) != 1 or any(c != 1 for c in vec.values()):
-            return None
-        prod[h * n + k] = next(iter(vec))
-    return prod, [next(iter(col)) for col in d.antipode.cols]
+    prod = {h: {k: next(iter(vec)) for k, vec in row.items()} for h, row in rows.items()}
+    return prod, transposed_rows(prod, prod), [next(iter(col)) for col in d.antipode.cols]
+
+
+def _after(a: dict, b: dict) -> dict:
+    """a after b, as partial maps: y -> a[b[y]] wherever both are defined."""
+    return {y: a[x] for y, x in b.items() if x in a}
 
 
 def _d2_holds(d: MagmaCoalgebra) -> bool:
@@ -313,77 +317,55 @@ def _d2_holds(d: MagmaCoalgebra) -> bool:
     1 if the product is defined and 0 otherwise: for all h, k, l,
     [(hk)l defined] = [h(kl) defined] = [hk defined][kl defined].
 
-    Decided with bitsets over l: rows[x] holds the l with xl defined, read
-    from the stored products of x, and each inner set walks only the
-    stored products of its row."""
-    prod, n, stored = d.group_like[0], d.dim, d.product.rows
-    rows = [sum(1 << l for l in stored.get(x, EMPTY)) for x in range(n)]
-    inner: dict = {}  # (rows[h], k) -> {l : kl and h(kl) defined}
-    for h in range(n):
-        row_h = rows[h]
-        for k in range(n):
-            key = (row_h, k)
-            e2 = inner.get(key)
-            if e2 is None:
-                e2 = 0
-                for l in stored.get(k, EMPTY):
-                    if row_h >> prod[k * n + l] & 1:
-                        e2 |= 1 << l
-                inner[key] = e2
-            hk = prod[h * n + k]
-            if hk is None:
-                if e2:
-                    return False
-            elif not rows[hk] == e2 == rows[k]:
-                return False
-    return True
-
-
-def _rows(d: MagmaCoalgebra):
-    """row(x)[y] is the index of xy or None, with row(None) all None, and
-    after(a, b)[y] = a[b[y]] composes two such rows."""
-    prod, n = d.group_like[0], d.dim
-    rows = [prod[x * n:(x + 1) * n] for x in range(n)]
-    zero = [None] * n
-
-    def row(x):
-        return zero if x is None else rows[x]
-
-    def after(a, b):
-        return [None if y is None else a[y] for y in b]
-
-    return row, after
+    Where hk = z is defined this says that zl and kl are defined for the
+    same l, and where kl = z is defined that hz and hk are defined for the
+    same h; elsewhere every side is 0.  So d2 holds exactly when each stored
+    product xy = z has the row keys of y and the column keys of x, compared
+    as numbers naming the key sets (None for the empty set)."""
+    prod, cols, _ = d.group_like
+    names: dict = {frozenset(): None}
+    row_keys, col_keys = (
+        {x: names.setdefault(frozenset(row), len(names)) for x, row in table.items()}
+        for table in (prod, cols)
+    )
+    return all(
+        row_keys.get(z) == row_keys.get(y) and col_keys.get(z) == col_keys.get(x)
+        for x, row in prod.items()
+        for y, z in row.items()
+    )
 
 
 def _d4_4_to_7_hold(d: MagmaCoalgebra) -> bool:
     """d4-4..d4-7 on a group-like basis, with PiL(h) = h S(h) and
     PiR(h) = S(h) h, for all k:  S(h)(hk) = PiR(h)k,  h(S(h)k) = PiL(h)k,
-    (hk)S(k) = h PiL(k)  and  (hS(k))k = h PiR(k)."""
-    anti, n = d.group_like[1], d.dim
-    row, after = _rows(d)
-    pi_l = [row(h)[anti[h]] for h in range(n)]
-    pi_r = [row(anti[h])[h] for h in range(n)]
-    for h in range(n):
-        row_h, row_s = row(h), row(anti[h])
-        if (
-            after(row_s, row_h) != row(pi_r[h])
-            or after(row_h, row_s) != row(pi_l[h])
-            or [row(hk)[anti[k]] for k, hk in enumerate(row_h)] != after(row_h, pi_l)
-            or [row(row_h[anti[k]])[k] for k in range(n)] != after(row_h, pi_r)
-        ):
-            return False
+    (hk)S(k) = h PiL(k)  and  (hS(k))k = h PiR(k).  The first two compare
+    composites of rows; over the columns, as right multiplications compose,
+    the same comparisons are the last two."""
+    prod, cols, anti = d.group_like
+    for table in (prod, cols):
+        for h, s in enumerate(anti):
+            row_h, row_s = table.get(h, EMPTY), table.get(s, EMPTY)
+            if (
+                _after(row_s, row_h) != table.get(row_s.get(h), EMPTY)
+                or _after(row_h, row_s) != table.get(row_h.get(s), EMPTY)
+            ):
+                return False
     return True
 
 
 def _antimult_holds(d: MagmaCoalgebra) -> bool:
-    """S(hg) = S(g)S(h) on a group-like basis (S sends zero to zero)."""
-    anti, n = d.group_like[1], d.dim
-    row, after = _rows(d)
-    for h in range(n):
-        s_h = anti[h]
-        if after(anti, row(h)) != [row(anti[g])[s_h] for g in range(n)]:
-            return False
-    return True
+    """S(hg) = S(g)S(h) on a group-like basis (S sends zero to zero): for
+    each h, the row of h sent through S against the column of S(h) read
+    through the fibres of S."""
+    prod, cols, anti = d.group_like
+    fibres: dict = {}
+    for g, s in enumerate(anti):
+        fibres.setdefault(s, []).append(g)
+    return all(
+        {g: anti[v] for g, v in prod.get(h, EMPTY).items()}
+        == {g: v for x, v in cols.get(s, EMPTY).items() for g in fibres.get(x, ())}
+        for h, s in enumerate(anti)
+    )
 
 
 # the one-sided associativity laws, by the index of their projection in
@@ -394,20 +376,32 @@ _ONE_SIDED = {"target-assoc": 0, "source-assoc": 1}
 def _one_sided_holds(d: MagmaCoalgebra, tag: str) -> bool:
     """For every basis vector h in the image of the tag's projection and all
     k, l: (hk)l = h(kl), k(hl) = (kh)l and k(lh) = (kl)h, on a group-like
-    basis (where each nonzero column of a projection is one basis vector)."""
-    proj, n = d.convolution_projections[_ONE_SIDED[tag]], d.dim
-    row, after = _rows(d)
-    for h in {min(col) for col in proj.cols if col}:
-        row_h = row(h)
-        col_h = [row(l)[h] for l in range(n)]
-        for k in range(n):
-            row_k = row(k)
-            if (
-                row(row_h[k]) != after(row_h, row_k)
-                or after(row_k, row_h) != row(row_k[h])
-                or after(row_k, col_h) != after(col_h, row_k)
-            ):
-                return False
+    basis (where each nonzero column of a projection is one basis vector).
+    Each side is the dict (k, l) -> its value, where it is defined."""
+    prod, cols, _ = d.group_like
+    by_value: dict = {}  # m -> the (k, l) with kl = m
+    for k, row in prod.items():
+        for l, m in row.items():
+            by_value.setdefault(m, []).append((k, l))
+
+    def then(first, table, flip=False):  # (x, y) -> table[first[x]][y], keyed (y, x) with flip
+        return {
+            (y, x) if flip else (x, y): v
+            for x, m in first.items()
+            for y, v in table.get(m, EMPTY).items()
+        }
+
+    def around(first):  # (k, l) -> first[kl]
+        return {kl: v for m, v in first.items() for kl in by_value.get(m, ())}
+
+    for h in {min(col) for col in d.convolution_projections[_ONE_SIDED[tag]].cols if col}:
+        row_h, col_h = prod.get(h, EMPTY), cols.get(h, EMPTY)
+        if (
+            then(row_h, prod) != around(row_h)  # (hk)l = h(kl)
+            or then(row_h, cols, flip=True) != then(col_h, prod)  # k(hl) = (kh)l
+            or then(col_h, cols, flip=True) != around(col_h)  # k(lh) = (kl)h
+        ):
+            return False
     return True
 
 
@@ -424,13 +418,15 @@ def _add_at(acc: dict, key, value) -> None:
 
 
 def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
-    n = d.dim
+    # 1k and k1 for each k, from the stored products uk and ku of the unit
+    # terms c u, added in their order in d.unit, as a sweep over every term
+    n, lefts, rights = d.dim, {}, {}
+    for u, c in d.unit.items():
+        for products, out in ((d.product.rows, lefts), (d.columns, rights)):
+            for k, vec in products.get(u, EMPTY).items():
+                vec_add_into(out.setdefault(k, {}), vec, c)
     for k in range(n):
-        left: dict = {}
-        right: dict = {}
-        for u, c in d.unit.items():
-            vec_add_into(left, d.mul_basis(u, k), c)
-            vec_add_into(right, d.mul_basis(k, u), c)
+        left, right = lefts.get(k, {}), rights.get(k, {})
         if not vec_equal(left, {k: 1}):
             report.fail("magma-unit", (k,), f"1*{d.name(k)} = {left}")
         if not vec_equal(right, {k: 1}):

@@ -1,15 +1,19 @@
 """The group-like kernel of `hopf` against the reference sweeps.
 
 The kernel decides d1, d2, d4-4..d4-7, antimult and the one-sided
-associativity laws from integer tables; the reference sweeps evaluate the
-same laws scalar by scalar.  Every verdict the kernel reaches, in either
-direction, must equal the reference sweep's, and a whole report must be the
-same whether or not the kernel runs.  The corpus: the magmas of the
-matched-pair family, their `bowtie_whq` counterparts, the criterion-5
-quasigroupoid magmas, the whq negative fixtures, and seeded corruptions
-that stay group-like (a redirected product entry, a dropped product entry,
-two antipode columns swapped), and random partial product tables on two or
-three basis vectors, where single law instances fail on their own.  Each
+associativity laws from the stored products alone, as integer-indexed
+rows and columns; the reference sweeps evaluate the same laws scalar by
+scalar.  Every verdict the kernel reaches, in either direction, must equal
+the reference sweep's, and a whole report must be the same whether or not
+the kernel runs.  The corpus: the magmas of the matched-pair family, their
+`bowtie_whq` counterparts, the criterion-5 quasigroupoid magmas, the whq
+negative fixtures, and seeded corruptions that stay group-like (a
+redirected product entry, a dropped product entry, two antipode columns
+swapped), and random partial product tables on two or three basis vectors,
+where single law instances fail on their own.  The magmas of discrete
+groupoids, one stored product per row and most pairs undefined, are
+checked against the reference sweeps as well, and the one on 1000 arrows
+must pass without a product lookup per pair of basis vectors.  Each
 structure comes with int scalars, read back from a document over Q (which
 holds integral scalars as ints), with every scalar of that reading a
 Fraction, and with GF(5) scalars.
@@ -274,9 +278,15 @@ def test_single_d4_law_fixtures_fail_alone(tag):
     assert report.failed_axioms() == (tag,)
 
 
+def discrete_magmas():
+    """The magmas of discrete groupoids: one stored product per row, and
+    every pair of distinct arrows undefined."""
+    return {f"discrete {n}": magma_of_quasigroupoid(discrete_groupoid(n)) for n in (1, 2, 5, 20)}
+
+
 def test_kernel_verdicts_equal_reference_verdicts(corpus):
     seen: dict[str, set] = {}
-    for name, d in corpus.items():
+    for name, d in {**corpus, **discrete_magmas()}.items():
         if hopf._group_like(d) is None:
             continue
         for law, (kernel, reference) in law_verdicts(d).items():
@@ -293,7 +303,7 @@ def test_d2_kernel_equals_the_reference_sweep(corpus):
     verdict equals the n^3 sweep of `tests/reference_sweeps.py` on the
     magmas of discrete groupoids, where every row holds one product, and on
     the group-like structures of the corpus."""
-    cases = {f"discrete {n}": magma_of_quasigroupoid(discrete_groupoid(n)) for n in (1, 2, 5, 20)}
+    cases = discrete_magmas()
     cases.update((name, d) for name, d in corpus.items() if d.group_like is not None)
     verdicts = set()
     for name, d in cases.items():
@@ -408,6 +418,24 @@ def test_group_like_magma_skips_the_reference_d2_sweep(monkeypatch):
     assert d.dim == 48
     assert check_whq(d).ok
     assert check_whq(round_trip(d, "Q")).ok
+
+
+def test_kernel_reads_only_the_stored_products_of_a_large_sparse_magma(monkeypatch):
+    """On the magma of discrete_groupoid(1000), 1000 stored products out of
+    a million pairs, both checkers pass, check_whq looks up no product of a
+    pair of basis vectors, and the kernel holds one entry per stored
+    product."""
+    d = magma_of_quasigroupoid(discrete_groupoid(1000))
+    calls = []
+    mul_basis = MagmaCoalgebra.mul_basis
+    with monkeypatch.context() as m:
+        m.setattr(MagmaCoalgebra, "mul_basis", lambda *args: calls.append(args) or mul_basis(*args))
+        assert check_whq(d).ok
+    assert calls == []
+    assert derived_property_suite(d).ok
+    prod, cols, anti = d.group_like
+    assert sum(map(len, prod.values())) == sum(map(len, cols.values())) == 1000
+    assert anti == list(range(1000))
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,12 @@ Z3, S3, D6 and Q8 x C2 and Sweedler's four-dimensional algebra, which are
 not group-like, the whq negative fixtures, and seeded perturbations of
 product, coproduct and counit entries: single entries added, a +-e_c block
 on a 2x2 set of product pairs or of coproduct legs (whose added terms
-cancel in the unit laws and in sums over delta(1)), and entries stored with
-the coefficient zero.  Each structure comes with int scalars, read back
-from a document over Q (which holds integral scalars as ints), with every
-scalar of that reading a Fraction, and with GF(5) scalars, Sweedler's with
-GF(3) as well.
+cancel in the unit laws and in sums over delta(1)), entries stored with
+the coefficient zero, and a unit whose terms are listed out of index order,
+so a failing unit law prints a vector of two terms in the unit's order.
+Each structure comes with int scalars, read back from a document over Q
+(which holds integral scalars as ints), with every scalar of that reading a
+Fraction, and with GF(5) scalars, Sweedler's with GF(3) as well.
 """
 
 import dataclasses
@@ -26,6 +27,7 @@ import pytest
 
 from nonassoc import (
     LinearMap,
+    MagmaCoalgebra,
     coarse_groupoid,
     cyclic_group,
     dihedral_group,
@@ -36,7 +38,7 @@ from nonassoc import (
     symmetric_group,
 )
 from nonassoc import hopf
-from nonassoc.linalg import vec_equal
+from nonassoc.linalg import free_coalgebra, vec_equal
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
 from tests.conftest import product_map
@@ -98,6 +100,14 @@ def perturbations(label, d, seeds):
     return out
 
 
+def unit_out_of_order():
+    """Unit e1 + e0, listed in that order, with e0e0 = e0 and e1e0 = e0e1 =
+    e1: both unit laws fail at e0, each printing e1 + e0 with e1 first."""
+    delta, counit = free_coalgebra(2)
+    product = LinearMap.from_basis(4, 2, lambda t: {0: 0, 1: 1, 2: 1}.get(t))
+    return MagmaCoalgebra(2, {1: 1, 0: 1}, product, counit, delta, LinearMap.identity(2))
+
+
 def base_structures():
     groups = {
         "K^Z3": cyclic_group(3),
@@ -108,6 +118,7 @@ def base_structures():
     out = {name: function_algebra(g) for name, g in groups.items()}
     out["sweedler"] = sweedler_four_dim()
     out.update(whq_fixtures())
+    out["unit out of order"] = unit_out_of_order()
     for name, seeds in (("K^Z3", (0, 1)), ("K^S3", (0, 1, 2)), ("sweedler", (0, 1, 2))):
         out.update(perturbations(name, out[name], seeds))
     return out
