@@ -225,39 +225,41 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the checker matching the document kind")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("suite", help="run every applicable identity suite")
     p.add_argument("file")
-    p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("check-whq", help="verify the weak Hopf quasigroup axioms")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check_whq)
 
     p = sub.add_parser("build", help="emit a derived structure document")
     p.add_argument("what", choices=("dcp", "magma", "bowtie"))
     p.add_argument("file")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("factorize", help="enumerate exact factorizations")
     p.add_argument("file")
     p.add_argument("--max-arrows", type=int, default=12)
-    p.set_defaults(func=cmd_factorize)
 
     p = sub.add_parser("check-iso", help="verify the canonical linear isomorphism")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check_iso)
     return parser
 
 
+_PARSER = None  # build_parser(), built by the first call of main
+
+
 def main(argv=None) -> int:
+    global _PARSER
     with documents._collector_paused():
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
+        # the command's function is looked up by name on each call, so a
+        # replaced cmd_* function takes effect with the parser already built
+        command = globals()["cmd_" + args.command.replace("-", "_")]
         try:
-            return args.func(args)
+            return command(args)
         except InvalidStructureError as exc:
             # a component breaks its laws: its report is printed whole
             error = _undeclared_tag([exc.report], args.only)

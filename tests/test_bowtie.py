@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -11,6 +12,7 @@ from nonassoc import (
     check_whq_morphism,
     dcp_pairs,
     double_cross_product,
+    hopf,
     is_cocommutative,
     is_hopf_quasigroup,
     linearized_actions,
@@ -28,7 +30,9 @@ from nonassoc import (
 )
 from nonassoc.linalg import vec_equal
 from nonassoc.quasigroupoids import PairTable, Quasigroupoid
-from tests.conftest import product_map, z3_translation
+from nonassoc.reports import StructureError, format_report
+from tests import reference_bowtie
+from tests.conftest import product_map, two_sided_pair, z3_translation
 
 
 def test_linearized_action_unit_law(z3):
@@ -203,6 +207,50 @@ def test_oracle_sees_a_corrupted_pairing_map(mp_family, monkeypatch):
         assert {"mkl4", "oracle-product", "oracle-antipode"} <= set(failed), (name, failed)
 
 
+def _morphism_and_iso_reports(mp):
+    """Everything check_whq_morphism of the canonical isomorphism, between
+    structures built afresh, and verify_canonical_iso show for mp."""
+    source = magma_of_quasigroupoid(double_cross_product(mp))
+    reports = (
+        check_whq_morphism(canonical_iso(mp), source, bowtie._bowtie_whq(mp)),
+        verify_canonical_iso(mp),
+    )
+    return [(r.subject, r.axioms, r.violations, r.notes, format_report(r), r.data) for r in reports]
+
+
+def test_morphism_kernel_leaves_the_reports_unchanged(mp_family, monkeypatch):
+    """The reports with the group-like kernel equal those with every
+    structure's `_group_like` patched to None, on correct pairs and with a
+    corrupted pairing map, whose mkl4 failure the kernel finds first."""
+    pairs = {**mp_family, "two-sided m2": two_sided_pair(2)}
+    decided = []
+    mkl4_holds = hopf._mkl4_holds
+    monkeypatch.setattr(hopf, "_mkl4_holds", lambda *args: decided.append(mkl4_holds(*args)) or decided[-1])
+    for corrupted in (False, True):
+        with monkeypatch.context() as m:
+            if corrupted:
+                m.setattr(bowtie, "phi_map", _phi_with_two_columns_swapped(bowtie.phi_map))
+            for name, mp in pairs.items():
+                decided.clear()
+                fast = _morphism_and_iso_reports(mp)
+                assert decided == [not corrupted] * 2, (name, corrupted)
+                with monkeypatch.context() as slow:
+                    slow.setattr(hopf, "_group_like", lambda d: None)
+                    assert _morphism_and_iso_reports(mp) == fast, (name, corrupted)
+                assert decided == [not corrupted] * 2, (name, corrupted)  # not reached without tables
+                assert [any(v.axiom == "mkl4" for v in r[2]) for r in fast] == [corrupted] * 2, name
+
+
+def test_canonical_iso_at_192_arrows_forms_no_nabla_column(monkeypatch):
+    calls = []
+    nabla_col = hopf._nabla_col
+    monkeypatch.setattr(hopf, "_nabla_col", lambda *args: calls.append(args) or nabla_col(*args))
+    mp = two_sided_pair(4)
+    assert len(dcp_pairs(mp)) == 192
+    assert verify_canonical_iso(mp).ok
+    assert calls == []
+
+
 def test_bowtie_uses_no_combinatorial_product(mp_family, monkeypatch):
     expected = {
         name: magma_of_quasigroupoid(double_cross_product(mp)) for name, mp in mp_family.items()
@@ -250,6 +298,55 @@ def _corrupted_actions(mp):
             table = {**action.table, key: (v + 1) % target.n_arrows}
             out.append(dataclasses.replace(mp, **{side: dataclasses.replace(action, table=table)}))
     return out
+
+
+def _build_outcome(build, mp):
+    """What a build of the linearized double cross product shows: its
+    constants, with the order of their entries and their scalars' types,
+    or the error it raised."""
+    try:
+        d = build(mp)
+    except StructureError as exc:
+        return "raised", str(exc)
+    return "built", d.dim, repr(list(d.product.items())), repr(d.antipode.cols), repr(d.unit), d.basis_names
+
+
+def _phi_with_terms_added(mp, rng):
+    """Phi of mp with one to three terms, of coefficient 1, -1 or 2, added
+    at random places, some of them where Phi is zero."""
+    phi = phi_map(mp)
+    cols = [dict(col) for col in phi.cols]
+    for _ in range(rng.randint(1, 3)):
+        col = cols[rng.randrange(phi.dom)]
+        u = rng.randrange(phi.cod)
+        col[u] = col.get(u, 0) + rng.choice((1, -1, 2))
+    return LinearMap.from_cols(phi.dom, phi.cod, cols)
+
+
+def test_the_carrier_indexed_build_equals_the_reference(mp_family, monkeypatch):
+    """The products added onto carrier indices and the antipode formed
+    column by column give the constants of the tensor-space build of
+    `tests/reference_bowtie.py`, entry order included, or raise the same
+    `double cross product not closed` error at the same context: on the
+    family, on corrupted action tables, and on pairing maps with added
+    terms (read through `bowtie.phi_map`)."""
+    rng = random.Random(22)
+    pairs = {**mp_family, "two-sided m2": two_sided_pair(2)}
+    seen = {"built": 0, "product": 0, "antipode": 0}
+    for name, mp in pairs.items():
+        cases = [(case, None) for case in [mp, *_corrupted_actions(mp)]]
+        cases += [(mp, _phi_with_terms_added(mp, rng)) for _ in range(12)]
+        for case, phi in cases:
+            with monkeypatch.context() as m:
+                if phi is not None:
+                    m.setattr(bowtie, "phi_map", lambda pair, phi=phi: phi)
+                expected = _build_outcome(reference_bowtie.bowtie_whq, case)
+                assert _build_outcome(bowtie._bowtie_whq, case) == expected, name
+            if expected[0] == "built":
+                seen["built"] += 1
+            else:
+                seen[expected[1].split("'")[1]] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_module_law_report_agrees_with_the_composite_maps(mp_family):

@@ -1,8 +1,11 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,7 @@ from nonassoc import (
     reconstruct_matched_pair,
     symmetric_group,
 )
-from nonassoc import check_quasigroup, cyclic_group, documents, hopf
+from nonassoc import check_quasigroup, cli, cyclic_group, documents, hopf
 from nonassoc.cli import _jsonable, main
 from nonassoc.documents import (
     action_to_doc,
@@ -465,8 +468,8 @@ def test_check_iso_builds_the_projections_once_per_structure(mp_file, monkeypatc
     calls = _count_builds(monkeypatch)
     assert run(capsys, "check-iso", mp_file)[0] == 0
     names = [name for name, _ in calls]
-    assert sorted(set(names)) == ["_convolution_projections", "_projection_formulas"]
-    assert len(calls) == len(set(calls)) == 4  # each of the two structures, once each
+    assert sorted(set(names)) == ["_convolution_projections", "_group_like", "_projection_formulas"]
+    assert len(calls) == len(set(calls)) == 6  # each of the two structures, once each
 
 
 def _pair_missing_a_product():
@@ -634,3 +637,43 @@ def test_main_leaves_the_collector_as_it_found_it(
         with pytest.raises(RuntimeError, match="escapes main"):
             main(["validate", good])
     assert gc.isenabled() is collector
+
+
+def test_main_builds_its_parser_once_and_prints_what_fresh_processes_print(
+    mp_file, coarse_file, monkeypatch, capsys
+):
+    """The parser is built by the first call of main and reused, through a
+    usage error too, and each call prints and returns what `python -m
+    nonassoc` prints and returns in a process of its own."""
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+
+    def in_process(argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:  # argparse's usage error
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    runs = [
+        ["validate", coarse_file],
+        ["check-iso", mp_file],
+        ["build", "nothing", mp_file],
+        ["--only", "bogus", "suite", coarse_file],
+        ["--format", "machine", "check-iso", mp_file],
+    ]
+    results = [in_process(argv) for argv in runs]
+    assert len(built) == 1
+    assert [code for code, _, _ in results] == [0, 0, 2, 2, 0]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv, result in zip(runs, results):
+        child = subprocess.run(
+            [sys.executable, "-m", "nonassoc", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result == (child.returncode, child.stdout, child.stderr), argv

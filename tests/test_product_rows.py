@@ -9,8 +9,13 @@ the same document bytes."""
 import dataclasses
 import json
 
+import pytest
+
+from nonassoc import coarse_groupoid, magma_of_quasigroupoid
 from nonassoc.documents import doc_to_whq, emit, field_by_name, parse, whq_to_doc
 from nonassoc.linalg import LinearMap
+from nonassoc.quasigroupoids import PairTable
+from nonassoc.reports import DimensionMismatch
 from tests.conftest import product_map
 from tests.negative_fixtures import whq_fixtures, whq_precondition_fixtures
 from tests.test_golden_cli import golden_documents
@@ -50,3 +55,20 @@ def test_whq_fixtures_and_the_kernel_corpus_read_from_columns_equal_their_rows(c
     structures = {**whq_fixtures(), **whq_precondition_fixtures(), **corpus}
     for name, d in structures.items():
         _assert_same_structure(name, d, product_map(d.product, d.dim))
+
+
+@pytest.mark.parametrize("place", ["first factor", "second factor", "value", "negative value"])
+def test_a_product_index_out_of_range_raises(place):
+    """Each index a stored product uses, its two factors and the basis
+    vectors of its value, is checked against the dimension."""
+    d = magma_of_quasigroupoid(coarse_groupoid(2))
+    n, (h, k) = d.dim, next(iter(d.product))
+    rows = {x: dict(row) for x, row in d.product.rows.items()}
+    if place == "first factor":
+        rows[n] = {k: {0: 1}}
+    elif place == "second factor":
+        rows[h][n] = {0: 1}
+    else:
+        rows[h][k] = {n if place == "value" else -1: 1}
+    with pytest.raises(DimensionMismatch, match="^product index out of range$"):
+        dataclasses.replace(d, product=PairTable(rows))

@@ -28,20 +28,23 @@ import pytest
 from nonassoc import (
     LinearMap,
     MagmaCoalgebra,
+    bowtie_whq,
     coarse_groupoid,
     cyclic_group,
     dihedral_group,
     direct_product,
     discrete_groupoid,
+    double_cross_product,
     magma_of_quasigroupoid,
     quaternion_group,
     symmetric_group,
 )
 from nonassoc import hopf
 from nonassoc.linalg import free_coalgebra, vec_equal
+from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
-from tests.conftest import product_map
+from tests.conftest import product_map, two_sided_pair
 from tests.negative_fixtures import whq_fixtures
 from tests.test_grouplike_kernel import as_fractions, function_algebra, round_trip, structure_map
 from tests.test_hopf import sweedler_four_dim
@@ -227,15 +230,29 @@ def test_coalgebra_morphism_law_equals_the_composite():
     assert verdicts == {True, False}
 
 
-def test_product_morphism_law_equals_the_composite():
+def with_product_value(d, h, k, value):
+    """d with its stored product hk replaced by the basis vector `value`."""
+    rows = {x: dict(row) for x, row in d.product.rows.items()}
+    rows[h][k] = {value: 1}
+    return dataclasses.replace(d, product=PairTable(rows))
+
+
+def test_product_morphism_law_equals_the_composite(monkeypatch):
     """mkl4 of check_whq_morphism, evaluated column by column on the pairs
     where either side can be nonzero, against f . mu == mu2 . (f x f) .
     nabla with every map built in full: the same failing pairs, in the same
-    order, with the same detail strings."""
+    order, with the same detail strings.  Where f sends basis vectors to
+    basis vectors with coefficient 1 between group-like structures, the
+    kernel decides the law first, and its verdict is the composite's."""
     sweedler = sweedler_four_dim()
     k_s3 = function_algebra(symmetric_group(3))
     coarse = magma_of_quasigroupoid(coarse_groupoid(2))
     one_object = magma_of_quasigroupoid(discrete_groupoid(1))
+    mp = two_sided_pair(2)
+    dcp = magma_of_quasigroupoid(double_cross_product(mp))
+    target = bowtie_whq(mp)
+    (h, k), hk = next(iter(target.product.items()))
+    changed = with_product_value(target, h, k, (next(iter(hk)) + 1) % target.dim)
     rng = random.Random(1)
     cases = [
         (sweedler, LinearMap.identity(4), sweedler),
@@ -249,8 +266,23 @@ def test_product_morphism_law_equals_the_composite():
         perm = list(range(6))
         rng.shuffle(perm)
         cases.append((k_s3, LinearMap.from_basis(6, 6, lambda i, p=perm: p[i]), k_s3))
+    perm = list(range(dcp.dim))
+    rng.shuffle(perm)
+    cases += [
+        (dcp, LinearMap.identity(dcp.dim), target),
+        (dcp, LinearMap.identity(dcp.dim), changed),  # the kernel finds hk changed
+        (dcp, LinearMap.from_basis(dcp.dim, dcp.dim, lambda i: perm[i]), dcp),
+        # one coefficient 2: the reference sweep alone decides
+        (dcp, LinearMap.from_basis(dcp.dim, dcp.dim, lambda i: {i: 2} if i == perm[0] else i), dcp),
+    ]
+    decided = []  # the kernel's verdicts on the current case
+    mkl4_holds = hopf._mkl4_holds
+    monkeypatch.setattr(hopf, "_mkl4_holds", lambda *args: decided.append(mkl4_holds(*args)) or decided[-1])
+    kernel_ran = []
     verdicts = set()
+    kernel_verdicts = set()
     for d, f, d2 in cases:
+        decided.clear()
         n = d.dim
         lhs = f @ product_map(d.product, n)
         rhs = product_map(d2.product, d2.dim) @ f.tensor(f) @ hopf.nabla(d)
@@ -263,7 +295,11 @@ def test_product_morphism_law_equals_the_composite():
         got = [(v.witness, v.detail) for v in report.violations if v.axiom == "mkl4"]
         assert got == expected
         verdicts.add(not expected)
-    assert verdicts == {True, False}
+        assert decided in ([], [not expected])
+        kernel_ran.append(bool(decided))
+        kernel_verdicts.update(decided)
+    assert verdicts == kernel_verdicts == {True, False}
+    assert kernel_ran == [False] * 4 + [True] * 2 + [False] * 4 + [True] * 3 + [False]
 
 
 def test_d1_and_d2_on_a_large_function_algebra_are_fast():
