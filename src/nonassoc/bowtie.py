@@ -28,7 +28,7 @@ values are arrows, and `module_law_report`, a checker, validates nothing.
 
 from __future__ import annotations
 
-from .hopf import MagmaCoalgebra, check_whq_morphism, magma_of_quasigroupoid
+from .hopf import MagmaCoalgebra, _basis_indices, check_whq_morphism, magma_of_quasigroupoid
 from .linalg import LinearMap, free_coalgebra, vec_add_into, vec_equal, vec_tensor
 from .matched_pairs import MatchedPair, _dcp_fill, dcp_pairs, validated_components
 from .quasigroupoids import EMPTY, PairTable, transposed_rows
@@ -193,7 +193,11 @@ def verify_canonical_iso(mp: MatchedPair) -> StructureReport:
             "oracle-coproduct", "oracle-antipode",
         ),
     )
-    if source.dim != target.dim or f.rank() != source.dim:
+    # a map that sends each basis vector to one basis vector with
+    # coefficient 1 has as its rank the number of distinct images
+    image = _basis_indices(f.cols)
+    rank = f.rank() if image is None else len(set(image))
+    if source.dim != target.dim or rank != source.dim:
         report.fail("bijective", (source.dim, target.dim))
     morphism = check_whq_morphism(f, source, target)
     for v in morphism.violations:

@@ -17,6 +17,18 @@ the first fault; it accepts any dict.  Only once the schema holds do the
 readers of quasigroup and action documents check the quasigroup laws
 (InvalidStructureError), and the factorization reader build the two
 components (StructureError when a product inside one is missing).
+
+`json.loads` makes a new int object for every integer above 256, so a
+table read straight from it would hold one object per occurrence of an
+index, and each lookup in one of its rows would compare values, not
+identities.  So every reader keeps one int object per index: it stores its
+indices through one pool per read, in memory proportional to the entries.
+The quasigroupoid, matched-pair and factorization readers pool through a
+list of one int per arrow, filled once `src` has been checked to have an
+entry per arrow; the whq reader through a dict of the indices its entries
+hold.  Only exact ints are pooled, so a `true` or `false` in an index slot
+stays a bool, and a table or whq document whose indices all lie below 257,
+which CPython already shares, is read without the pool.
 """
 
 from __future__ import annotations
@@ -173,6 +185,16 @@ def _need(doc: dict, field: str, kind_of) -> object:
     return value
 
 
+# Indices below this need no pool: CPython keeps one object per int in -5..256.
+_SHARED_INTS = 257
+
+
+def _pooled(seq, pool: list) -> tuple:
+    """`seq`, its exact ints, all below len(pool), replaced by the pool's
+    objects; any other value, a bool included, kept as it is."""
+    return tuple([pool[v] if type(v) is int else v for v in seq])
+
+
 def _index_list(doc, field, length, bound):
     seq = _need(doc, field, list)
     if len(seq) != length:
@@ -194,21 +216,27 @@ def _names(doc, field, length, per):
     return tuple(names)
 
 
-def _pair_table(doc, field, shape, bounds, ends=None) -> PairTable:
-    """The [x, y, v] entries of `field` as a table: x, y and v must lie
-    below `bounds`, each pair appear once, and, with `ends` = (src, tgt),
-    src[x] = tgt[y].  The first bad entry is the one reported."""
+def _pair_table(doc, field, shape, bounds, pool, ends=None) -> PairTable:
+    """The [x, y, v] entries of `field` as a table of the pool's objects:
+    x, y and v must lie below `bounds`, none of which exceeds len(pool),
+    each pair appear once, and, with `ends` = (src, tgt), src[x] = tgt[y].
+    The first bad entry is the one reported."""
     (x_bound, y_bound, v_bound), rows = bounds, {}
+    if max(bounds) <= _SHARED_INTS:
+        pool = None
     for entry in _need(doc, field, list):
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{field} entries must be {shape} triples")
         x, y, v = entry
-        if not (isinstance(x, int) and isinstance(y, int) and isinstance(v, int)):
+        exact = type(x) is type(y) is type(v) is int  # else a bool, kept as it is, or an error
+        if not (exact or isinstance(x, int) and isinstance(y, int) and isinstance(v, int)):
             raise SchemaError(f"{field} entries must be {shape} triples")
         if not (0 <= x < x_bound and 0 <= y < y_bound and 0 <= v < v_bound):
             raise RangeError(f"{field} entry {entry} out of range")
         if ends and ends[0][x] != ends[1][y]:
             raise RangeError(f"{field} entry on non-composable pair ({x},{y})")
+        if exact and pool:
+            x, y, v = pool[x], pool[y], pool[v]
         row = rows.get(x)
         if row is None:
             row = rows[x] = {}
@@ -218,10 +246,10 @@ def _pair_table(doc, field, shape, bounds, ends=None) -> PairTable:
     return PairTable(rows)
 
 
-def _arrow_subset(doc, field, b: Quasigroupoid) -> tuple[int, ...]:
-    """The arrow subset `field` of `b`: arrows of `b`, each listed once,
-    holding every identity arrow and closed under the inverse map and the
-    product."""
+def _arrow_subset(doc, field, b: Quasigroupoid, pool: list) -> tuple[int, ...]:
+    """The arrow subset `field` of `b`, as the pool's objects: arrows of
+    `b`, each listed once, holding every identity arrow and closed under
+    the inverse map and the product."""
     subset = _need(doc, field, list)
     for v in subset:
         if not isinstance(v, int) or not 0 <= v < b.n_arrows:
@@ -232,7 +260,7 @@ def _arrow_subset(doc, field, b: Quasigroupoid) -> tuple[int, ...]:
     fault = closure_fault(b, chosen)
     if fault:
         raise RangeError(f"{field} {fault}")
-    return tuple(subset)
+    return _pooled(subset, pool)
 
 
 def _scalar_to_str(value) -> str:
@@ -241,12 +269,14 @@ def _scalar_to_str(value) -> str:
     return str(value)  # an int, or a Fraction, which prints as "num" or "num/den"
 
 
-def _sparse(doc, what, field, bad, *bounds) -> list:
+def _sparse(doc, what, field, bad, pool: dict | None, *bounds) -> list:
     """The [indices..., scalar] entries of `what` with a nonzero scalar, as
-    (indices, value) pairs in document order.  Indices must lie below
-    `bounds` and appear once.  A scalar that `field` cannot read is appended
+    (indices, value) pairs in document order, each index the object `pool`
+    holds for its value, unless `pool` is None.  Indices must lie below
+    `bounds` and appear once.  Each scalar text is read once, and its
+    entries share the value.  A scalar that `field` cannot read is appended
     to `bad` as its error, raised once the rest of the document is checked."""
-    out, seen = [], set()
+    out, seen, values = [], set(), {}
     for entry in _need(doc, what, list):
         if not isinstance(entry, list) or len(entry) != len(bounds) + 1:
             raise SchemaError(f"{what} entries must be [indices..., scalar]")
@@ -260,12 +290,16 @@ def _sparse(doc, what, field, bad, *bounds) -> list:
         if key in seen:
             raise SchemaError(f"duplicate {what} entry at {key}")
         seen.add(key)
-        try:
-            value = field.from_string(scalar)
-        except (ValueError, ZeroDivisionError) as exc:
-            bad.append(SchemaError(f"bad scalar {scalar!r}: {exc}"))
-            continue
+        value = values.get(scalar)
+        if value is None:
+            try:
+                value = values[scalar] = field.from_string(scalar)
+            except (ValueError, ZeroDivisionError) as exc:
+                bad.append(SchemaError(f"bad scalar {scalar!r}: {exc}"))
+                continue
         if value:
+            if pool is not None:  # a bool is below 257, so it keeps its type
+                key = tuple([i if i < _SHARED_INTS else pool.setdefault(i, i) for i in idx])
             out.append((key, value))
     return out
 
@@ -340,21 +374,28 @@ def _sorted_entries(table: PairTable) -> list:
 
 
 def doc_to_quasigroupoid(doc: dict) -> Quasigroupoid:
+    return _quasigroupoid(doc, [])
+
+
+def _quasigroupoid(doc: dict, pool: list) -> Quasigroupoid:
+    """The quasigroupoid of `doc`, its indices stored through `pool`, the
+    index pool of the read it is part of."""
     objects = _need(doc, "objects", int)
     arrows = _need(doc, "arrows", int)
     if objects < 1 or arrows < objects:
         raise SchemaError("need at least one object and an arrow per object")
     src = _index_list(doc, "src", arrows, objects)
+    pool.extend(range(len(pool), arrows))  # one int per arrow: src has `arrows` entries
     tgt = _index_list(doc, "tgt", arrows, objects)
     unit = _index_list(doc, "unit", objects, arrows)
     inv = _index_list(doc, "inv", arrows, arrows)
-    prod = _pair_table(doc, "product", "[a, b, c] index", (arrows, arrows, arrows), (src, tgt))
+    prod = _pair_table(doc, "product", "[a, b, c] index", (arrows, arrows, arrows), pool, (src, tgt))
     return Quasigroupoid(
         n_objects=objects,
-        src=tuple(src),
-        tgt=tuple(tgt),
-        unit=tuple(unit),
-        inv=tuple(inv),
+        src=_pooled(src, pool),
+        tgt=_pooled(tgt, pool),
+        unit=_pooled(unit, pool),
+        inv=_pooled(inv, pool),
         prod=prod,
         object_names=_names(doc, "object_names", objects, "entry"),
         arrow_names=_names(doc, "arrow_names", arrows, "entry"),
@@ -406,13 +447,14 @@ def matched_pair_to_doc(mp: MatchedPair) -> dict:
 def doc_to_matched_pair(doc: dict) -> MatchedPair:
     adoc = _need(doc, "a", dict)
     hdoc = _need(doc, "h", dict)
-    a = doc_to_quasigroupoid(adoc)
-    h = doc_to_quasigroupoid(hdoc)
+    pool: list = []
+    a = _quasigroupoid(adoc, pool)
+    h = _quasigroupoid(hdoc, pool)
     if a.n_objects != h.n_objects:
         raise RangeError("components must share one base")
     shape, na, nh = "[h, a, value]", a.n_arrows, h.n_arrows
-    left = _pair_table(doc, "left", shape, (nh, na, na))
-    right = _pair_table(doc, "right", shape, (nh, na, nh))
+    left = _pair_table(doc, "left", shape, (nh, na, na), pool)
+    right = _pair_table(doc, "right", shape, (nh, na, nh), pool)
     return MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
 
 
@@ -429,8 +471,10 @@ def factorization_to_doc(c: FactorizationCandidate) -> dict:
 def doc_to_factorization(doc: dict) -> FactorizationCandidate:
     """Raises StructureError, after the schema checks, when `b` has no
     product on a composable pair inside one of the subsets."""
-    b = doc_to_quasigroupoid(_need(doc, "b", dict))
-    a_arrows, h_arrows = _arrow_subset(doc, "a_arrows", b), _arrow_subset(doc, "h_arrows", b)
+    pool: list = []
+    b = _quasigroupoid(_need(doc, "b", dict), pool)
+    a_arrows = _arrow_subset(doc, "a_arrows", b, pool)
+    h_arrows = _arrow_subset(doc, "h_arrows", b, pool)
     _, ia = sub_quasigroupoid(b, a_arrows)
     _, ih = sub_quasigroupoid(b, h_arrows)
     return FactorizationCandidate(b, ia, ih)
@@ -474,11 +518,12 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     except StructureError as exc:
         raise SchemaError(f"field 'field': {exc}") from exc
     bad: list = []
-    unit = _sparse(doc, "unit", field, bad, n)
-    counit = _sparse(doc, "counit", field, bad, n)
-    product = _sparse(doc, "product", field, bad, n, n, n)
-    coproduct = _sparse(doc, "coproduct", field, bad, n, n, n)
-    antipode = _sparse(doc, "antipode", field, bad, n, n)
+    pool = {} if n > _SHARED_INTS else None
+    unit = _sparse(doc, "unit", field, bad, pool, n)
+    counit = _sparse(doc, "counit", field, bad, pool, n)
+    product = _sparse(doc, "product", field, bad, pool, n, n, n)
+    coproduct = _sparse(doc, "coproduct", field, bad, pool, n, n, n)
+    antipode = _sparse(doc, "antipode", field, bad, pool, n, n)
     basis_names = _names(doc, "basis_names", n, "basis vector")
     if bad:
         raise bad[0]

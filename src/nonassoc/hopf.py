@@ -24,7 +24,8 @@ one structure build each of them once.
 Most inputs of interest are group-like on their basis (delta(i) = i (x) i,
 eps = 1, basis products are basis vectors or zero): every quasigroupoid
 magma, hence every double cross product.  On those `_group_like` reads
-the stored products once per structure as integer rows and columns, and a
+the stored products once per structure as integer rows, transposed into
+columns only when a law of the structure first reads them, and a
 kernel decides d1, d2 and d4-4..d4-7 (and the derived antimult and
 one-sided associativity laws) exactly, comparing these partial maps and
 their composites, so it never visits a pair whose product is zero.
@@ -195,8 +196,15 @@ class MagmaCoalgebra:
 
     @cached_property
     def group_like(self):
-        """The kernel's tables (prod, cols, anti), or None if not group-like."""
+        """The kernel's tables (prod, anti), or None if not group-like."""
         return _group_like(self)
+
+    @cached_property
+    def group_like_cols(self) -> dict:
+        """cols[k][h] = prod[h][k]: the kernel's products by right factor,
+        which the laws of a structure read and a morphism's do not."""
+        prod = self.group_like[0]
+        return transposed_rows(prod, prod)
 
     @cached_property
     def by_value(self) -> dict:
@@ -305,14 +313,13 @@ def projections(d: MagmaCoalgebra):
 
 
 def _group_like(d: MagmaCoalgebra):
-    """The kernel's tables (prod, cols, anti) when d is group-like, else None.
+    """The kernel's tables (prod, anti) when d is group-like, else None.
 
     Group-like means delta(i) = i (x) i, eps(i) = 1, the antipode sends each
     basis vector to a basis vector, and each basis product is a basis
     vector or zero, every coefficient being exactly 1 (so int, Fraction and
     GF(p) scalars all qualify).  prod[h][k] is the index of hk, stored only
-    where hk is nonzero; cols[k][h] is the same, by right factor; anti[i]
-    is the index of S(i).
+    where hk is nonzero; anti[i] is the index of S(i).
     """
     n, rows = d.dim, d.product.rows
     if any(col != {i * n + i: 1} for i, col in enumerate(d.coproduct.cols)):
@@ -324,8 +331,7 @@ def _group_like(d: MagmaCoalgebra):
     if anti is None or values is None:
         return None
     values = iter(values)
-    prod = {h: {k: next(values) for k in row} for h, row in rows.items()}
-    return prod, transposed_rows(prod, prod), anti
+    return {h: {k: next(values) for k in row} for h, row in rows.items()}, anti
 
 
 def _basis_indices(vecs):
@@ -357,7 +363,7 @@ def _d2_holds(d: MagmaCoalgebra) -> bool:
     same h; elsewhere every side is 0.  So d2 holds exactly when each stored
     product xy = z has the row keys of y and the column keys of x, compared
     as numbers naming the key sets (None for the empty set)."""
-    prod, cols, _ = d.group_like
+    prod, cols = d.group_like[0], d.group_like_cols
     names: dict = {frozenset(): None}
     row_keys, col_keys = (
         {x: names.setdefault(frozenset(row), len(names)) for x, row in table.items()}
@@ -376,7 +382,7 @@ def _d4_4_to_7_hold(d: MagmaCoalgebra) -> bool:
     (hk)S(k) = h PiL(k)  and  (hS(k))k = h PiR(k).  The first two compare
     composites of rows; over the columns, as right multiplications compose,
     the same comparisons are the last two."""
-    prod, cols, anti = d.group_like
+    (prod, anti), cols = d.group_like, d.group_like_cols
     for table in (prod, cols):
         for h, s in enumerate(anti):
             row_h, row_s = table.get(h, EMPTY), table.get(s, EMPTY)
@@ -392,7 +398,7 @@ def _antimult_holds(d: MagmaCoalgebra) -> bool:
     """S(hg) = S(g)S(h) on a group-like basis (S sends zero to zero): for
     each h, the row of h sent through S against the column of S(h) read
     through the fibres of S."""
-    prod, cols, anti = d.group_like
+    (prod, anti), cols = d.group_like, d.group_like_cols
     fibres: dict = {}
     for g, s in enumerate(anti):
         fibres.setdefault(s, []).append(g)
@@ -413,7 +419,7 @@ def _one_sided_holds(d: MagmaCoalgebra, tag: str) -> bool:
     k, l: (hk)l = h(kl), k(hl) = (kh)l and k(lh) = (kl)h, on a group-like
     basis (where each nonzero column of a projection is one basis vector).
     Each side is the dict (k, l) -> its value, where it is defined."""
-    prod, cols, _ = d.group_like
+    prod, cols = d.group_like[0], d.group_like_cols
     by_value = d.by_value
 
     def then(first, table, flip=False):  # (x, y) -> table[first[x]][y], keyed (y, x) with flip
@@ -952,7 +958,7 @@ def _mkl4_holds(image: list, d: MagmaCoalgebra, d2: MagmaCoalgebra) -> bool:
     the law says that (h, k) -> f(hk), over the stored products, equals
     (h, k) -> f(h)f(PiR(h)k), over the stored products of PiR(h); the two
     partial maps are compared row by row, as k -> value for each h."""
-    prod, _, anti = d.group_like
+    prod, anti = d.group_like
     prod2 = d2.group_like[0]
     sent = {x: {k: image[m] for k, m in row.items()} for x, row in prod.items()}  # k -> f(xk)
     for h, s in enumerate(anti):

@@ -251,6 +251,19 @@ def test_canonical_iso_at_192_arrows_forms_no_nabla_column(monkeypatch):
     assert calls == []
 
 
+def test_canonical_iso_builds_no_kernel_columns(monkeypatch):
+    """The morphism kernel reads the group-like products by row only, so
+    certifying the isomorphism never transposes them; `check_whq` does."""
+    read = []
+    columns = hopf.MagmaCoalgebra.group_like_cols.func
+    monkeypatch.setattr(hopf.MagmaCoalgebra, "group_like_cols", property(lambda d: read.append(d) or columns(d)))
+    mp = two_sided_pair(2)
+    assert verify_canonical_iso(mp).ok
+    assert read == []
+    assert check_whq(magma_of_quasigroupoid(double_cross_product(mp))).ok
+    assert read
+
+
 def test_bowtie_uses_no_combinatorial_product(mp_family, monkeypatch):
     expected = {
         name: magma_of_quasigroupoid(double_cross_product(mp)) for name, mp in mp_family.items()
@@ -409,3 +422,27 @@ def test_oracle_product_fails_at_a_product_only_one_side_stores(z3, monkeypatch)
 
     failures = _oracle_failures(monkeypatch, mp, with_extra_product)
     assert failures == [("oracle-product", (h * n + k,), "{} vs {0: 1}")]
+
+
+def test_bijective_fails_through_both_rank_paths(z3, monkeypatch):
+    """`bijective` reads the rank of a map that sends each basis vector to one
+    basis vector with coefficient 1 as its number of distinct images, and
+    takes the exact elimination `rank()` for any other map: a non-injective
+    basis map and a singular map with a two-term column each fail it, and
+    only the second eliminates."""
+    mp = mp_action_left(z3, 3, z3_translation)
+    n = len(dcp_pairs(mp))
+    identity = [{j: 1} for j in range(n)]
+    merged = identity[:1] + identity[:1] + identity[2:]  # basis vectors 0 and 1 both to 0
+    summed = identity[:1] + [{0: 1, 2: 1}] + identity[2:]  # column 1 = column 0 + column 2
+    ranks = []
+    rank = LinearMap.rank
+    monkeypatch.setattr(LinearMap, "rank", lambda f: ranks.append(f) or rank(f))
+    for cols, eliminated in ((identity, 0), (merged, 0), (summed, 1)):
+        f = LinearMap(n, n, tuple(cols))
+        with monkeypatch.context() as m:
+            m.setattr(bowtie, "canonical_iso", lambda pair: f)
+            report = verify_canonical_iso(mp)
+        assert ("bijective" in report.failed_axioms()) == (cols is not identity)
+        assert len(ranks) == eliminated
+        ranks.clear()

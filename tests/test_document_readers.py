@@ -16,15 +16,25 @@ keeps the mutants it kept when `parse` validated the whole document.
 import dataclasses
 import json
 import random
+import tracemalloc
 
 import pytest
 
 import tests.reference_documents as reference
-from nonassoc import coarse_groupoid, cyclic_group, double_cross_product, mp_discrete_right
+from nonassoc import (
+    coarse_groupoid,
+    cyclic_group,
+    discrete_groupoid,
+    double_cross_product,
+    moufang_loop_12,
+    mp_discrete_right,
+    pair_quasigroupoid,
+)
 from nonassoc import documents
 from nonassoc.documents import (
     SchemaError,
     action_to_doc,
+    doc_to_whq,
     emit,
     factorization_to_doc,
     matched_pair_to_doc,
@@ -35,6 +45,7 @@ from nonassoc.documents import (
 )
 from nonassoc.factorizations import canonical_factorization
 from nonassoc.hopf import magma_of_quasigroupoid
+from nonassoc.linalg import LinearMap
 from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureError
 from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
@@ -200,3 +211,138 @@ def test_parse_checks_only_the_envelope():
     doc = quasigroup_to_doc(z3)
     del doc["table"]
     assert parse(emit(doc)) == doc
+
+
+def _table_indices(table: PairTable) -> list:
+    return [i for x, row in table.rows.items() for y, v in row.items() for i in (x, y, v)]
+
+
+def _quasigroupoid_indices(q) -> list:
+    return [*q.src, *q.tgt, *q.unit, *q.inv, *_table_indices(q.prod)]
+
+
+def _stored_indices(kind: str, read) -> list:
+    """Every index the structure read from a document of `kind` stores.  The
+    coproduct's column keys j * n + k are computed, not read, so they are
+    not among them."""
+    if kind == "quasigroupoid":
+        return _quasigroupoid_indices(read)
+    if kind == "matched-pair":
+        return [
+            *_quasigroupoid_indices(read.a), *_quasigroupoid_indices(read.h),
+            *_table_indices(read.left.table), *_table_indices(read.right.table),
+        ]
+    if kind == "factorization":
+        return [*_quasigroupoid_indices(read.b), *read.ia.arrow_map, *read.ih.arrow_map]
+    return [
+        *read.unit,
+        *(i for h, row in read.product.rows.items() for k, vec in row.items() for i in (h, k, *vec)),
+        *(i for col in read.antipode.cols for i in col),
+    ]
+
+
+def _pooled_documents(b, factorization) -> dict:
+    """The documents of b, of its discrete-right matched pair, of
+    `factorization` and of the magma of b: every kind whose reader keeps an
+    index pool, each with indices above 256 when b has 300 arrows."""
+    assert b.n_arrows == 300
+    return {
+        "quasigroupoid": quasigroupoid_to_doc(b),
+        "matched-pair": matched_pair_to_doc(mp_discrete_right(b)),
+        "factorization": factorization_to_doc(factorization),
+        "whq": whq_to_doc(magma_of_quasigroupoid(b)),
+    }
+
+
+def test_each_index_value_is_one_object_per_read():
+    """On the documents of pair(M12, 5), 300 arrows, with its two-sided
+    factorization, and of the discrete groupoid on 300 objects, with its
+    canonical factorization, every index the read structure stores is the
+    one object of its value, so at most 300 distinct objects hold them."""
+    pair, discrete = pair_quasigroupoid(moufang_loop_12(), 5), discrete_groupoid(300)
+    docs = [
+        *_pooled_documents(pair, two_sided_factorization(5)).items(),
+        *_pooled_documents(discrete, canonical_factorization(mp_discrete_right(discrete))).items(),
+    ]
+    for kind, doc in docs:
+        read = _reader(documents, kind)(parse(emit(doc)))
+        stored = _stored_indices(kind, read)
+        objects: dict = {}
+        for i in stored:
+            assert type(i) is int, kind
+            objects.setdefault(i, set()).add(id(i))
+        assert max(objects) == 299 and len(stored) > 2 * len(objects), kind
+        assert [value for value, ids in objects.items() if len(ids) > 1] == [], kind
+        assert len({id(i) for i in stored}) <= 300, kind
+
+
+def _peak(build) -> int:
+    """The tracemalloc peak, in bytes, while build() runs and its result lives."""
+    tracemalloc.start()
+    try:
+        built = build()  # alive until the peak is read
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_whq_document_allocates_per_declared_index_only_its_columns():
+    """A whq document with no entries, read at "dim" 4000 and 8000: the
+    counit, coproduct and antipode are maps with one column per basis
+    vector, and the read allocates nothing else per declared index (no
+    index pool over the declared dimension), within 8 bytes an index."""
+    def read(n):
+        text = emit({"kind": "whq", "version": 1, "dim": n, "field": "Q", "unit": [],
+                     "counit": [], "product": [], "coproduct": [], "antipode": []})
+        return _peak(lambda: doc_to_whq(parse(text)))
+
+    def columns(n):  # the three maps as the reader builds them, empty
+        def build():
+            lists = [[{} for _ in range(n)] for _ in range(3)]
+            return [LinearMap(n, cod, tuple(cols)) for cod, cols in zip((1, n * n, n), lists)]
+        return _peak(build)
+
+    per_index = (read(8000) - read(4000)) / 4000
+    per_column_triple = (columns(8000) - columns(4000)) / 4000
+    assert per_index <= per_column_triple + 8, (per_index, per_column_triple)
+
+
+def test_a_bool_in_an_index_slot_keeps_its_type():
+    """`true` and `false` are ints to the schema, so an index slot may hold
+    one.  On the documents of the discrete groupoid on 300 objects, with
+    one index 0 or 1 at a time replaced by the bool of its value, the
+    readers store the indices the reference stores, in its order and with
+    its types, or raise what the reference raises."""
+    def typed(module, kind, text):
+        try:
+            read = _reader(module, kind)(module.parse(text))
+        except Exception as exc:
+            return ("raises", type(exc), str(exc))
+        return [(type(i), i) for i in _stored_indices(kind, read)]
+
+    rng = random.Random(5)
+    bools = 0
+    b = discrete_groupoid(300)
+    for kind, doc in _pooled_documents(b, canonical_factorization(mp_discrete_right(b))).items():
+        slots = []
+
+        def walk(node, path):
+            for key, child in enumerate(node) if isinstance(node, list) else node.items():
+                if isinstance(child, (list, dict)):
+                    walk(child, path + (key,))
+                elif isinstance(node, list) and type(child) is int and child in (0, 1):
+                    slots.append(path + (key,))
+
+        walk(doc, ())
+        base = json.dumps(doc)
+        for *parents, last in rng.sample(slots, 10):
+            copy = json.loads(base)
+            holder = copy
+            for key in parents:
+                holder = holder[key]
+            flag = holder[last] = bool(holder[last])
+            text = json.dumps(copy)
+            expected = typed(reference, kind, text)
+            assert typed(documents, kind, text) == expected, (kind, parents, last)
+            bools += (bool, flag) in expected
+    assert bools > 20  # most of the bools are read and stored, not refused

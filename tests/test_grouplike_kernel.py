@@ -433,7 +433,7 @@ def test_kernel_reads_only_the_stored_products_of_a_large_sparse_magma(monkeypat
         assert check_whq(d).ok
     assert calls == []
     assert derived_property_suite(d).ok
-    prod, cols, anti = d.group_like
+    (prod, anti), cols = d.group_like, d.group_like_cols
     assert sum(map(len, prod.values())) == sum(map(len, cols.values())) == 1000
     assert anti == list(range(1000))
 

@@ -34,7 +34,7 @@ from nonassoc import (
     theta,
     theta_identity_report,
 )
-from tests.conftest import z3_translation
+from tests.conftest import two_sided_pair, z3_translation
 
 
 def checked_factorization(mp):
@@ -213,6 +213,57 @@ def test_mixed_associativity_reports_the_factorization_violations(m12):
     mixed = mixed_associativity_suite(c, fact)
     assert mixed.failed_axioms() == ("HHA", "HAH", "AHH")
     assert mixed.violations == [v for v in fact.violations if v.axiom != "theta-bijective"]
+
+
+def _swapped_ahh_by_compose(c):
+    """The AHH-swapped record as the definition reads it: p (g x) against
+    (p x) g through `compose`, at every (p, g) in the mixed pairs and every
+    x of H after g."""
+    b, ia, ih, h = c.b, c.ia.arrow_map, c.ih.arrow_map, c.ih.source
+    configs = [
+        (p, g, x) for p, g in mixed_pairs(c.ia.source, h)
+        for x in range(h.n_arrows) if h.src[g] == h.tgt[x]
+    ]
+    failures = [
+        (p, g, x) for p, g, x in configs
+        if b.compose(ia[p], b.compose(ih[g], ih[x])) != b.compose(b.compose(ia[p], ih[x]), ih[g])
+    ]
+    return {
+        "checked": len(configs),
+        "failures": len(failures),
+        "first_witness": failures[0] if failures else None,
+    }
+
+
+def test_swapped_ahh_rows_equal_the_composite_reading(mp_family, m12):
+    """The record and the note of the AHH-swapped reading, read from the
+    stored rows, equal those of the definition, on the family, a
+    two-sided pair, the one-object M12 and a candidate that is not exact."""
+    b = quasigroup_as_quasigroupoid(m12)
+    cases = {
+        name: checked_factorization(mp)
+        for name, mp in {
+            **mp_family,
+            "two-sided m2": two_sided_pair(2),
+            "one-object m12": mp_action_left(m12, 1, [[0]] * 12),
+        }.items()
+    }
+    c = FactorizationCandidate(b, sub_quasigroupoid(b, (0, 1))[1], sub_quasigroupoid(b, (0, 2, 6, 8))[1])
+    cases["m12 subloops"] = (c, check_exact_factorization(c))
+    seen = set()
+    for name, (c, fact) in cases.items():
+        report = mixed_associativity_suite(c, fact)
+        expected = _swapped_ahh_by_compose(c)
+        assert report.data["AHH-swapped"] == expected, name
+        checked, failures, first = expected.values()
+        note = (
+            f"AHH with swapped right-hand factors fails at {failures}/{checked} "
+            f"configurations, first witness {first}" if failures
+            else f"AHH with swapped right-hand factors holds at all {checked} configurations"
+        )
+        assert report.notes == [note], name
+        seen.add(failures > 0)
+    assert seen == {True, False}
 
 
 def test_matched_pair_constructor_validates(coarse2):
