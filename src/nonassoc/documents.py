@@ -26,9 +26,9 @@ indices through one pool per read, in memory proportional to the entries.
 The quasigroupoid, matched-pair and factorization readers pool through a
 list of one int per arrow, filled once `src` has been checked to have an
 entry per arrow; the whq reader through a dict of the indices its entries
-hold.  Only exact ints are pooled, so a `true` or `false` in an index slot
-stays a bool, and a table or whq document whose indices all lie below 257,
-which CPython already shares, is read without the pool.
+hold as keys, when `dim` exceeds 257 (below that, CPython already shares
+every index).  Only exact ints are pooled, so a `true` or `false` in an
+index slot stays a bool.
 """
 
 from __future__ import annotations
@@ -185,10 +185,6 @@ def _need(doc: dict, field: str, kind_of) -> object:
     return value
 
 
-# Indices below this need no pool: CPython keeps one object per int in -5..256.
-_SHARED_INTS = 257
-
-
 def _pooled(seq, pool: list) -> tuple:
     """`seq`, its exact ints, all below len(pool), replaced by the pool's
     objects; any other value, a bool included, kept as it is."""
@@ -222,21 +218,21 @@ def _pair_table(doc, field, shape, bounds, pool, ends=None) -> PairTable:
     each pair appear once, and, with `ends` = (src, tgt), src[x] = tgt[y].
     The first bad entry is the one reported."""
     (x_bound, y_bound, v_bound), rows = bounds, {}
-    if max(bounds) <= _SHARED_INTS:
-        pool = None
     for entry in _need(doc, field, list):
         if not isinstance(entry, list) or len(entry) != 3:
             raise SchemaError(f"{field} entries must be {shape} triples")
         x, y, v = entry
-        exact = type(x) is type(y) is type(v) is int  # else a bool, kept as it is, or an error
+        exact = type(x) is type(y) is type(v) is int  # else a bool or an error
         if not (exact or isinstance(x, int) and isinstance(y, int) and isinstance(v, int)):
             raise SchemaError(f"{field} entries must be {shape} triples")
         if not (0 <= x < x_bound and 0 <= y < y_bound and 0 <= v < v_bound):
             raise RangeError(f"{field} entry {entry} out of range")
         if ends and ends[0][x] != ends[1][y]:
             raise RangeError(f"{field} entry on non-composable pair ({x},{y})")
-        if exact and pool:
+        if exact:
             x, y, v = pool[x], pool[y], pool[v]
+        else:  # a bool keeps its type, and the exact ints beside it are pooled
+            x, y, v = [pool[i] if type(i) is int else i for i in entry]
         row = rows.get(x)
         if row is None:
             row = rows[x] = {}
@@ -272,7 +268,7 @@ def _scalar_to_str(value) -> str:
 def _sparse(doc, what, field, bad, pool: dict | None, *bounds) -> list:
     """The [indices..., scalar] entries of `what` with a nonzero scalar, as
     (indices, value) pairs in document order, each index the object `pool`
-    holds for its value, unless `pool` is None.  Indices must lie below
+    holds for its value; with `pool` None, as read.  Indices must lie below
     `bounds` and appear once.  Each scalar text is read once, and its
     entries share the value.  A scalar that `field` cannot read is appended
     to `bad` as its error, raised once the rest of the document is checked."""
@@ -298,8 +294,8 @@ def _sparse(doc, what, field, bad, pool: dict | None, *bounds) -> list:
                 bad.append(SchemaError(f"bad scalar {scalar!r}: {exc}"))
                 continue
         if value:
-            if pool is not None:  # a bool is below 257, so it keeps its type
-                key = tuple([i if i < _SHARED_INTS else pool.setdefault(i, i) for i in idx])
+            if pool is not None:  # a bool keeps its type
+                key = tuple([pool.setdefault(i, i) if type(i) is int else i for i in idx])
             out.append((key, value))
     return out
 
@@ -518,11 +514,13 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     except StructureError as exc:
         raise SchemaError(f"field 'field': {exc}") from exc
     bad: list = []
-    pool = {} if n > _SHARED_INTS else None
+    # CPython keeps one object per int in -5..256, so only a larger basis
+    # needs a pool; the counit and coproduct indices only pick columns
+    pool = {} if n > 257 else None
     unit = _sparse(doc, "unit", field, bad, pool, n)
-    counit = _sparse(doc, "counit", field, bad, pool, n)
+    counit = _sparse(doc, "counit", field, bad, None, n)
     product = _sparse(doc, "product", field, bad, pool, n, n, n)
-    coproduct = _sparse(doc, "coproduct", field, bad, pool, n, n, n)
+    coproduct = _sparse(doc, "coproduct", field, bad, None, n, n, n)
     antipode = _sparse(doc, "antipode", field, bad, pool, n, n)
     basis_names = _names(doc, "basis_names", n, "basis vector")
     if bad:

@@ -222,9 +222,9 @@ def _quasigroupoid_indices(q) -> list:
 
 
 def _stored_indices(kind: str, read) -> list:
-    """Every index the structure read from a document of `kind` stores.  The
-    coproduct's column keys j * n + k are computed, not read, so they are
-    not among them."""
+    """Every index the structure read from a document of `kind` stores as a
+    key or a value.  The counit and coproduct indices of a whq document only
+    pick a column or form the key j * n + k, so they are not among them."""
     if kind == "quasigroupoid":
         return _quasigroupoid_indices(read)
     if kind == "matched-pair":
@@ -239,6 +239,14 @@ def _stored_indices(kind: str, read) -> list:
         *(i for h, row in read.product.rows.items() for k, vec in row.items() for i in (h, k, *vec)),
         *(i for col in read.antipode.cols for i in col),
     ]
+
+
+def _held_twice(stored) -> list:
+    """The (type, value) pairs of `stored` that more than one object holds."""
+    ids: dict = {}
+    for i in stored:
+        ids.setdefault((type(i), i), set()).add(id(i))
+    return [key for key, held in ids.items() if len(held) > 1]
 
 
 def _pooled_documents(b, factorization) -> dict:
@@ -267,12 +275,9 @@ def test_each_index_value_is_one_object_per_read():
     for kind, doc in docs:
         read = _reader(documents, kind)(parse(emit(doc)))
         stored = _stored_indices(kind, read)
-        objects: dict = {}
-        for i in stored:
-            assert type(i) is int, kind
-            objects.setdefault(i, set()).add(id(i))
-        assert max(objects) == 299 and len(stored) > 2 * len(objects), kind
-        assert [value for value, ids in objects.items() if len(ids) > 1] == [], kind
+        assert all(type(i) is int for i in stored), kind
+        assert max(stored) == 299 and len(stored) > 2 * len(set(stored)), kind
+        assert _held_twice(stored) == [], kind
         assert len({id(i) for i in stored}) <= 300, kind
 
 
@@ -309,33 +314,45 @@ def test_reading_a_whq_document_allocates_per_declared_index_only_its_columns():
 
 def test_a_bool_in_an_index_slot_keeps_its_type():
     """`true` and `false` are ints to the schema, so an index slot may hold
-    one.  On the documents of the discrete groupoid on 300 objects, with
-    one index 0 or 1 at a time replaced by the bool of its value, the
-    readers store the indices the reference stores, in its order and with
-    its types, or raise what the reference raises."""
+    one.  On the documents of pair(M12, 5) and of the discrete groupoid on
+    300 objects, with one index 0 or 1 at a time replaced by the bool of its
+    value, the readers store the indices the reference stores, in its order
+    and with its types, each value one object, or raise what the reference
+    raises.  Where a document has them, half the slots are taken from lists
+    that also hold an index above 256, so the bool lies beside indices that
+    only the pool shares."""
     def typed(module, kind, text):
         try:
             read = _reader(module, kind)(module.parse(text))
         except Exception as exc:
             return ("raises", type(exc), str(exc))
-        return [(type(i), i) for i in _stored_indices(kind, read)]
+        stored = _stored_indices(kind, read)
+        if module is documents:
+            assert _held_twice(stored) == [], kind
+        return [(type(i), i) for i in stored]
 
     rng = random.Random(5)
     bools = 0
-    b = discrete_groupoid(300)
-    for kind, doc in _pooled_documents(b, canonical_factorization(mp_discrete_right(b))).items():
-        slots = []
+    pair, discrete = pair_quasigroupoid(moufang_loop_12(), 5), discrete_groupoid(300)
+    docs = [
+        *_pooled_documents(pair, two_sided_factorization(5)).items(),
+        *_pooled_documents(discrete, canonical_factorization(mp_discrete_right(discrete))).items(),
+    ]
+    for kind, doc in docs:
+        beside_big, rest = [], []
 
         def walk(node, path):
             for key, child in enumerate(node) if isinstance(node, list) else node.items():
                 if isinstance(child, (list, dict)):
                     walk(child, path + (key,))
                 elif isinstance(node, list) and type(child) is int and child in (0, 1):
-                    slots.append(path + (key,))
+                    big = any(type(i) is int and i > 256 for i in node)
+                    (beside_big if big else rest).append(path + (key,))
 
         walk(doc, ())
         base = json.dumps(doc)
-        for *parents, last in rng.sample(slots, 10):
+        slots = rng.sample(beside_big, min(2, len(beside_big))) + rng.sample(rest, 2)
+        for *parents, last in slots:
             copy = json.loads(base)
             holder = copy
             for key in parents:
@@ -345,4 +362,4 @@ def test_a_bool_in_an_index_slot_keeps_its_type():
             expected = typed(reference, kind, text)
             assert typed(documents, kind, text) == expected, (kind, parents, last)
             bools += (bool, flag) in expected
-    assert bools > 20  # most of the bools are read and stored, not refused
+    assert bools > 20, bools  # most of the bools are read and stored, not refused
