@@ -272,6 +272,8 @@ def main(argv=None) -> int:
                 return 1
         except (StructureError, OSError) as exc:
             error = str(exc)
+        except MemoryError:
+            error = "out of memory"
         sys.stderr.write(f"error: {error}\n")
         return 2
 

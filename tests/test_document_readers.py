@@ -249,10 +249,10 @@ def _held_twice(stored) -> list:
     return [key for key, held in ids.items() if len(held) > 1]
 
 
-def _pooled_documents(b, factorization) -> dict:
+def _indexed_documents(b, factorization) -> dict:
     """The documents of b, of its discrete-right matched pair, of
-    `factorization` and of the magma of b: every kind whose reader keeps an
-    index pool, each with indices above 256 when b has 300 arrows."""
+    `factorization` and of the magma of b: every kind whose reader stores
+    indices in tables, each with indices above 256 when b has 300 arrows."""
     assert b.n_arrows == 300
     return {
         "quasigroupoid": quasigroupoid_to_doc(b),
@@ -269,8 +269,8 @@ def test_each_index_value_is_one_object_per_read():
     one object of its value, so at most 300 distinct objects hold them."""
     pair, discrete = pair_quasigroupoid(moufang_loop_12(), 5), discrete_groupoid(300)
     docs = [
-        *_pooled_documents(pair, two_sided_factorization(5)).items(),
-        *_pooled_documents(discrete, canonical_factorization(mp_discrete_right(discrete))).items(),
+        *_indexed_documents(pair, two_sided_factorization(5)).items(),
+        *_indexed_documents(discrete, canonical_factorization(mp_discrete_right(discrete))).items(),
     ]
     for kind, doc in docs:
         read = _reader(documents, kind)(parse(emit(doc)))
@@ -294,8 +294,8 @@ def _peak(build) -> int:
 def test_reading_a_whq_document_allocates_per_declared_index_only_its_columns():
     """A whq document with no entries, read at "dim" 4000 and 8000: the
     counit, coproduct and antipode are maps with one column per basis
-    vector, and the read allocates nothing else per declared index (no
-    index pool over the declared dimension), within 8 bytes an index."""
+    vector, and the read allocates nothing else per declared index, within
+    8 bytes an index."""
     def read(n):
         text = emit({"kind": "whq", "version": 1, "dim": n, "field": "Q", "unit": [],
                      "counit": [], "product": [], "coproduct": [], "antipode": []})
@@ -320,7 +320,7 @@ def test_a_bool_in_an_index_slot_keeps_its_type():
     and with its types, each value one object, or raise what the reference
     raises.  Where a document has them, half the slots are taken from lists
     that also hold an index above 256, so the bool lies beside indices that
-    only the pool shares."""
+    only `parse` shares."""
     def typed(module, kind, text):
         try:
             read = _reader(module, kind)(module.parse(text))
@@ -335,8 +335,8 @@ def test_a_bool_in_an_index_slot_keeps_its_type():
     bools = 0
     pair, discrete = pair_quasigroupoid(moufang_loop_12(), 5), discrete_groupoid(300)
     docs = [
-        *_pooled_documents(pair, two_sided_factorization(5)).items(),
-        *_pooled_documents(discrete, canonical_factorization(mp_discrete_right(discrete))).items(),
+        *_indexed_documents(pair, two_sided_factorization(5)).items(),
+        *_indexed_documents(discrete, canonical_factorization(mp_discrete_right(discrete))).items(),
     ]
     for kind, doc in docs:
         beside_big, rest = [], []

@@ -236,9 +236,9 @@ def test_factorization_with_a_missing_product_entry_exits_2(tmp_path, z2, capsys
 def test_parse_leaves_the_collector_as_it_found_it(monkeypatch, collector, text, error):
     states, json_loads = [], json.loads
 
-    def loads(text):
+    def loads(text, **kwargs):
         states.append(gc.isenabled())
-        return json_loads(text)
+        return json_loads(text, **kwargs)
 
     monkeypatch.setattr(json, "loads", loads)
     if error is None:
@@ -248,3 +248,37 @@ def test_parse_leaves_the_collector_as_it_found_it(monkeypatch, collector, text,
             parse(text)
     assert states == [False]
     assert gc.isenabled() is collector
+
+
+def _held_ints(node):
+    """Every exact int that `node`, a parsed JSON value, holds."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for child in node:
+            yield from _held_ints(child)
+    elif type(node) is int:
+        yield node
+
+
+def test_parse_holds_each_integer_value_in_one_object():
+    """`parse` decides index identity for every reader: in a whq document of
+    dimension 300, every integer it holds is the one object of its value,
+    the counit and coproduct indices included, and `true` and `false` in an
+    index slot stay bools.  The integers are shared within one call only:
+    two parses of one text hold distinct objects for 300."""
+    doc = whq_to_doc(magma_of_quasigroupoid(discrete_groupoid(300)))
+    doc["product"][0][0], doc["coproduct"][0][1] = True, False
+    text = emit(doc)
+    parsed = parse(text)
+    assert parsed["product"][0][0] is True and parsed["coproduct"][0][1] is False
+    for field in ("counit", "coproduct", "unit", "product", "antipode"):
+        assert max(_held_ints(parsed[field])) == 299, field
+    held = list(_held_ints(parsed))
+    objects = {}
+    for i in held:
+        objects.setdefault(i, set()).add(id(i))
+    assert len(held) > 3 * len(objects)
+    assert [value for value, ids in objects.items() if len(ids) > 1] == []
+    again = parse(text)["dim"]
+    assert again == parsed["dim"] == 300 and again is not parsed["dim"]

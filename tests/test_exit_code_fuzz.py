@@ -336,3 +336,24 @@ def test_a_command_of_another_kind_reads_no_whq_body(tmp_path, command, kind):
         return
     assert (child.returncode, child.stdout) == (2, "")
     assert child.stderr == f"error: {' '.join(command)} expects a {kind} document\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["suite"], ["check-whq"]])
+def test_a_whq_document_too_large_for_memory_exits_2(tmp_path, command):
+    """A 117-byte whq document declaring `dim` 10,000,000: its maps need one
+    column per basis vector, more than the address-space cap holds, so a
+    command that reads it says so on stderr and exits 2, without a
+    traceback."""
+    doc = {"kind": "whq", "version": 1, "dim": 10_000_000, "field": "Q", "unit": [],
+           "counit": [], "product": [], "coproduct": [], "antipode": []}
+    path = tmp_path / "dim10000000.json"
+    path.write_text(json.dumps(doc, separators=(",", ":")))
+    child = subprocess.run(
+        [sys.executable, "-m", "nonassoc", *command, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=_cap_address_space,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (2, "", "error: out of memory\n")
