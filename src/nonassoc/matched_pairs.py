@@ -388,8 +388,8 @@ def _dcp_fill(mp: MatchedPair) -> Quasigroupoid:
     a_rows, h_rows = a.prod.rows, h.prod.rows
     starts = matching_arrows(h.src, a.tgt, a.n_objects)
     rows_of_a: list = [[] for _ in range(a.n_arrows)]
-    for j, (b, q) in enumerate(pairs):
-        rows_of_a[b].append((j, q))
+    for b, row in at.items():
+        rows_of_a[b] = [(j, q) for q, j in row.items()]
     fill = []
     for g, bs in enumerate(starts):
         row_a, row_h = phi_a.get(g, EMPTY), phi_h.get(g, EMPTY)
@@ -400,17 +400,18 @@ def _dcp_fill(mp: MatchedPair) -> Quasigroupoid:
             row.append((row_a.get(b), [(j, h_row.get(q)) for j, q in rows_of_a[b]]))
         fill.append(row)
     rows: dict = {}  # no row is empty: (p, g) composes with the unit pair at src(g)
-    for i, (p, g) in enumerate(pairs):
+    for p, at_p in at.items():  # the index objects of `at` serve every row
         a_row = a_rows.get(p, EMPTY)
-        row = rows[i] = {}
-        for pa, fills in fill[g]:
-            at_left = at.get(a_row.get(pa), EMPTY)
-            for j, right in fills:
-                k = at_left.get(right)
-                if k is None:
-                    context = ("product", (p, g), pairs[j])
-                    raise StructureError(f"double cross product not closed at {context}")
-                row[j] = k
+        for g, i in at_p.items():
+            row = rows[i] = {}
+            for pa, fills in fill[g]:
+                at_left = at.get(a_row.get(pa), EMPTY)
+                for j, right in fills:
+                    k = at_left.get(right)
+                    if k is None:
+                        context = ("product", (p, g), pairs[j])
+                        raise StructureError(f"double cross product not closed at {context}")
+                    row[j] = k
     names = tuple(f"({a.arrow_name(p)},{h.arrow_name(q)})" for (p, q) in pairs)
     return Quasigroupoid(
         n_objects=a.n_objects,

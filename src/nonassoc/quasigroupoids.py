@@ -23,15 +23,21 @@ quasigroupoids by construction, as the double cross product of
 `matched_pairs` is one by the paper's first theorem: each writes its product
 rows directly and validates only its inputs, never its result, and a
 `FiniteQuasigroup` is valid once `quasigroups.quasigroup` has made it.
+
+The three smallest builders are the general constructions renamed:
+`discrete_groupoid(n)` is `from_quasigroup_action` of the trivial group
+acting trivially on n points, `coarse_groupoid(n)` is `pair_quasigroupoid`
+of the trivial group on n points, and `quasigroup_as_quasigroupoid(q)` is
+`pair_quasigroupoid(q, 1)`.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 
-from .quasigroups import FiniteQuasigroup
+from .quasigroups import FiniteQuasigroup, cyclic_group
 from .reports import InvalidStructureError, StructureError, StructureReport
 
 # The row of a factor with no entries: rows.get(x, EMPTY).get(y) is None.
@@ -317,60 +323,24 @@ def _validated(q: Quasigroupoid) -> Quasigroupoid:
 
 
 def discrete_groupoid(n_points: int) -> Quasigroupoid:
-    """One idempotent arrow per object and nothing else."""
-    if n_points < 1:
-        raise StructureError("empty base")
-    idx = tuple(range(n_points))
-    return Quasigroupoid(
-        n_objects=n_points,
-        src=idx,
-        tgt=idx,
-        unit=idx,
-        inv=idx,
-        prod=PairTable({x: {x: x} for x in idx}),
-        object_names=tuple(str(x) for x in idx),
-        arrow_names=tuple(str(x) for x in idx),
-    )
+    """One idempotent arrow per object and nothing else: the action
+    quasigroupoid of the trivial group acting trivially, arrow x named x."""
+    q = from_quasigroup_action(cyclic_group(1), n_points, lambda a, x: x)
+    return replace(q, arrow_names=q.object_names)
 
 
 def coarse_groupoid(n_points: int) -> Quasigroupoid:
-    """Exactly one arrow (x, y) between any two objects; (z,x)*(x,y) = (z,y)."""
-    if n_points < 1:
-        raise StructureError("empty base")
-    n = n_points
-    src = tuple(pair % n for pair in range(n * n))  # arrow x*n+y is (x, y)
-    tgt = tuple(pair // n for pair in range(n * n))
-    unit = tuple(x * n + x for x in range(n))
-    inv = tuple((pair % n) * n + pair // n for pair in range(n * n))
-    rows = {
-        z * n + x: {x * n + y: z * n + y for y in range(n)} for z in range(n) for x in range(n)
-    }
-    names = tuple(f"({x},{y})" for x in range(n) for y in range(n))
-    return Quasigroupoid(
-        n_objects=n,
-        src=src,
-        tgt=tgt,
-        unit=unit,
-        inv=inv,
-        prod=PairTable(rows),
-        object_names=tuple(str(x) for x in range(n)),
-        arrow_names=names,
-    )
+    """Exactly one arrow (x, y) between any two objects; (z,x)*(x,y) = (z,y):
+    the pair quasigroupoid of the trivial group, arrow x*n+y named (x,y)."""
+    names = tuple(f"({x},{y})" for x in range(n_points) for y in range(n_points))
+    return replace(pair_quasigroupoid(cyclic_group(1), n_points), arrow_names=names)
 
 
 def quasigroup_as_quasigroupoid(q: FiniteQuasigroup) -> Quasigroupoid:
-    """One object; arrows are the elements and every pair is composable."""
-    n = q.order
-    return Quasigroupoid(
-        n_objects=1,
-        src=(0,) * n,
-        tgt=(0,) * n,
-        unit=(q.identity,),
-        inv=q.inverse,
-        prod=PairTable({u: dict(enumerate(row)) for u, row in enumerate(q.table)}),
-        object_names=("*",),
-        arrow_names=tuple(q.name(u) for u in range(n)),
-    )
+    """One object; arrows are the elements and every pair is composable: the
+    pair quasigroupoid of q on one point, object * and arrows named as in q."""
+    names = tuple(q.name(u) for u in range(q.order))
+    return replace(pair_quasigroupoid(q, 1), object_names=("*",), arrow_names=names)
 
 
 def tabulate_action(q: FiniteQuasigroup, n_points: int, psi) -> list[list[int]]:
@@ -413,6 +383,8 @@ def check_action_on_set(q: FiniteQuasigroup, n_points: int, psi) -> StructureRep
 def from_quasigroup_action(q: FiniteQuasigroup, n_points: int, psi) -> Quasigroupoid:
     """Arrows (a, x) from x to psi(a, x); (a,x)*(b,y) = (a.b, y) when psi(b,y)=x.
     Validates the action (`check_action_on_set`)."""
+    if n_points < 1:
+        raise StructureError("empty base")
     action_report = check_action_on_set(q, n_points, psi)
     if not action_report.ok:
         raise InvalidStructureError(action_report)

@@ -163,27 +163,17 @@ def dihedral_group(n: int) -> FiniteQuasigroup:
 
 
 def quaternion_group() -> FiniteQuasigroup:
-    """Q8 as signed units {1,-1,i,-i,j,-j,k,-k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {"1": 0, "i": 2, "j": 4, "k": 6}
-    rules = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-        ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"),
-        ("k", "1"): (1, "k"), ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"),
-        ("k", "k"): (-1, "1"), ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-        ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"), ("k", "i"): (1, "j"),
-        ("i", "k"): (-1, "j"),
-    }
+    """Q8 from i^2 = j^2 = k^2 = ijk = -1: element 2u + s is (-1)^s times unit
+    u of 1, i, j, k, and the units multiply as u ^ v up to sign."""
 
     def mul(a, b):
-        sa, ua = (-1 if a % 2 else 1), names[a - a % 2].lstrip("-")
-        sb, ub = (-1 if b % 2 else 1), names[b - b % 2].lstrip("-")
-        sign, unit = rules[(ua, ub)]
-        sign *= sa * sb
-        return base[unit] + (0 if sign > 0 else 1)
+        (u, s), (v, t) = divmod(a, 2), divmod(b, 2)
+        if u and v:  # i^2 = -1, ij = k, jk = i, ki = j, and ji = -k, kj = -i, ik = -j
+            s += u == v or (v - u) % 3 == 2
+        return 2 * (u ^ v) + (s + t) % 2
 
     table = [[mul(a, b) for b in range(8)] for a in range(8)]
-    return quasigroup(table, 0, names=names)
+    return quasigroup(table, 0, names=["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
 def direct_product(g: FiniteQuasigroup, h: FiniteQuasigroup) -> FiniteQuasigroup:

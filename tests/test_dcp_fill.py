@@ -12,7 +12,15 @@ import random
 
 import pytest
 
-from nonassoc import LeftAction, MatchedPair, RightAction, double_cross_product
+from nonassoc import (
+    LeftAction,
+    MatchedPair,
+    RightAction,
+    double_cross_product,
+    moufang_loop_12,
+    mp_discrete_right,
+    pair_quasigroupoid,
+)
 from nonassoc.matched_pairs import _dcp_fill
 from nonassoc.reports import StructureError
 from tests import reference_dcp
@@ -70,3 +78,21 @@ def test_corrupted_actions_fail_at_the_same_product(mp_family):
             else:
                 seen["unit or inverse"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_each_index_of_the_product_is_one_object_per_value():
+    """The fill takes every index it stores from its arrow index: in the
+    300-arrow double cross product of pair(M12, 5) with its discrete
+    groupoid, the row keys, the entries of each row, the unit and the
+    inverse hold one int object per value, the values above 256 included."""
+    dcp = double_cross_product(mp_discrete_right(pair_quasigroupoid(moufang_loop_12(), 5)))
+    held = list(dcp.unit) + list(dcp.inv)
+    for i, row in dcp.prod.rows.items():
+        held.append(i)
+        for j, k in row.items():
+            held += (j, k)
+    objects = {}
+    for i in held:
+        objects.setdefault(i, set()).add(id(i))
+    assert len(objects) == dcp.n_arrows == 300
+    assert [value for value, ids in objects.items() if len(ids) > 1] == []

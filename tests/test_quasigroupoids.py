@@ -88,6 +88,24 @@ def test_action_table_shape_is_checked(z3):
         check_action_on_set(z3, 3, [[0, 1, 2]])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        discrete_groupoid,
+        coarse_groupoid,
+        lambda n: pair_quasigroupoid(cyclic_group(2), n),
+        lambda n: from_quasigroup_action(cyclic_group(2), n, lambda a, x: x),
+        lambda n: from_quasigroup_action(cyclic_group(2), n, [[0], [1]]),  # no action either
+    ],
+    ids=["discrete", "coarse", "pair", "action", "action, bad table"],
+)
+def test_every_builder_rejects_an_empty_base(build):
+    """With no points there is no object: each builder raises at once,
+    before it looks at its action."""
+    with pytest.raises(StructureError, match="^empty base$"):
+        build(0)
+
+
 def test_action_quasigroupoid_flip(z2):
     b = from_quasigroup_action(z2, 2, [[0, 1], [1, 0]])
     assert b.n_arrows == 4
