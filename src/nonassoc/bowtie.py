@@ -184,15 +184,7 @@ def verify_canonical_iso(mp: MatchedPair) -> StructureReport:
     source = magma_of_quasigroupoid(_dcp_fill(mp))
     target = _bowtie_whq(mp)
     f = canonical_iso(mp)
-    report = StructureReport(
-        "canonical isomorphism",
-        axioms=(
-            "bijective",
-            "coalg-counit", "coalg-coprod", "mkl1", "mkl2", "mkl3", "mkl4",
-            "oracle-unit", "oracle-product", "oracle-counit",
-            "oracle-coproduct", "oracle-antipode",
-        ),
-    )
+    report = StructureReport.of("canonical isomorphism")
     # a map that sends each basis vector to one basis vector with
     # coefficient 1 has as its rank the number of distinct images
     image = _basis_indices(f.cols)
@@ -235,10 +227,7 @@ def module_law_report(mp: MatchedPair) -> StructureReport:
     phi_ka, phi_kh = linearized_actions(mp)
     unit_a = {a.unit[x]: 1 for x in range(a.n_objects)}
     unit_h = {h.unit[x]: 1 for x in range(h.n_objects)}
-    report = StructureReport(
-        "linearized action module laws",
-        axioms=("left-unit", "left-assoc", "right-unit", "right-assoc"),
-    )
+    report = StructureReport.of("linearized action module laws")
     for y in range(na):
         image = phi_ka(vec_tensor(unit_h, {y: 1}, na))
         if not vec_equal(image, {y: 1}):

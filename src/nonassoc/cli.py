@@ -45,6 +45,7 @@ from .quasigroupoids import (
 )
 from .quasigroups import FiniteQuasigroup, check_quasigroup, derived_inverse_suite, is_associative
 from .reports import (
+    AXIOMS,
     InvalidStructureError,
     StructureError,
     StructureReport,
@@ -63,10 +64,10 @@ def _jsonable(value):
     return value
 
 
-def _undeclared_tag(reports: list[StructureReport], only) -> str | None:
-    """The error for an --only tag that none of the reports declares, a
-    usage error: the filter would otherwise pass whatever they found."""
-    if only is not None and not any(only in r.axioms for r in reports):
+def _undeclared_tag(declared, only) -> str | None:
+    """The error for an --only tag that no tag list in `declared` holds, a
+    usage error: the filter would otherwise pass whatever the reports found."""
+    if only is not None and not any(only in tags for tags in declared):
         return f"no report of this command declares the tag {only!r}"
     return None
 
@@ -74,14 +75,10 @@ def _undeclared_tag(reports: list[StructureReport], only) -> str | None:
 def _print_reports(reports: list[StructureReport], args) -> int:
     """Print the reports, filtered to the --only tag, and return the exit
     code."""
-    error = _undeclared_tag(reports, args.only)
+    error = _undeclared_tag([r.axioms for r in reports], args.only)
     if error is not None:
         raise StructureError(error)
-    violations = 0
-    for report in reports:
-        violations += len(
-            [v for v in report.violations if args.only is None or v.axiom == args.only]
-        )
+    violations = sum(len(r.shown(args.only).violations) for r in reports)
     if args.format == "machine":
         payload = {
             "reports": [_jsonable(report_as_document(r, args.only)) for r in reports],
@@ -259,10 +256,14 @@ def main(argv=None) -> int:
         # replaced cmd_* function takes effect with the parser already built
         command = globals()["cmd_" + args.command.replace("-", "_")]
         try:
+            # a tag that no report declares is refused before any document is read
+            error = _undeclared_tag(AXIOMS.values(), args.only)
+            if error is not None:
+                raise StructureError(error)
             return command(args)
         except InvalidStructureError as exc:
             # a component breaks its laws: its report is printed whole
-            error = _undeclared_tag([exc.report], args.only)
+            error = _undeclared_tag([exc.report.axioms], args.only)
             if error is None:
                 if args.format == "machine":
                     payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}

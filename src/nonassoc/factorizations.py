@@ -30,7 +30,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .matched_pairs import (
-    MIXED_LAWS,
     LeftAction,
     MatchedPair,
     RightAction,
@@ -105,10 +104,7 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     _require_identity_objects(ia, "iA")
     _require_identity_objects(ih, "iH")
 
-    report = StructureReport(
-        "exact factorization",
-        axioms=("mono-A", "mono-H", *MIXED_LAWS, "theta-bijective"),
-    )
+    report = StructureReport.of("exact factorization")
     for tag, incl in (("mono-A", ia), ("mono-H", ih)):
         sub = check_morphism(incl)
         for v in sub.violations:

@@ -704,14 +704,7 @@ def check_whq(d: MagmaCoalgebra) -> StructureReport:
     d2 and d4-4..d4-7; a law it cannot confirm is swept by its reference
     sweep, which alone writes violations.
     """
-    report = StructureReport(
-        "weak Hopf quasigroup",
-        axioms=(
-            "magma-unit", "coalg1", "coalg2",
-            "d1", "d2", "d3",
-            "d4-1", "d4-2", "d4-3", "d4-4", "d4-5", "d4-6", "d4-7",
-        ),
-    )
+    report = StructureReport.of("weak Hopf quasigroup")
     _check_preconditions(d, report)
     if not report.ok:
         report.notes.append("preconditions failed; axiom sweep skipped")
@@ -749,15 +742,7 @@ def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
     tables are d's own, so after `check_whq(d)` nothing is built twice;
     `projections` raises StructureError if d fails d4-1 or d4-2.
     """
-    report = StructureReport(
-        "weak Hopf quasigroup derived properties",
-        axioms=(
-            "conv-unit", "proj-unit", "proj-counit",
-            "antipode-unit", "antipode-counit", "antimult", "anticomult",
-            "conv-idem", "proj-idem", "bar-images", "cocomm-bars",
-            "target-assoc", "source-assoc",
-        ),
-    )
+    report = StructureReport.of("weak Hopf quasigroup derived properties")
     n = d.dim
     pi_l, pi_r, bar_l, bar_r = projections(d)
     kernel = d.group_like is not None
@@ -908,10 +893,7 @@ def check_whq_morphism(
     `check_whq`, a failing instance sends mkl4 to its reference sweep."""
     if f.dom != d.dim or f.cod != d2.dim:
         raise DimensionMismatch("morphism shape does not match the structures")
-    report = StructureReport(
-        "weak Hopf quasigroup morphism",
-        axioms=("coalg-counit", "coalg-coprod", "mkl1", "mkl2", "mkl3", "mkl4"),
-    )
+    report = StructureReport.of("weak Hopf quasigroup morphism")
     image = _basis_indices(f.cols)
     kernel = image is not None and d.group_like is not None and d2.group_like is not None
     if not kernel and d2.counit @ f != d.counit:
@@ -1010,6 +992,6 @@ def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:
     # group-like basis
     if d.group_like is not None:
         return True
-    report = StructureReport("coproduct multiplicativity", axioms=("d1",))
+    report = StructureReport.of("weak Hopf quasigroup")
     _law_d1(d, report)
     return report.ok

@@ -60,13 +60,13 @@ from .quasigroupoids import (
     transposed_rows,
 )
 from .quasigroups import FiniteQuasigroup
-from .reports import InvalidStructureError, StructureError, StructureReport
+from .reports import AXIOMS, InvalidStructureError, StructureError, StructureReport
 
 if TYPE_CHECKING:
     from .factorizations import FactorizationCandidate
 
 # Tags of the mixed associativity laws, in sweep order.
-MIXED_LAWS = ("HAA", "HHA", "HAH", "AHA", "AAH", "AHH")
+MIXED_LAWS = AXIOMS["mixed associativity"]
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def _products_after(a: Quasigroupoid) -> list:
 def check_left_action(action: LeftAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
     _check_table(action, a, "left")
-    report = StructureReport("left action", axioms=("c1", "c2", "c3"))
+    report = StructureReport.of("left action")
     for (x, y), val in phi.items():
         if a.tgt[val] != h.tgt[x]:
             report.fail("c1", (x, y), f"tgt phi={a.tgt[val]} tgt h={h.tgt[x]}")
@@ -177,7 +177,7 @@ def check_left_action(action: LeftAction) -> StructureReport:
 def check_right_action(action: RightAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
     _check_table(action, h, "right")
-    report = StructureReport("right action", axioms=("d1", "d2", "d3"))
+    report = StructureReport.of("right action")
     for (x, y), val in phi.items():
         if h.src[val] != a.src[y]:
             report.fail("d1", (x, y), f"src phi={h.src[val]} src a={a.src[y]}")
@@ -206,10 +206,9 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
     """
     if mp.left.h != mp.h or mp.left.a != mp.a or mp.right.h != mp.h or mp.right.a != mp.a:
         raise StructureError("actions do not reference the pair's structures")
-    report = StructureReport("matched pair")
-    report.extend(check_left_action(mp.left))
-    report.extend(check_right_action(mp.right))
-    report.axioms = report.axioms + ("e1", "e2", "e3")
+    report = StructureReport.of("matched pair")
+    report.violations += check_left_action(mp.left).violations
+    report.violations += check_right_action(mp.right).violations
     a, h = mp.a, mp.h
     left_rows, right_rows = mp.left.table.rows, mp.right.table.rows
     # the action checks above passed, so phiA(x,y) and phiH(x,y) are arrows
@@ -272,10 +271,7 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     h_left = transposed_rows(h_rows, range(h.n_arrows))
     a_right = transposed_rows(transposed_rows(a_rows, a_rows), range(a.n_arrows))
     h_right = transposed_rows(transposed_rows(h_rows, h_rows), range(h.n_arrows))
-    report = StructureReport(
-        "matched pair identities",
-        axioms=tuple(f"P-{i}" for i in range(1, 11)),
-    )
+    report = StructureReport.of("matched pair identities")
     evaluated = {tag: 0 for tag in report.axioms}
 
     def check(tag, witness, lhs, rhs):
@@ -456,7 +452,7 @@ def theta(c: FactorizationCandidate, fact: StructureReport) -> dict:
 
 
 def theta_identity_report(c: FactorizationCandidate, fact: StructureReport) -> StructureReport:
-    report = StructureReport("theta map", axioms=("theta-identity",))
+    report = StructureReport.of("theta map")
     for pair, image in theta(c, fact).items():
         if image != pair:
             report.fail("theta-identity", pair, f"image={image}")
@@ -475,8 +471,8 @@ def mixed_associativity_suite(c: FactorizationCandidate, fact: StructureReport) 
     examples with noncommutative second component), so it does not count
     against the suite.
     """
-    report = StructureReport("mixed associativity", axioms=MIXED_LAWS)
-    report.violations = [v for v in fact.violations if v.axiom in MIXED_LAWS]
+    report = StructureReport.of("mixed associativity")
+    report.violations = [v for v in fact.violations if v.axiom in report.axioms]
     rows, ia, ih, h = c.b.prod.rows, c.ia.arrow_map, c.ih.arrow_map, c.ih.source
     h_after = matching_arrows(h.src, h.tgt, h.n_objects)
     # the configurations (p, g, x): (p, g) a mixed pair, x in h_after[g];
@@ -556,15 +552,12 @@ def check_mp_morphism(m: MpMorphism) -> StructureReport:
         raise StructureError("gamma does not map the a-components")
     if m.omega.source != m.source.h or m.omega.target != m.target.h:
         raise StructureError("omega does not map the h-components")
-    report = StructureReport("matched pair morphism")
-    report.axioms = ("base-agree",)
+    report = StructureReport.of("matched pair morphism")
     if m.gamma.obj_map != m.omega.obj_map:
         report.fail("base-agree", (), "gamma and omega differ on objects")
     for name, sub in (("gamma", check_morphism(m.gamma)), ("omega", check_morphism(m.omega))):
-        report.axioms = report.axioms + tuple(f"{name}-{tag}" for tag in sub.axioms)
         for v in sub.violations:
             report.fail(f"{name}-{v.axiom}", v.witness, v.detail)
-    report.axioms = report.axioms + ("mp-left", "mp-right")
     src, dst = m.source, m.target
     sides = (
         ("mp-left", src.phi_a, dst.phi_a, m.gamma.arrow_map),

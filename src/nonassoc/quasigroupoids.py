@@ -228,9 +228,7 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     (source/target of products), `a2-3` (left/right cancellation through the
     inverse map, including the composability of the cancelled pairs).
     """
-    report = StructureReport(
-        "quasigroupoid", axioms=("prod-domain", "a1", "a2-1", "a2-2", "a2-3")
-    )
+    report = StructureReport.of("quasigroupoid")
     for pair in _check_shape(q):
         report.fail("prod-domain", pair, "product defined on non-composable pair")
     src, tgt, unit, inv, rows = q.src, q.tgt, q.unit, q.inv, q.prod.rows
@@ -284,10 +282,7 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
     Must pass on anything that passes `check_quasigroupoid`; a violation
     here indicates a checker bug, not a bad input.
     """
-    report = StructureReport(
-        "quasigroupoid derived identities",
-        axioms=("E-1", "E-2", "E-3", "E-4", "E-5", "E-6"),
-    )
+    report = StructureReport.of("quasigroupoid derived identities")
     for a in range(q.n_arrows):
         la = q.inv[a]
         if q.src[la] != q.tgt[a]:
@@ -362,7 +357,7 @@ def check_action_on_set(q: FiniteQuasigroup, n_points: int, psi) -> StructureRep
     """An action must fix points under the identity and absorb the product:
     psi(e, x) = x and psi(a*b, x) = psi(a, psi(b, x)), checked exhaustively."""
     table = tabulate_action(q, n_points, psi)
-    report = StructureReport("quasigroup action", axioms=("action-unit", "action-mult"))
+    report = StructureReport.of("quasigroup action")
     for x in range(n_points):
         if table[q.identity][x] != x:
             report.fail("action-unit", (x,), f"psi(e,{x})={table[q.identity][x]}")
@@ -522,7 +517,7 @@ def check_morphism(f: QgpdMorphism) -> StructureReport:
     for a in f.arrow_map:
         if not 0 <= a < t.n_arrows:
             raise StructureError(f"arrow image {a} out of range")
-    report = StructureReport("quasigroupoid morphism", axioms=("b1", "b2", "b3", "b4"))
+    report = StructureReport.of("quasigroupoid morphism")
     for a in range(s.n_arrows):
         fa = f.arrow_map[a]
         if f.obj_map[s.src[a]] != t.src[fa]:

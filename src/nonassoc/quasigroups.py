@@ -58,7 +58,7 @@ def check_quasigroup(table, identity: int) -> StructureReport:
     inverses are both reported under the `inverse` tag.
     """
     n = _check_table_shape(table, identity)
-    report = StructureReport("quasigroup", axioms=("identity", "inverse"))
+    report = StructureReport.of("quasigroup")
     for u in range(n):
         if table[identity][u] != u:
             report.fail("identity", (u,), f"e*{u}={table[identity][u]}")
@@ -113,8 +113,7 @@ def is_associative(q: FiniteQuasigroup) -> tuple[bool, tuple[int, int, int] | No
 
 def derived_inverse_suite(q: FiniteQuasigroup) -> StructureReport:
     """Consequences of the axioms: (u^-1)^-1 = u and (uv)^-1 = v^-1 u^-1."""
-    report = StructureReport("quasigroup derived identities",
-                             axioms=("inv-involutive", "inv-antihom"))
+    report = StructureReport.of("quasigroup derived identities")
     n = q.order
     for u in range(n):
         if q.inv(q.inv(u)) != u:

@@ -520,10 +520,9 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
     """
     if mp.left.h != mp.h or mp.left.a != mp.a or mp.right.h != mp.h or mp.right.a != mp.a:
         raise StructureError("actions do not reference the pair's structures")
-    report = StructureReport("matched pair")
-    report.extend(check_left_action(mp.left))
-    report.extend(check_right_action(mp.right))
-    report.axioms = report.axioms + ("e1", "e2", "e3")
+    report = StructureReport("matched pair", ("c1", "c2", "c3", "d1", "d2", "d3", "e1", "e2", "e3"))
+    report.violations += check_left_action(mp.left).violations
+    report.violations += check_right_action(mp.right).violations
     a, h = mp.a, mp.h
     pairs = mixed_pairs(h, a)
     for (x, y) in pairs:

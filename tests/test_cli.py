@@ -566,6 +566,38 @@ def test_only_on_a_broken_component_needs_a_tag_its_report_declares(tmp_path, z2
             ), (command, tag)
 
 
+BOGUS = (2, "", "error: no report of this command declares the tag 'bogus'\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["suite"], ["check-whq"], ["build", "dcp"], ["build", "bowtie"],
+    ["build", "magma"], ["factorize"], ["check-iso"],
+], ids=" ".join)
+def test_a_tag_no_report_declares_is_refused_before_the_document_is_read(
+    tmp_path, mp_file, coarse_file, coarse2, monkeypatch, capsys, command
+):
+    """Every command, `build` and `factorize` included, refuses an --only
+    tag that no entry of `reports.AXIOMS` declares: it exits 2 before it
+    reads the document, so it writes no -o file, and a missing or
+    malformed document reports the tag, not the file."""
+    path = {
+        "check-whq": write(tmp_path, "whq.json", emit(whq_to_doc(magma_of_quasigroupoid(coarse2)))),
+        "check-iso": mp_file, "dcp": mp_file, "bowtie": mp_file,
+    }.get(command[-1], coarse_file)
+    output = ["-o", str(tmp_path / "out.json")] if command[0] == "build" else []
+    assert run(capsys, *command, path, *output)[0] == 0
+    (tmp_path / "out.json").unlink(missing_ok=True)
+    read = []
+    monkeypatch.setattr(cli, "_load", lambda *args: read.append(args))
+    assert run(capsys, "--only", "bogus", *command, path, *output) == BOGUS
+    assert read == [] and not (tmp_path / "out.json").exists()
+    monkeypatch.undo()
+    malformed = write(tmp_path, "malformed.json", "{")
+    for doc in (str(tmp_path / "no-such-file.json"), malformed):
+        assert run(capsys, *command, doc)[0] == 2
+        assert run(capsys, "--only", "bogus", *command, doc, *output) == BOGUS
+
+
 # The order of events: the envelope, then the command's kind, then the
 # schema of the document, then the laws.  A command that takes one kind
 # never reads the body of a document of another; `validate` takes any kind.
