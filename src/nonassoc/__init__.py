@@ -41,7 +41,6 @@ from .linalg import (
     free_coalgebra,
     span_basis,
     span_equal,
-    twist,
 )
 from .matched_pairs import (
     LeftAction,

@@ -185,11 +185,10 @@ def verify_canonical_iso(mp: MatchedPair) -> StructureReport:
     target = _bowtie_whq(mp)
     f = canonical_iso(mp)
     report = StructureReport.of("canonical isomorphism")
-    # a map that sends each basis vector to one basis vector with
-    # coefficient 1 has as its rank the number of distinct images
+    # the canonical map sends each basis vector to one basis vector with
+    # coefficient 1, and is bijective when no two share their image
     image = _basis_indices(f.cols)
-    rank = f.rank() if image is None else len(set(image))
-    if source.dim != target.dim or rank != source.dim:
+    if source.dim != target.dim or image is None or len(set(image)) != source.dim:
         report.fail("bijective", (source.dim, target.dim))
     morphism = check_whq_morphism(f, source, target)
     for v in morphism.violations:
@@ -207,15 +206,17 @@ def verify_canonical_iso(mp: MatchedPair) -> StructureReport:
             if not vec_equal(left, right):
                 report.fail("oracle-product", (h * n + k,), f"{dict(left)} vs {dict(right)}")
     for tag, left, right in (
-        ("oracle-counit", source.counit, target.counit),
+        ("oracle-counit", source.counit.cols, target.counit.cols),
         ("oracle-coproduct", source.coproduct, target.coproduct),
-        ("oracle-antipode", source.antipode, target.antipode),
+        ("oracle-antipode", source.antipode.cols, target.antipode.cols),
     ):
-        if left.cols == right.cols:
+        if left == right:
             continue
-        for j in range(left.dom):
-            if not vec_equal(left.cols[j], right.cols[j]):
-                report.fail(tag, (j,), f"{left.cols[j]} vs {right.cols[j]}")
+        if tag == "oracle-coproduct":  # each delta(j) as a vector, in any order of its legs
+            left, right = ([d.delta_vec({j: 1}) for j in range(n)] for d in (source, target))
+        for j, (col, other) in enumerate(zip(left, right)):
+            if not vec_equal(col, other):
+                report.fail(tag, (j,), f"{col} vs {other}")
     return report
 
 

@@ -462,14 +462,6 @@ def doc_to_factorization(doc: dict) -> FactorizationCandidate:
 def whq_to_doc(d: MagmaCoalgebra, field_name: str = "Q") -> dict:
     field_by_name(field_name)  # refuse to emit a tag that cannot be read back
     n = d.dim
-
-    def sparse_map(m: LinearMap, decode):
-        out = []
-        for j in range(m.dom):
-            for i, c in sorted(m.cols[j].items()):
-                out.append(decode(j, i) + [_scalar_to_str(c)])
-        return out
-
     doc = {
         "kind": "whq",
         "version": VERSION,
@@ -479,8 +471,10 @@ def whq_to_doc(d: MagmaCoalgebra, field_name: str = "Q") -> dict:
         "counit": [[i, _scalar_to_str(d.eps(i))] for i in range(n) if d.eps(i)],
         "product": [[h, k, m, _scalar_to_str(c)] for (h, k), vec in sorted(d.product.items())
                     for m, c in sorted(vec.items())],
-        "coproduct": sparse_map(d.coproduct, lambda j, i: [j, i // n, i % n]),
-        "antipode": sparse_map(d.antipode, lambda j, i: [j, i]),
+        "coproduct": [[j, x, y, _scalar_to_str(c)] for j, legs in enumerate(d.coproduct)
+                      for x, y, c in sorted(legs, key=lambda leg: leg[:2])],
+        "antipode": [[j, i, _scalar_to_str(c)] for j, col in enumerate(d.antipode.cols)
+                     for i, c in sorted(col.items())],
     }
     if d.basis_names:
         doc["basis_names"] = list(d.basis_names)
@@ -511,9 +505,9 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
     product_rows: dict = {}
     for (i, j, k), c in product:
         product_rows.setdefault(i, {}).setdefault(j, {})[k] = c
-    coproduct_cols: list[dict] = [{} for _ in range(n)]
+    coproduct_legs: list[list] = [[] for _ in range(n)]
     for (i, j, k), c in coproduct:
-        coproduct_cols[i][j * n + k] = c
+        coproduct_legs[i].append((j, k, c))
     antipode_cols: list[dict] = [{} for _ in range(n)]
     for (i, k), c in antipode:
         antipode_cols[i][k] = c
@@ -522,7 +516,7 @@ def doc_to_whq(doc: dict) -> MagmaCoalgebra:
         {i: c for (i,), c in unit},
         PairTable(product_rows),
         LinearMap(n, 1, tuple(counit_cols)),
-        LinearMap(n, n * n, tuple(coproduct_cols)),
+        coproduct_legs,
         LinearMap(n, n, tuple(antipode_cols)),
         basis_names=basis_names,
     )

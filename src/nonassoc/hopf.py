@@ -9,11 +9,13 @@ tolerance).
 Each law has one reference sweep, and each sweep visits only the terms
 that can be nonzero.  The product is stored as the rows of its nonzero
 values (a `quasigroupoids.PairTable`, rows[h][k] = hk, with no entry where
-hk = 0), and a `MagmaCoalgebra` keeps, as cached fields built on first use,
-the stored products by right factor and the legs of each delta(k) and of
-delta(1) by leg.  d2 tabulates the nonzero counits of products eps(hk) by
-row and then evaluates only the triples that some nonzero term reaches,
-instead of all n^3; d1 and d3 join coproduct legs on stored products.
+hk = 0), the coproduct as the legs (x, y, c) of each delta(i) with c != 0,
+and a `MagmaCoalgebra` keeps, as cached fields built on first use, the
+stored products by right factor, the legs of delta(1), and every leg by
+its first and by its second factor.  d2 tabulates the nonzero counits of
+products eps(hk) by row and then evaluates only the triples that some
+nonzero term reaches, instead of all n^3; d1 and d3 join coproduct legs
+on stored products.
 Dropping a term with a zero factor never changes a value, so the
 restriction uses no property of valid structures, and witness order and
 detail strings are those of a sweep over every term.  The projections,
@@ -57,7 +59,6 @@ from .linalg import (
     vec_add_into,
     vec_canonical,
     vec_equal,
-    vec_tensor,
 )
 from .quasigroupoids import EMPTY, PairTable, QgpdMorphism, Quasigroupoid, check_morphism, transposed_rows
 from .reports import (
@@ -72,19 +73,19 @@ from .reports import (
 class MagmaCoalgebra:
     """A unital magma and a coalgebra on one basis, with an antipode.
 
-    No code changes a stored column or row after construction: a structure
-    with other maps is a new instance (`dataclasses.replace`).  So what is
-    derived from the maps is built on first use and kept on the instance,
-    as the cached fields below, and every checker run on one structure
-    reads the same objects; their readers, `projections`' callers among
-    them, never change them either.
+    No code changes a stored column, row or list of legs after
+    construction: a structure with other maps is a new instance
+    (`dataclasses.replace`).  So what is derived from the maps is built on
+    first use and kept on the instance, as the cached fields below, and
+    every checker run on one structure reads the same objects; their
+    readers, `projections`' callers among them, never change them either.
     """
 
     dim: int
     unit: dict  # the image of 1 under the unit map
     product: PairTable  # rows[h][k] = hk where nonzero; an n^2 -> n LinearMap is converted
     counit: LinearMap  # n -> 1
-    coproduct: LinearMap  # n -> n^2
+    coproduct: list  # [i] lists delta(i) as legs (x, y, c), c != 0; an n -> n^2 LinearMap is converted
     antipode: LinearMap  # n -> n
     basis_names: tuple[str, ...] | None = None
 
@@ -96,9 +97,19 @@ class MagmaCoalgebra:
             cols = map(vec_canonical, product.cols)
             product = PairTable.from_triples((t // n, t % n, v) for t, v in enumerate(cols) if v)
         object.__setattr__(self, "product", product)
-        shapes = [(m.dom, m.cod) for m in (self.counit, self.coproduct, self.antipode)]
-        if shapes != [(n, 1), (n, n * n), (n, n)]:
+        coproduct = self.coproduct
+        if isinstance(coproduct, LinearMap):
+            if (coproduct.dom, coproduct.cod) != (n, n * n):
+                raise DimensionMismatch("structure maps inconsistent with dimension")
+            coproduct = [[(t // n, t % n, c) for t, c in col.items()] for col in coproduct.cols]
+        if not all(c for legs in coproduct for _, _, c in legs):
+            coproduct = [[(x, y, c) for x, y, c in legs if c] for legs in coproduct]
+        object.__setattr__(self, "coproduct", coproduct)
+        shapes = [(m.dom, m.cod) for m in (self.counit, self.antipode)]
+        if shapes != [(n, 1), (n, n)] or len(coproduct) != n:
             raise DimensionMismatch("structure maps inconsistent with dimension")
+        if not all(0 <= x < n and 0 <= y < n for legs in coproduct for x, y, _ in legs):
+            raise DimensionMismatch("coproduct index out of range")
         used = set(self.product.rows)  # every index a stored product uses
         for row in self.product.rows.values():
             used.update(row, *row.values())
@@ -120,9 +131,12 @@ class MagmaCoalgebra:
                 vec_add_into(out, self.mul_basis(i, j), a * b)
         return out
 
-    def delta_split(self, i: int) -> list[tuple[int, int, object]]:
-        n = self.dim
-        return [(t // n, t % n, c) for t, c in self.coproduct.cols[i].items()]
+    def delta_vec(self, v: dict) -> dict:
+        """delta(v), keyed by the legs (x, y) of its terms x (x) y."""
+        out: dict = {}
+        for i, a in v.items():
+            vec_add_into(out, {(x, y): c for x, y, c in self.coproduct[i]}, a)
+        return out
 
     def eps(self, i: int):
         return self.counit.cols[i].get(0, 0)
@@ -141,15 +155,9 @@ class MagmaCoalgebra:
     # have a zero factor, so it reaches the values of a sweep over every term.
 
     @cached_property
-    def splits(self) -> list:
-        """splits[i] is delta(i) as (first leg, second leg, c)."""
-        return [self.delta_split(i) for i in range(self.dim)]
-
-    @cached_property
     def unit_split(self) -> list:
         """delta(1) as (first leg, second leg, c)."""
-        n = self.dim
-        return [(t // n, t % n, c) for t, c in self.coproduct(self.unit).items()]
+        return [(x, y, c) for (x, y), c in self.delta_vec(self.unit).items()]
 
     @cached_property
     def unit_legs(self):
@@ -175,11 +183,10 @@ class MagmaCoalgebra:
         for the same legs."""
         by_first: list = [[] for _ in range(self.dim)]
         by_second: list = [[] for _ in range(self.dim)]
-        for i, split in enumerate(self.splits):
-            for x, y, c in split:
-                if c:
-                    by_first[x].append((i, y, c))
-                    by_second[y].append((i, x, c))
+        for i, legs in enumerate(self.coproduct):
+            for x, y, c in legs:
+                by_first[x].append((i, y, c))
+                by_second[y].append((i, x, c))
         return by_first, by_second
 
     # --- projections and the group-like tables ---------------------------------
@@ -224,7 +231,7 @@ class MagmaCoalgebra:
             and vec_equal(self.unit, other.unit)
             and self.product == other.product
             and self.counit == other.counit
-            and self.coproduct == other.coproduct
+            and all(vec_equal(self.delta_vec({i: 1}), other.delta_vec({i: 1})) for i in range(self.dim))
             and self.antipode == other.antipode
         )
 
@@ -321,8 +328,8 @@ def _group_like(d: MagmaCoalgebra):
     GF(p) scalars all qualify).  prod[h][k] is the index of hk, stored only
     where hk is nonzero; anti[i] is the index of S(i).
     """
-    n, rows = d.dim, d.product.rows
-    if any(col != {i * n + i: 1} for i, col in enumerate(d.coproduct.cols)):
+    rows = d.product.rows
+    if any(legs != [(i, i, 1)] for i, legs in enumerate(d.coproduct)):
         return None
     if any(col != {0: 1} for col in d.counit.cols):
         return None
@@ -469,22 +476,21 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
             report.fail("magma-unit", (k,), f"1*{d.name(k)} = {left}")
         if not vec_equal(right, {k: 1}):
             report.fail("magma-unit", (k,), f"{d.name(k)}*1 = {right}")
-    splits = d.splits
-    for i in range(n):
-        split = splits[i]
-        # (delta x id) delta(i) and (id x delta) delta(i), keyed (j1 n + j2) n + j3
+    for i, legs in enumerate(d.coproduct):
+        # (delta x id) delta(i) and (id x delta) delta(i), compared only with
+        # each other, so keyed (j1 n + j2) n + j3: an int hashes faster than a tuple
         lhs: dict = {}
         rhs: dict = {}
-        for (j, k, c) in split:
-            for (j1, j2, c1) in splits[j]:
+        for (j, k, c) in legs:
+            for (j1, j2, c1) in d.coproduct[j]:
                 _add_at(lhs, (j1 * n + j2) * n + k, c * c1)
-            for (k1, k2, c2) in splits[k]:
+            for (k1, k2, c2) in d.coproduct[k]:
                 _add_at(rhs, (j * n + k1) * n + k2, c * c2)
         if not vec_equal(vec_canonical(lhs), vec_canonical(rhs)):
             report.fail("coalg1", (i,), "coassociativity fails")
         left: dict = {}
         right: dict = {}
-        for (j, k, c) in split:
+        for (j, k, c) in legs:
             vec_add_into(left, {k: 1}, c * d.eps(j))
             vec_add_into(right, {j: 1}, c * d.eps(k))
         if not vec_equal(left, {i: 1}):
@@ -502,8 +508,8 @@ def _law_d1(d: MagmaCoalgebra, report: StructureReport) -> None:
     every delta(k) on the stored products h1k1 and h2k2."""
     n, rows, (by_first, _) = d.dim, d.product.rows, d.legs
     for h in range(n):
-        rhs: list = [{} for _ in range(n)]  # rhs[k] = delta(h)delta(k), keyed m1 n + m2
-        for (h1, h2, c) in d.splits[h]:
+        rhs: list = [{} for _ in range(n)]  # rhs[k] = delta(h)delta(k), keyed (m1, m2)
+        for (h1, h2, c) in d.coproduct[h]:
             row_h2 = rows.get(h2, EMPTY)
             for k1, first in rows.get(h1, EMPTY).items():
                 for (k, k2, c2) in by_first[k1]:
@@ -513,9 +519,9 @@ def _law_d1(d: MagmaCoalgebra, report: StructureReport) -> None:
                     acc, coeff = rhs[k], c * c2
                     for m1, a in first.items():
                         for m2, b2 in second.items():
-                            _add_at(acc, m1 * n + m2, coeff * a * b2)
+                            _add_at(acc, (m1, m2), coeff * a * b2)
         for k in range(n):
-            if not vec_equal(d.coproduct(d.mul_basis(h, k)), vec_canonical(rhs[k])):
+            if not vec_equal(d.delta_vec(d.mul_basis(h, k)), vec_canonical(rhs[k])):
                 report.fail("d1", (h, k), "delta(hk) != delta(h)delta(k)")
 
 
@@ -529,7 +535,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
     no zero factor, so for each h only the (k, l) reached by such a term
     are evaluated, in increasing order, each from all of its stored terms.
     The l of each k are collected as a bitset."""
-    n, rows, splits, (by_first, by_second) = d.dim, d.product.rows, d.splits, d.legs
+    n, rows, (by_first, by_second) = d.dim, d.product.rows, d.legs
     em = [[0] * n for _ in range(n)]  # em[h][k] = eps(hk), the int 0 where hk = 0
     em_rows: list = [[] for _ in range(n)]  # em_rows[h]: the k with eps(hk) != 0
     prod_rows: list = [[] for _ in range(n)]  # prod_rows[m]: the (k, l) with kl_m != 0
@@ -559,7 +565,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
         em_h = em[h]
         for k in sorted(reach):
             hk, row_k = row_h.get(k, EMPTY), rows.get(k, EMPTY)
-            split_k = splits[k]
+            legs_k = d.coproduct[k]
             bits = reach[k]
             while bits:
                 low = bits & -bits
@@ -573,7 +579,7 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport) -> None:
                     e2 = e2 + c * em_h[m]
                 e3 = 0
                 e4 = 0
-                for (k1, k2, c) in split_k:
+                for (k1, k2, c) in legs_k:
                     e3 = e3 + c * em_h[k1] * em[k2][l]
                     e4 = e4 + c * em_h[k2] * em[k1][l]
                 if not (e1 == e2 and e1 == e3 and e1 == e4):
@@ -589,12 +595,13 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
 
     over the pairs of legs u1 (x) u2 and v1 (x) v2 of delta(1).  The inner
     sums over v1 (x) v2 are formed once per u2, joining the legs of delta(1)
-    on the stored products u2 v1 and v1 u2.  Tensors are keyed
-    (a n + b) n + c."""
+    on the stored products u2 v1 and v1 u2.  The three tensors are compared
+    only with each other, so they are keyed (a n + b) n + c, as ints hash
+    faster than tuples."""
     n, unit_split, unit_first = d.dim, d.unit_split, d.unit_legs[0]
     lhs3: dict = {}
     for (u, v, c) in unit_split:
-        for (u1, u2, c1) in d.splits[u]:
+        for (u1, u2, c1) in d.coproduct[u]:
             _add_at(lhs3, (u1 * n + u2) * n + v, c * c1)
 
     def inner(products) -> dict:
@@ -658,17 +665,17 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
     A leg of delta(h) or delta(k) whose inner product (h2 k, S(h2) k, h k1
     or h S(k1)) is zero adds nothing, so only the other legs are multiplied
     out, in their order; S(x)y and xS(y) are formed once per pair."""
-    n, splits, (pi_l, pi_r) = d.dim, d.splits, d.convolution_projections
+    n, (pi_l, pi_r) = d.dim, d.convolution_projections
     basis = [{i: 1} for i in range(n)]
     anti, mul = d.antipode.cols, d.mul_basis
     s_times = [[d.mul_vec(anti[x], basis[y]) for y in range(n)] for x in range(n)]
     times_s = [[d.mul_vec(basis[x], anti[y]) for y in range(n)] for x in range(n)]
     for h in range(n):
-        split_h = splits[h]
+        legs_h = d.coproduct[h]
         for k in range(n):
             lhs44: dict = {}
             lhs45: dict = {}
-            for (h1, h2, c) in split_h:
+            for (h1, h2, c) in legs_h:
                 h2k = mul(h2, k)
                 if h2k:
                     vec_add_into(lhs44, d.mul_vec(anti[h1], h2k), c)
@@ -681,7 +688,7 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
                 report.fail("d4-5", (h, k), f"lhs={lhs45}")
             lhs46: dict = {}
             lhs47: dict = {}
-            for (k1, k2, c) in splits[k]:
+            for (k1, k2, c) in d.coproduct[k]:
                 hk1 = mul(h, k1)
                 if hk1:
                     vec_add_into(lhs46, d.mul_vec(hk1, anti[k2]), c)
@@ -793,16 +800,17 @@ def derived_property_suite(d: MagmaCoalgebra) -> StructureReport:
     return report
 
 
-def _square_along(f: LinearMap, split, flip: bool = False) -> dict:
-    """(f x f)(t) for t the tensor with legs split, as the sum of
-    c * f(t1) (x) f(t2) over its legs (t1, t2, c); with flip, of
-    c * f(t2) (x) f(t1).  No map with n^2 columns is built."""
-    m, cols = f.cod, f.cols
+def _square_along(f: LinearMap, legs, flip: bool = False) -> dict:
+    """(f x f)(t) for t the tensor with the given legs (t1, t2, c), keyed by
+    legs: the sum of c * f(t1) (x) f(t2); with flip, of c * f(t2) (x) f(t1).
+    No map with n^2 columns is built."""
+    cols = f.cols
     out: dict = {}
-    for t1, t2, c in split:
+    for t1, t2, c in legs:
         if flip:
             t1, t2 = t2, t1
-        vec_add_into(out, vec_tensor(cols[t1], cols[t2], m), c)
+        square = {(x, y): a * b for x, a in cols[t1].items() for y, b in cols[t2].items()}
+        vec_add_into(out, square, c)
     return out
 
 
@@ -811,8 +819,8 @@ def _anticomultiplicative(d: MagmaCoalgebra) -> bool:
     of delta(i)."""
     s = d.antipode.cols
     return all(
-        vec_equal(d.coproduct(s[i]), _square_along(d.antipode, split, flip=True))
-        for i, split in enumerate(d.splits)
+        vec_equal(d.delta_vec(s[i]), _square_along(d.antipode, legs, flip=True))
+        for i, legs in enumerate(d.coproduct)
     )
 
 
@@ -862,7 +870,7 @@ def _nabla_col(d: MagmaCoalgebra, h: int, k: int) -> dict:
     delta(h)."""
     n, (_, pi_r) = d.dim, d.convolution_projections
     out: dict = {}
-    for (h1, h2, c) in d.splits[h]:
+    for (h1, h2, c) in d.coproduct[h]:
         for m, a in d.mul_vec(pi_r.cols[h2], {k: 1}).items():
             vec_add_into(out, {h1 * n + m: 1}, c * a)
     return out
@@ -900,8 +908,8 @@ def check_whq_morphism(
         report.fail("coalg-counit", ())
     # delta2 . f == (f x f) . delta, column by column over the support of delta(j)
     if not kernel and not all(
-        vec_equal(d2.coproduct(f.cols[j]), _square_along(f, split))
-        for j, split in enumerate(d.splits)
+        vec_equal(d2.delta_vec(f.cols[j]), _square_along(f, legs))
+        for j, legs in enumerate(d.coproduct)
     ):
         report.fail("coalg-coprod", ())
 
@@ -920,10 +928,10 @@ def check_whq_morphism(
     if kernel and _mkl4_holds(image, d, d2):
         return report
     n, rows = d.dim, d.product.rows
-    for h, split in enumerate(d.splits):
+    for h, legs in enumerate(d.coproduct):
         # f(hk) and nabla(h (x) k) vanish unless k is a right factor of h or
         # of a basis vector in the support of some PiR(h(2))
-        factors = {h}.union(*(pi_r.cols[h2] for _, h2, _ in split))
+        factors = {h}.union(*(pi_r.cols[h2] for _, h2, _ in legs))
         for k in sorted({k for x in factors for k in rows.get(x, EMPTY)}):
             lhs = f(d.mul_basis(h, k))
             rhs = {}
@@ -964,10 +972,9 @@ def magma_functor(g: QgpdMorphism) -> LinearMap:
 def is_cocommutative(d: MagmaCoalgebra) -> bool:
     """tau . delta == delta, compared column by column over the legs of
     delta(i) instead of through the n^2-column twist."""
-    n = d.dim
     return all(
-        vec_equal({v * n + u: c for u, v, c in split if c}, col)
-        for split, col in zip(d.splits, d.coproduct.cols)
+        vec_equal({(v, u): c for u, v, c in legs}, {(u, v): c for u, v, c in legs})
+        for legs in d.coproduct
     )
 
 
@@ -982,7 +989,8 @@ def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:
     n = d.dim
     if d.eps_vec(d.unit) != 1:
         return False
-    if not vec_equal(d.coproduct(d.unit), vec_canonical(vec_tensor(d.unit, d.unit, n))):
+    unit_square = {(x, y): a * b for x, a in d.unit.items() for y, b in d.unit.items()}
+    if not vec_equal(d.delta_vec(d.unit), vec_canonical(unit_square)):
         return False
     for i in range(n):
         for j in range(n):

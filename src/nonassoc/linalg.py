@@ -12,7 +12,8 @@ verdict or witness depends on which of the two holds it.
 Tensor bases are row-major: basis (i, j) of an m x n tensor product sits at
 index i*n + j.  Every module that builds maps on tensor spaces uses this
 order, so coefficientwise comparisons are meaningful across modules.  A
-magma's product is no such map: `convolution` reads it as stored rows.
+magma's product and coproduct are no such maps: `convolution` reads the
+product as stored rows and the coproduct as the legs of each delta(h).
 """
 
 from __future__ import annotations
@@ -279,43 +280,38 @@ class LinearMap:
         return len(span_basis(self.cols, self.cod))
 
 
-def twist(m: int, n: int) -> LinearMap:
-    """The flip (i, j) -> (j, i) between an m x n and an n x m tensor space."""
-    if m < 1 or n < 1:
-        raise DimensionMismatch("dimensions must be positive")
-    return LinearMap.from_basis(m * n, n * m, lambda t: (t % n) * m + t // n)
-
-
-def free_coalgebra(n: int) -> tuple[LinearMap, LinearMap]:
-    """Group-like coalgebra on n basis vectors: delta(s) = s (x) s, eps(s) = 1."""
+def free_coalgebra(n: int) -> tuple[list, LinearMap]:
+    """Group-like coalgebra on n basis vectors: delta(s) = s (x) s, as the
+    legs [(s, s, 1)] of each delta(s), and eps(s) = 1."""
     if n < 1:
         raise DimensionMismatch("dimension must be positive")
-    delta = LinearMap.from_basis(n, n * n, lambda s: s * n + s)
     counit = LinearMap.from_basis(n, 1, lambda s: {0: 1})
-    return delta, counit
+    return [[(s, s, 1)] for s in range(n)], counit
 
 
-def convolution(f: LinearMap, g: LinearMap, delta: LinearMap, mu) -> LinearMap:
-    """(f * g)(h) = sum over (t, c) in delta(h) of c mu(f(t1) (x) g(t2)), for
-    maps from a coalgebra to a magma whose product mu is stored as the rows
-    of its nonzero values, mu.rows[x][y] = xy (`hopf.MagmaCoalgebra.product`).
+def convolution(f: LinearMap, g: LinearMap, delta, mu) -> LinearMap:
+    """(f * g)(h) = sum over the legs (t1, t2, c) of delta(h) of
+    c mu(f(t1) (x) g(t2)), for maps from a coalgebra whose coproduct delta
+    lists the legs of each delta(h) (`hopf.MagmaCoalgebra.coproduct`) to a
+    magma whose product mu is stored as the rows of its nonzero values,
+    mu.rows[x][y] = xy (`hopf.MagmaCoalgebra.product`).
 
-    Each column is summed straight from the support of delta(h) and the
+    Each column is summed straight from the legs of delta(h) and the
     stored rows, so the n^2-column map f (x) g is never built.  This is exact
     for any coalgebra, group-like or not, and equals mu o (f (x) g) o delta
     column for column, down to the order of each column's entries, so
     reports that print a convolution read the same either way.
     """
-    if f.dom != g.dom or f.dom != delta.dom or delta.cod != f.dom * g.dom or f.cod != g.cod:
+    if f.dom != g.dom or f.dom != len(delta) or f.cod != g.cod:
         raise DimensionMismatch("convolution: shapes do not line up")
-    n, rows = g.dom, mu.rows
+    rows = mu.rows
     cols = []
-    for col in delta.cols:
+    for legs in delta:
         out: dict = {}
-        for t, c in col.items():
+        for t1, t2, c in legs:
             term: dict = {}
-            right = g.cols[t % n]
-            for iu, a in f.cols[t // n].items():
+            right = g.cols[t2]
+            for iu, a in f.cols[t1].items():
                 row = rows.get(iu, {})
                 for iv, b in right.items():
                     if iv in row:

@@ -4,6 +4,7 @@ from functools import cache
 import pytest
 
 from nonassoc import (
+    DimensionMismatch,
     FactorizationCandidate,
     LinearMap,
     coarse_groupoid,
@@ -32,6 +33,22 @@ def product_map(product, n: int) -> LinearMap:
     fixtures read."""
     rows = product.rows
     return LinearMap.from_basis(n * n, n, lambda t: dict(rows.get(t // n, {}).get(t % n, {})))
+
+
+def coproduct_map(coproduct, n: int) -> LinearMap:
+    """A coproduct stored as the legs (x, y, c) of each delta(i)
+    (`MagmaCoalgebra.coproduct`), as the n -> n^2 linear map whose column i
+    is delta(i) with x (x) y at x * n + y: the form the composite oracles
+    and the column-editing fixtures read."""
+    return LinearMap.from_cols(n, n * n, [{x * n + y: c for x, y, c in legs} for legs in coproduct])
+
+
+def twist(m: int, n: int) -> LinearMap:
+    """The flip (i, j) -> (j, i) between an m x n and an n x m tensor space,
+    for the composite oracles."""
+    if m < 1 or n < 1:
+        raise DimensionMismatch("dimensions must be positive")
+    return LinearMap.from_basis(m * n, n * m, lambda t: (t % n) * m + t // n)
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from nonassoc import (
     mp_discrete_right,
     quasigroup_as_quasigroupoid,
 )
-from tests.conftest import product_map
+from tests.conftest import coproduct_map, product_map
 
 FLIP = [[0, 1], [1, 0]]
 
@@ -95,7 +95,7 @@ def whq_precondition_fixtures():
     kc = magma_of_quasigroupoid(coarse_groupoid(2))  # identities 0 and 3
     # delta(1) gains 0(x)0 - 0(x)3 - 3(x)0 + 3(x)3: the counit laws still
     # hold, coassociativity does not
-    cols = list(kc.coproduct.cols)
+    cols = list(coproduct_map(kc.coproduct, kc.dim).cols)
     cols[1] = {**cols[1], 0: 1, 3: -1, 12: -1, 15: 1}
     counit = LinearMap.from_basis(4, 1, lambda i: {0: 2 if i == 1 else 1})
     return {

@@ -12,9 +12,10 @@ constructions.  It does not validate its input.
 
 from nonassoc import bowtie
 from nonassoc.hopf import MagmaCoalgebra, magma_of_quasigroupoid
-from nonassoc.linalg import LinearMap, free_coalgebra, twist, vec_add_into, vec_tensor
+from nonassoc.linalg import LinearMap, free_coalgebra, vec_add_into, vec_tensor
 from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureError
+from tests.conftest import twist
 
 
 def bowtie_whq(mp) -> MagmaCoalgebra:

@@ -293,23 +293,24 @@ def _peak(build) -> int:
 
 def test_reading_a_whq_document_allocates_per_declared_index_only_its_columns():
     """A whq document with no entries, read at "dim" 4000 and 8000: the
-    counit, coproduct and antipode are maps with one column per basis
-    vector, and the read allocates nothing else per declared index, within
-    8 bytes an index."""
+    counit and antipode are maps with one column per basis vector, the
+    coproduct holds one list of legs per basis vector, and the read
+    allocates nothing else per declared index, within 8 bytes an index."""
     def read(n):
         text = emit({"kind": "whq", "version": 1, "dim": n, "field": "Q", "unit": [],
                      "counit": [], "product": [], "coproduct": [], "antipode": []})
         return _peak(lambda: doc_to_whq(parse(text)))
 
-    def columns(n):  # the three maps as the reader builds them, empty
+    def storage(n):  # the two maps and the legs as the reader builds them, empty
         def build():
-            lists = [[{} for _ in range(n)] for _ in range(3)]
-            return [LinearMap(n, cod, tuple(cols)) for cod, cols in zip((1, n * n, n), lists)]
+            counit, antipode = ([{} for _ in range(n)] for _ in range(2))
+            legs = [[] for _ in range(n)]
+            return LinearMap(n, 1, tuple(counit)), LinearMap(n, n, tuple(antipode)), legs
         return _peak(build)
 
     per_index = (read(8000) - read(4000)) / 4000
-    per_column_triple = (columns(8000) - columns(4000)) / 4000
-    assert per_index <= per_column_triple + 8, (per_index, per_column_triple)
+    per_storage = (storage(8000) - storage(4000)) / 4000
+    assert per_index <= per_storage + 8, (per_index, per_storage)
 
 
 def test_a_bool_in_an_index_slot_keeps_its_type():

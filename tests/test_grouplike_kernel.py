@@ -52,7 +52,6 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
     symmetric_group,
-    twist,
 )
 from nonassoc import hopf
 from nonassoc.documents import doc_to_whq, emit, parse, whq_to_doc
@@ -60,7 +59,7 @@ from nonassoc.linalg import GFElement
 from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureError, StructureReport, Violation, format_report
 from tests import reference_sweeps
-from tests.conftest import product_map
+from tests.conftest import coproduct_map, product_map, twist
 from tests.negative_fixtures import whq_fixtures
 from tests.test_acceptance import criterion_5_structures
 from tests.test_hopf import sweedler_four_dim
@@ -106,8 +105,13 @@ def as_fractions(d: MagmaCoalgebra) -> MagmaCoalgebra:
 
 
 def structure_map(d, name) -> LinearMap:
-    """The named structure map of d, the product as its n^2 -> n map."""
-    return product_map(d.product, d.dim) if name == "product" else getattr(d, name)
+    """The named structure map of d, the product as its n^2 -> n map and the
+    coproduct as its n -> n^2 map."""
+    if name == "product":
+        return product_map(d.product, d.dim)
+    if name == "coproduct":
+        return coproduct_map(d.coproduct, d.dim)
+    return getattr(d, name)
 
 
 def with_cols(d, name, updates):
@@ -246,7 +250,7 @@ def test_detection_accepts_every_scalar_type(corpus):
     scalar_types = set()
     for name, d in corpus.items():
         if hopf._group_like(d) is not None:
-            scalar_types.add(type(d.coproduct.cols[0][0]))
+            scalar_types.add(type(d.coproduct[0][0][2]))
     assert scalar_types == {int, Fraction, GFElement}
 
 
@@ -307,7 +311,7 @@ def test_d2_kernel_equals_the_reference_sweep(corpus):
     cases.update((name, d) for name, d in corpus.items() if d.group_like is not None)
     verdicts = set()
     for name, d in cases.items():
-        expected = reference_ok(reference_sweeps._sweep_d2, d, [d.delta_split(i) for i in range(d.dim)])
+        expected = reference_ok(reference_sweeps._sweep_d2, d, d.coproduct)
         assert hopf._d2_holds(d) == expected, name
         verdicts.add(expected)
     assert verdicts == {True, False}
@@ -465,7 +469,7 @@ def test_non_group_like_input_takes_the_reference_sweeps(monkeypatch, d):
 
 def assert_convolution_matches_composite(f, g, delta, mu):
     fast = convolution(f, g, delta, mu)
-    composite = product_map(mu, f.cod) @ f.tensor(g) @ delta
+    composite = product_map(mu, f.cod) @ f.tensor(g) @ coproduct_map(delta, f.dom)
     assert fast == composite
     # same entries in the same order, so reports print identically
     assert [list(col.items()) for col in fast.cols] == [list(col.items()) for col in composite.cols]
@@ -508,7 +512,10 @@ def test_convolution_equals_composite_on_random_sparse_maps(seed):
     # small coefficient ranges, so terms cancel and zero entries get pruned
     scalars = [-1, 1, 2, Fraction(1, 2), Fraction(-3, 2)] if seed % 2 else [-1, 1]
     n, m = rng.randint(1, 5), rng.randint(1, 4)
-    delta = random_map(rng, n, n * n, 0.3, scalars)
+    delta = [
+        [(x, y, rng.choice(scalars)) for x in range(n) for y in range(n) if rng.random() < 0.3]
+        for _ in range(n)
+    ]
     mu = PairTable.from_triples(
         (t // m, t % m, col) for t, col in enumerate(random_map(rng, m * m, m, 0.4, scalars).cols) if col
     )
@@ -523,11 +530,13 @@ def test_convolution_equals_composite_on_random_sparse_maps(seed):
 
 
 def composite_anticomult(d):
-    return d.coproduct @ d.antipode == twist(d.dim, d.dim) @ d.antipode.tensor(d.antipode) @ d.coproduct
+    delta = coproduct_map(d.coproduct, d.dim)
+    return delta @ d.antipode == twist(d.dim, d.dim) @ d.antipode.tensor(d.antipode) @ delta
 
 
 def composite_cocommutative(d):
-    return twist(d.dim, d.dim) @ d.coproduct == d.coproduct
+    delta = coproduct_map(d.coproduct, d.dim)
+    return twist(d.dim, d.dim) @ delta == delta
 
 
 def twist_corpus():
@@ -553,7 +562,7 @@ def twist_corpus():
         swapped = {i: d.antipode.cols[j], j: d.antipode.cols[i]}
         out[f"{name} swap-antipode"] = with_cols(d, "antipode", swapped)
         out[f"{name} two-term-antipode"] = with_cols(d, "antipode", {i: {i: 1, j: 1}})
-        col = {(t % n) * n + t // n: c for t, c in d.coproduct.cols[i].items()}
+        col = {(t % n) * n + t // n: c for t, c in coproduct_map(d.coproduct, n).cols[i].items()}
         col[i * n + (i + 1) % n] = 2
         out[f"{name} bent-coproduct"] = with_cols(d, "coproduct", {i: col})
     return out

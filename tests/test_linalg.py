@@ -14,9 +14,9 @@ from nonassoc import (
     magma_of_quasigroupoid,
     span_basis,
     span_equal,
-    twist,
 )
 from nonassoc.linalg import GFElement, RATIONALS, field_by_name, vec_add_into, vec_equal
+from tests.conftest import coproduct_map, twist
 
 
 def test_twist_involution():
@@ -40,7 +40,8 @@ def test_twist_with_one_dimensional_factor_is_identity():
 
 def test_free_coalgebra_laws_up_to_dimension_64():
     for n in range(1, 65):
-        delta, counit = free_coalgebra(n)
+        legs, counit = free_coalgebra(n)
+        delta = coproduct_map(legs, n)
         ident = LinearMap.identity(n)
         left = counit.tensor(ident) @ delta  # lands in 1*n = n
         right = ident.tensor(counit) @ delta

@@ -44,7 +44,7 @@ from nonassoc.linalg import free_coalgebra, vec_equal
 from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
-from tests.conftest import product_map, two_sided_pair
+from tests.conftest import coproduct_map, product_map, two_sided_pair
 from tests.negative_fixtures import whq_fixtures
 from tests.test_grouplike_kernel import as_fractions, function_algebra, round_trip, structure_map
 from tests.test_hopf import sweedler_four_dim
@@ -156,7 +156,7 @@ def sweeps_of(name):
 
 
 def _sweeps(d):
-    splits = [d.delta_split(i) for i in range(d.dim)]
+    splits = d.coproduct
     pi_l, pi_r = hopf._convolution_projections(d)
     yield "preconditions", lines(old._check_preconditions, d), lines(hopf._check_preconditions, d)
     yield "d1", lines(old._law_d1, d, splits), lines(hopf._law_d1, d)
@@ -223,7 +223,8 @@ def test_coalgebra_morphism_law_equals_the_composite():
         cases.append((k_s3, LinearMap.from_basis(6, 6, lambda i, p=[0] + perm: p[i])))
     verdicts = set()
     for d, f in cases:
-        composite = d.coproduct @ f == f.tensor(f) @ d.coproduct
+        delta = coproduct_map(d.coproduct, d.dim)
+        composite = delta @ f == f.tensor(f) @ delta
         report = hopf.check_whq_morphism(f, d, d)
         assert ("coalg-coprod" not in report.failed_axioms()) == composite
         verdicts.add(composite)
