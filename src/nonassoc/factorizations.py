@@ -6,10 +6,11 @@ the ambient arrow set.
 giving the round trip: matched pair -> double cross product -> canonical
 factorization -> the same matched pair.
 
-`check_exact_factorization` is the only implementation of the mixed
-associativity sweeps and of theta: on the canonical factorization of a
-matched pair, `matched_pairs.mixed_associativity_suite` and
-`matched_pairs.theta_identity_report` are views of its report.
+Each law of `check_exact_factorization` has one implementation, a private
+generator of its violations: the six mixed associativity sweeps and theta.
+The report drains them all; on the canonical factorization of a matched
+pair, `matched_pairs.mixed_associativity_suite` and
+`matched_pairs.theta_identity_report` are views of it.
 
 The fibered triples of the six mixed laws and the products of a
 substructure are enumerated through the endpoint index of `quasigroupoids`
@@ -20,8 +21,11 @@ of the ambient product (`quasigroupoids.PairTable`): each law fixes the
 first two factors of a configuration and their product once, then walks the
 third factor.
 
-`enumerate_factorizations` grows the closed subsets by closure and runs
-`check_exact_factorization` only on the pairs of them that can be exact.
+`enumerate_factorizations` grows the closed subsets by closure, checks
+each one's inclusion once, and decides only the pairs of them that can be
+exact, each at its first violation: theta first, then the mixed laws.  It
+reads only the verdict of a pair, which the first violation settles, so it
+builds no report.
 """
 
 from __future__ import annotations
@@ -106,41 +110,70 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
 
     report = StructureReport.of("exact factorization")
     for tag, incl in (("mono-A", ia), ("mono-H", ih)):
-        sub = check_morphism(incl)
-        for v in sub.violations:
-            report.fail(tag, v.witness, f"{v.axiom}: {v.detail}".rstrip(": "))
-        if len(set(incl.arrow_map)) != len(incl.arrow_map):
-            report.fail(tag, (), "arrow map not injective")
+        for witness, detail in _mono(incl):
+            report.fail(tag, witness, detail)
+    evaluated, theta = {}, {}
+    mixed, bijective = _sweeps(c, evaluated, theta)
+    for tag, sweep in (*mixed, ("theta-bijective", bijective)):
+        for witness, detail in sweep:
+            report.fail(tag, witness, detail)
+    report.data["theta"] = theta
+    report.data["evaluated"] = evaluated
+    if report.ok:
+        overlap, identities = _overlap(c)
+        report.notes.append(
+            f"arrow images intersect in {overlap}, identity arrows {identities}"
+        )
+        if overlap != identities:
+            report.fail("theta-bijective", tuple(overlap),
+                        "component images meet outside the identity arrows")
+    return report
 
+
+def _is_exact(c: FactorizationCandidate, monic: bool) -> bool:
+    """`check_exact_factorization(c).ok` for a candidate of the enumerator,
+    whose inclusions pass mono-A and mono-H exactly when `monic` holds:
+    theta first, then the six mixed laws in report order, each stopped at
+    its first violation, then the overlap of the two images."""
+    if not monic:
+        return False
+    mixed, bijective = _sweeps(c, {}, {})
+    if next(bijective, None) is not None:
+        return False
+    if any(next(sweep, None) is not None for _, sweep in mixed):
+        return False
+    overlap, identities = _overlap(c)
+    return overlap == identities
+
+
+def _mono(incl: QgpdMorphism):
+    """The (witness, detail) of an inclusion failing mono-A / mono-H: its
+    `check_morphism` violations, then a non-injective arrow map."""
+    for v in check_morphism(incl).violations:
+        yield v.witness, f"{v.axiom}: {v.detail}".rstrip(": ")
+    if len(set(incl.arrow_map)) != len(incl.arrow_map):
+        yield (), "arrow map not injective"
+
+
+def _monic(incl: QgpdMorphism) -> bool:
+    return next(_mono(incl), None) is None
+
+
+def _overlap(c: FactorizationCandidate) -> tuple[list[int], list[int]]:
+    """The arrows both images hold, and the identity arrows of B."""
+    return sorted(set(c.ia.arrow_map) & set(c.ih.arrow_map)), sorted(c.b.unit)
+
+
+def _sweeps(c: FactorizationCandidate, evaluated: dict, theta: dict):
+    """The sweeps of the six mixed laws, as (tag, generator) in report
+    order, and the theta-bijective sweep, none of them started.  Each
+    generator yields the (witness, detail) of its violations in order; a
+    mixed law drained to its end sets `evaluated[tag]`, and the theta sweep
+    fills `theta` as it goes."""
+    b, ia, ih = c.b, c.ia, c.ih
     a, h = ia.source, ih.source
     fa, fh = ia.arrow_map, ih.arrow_map
     rows = b.prod.rows
-    evaluated = {}
-
-    def assoc(tag, pairs, f1, f2, third, f3):
-        # configurations (x, y, z): x*y a fibered pair of `pairs`, z in
-        # third[y]; u = f1(x), v = f2(y) and u*v are fixed over z
-        count = 0
-        for x, ys in enumerate(pairs):
-            u = f1[x]
-            row_u = rows.get(u, EMPTY)
-            for y in ys:
-                zs = third[y]
-                if not zs:
-                    continue
-                v = f2[y]
-                row_v = rows.get(v, EMPTY)
-                row_uv = rows.get(row_u.get(v), EMPTY)  # empty where u*v is undefined
-                for z in zs:
-                    w = f3[z]
-                    lhs, rhs = row_u.get(row_v.get(w)), row_uv.get(w)
-                    if lhs is None and rhs is None:
-                        continue
-                    count += 1
-                    if lhs != rhs:
-                        report.fail(tag, (x, y, z), f"lhs={lhs} rhs={rhs}")
-        evaluated[tag] = count
-
     # x_y[i] lists the arrows j of the second structure with src(i) = tgt(j):
     # the fibered pairs of each law, and its triples as a join of two of
     # them on the middle arrow
@@ -149,48 +182,62 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     a_h = matching_arrows(a.src, h.tgt, m)
     a_a = matching_arrows(a.src, a.tgt, m)
     h_h = matching_arrows(h.src, h.tgt, m)
+    laws = (
+        ("HAA", h_a, fh, fa, a_a, fa),
+        ("HHA", h_h, fh, fh, h_a, fa),
+        ("HAH", h_a, fh, fa, a_h, fh),
+        ("AHA", a_h, fa, fh, h_a, fa),
+        ("AAH", a_a, fa, fa, a_h, fh),
+        ("AHH", a_h, fa, fh, h_h, fh),
+    )
+    mixed = [(law[0], _mixed_law(rows, evaluated, *law)) for law in laws]
+    return mixed, _theta_bijective(rows, b.n_arrows, a_h, fa, fh, theta)
 
-    assoc("HAA", h_a, fh, fa, a_a, fa)
-    assoc("HHA", h_h, fh, fh, h_a, fa)
-    assoc("HAH", h_a, fh, fa, a_h, fh)
-    assoc("AHA", a_h, fa, fh, h_a, fa)
-    assoc("AAH", a_a, fa, fa, a_h, fh)
-    assoc("AHH", a_h, fa, fh, h_h, fh)
 
-    theta = {}
+def _mixed_law(rows, evaluated, tag, pairs, f1, f2, third, f3):
+    # configurations (x, y, z): x*y a fibered pair of `pairs`, z in
+    # third[y]; u = f1(x), v = f2(y) and u*v are fixed over z
+    count = 0
+    for x, ys in enumerate(pairs):
+        u = f1[x]
+        row_u = rows.get(u, EMPTY)
+        for y in ys:
+            zs = third[y]
+            if not zs:
+                continue
+            v = f2[y]
+            row_v = rows.get(v, EMPTY)
+            row_uv = rows.get(row_u.get(v), EMPTY)  # empty where u*v is undefined
+            for z in zs:
+                w = f3[z]
+                lhs, rhs = row_u.get(row_v.get(w)), row_uv.get(w)
+                if lhs is None and rhs is None:
+                    continue
+                count += 1
+                if lhs != rhs:
+                    yield (x, y, z), f"lhs={lhs} rhs={rhs}"
+    evaluated[tag] = count
+
+
+def _theta_bijective(rows, n_arrows, a_h, fa, fh, theta):
+    # theta(p, q) = fa(p) * fh(q) over the fibered pairs, then the ambient
+    # arrows no pair reaches
     image = {}
     for p, qs in enumerate(a_h):
         row = rows.get(fa[p], EMPTY)
         for q in qs:
             val = row.get(fh[q])
             if val is None:
-                report.fail("theta-bijective", (p, q), "theta undefined")
+                yield (p, q), "theta undefined"
                 continue
             theta[(p, q)] = val
             if val in image:
-                report.fail(
-                    "theta-bijective",
-                    (p, q),
-                    f"collides with {image[val]} at arrow {val}",
-                )
+                yield (p, q), f"collides with {image[val]} at arrow {val}"
             else:
                 image[val] = (p, q)
-    for arrow in range(b.n_arrows):
+    for arrow in range(n_arrows):
         if arrow not in image:
-            report.fail("theta-bijective", (arrow,), "ambient arrow not reached")
-
-    report.data["theta"] = theta
-    report.data["evaluated"] = evaluated
-    if report.ok:
-        overlap = sorted(set(fa) & set(fh))
-        identities = sorted(b.unit)
-        report.notes.append(
-            f"arrow images intersect in {overlap}, identity arrows {identities}"
-        )
-        if overlap != identities:
-            report.fail("theta-bijective", tuple(overlap),
-                        "component images meet outside the identity arrows")
-    return report
+            yield (arrow,), "ambient arrow not reached"
 
 
 def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, QgpdMorphism]:
@@ -335,10 +382,13 @@ def enumerate_factorizations(
     `closed_arrow_subsets`, the a-component varying slowest).  Each closed
     subset's substructure is built once and serves as either component.
 
-    `check_exact_factorization` runs only on the pairs (A, H) that meet in
-    the identity arrows, as it requires of the two images, and whose fibered
-    pairs (a, h), src a = tgt h, are as many as the arrows of b, as a
-    bijective theta requires; every pair skipped is one it fails.
+    Only the pairs (A, H) that meet in the identity arrows, as
+    `check_exact_factorization` requires of the two images, and whose
+    fibered pairs (a, h), src a = tgt h, are as many as the arrows of b, as
+    a bijective theta requires, are decided; every pair skipped is one it
+    fails.  Each inclusion is checked as a morphism once, and a pair is
+    decided by its laws in turn, theta first, each stopped at its first
+    violation, to the verdict of `check_exact_factorization`.
     """
     if b.n_arrows > max_arrows:
         raise BoundExceeded(
@@ -346,14 +396,15 @@ def enumerate_factorizations(
         )
     subsets = closed_arrow_subsets(b)
     inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in subsets]
+    monic = [_monic(incl) for incl in inclusions]
     extra = [set(arrows).difference(b.unit) for arrows in subsets]
     srcs = [Counter(b.src[x] for x in arrows) for arrows in subsets]
     tgts = [Counter(b.tgt[x] for x in arrows) for arrows in subsets]
     candidates = (
-        FactorizationCandidate(b, ia, ih)
+        (FactorizationCandidate(b, ia, ih), monic[i] and monic[j])
         for i, ia in enumerate(inclusions)
         for j, ih in enumerate(inclusions)
         if extra[i].isdisjoint(extra[j])
         and sum(count * tgts[j][x] for x, count in srcs[i].items()) == b.n_arrows
     )
-    return [c for c in candidates if check_exact_factorization(c).ok]
+    return [c for c, both_monic in candidates if _is_exact(c, both_monic)]

@@ -9,6 +9,7 @@ from nonassoc import (
     QgpdMorphism,
     Quasigroupoid,
     canonical_factorization,
+    chein_double,
     check_exact_factorization,
     check_matched_pair,
     check_morphism,
@@ -28,8 +29,11 @@ from nonassoc import (
     quaternion_group,
     reconstruct_matched_pair,
     sub_quasigroupoid,
+    symmetric_group,
+    verify_canonical_iso,
 )
-from nonassoc import factorizations
+from nonassoc import cli, factorizations
+from nonassoc.documents import emit, quasigroupoid_to_doc
 from nonassoc.matched_pairs import MIXED_LAWS
 from tests import reference_factorizations as brute
 from tests.conftest import two_sided_factorization
@@ -148,16 +152,66 @@ CATALOGUE = {
 def test_enumeration_checks_only_the_pairs_that_can_be_exact(name, checked, exact, monkeypatch):
     """Of the 576 pairs of M12's closed subsets and the 256 of D6's, only
     those that meet in the identity and have 12 fibered pairs reach the
-    full check."""
-    calls = []
+    verdict; each closed subset's inclusion is checked as a morphism once,
+    not once per pair."""
+    calls, morphisms = [], []
+    verdict = factorizations._is_exact
 
-    def counted(c):
+    def counted(c, monic):
         calls.append(c)
-        return check_exact_factorization(c)
+        return verdict(c, monic)
 
-    monkeypatch.setattr(factorizations, "check_exact_factorization", counted)
+    def counted_morphism(f):
+        morphisms.append(f)
+        return check_morphism(f)
+
+    monkeypatch.setattr(factorizations, "_is_exact", counted)
+    monkeypatch.setattr(factorizations, "check_morphism", counted_morphism)
     found = enumerate_factorizations(CATALOGUE[name]())
     assert (len(calls), len(found)) == (checked, exact)
+    if name == "M12":
+        assert len(morphisms) == 24
+
+
+def swapped_entry(b: Quasigroupoid, seed: int) -> Quasigroupoid:
+    """b with the values of two product entries, drawn by `seed`, swapped."""
+    rng = random.Random(seed)
+    prod = dict(b.prod)
+    entries = sorted(prod)
+    while True:
+        p, q = rng.sample(entries, 2)
+        if prod[p] != prod[q]:
+            break
+    prod[p], prod[q] = prod[q], prod[p]
+    return dataclasses.replace(b, prod=prod)
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+@pytest.mark.parametrize("variant", ["input", "renumbered", "swapped"])
+def test_verdict_agrees_with_the_full_report(name, variant):
+    """The enumerator's verdict, which stops at the first violation and
+    checks each inclusion once, is the full report's `ok` on every ordered
+    pair of closed subsets, prefiltered or not: on the input, on a
+    renumbering of its arrows, and with one product entry swapped."""
+    b = CATALOGUE[name]()
+    if variant == "renumbered":
+        b = relabelled(b, renumbering(b.n_arrows, 0))
+    elif variant == "swapped":
+        b = swapped_entry(b, 0)
+    inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in factorizations.closed_arrow_subsets(b)]
+    monic = [
+        check_morphism(incl).ok and len(set(incl.arrow_map)) == len(incl.arrow_map)
+        for incl in inclusions
+    ]
+    assert monic == [factorizations._monic(incl) for incl in inclusions]
+    verdicts = []
+    for i, ia in enumerate(inclusions):
+        for j, ih in enumerate(inclusions):
+            c = FactorizationCandidate(b, ia, ih)
+            verdict = factorizations._is_exact(c, monic[i] and monic[j])
+            assert verdict == check_exact_factorization(c).ok, (i, j)
+            verdicts.append(verdict)
+    assert any(verdicts) or variant == "swapped"
 
 
 @pytest.mark.parametrize("name", CATALOGUE)
@@ -247,3 +301,60 @@ def test_configurations_with_neither_side_defined_are_not_counted(coarse2):
     assert full.data["evaluated"] == dict.fromkeys(MIXED_LAWS, 16)
     assert broken.data["evaluated"] == dict.fromkeys(MIXED_LAWS, 13)
     assert [v.witness for v in broken.violations_for("HAA")] == [(1, 2, 1), (2, 1, 2)]
+
+
+# every catalogue input of at most 24 arrows with a nontrivial factorization
+ROUND_TRIPS = {
+    "M12": 2,
+    "D6": 36,
+    "Q8xC2": 18,
+    "S4": 70,
+    "pair(C3,2)": 8,
+    "coarse(3)": 2,
+}
+
+
+@pytest.mark.parametrize("name,count", ROUND_TRIPS.items())
+def test_every_factorization_round_trips(name, count):
+    """The paper's three theorems over every exact factorization up to 24
+    arrows: each rebuilds a matched pair, whose double cross product maps
+    isomorphically onto B, and whose canonical isomorphism is certified."""
+    if name == "S4":
+        b = quasigroup_as_quasigroupoid(symmetric_group(4))
+    else:
+        b = CATALOGUE[name]()
+    found = enumerate_factorizations(b, max_arrows=24)
+    assert len(found) == count
+    for k, c in enumerate(found):
+        mp, gamma = reconstruct_matched_pair(c)
+        assert check_matched_pair(mp).ok, k
+        assert check_morphism(gamma).ok, k
+        assert is_isomorphism(gamma), k
+        assert verify_canonical_iso(mp).ok, k
+
+
+FORTY_EIGHT = {
+    "pair(M12,2)": (lambda: pair_quasigroupoid(moufang_loop_12(), 2), 10),
+    "M(S4,2)": (lambda: quasigroup_as_quasigroupoid(chein_double(symmetric_group(4))), 2),
+}
+
+
+@pytest.mark.parametrize("name", FORTY_EIGHT)
+def test_enumeration_at_48_arrows(name):
+    """10 exact factorizations of pair(M12, 2) and 2 of M(S4, 2), each
+    passing the full check."""
+    make, count = FORTY_EIGHT[name]
+    b = make()
+    assert b.n_arrows == 48
+    found = enumerate_factorizations(b, 48)
+    assert len(found) == count
+    for c in found:
+        assert check_exact_factorization(c).ok
+
+
+def test_factorize_at_48_arrows(tmp_path, capsys):
+    path = tmp_path / "pair-m12-2.json"
+    path.write_text(emit(quasigroupoid_to_doc(FORTY_EIGHT["pair(M12,2)"][0]())), encoding="utf-8")
+    code = cli.main(["factorize", str(path), "--max-arrows", "48"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("PASS 10 factorizations\n")
