@@ -21,11 +21,12 @@ of the ambient product (`quasigroupoids.PairTable`): each law fixes the
 first two factors of a configuration and their product once, then walks the
 third factor.
 
-`enumerate_factorizations` grows the closed subsets by closure, checks
-each one's inclusion once, and decides only the pairs of them that can be
-exact, each at its first violation: theta first, then the mixed laws.  It
-reads only the verdict of a pair, which the first violation settles, so it
-builds no report.
+`enumerate_factorizations` grows the closed subsets by closure and decides
+only the pairs of them that can be exact, each at its first violation:
+theta first, then the mixed laws.  The inclusion of a closed subset is
+monic by construction (a test checks this), so mono-A and mono-H are not
+swept there.  It reads only the verdict of a pair, which the first
+violation settles, so it builds no report.
 """
 
 from __future__ import annotations
@@ -130,13 +131,12 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     return report
 
 
-def _is_exact(c: FactorizationCandidate, monic: bool) -> bool:
+def _is_exact(c: FactorizationCandidate) -> bool:
     """`check_exact_factorization(c).ok` for a candidate of the enumerator,
-    whose inclusions pass mono-A and mono-H exactly when `monic` holds:
-    theta first, then the six mixed laws in report order, each stopped at
-    its first violation, then the overlap of the two images."""
-    if not monic:
-        return False
+    whose inclusions, of closed subsets, are monic by construction (a test
+    checks this): theta first, then the six mixed laws in report order,
+    each stopped at its first violation, then the overlap of the two
+    images."""
     mixed, bijective = _sweeps(c, {}, {})
     if next(bijective, None) is not None:
         return False
@@ -153,10 +153,6 @@ def _mono(incl: QgpdMorphism):
         yield v.witness, f"{v.axiom}: {v.detail}".rstrip(": ")
     if len(set(incl.arrow_map)) != len(incl.arrow_map):
         yield (), "arrow map not injective"
-
-
-def _monic(incl: QgpdMorphism) -> bool:
-    return next(_mono(incl), None) is None
 
 
 def _overlap(c: FactorizationCandidate) -> tuple[list[int], list[int]]:
@@ -386,9 +382,10 @@ def enumerate_factorizations(
     `check_exact_factorization` requires of the two images, and whose
     fibered pairs (a, h), src a = tgt h, are as many as the arrows of b, as
     a bijective theta requires, are decided; every pair skipped is one it
-    fails.  Each inclusion is checked as a morphism once, and a pair is
-    decided by its laws in turn, theta first, each stopped at its first
-    violation, to the verdict of `check_exact_factorization`.
+    fails.  The inclusions of closed subsets are monic by construction (a
+    test checks this), and a pair is decided by its other laws in turn,
+    theta first, each stopped at its first violation, to the verdict of
+    `check_exact_factorization`.
     """
     if b.n_arrows > max_arrows:
         raise BoundExceeded(
@@ -396,15 +393,14 @@ def enumerate_factorizations(
         )
     subsets = closed_arrow_subsets(b)
     inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in subsets]
-    monic = [_monic(incl) for incl in inclusions]
     extra = [set(arrows).difference(b.unit) for arrows in subsets]
     srcs = [Counter(b.src[x] for x in arrows) for arrows in subsets]
     tgts = [Counter(b.tgt[x] for x in arrows) for arrows in subsets]
     candidates = (
-        (FactorizationCandidate(b, ia, ih), monic[i] and monic[j])
+        FactorizationCandidate(b, ia, ih)
         for i, ia in enumerate(inclusions)
         for j, ih in enumerate(inclusions)
         if extra[i].isdisjoint(extra[j])
         and sum(count * tgts[j][x] for x, count in srcs[i].items()) == b.n_arrows
     )
-    return [c for c, both_monic in candidates if _is_exact(c, both_monic)]
+    return [c for c in candidates if _is_exact(c)]

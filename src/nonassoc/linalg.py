@@ -130,23 +130,14 @@ class PrimeField:
             return self(int(num)) * self(int(den)).inverse()
         return self(int(text))
 
-    @property
-    def name(self) -> str:
-        return f"GF{self.p}"
-
 
 class _Rationals:
-    def __call__(self, value):
-        return Fraction(value)
-
     def from_string(self, text: str) -> int | Fraction:
         """An integral value as an exact int, any other as a Fraction."""
         if "/" in _scalar_text(text):
             value = Fraction(text)
             return value.numerator if value.denominator == 1 else value
         return int(text)
-
-    name = "Q"
 
 
 RATIONALS = _Rationals()

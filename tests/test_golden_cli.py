@@ -57,6 +57,13 @@ on the one-object M12 and on pair(C3, 2).  These outputs were produced while
 its machine reports with its own `json.dumps`, so they pin the bytes of the
 emitted documents and machine reports.
 
+The quasigroups M12 (nonassociative) and Q8 (associative) run through
+`validate` and `suite`, and the action of Z3 on three points by translation
+through `validate`: the valid quasigroup and action documents.  These
+outputs were produced while the CLI still checked a quasigroup's laws again
+after reading it, so they pin the reports of a quasigroup that the reader
+has already checked.
+
 Every input is rebuilt here from the library's constructors; only the
 expected stdout is stored, in `tests/golden/`.
 
@@ -89,18 +96,21 @@ from nonassoc import (
     mp_discrete_right,
     pair_quasigroupoid,
     quasigroup_as_quasigroupoid,
+    quaternion_group,
     sub_quasigroupoid,
     symmetric_group,
 )
 from nonassoc.cli import main
 from nonassoc.documents import (
+    action_to_doc,
     emit,
     factorization_to_doc,
     matched_pair_to_doc,
+    quasigroup_to_doc,
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from tests.conftest import build_family, product_map, two_sided_pair
+from tests.conftest import build_family, product_map, two_sided_pair, z3_translation
 from tests.test_grouplike_kernel import function_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -227,6 +237,9 @@ def golden_documents() -> dict[str, str]:
         texts[f"mp-twosided-m2-{suffix}"] = emit(matched_pair_to_doc(mp))
     texts["q-one-object-m12"] = emit(quasigroupoid_to_doc(quasigroup_as_quasigroupoid(m12)))
     texts["q-pair-c3-2"] = emit(quasigroupoid_to_doc(pair_quasigroupoid(cyclic_group(3), 2)))
+    texts["quasigroup-m12"] = emit(quasigroup_to_doc(m12))
+    texts["quasigroup-q8"] = emit(quasigroup_to_doc(quaternion_group()))
+    texts["action-z3-translation"] = emit(action_to_doc(cyclic_group(3), 3, z3_translation))
     return texts
 
 
@@ -290,6 +303,13 @@ CASES = [
     for fmt in FORMATS
 ] + [
     (name, "factorize", fmt) for name in ("q-one-object-m12", "q-pair-c3-2") for fmt in FORMATS
+] + [
+    (name, command, fmt)
+    for name in ("quasigroup-m12", "quasigroup-q8")
+    for command in ("validate", "suite")
+    for fmt in FORMATS
+] + [
+    ("action-z3-translation", "validate", fmt) for fmt in FORMATS
 ]
 
 
