@@ -53,12 +53,7 @@ from .quasigroupoids import (
     check_morphism,
     matching_arrows,
 )
-from .reports import (
-    BoundExceeded,
-    InvalidStructureError,
-    StructureError,
-    StructureReport,
-)
+from .reports import BoundExceeded, StructureError, StructureReport
 
 
 @dataclass(frozen=True)
@@ -244,10 +239,7 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
     For each mixed pair, iH(h) * iA(a) is matched through the inverse of
     theta to the unique (a', h') with iA(a') * iH(h') equal to it.
     """
-    fact_report = check_exact_factorization(c)
-    if not fact_report.ok:
-        raise InvalidStructureError(fact_report)
-    theta = fact_report.data["theta"]
+    theta = check_exact_factorization(c).require().data["theta"]
     theta_inv = {arrow: pair for pair, arrow in theta.items()}
     b, ia, ih = c.b, c.ia, c.ih
     a, h = ia.source, ih.source
@@ -337,23 +329,27 @@ def sub_quasigroupoid(
 ) -> tuple[Quasigroupoid, QgpdMorphism]:
     """The wide substructure on a closed arrow subset, with its inclusion.
 
-    Raises StructureError when b has no product entry on a composable pair
+    Raises StructureError when the subset is not closed, with the text of
+    `closure_fault`, or when b has no product entry on a composable pair
     inside the subset."""
     index = {arrow: i for i, arrow in enumerate(arrows)}
     src = tuple(b.src[x] for x in arrows)
     tgt = tuple(b.tgt[x] for x in arrows)
-    unit = tuple(index[b.unit[o]] for o in range(b.n_objects))
-    inv = tuple(index[b.inv[x]] for x in arrows)
     rows = {}
-    for i, (x, after) in enumerate(zip(arrows, matching_arrows(src, tgt, b.n_objects))):
-        row_x, row = b.prod.rows.get(x, EMPTY), {}
-        for j in after:
-            xy = row_x.get(arrows[j])
-            if xy is None:
-                raise StructureError(f"product missing on composable pair ({x},{arrows[j]})")
-            row[j] = index[xy]
-        if row:  # empty only where b's identity arrows have the wrong ends
-            rows[i] = row
+    try:  # an arrow the subset lacks is a missed key; only then is the fault named
+        unit = tuple(index[b.unit[o]] for o in range(b.n_objects))
+        inv = tuple(index[b.inv[x]] for x in arrows)
+        for i, (x, after) in enumerate(zip(arrows, matching_arrows(src, tgt, b.n_objects))):
+            row_x, row = b.prod.rows.get(x, EMPTY), {}
+            for j in after:
+                xy = row_x.get(arrows[j])
+                if xy is None:
+                    raise StructureError(f"product missing on composable pair ({x},{arrows[j]})")
+                row[j] = index[xy]
+            if row:  # empty only where b's identity arrows have the wrong ends
+                rows[i] = row
+    except KeyError:
+        raise StructureError(closure_fault(b, set(arrows))) from None
     sub = Quasigroupoid(
         n_objects=b.n_objects,
         src=src,

@@ -61,12 +61,7 @@ from .linalg import (
     vec_equal,
 )
 from .quasigroupoids import EMPTY, PairTable, QgpdMorphism, Quasigroupoid, check_morphism, transposed_rows
-from .reports import (
-    DimensionMismatch,
-    InvalidStructureError,
-    StructureError,
-    StructureReport,
-)
+from .reports import DimensionMismatch, StructureError, StructureReport
 
 
 @dataclass(frozen=True, eq=False)
@@ -961,9 +956,7 @@ def _mkl4_holds(image: list, d: MagmaCoalgebra, d2: MagmaCoalgebra) -> bool:
 def magma_functor(g: QgpdMorphism) -> LinearMap:
     """Linear extension of a quasigroupoid morphism's arrow map; composes
     functorially and is a weak-Hopf-quasigroup morphism between the magmas."""
-    morphism_report = check_morphism(g)
-    if not morphism_report.ok:
-        raise InvalidStructureError(morphism_report)
+    check_morphism(g).require()
     return LinearMap.from_basis(
         g.source.n_arrows, g.target.n_arrows, lambda a: g.arrow_map[a]
     )

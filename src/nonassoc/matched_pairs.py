@@ -60,7 +60,7 @@ from .quasigroupoids import (
     transposed_rows,
 )
 from .quasigroups import FiniteQuasigroup
-from .reports import AXIOMS, InvalidStructureError, StructureError, StructureReport
+from .reports import AXIOMS, StructureError, StructureReport
 
 if TYPE_CHECKING:
     from .factorizations import FactorizationCandidate
@@ -241,9 +241,7 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
 def matched_pair(a: Quasigroupoid, h: Quasigroupoid, phi_a: dict, phi_h: dict) -> MatchedPair:
     """Assemble and eagerly validate a matched pair from raw action tables."""
     mp = MatchedPair(a, h, LeftAction(h, a, phi_a), RightAction(h, a, phi_h))
-    report = check_matched_pair(mp)
-    if not report.ok:
-        raise InvalidStructureError(report)
+    check_matched_pair(mp).require()
     return mp
 
 
@@ -328,15 +326,13 @@ def dcp_pairs(mp: MatchedPair) -> list[tuple[int, int]]:
     return mixed_pairs(mp.a, mp.h)
 
 
-def validated_components(mp: MatchedPair) -> tuple[Quasigroupoid, ...]:
-    """A and H of mp, once the hypotheses of the paper's first theorem hold:
-    the matched-pair axioms are checked first, then A and H.  A failure
-    raises `InvalidStructureError` with the report that failed, the
-    component's own for A or H."""
-    report = check_matched_pair(mp)
-    if not report.ok:
-        raise InvalidStructureError(report)
-    return _validated(mp.a), _validated(mp.h)
+def validated_components(mp: MatchedPair) -> None:
+    """Admit mp to the paper's first theorem: its matched-pair axioms are
+    checked first, then A and H.  The first report with a violation is
+    raised (`StructureReport.require`), the component's own for A or H."""
+    check_matched_pair(mp).require()
+    _validated(mp.a)
+    _validated(mp.h)
 
 
 def double_cross_product(mp: MatchedPair) -> Quasigroupoid:

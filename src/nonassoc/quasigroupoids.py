@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from types import MappingProxyType
 
 from .quasigroups import FiniteQuasigroup, cyclic_group
-from .reports import InvalidStructureError, StructureError, StructureReport
+from .reports import StructureError, StructureReport
 
 # The row of a factor with no entries: rows.get(x, EMPTY).get(y) is None.
 EMPTY = MappingProxyType({})
@@ -306,9 +306,7 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
 
 
 def _validated(q: Quasigroupoid) -> Quasigroupoid:
-    report = check_quasigroupoid(q)
-    if not report.ok:
-        raise InvalidStructureError(report)
+    check_quasigroupoid(q).require()
     return q
 
 
@@ -380,10 +378,7 @@ def from_quasigroup_action(q: FiniteQuasigroup, n_points: int, psi) -> Quasigrou
     Validates the action (`check_action_on_set`)."""
     if n_points < 1:
         raise StructureError("empty base")
-    action_report = check_action_on_set(q, n_points, psi)
-    if not action_report.ok:
-        raise InvalidStructureError(action_report)
-    table = action_report.data["table"]
+    table = check_action_on_set(q, n_points, psi).require().data["table"]
     m = n_points
 
     def arrow(a, x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .reports import InvalidStructureError, StructureError, StructureReport
+from .reports import StructureError, StructureReport
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,10 @@ def _check_table_shape(table, identity) -> int:
 def check_quasigroup(table, identity: int) -> StructureReport:
     """Verify the identity law and the inverse property on a Cayley table.
 
-    On success `report.data["inverse"]` holds the (unique) inverse of each
-    element.  Uniqueness is part of the sweep: zero or several candidate
-    inverses are both reported under the `inverse` tag.
+    On success `report.data["inverse"]` holds the inverse of each element.
+    An element has at most one: w(uv) = v for all v makes v -> uv
+    injective, and (vu)w = v for all v fixes the column of w, so two
+    inverses w, w' have equal columns, uw = uw', and w = w'.
     """
     n = _check_table_shape(table, identity)
     report = StructureReport.of("quasigroup")
@@ -74,12 +75,10 @@ def check_quasigroup(table, identity: int) -> StructureReport:
                 for v in range(n)
             )
         ]
-        if len(candidates) == 1:
+        if candidates:
             inverse.append(candidates[0])
-        elif not candidates:
-            report.fail("inverse", (u,), "no inverse-property inverse")
         else:
-            report.fail("inverse", (u,), f"non-unique inverses {candidates}")
+            report.fail("inverse", (u,), "no inverse-property inverse")
     if report.ok:
         report.data["inverse"] = tuple(inverse)
     return report
@@ -87,13 +86,11 @@ def check_quasigroup(table, identity: int) -> StructureReport:
 
 def quasigroup(table, identity: int = 0, names=None) -> FiniteQuasigroup:
     """Validate eagerly and return the structure; raise on any violation."""
-    report = check_quasigroup(table, identity)
-    if not report.ok:
-        raise InvalidStructureError(report)
+    inverse = check_quasigroup(table, identity).require().data["inverse"]
     return FiniteQuasigroup(
         tuple(tuple(row) for row in table),
         identity,
-        report.data["inverse"],
+        inverse,
         tuple(names) if names is not None else None,
     )
 

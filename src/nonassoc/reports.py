@@ -8,7 +8,9 @@ wrong dimensions).
 
 `AXIOMS` maps each report subject to the tags its report declares, in
 report order; composite entries are built from their parts' entries.
-`StructureReport.shown` is the one rule of what `--only` shows.
+`StructureReport.shown` is the one rule of what `--only` shows, and
+`StructureReport.require` the one rule of admission: a constructor that
+validates its input raises `InvalidStructureError` through it alone.
 """
 
 from __future__ import annotations
@@ -109,6 +111,13 @@ class StructureReport:
 
     def fail(self, axiom: str, witness: tuple, detail: str = "") -> None:
         self.violations.append(Violation(axiom, witness, detail))
+
+    def require(self) -> "StructureReport":
+        """This report when it found no violation; otherwise raise
+        `InvalidStructureError` carrying it."""
+        if self.violations:
+            raise InvalidStructureError(self)
+        return self
 
     def shown(self, only: str | None) -> "StructureReport":
         """What `--only only` shows of this report: the tag, if declared,

@@ -20,13 +20,21 @@ import pytest
 from nonassoc import (
     FactorizationCandidate,
     InvalidStructureError,
+    QgpdMorphism,
     Quasigroupoid,
     canonical_factorization,
+    check_action_on_set,
+    check_exact_factorization,
+    check_matched_pair,
+    check_morphism,
+    check_quasigroup,
     check_quasigroupoid,
     coarse_groupoid,
     cyclic_group,
     discrete_groupoid,
     from_quasigroup_action,
+    magma_functor,
+    matched_pair,
     matched_pairs,
     moufang_loop_12,
     mp_action_left,
@@ -44,7 +52,8 @@ from nonassoc import (
 from nonassoc.factorizations import closed_arrow_subsets
 from nonassoc.quasigroupoids import PairTable
 from tests import reference_builders as ref
-from tests.conftest import two_sided_factorization, z3_translation
+from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
+from tests.test_golden_cli import _corrupted_matched_pairs
 
 
 def _layout(value):
@@ -262,3 +271,55 @@ def test_an_invalid_input_raises_its_own_report(base):
             build(broken)
         assert raised.value.report == report
 
+
+
+def _admission_cases():
+    """site -> (the constructor on a broken input, its checker on that input),
+    one for each constructor that admits its input through
+    `StructureReport.require`."""
+    table, z2, flip_unit = [[0, 0], [1, 1]], cyclic_group(2), [[1, 0], [0, 1]]
+    coarse = coarse_groupoid(2)
+    broken_q = dataclasses.replace(coarse, inv=(1,) + coarse.inv[1:])
+    broken_mp = _corrupted_matched_pairs(two_sided_pair(2))["right-changed"]
+    _, identities = sub_quasigroupoid(coarse, tuple(sorted(coarse.unit)))
+    not_exact = FactorizationCandidate(coarse, identities, identities)
+    not_morphism = QgpdMorphism(coarse, coarse, (0, 1), (3, 1, 2, 0))
+    return {
+        "quasigroup": (lambda: quasigroup(table, 0), lambda: check_quasigroup(table, 0)),
+        "_validated": (
+            lambda: quasigroupoids._validated(broken_q), lambda: check_quasigroupoid(broken_q)
+        ),
+        "from_quasigroup_action": (
+            lambda: from_quasigroup_action(z2, 2, flip_unit),
+            lambda: check_action_on_set(z2, 2, flip_unit),
+        ),
+        "matched_pair": (
+            lambda: matched_pair(
+                broken_mp.a, broken_mp.h, broken_mp.left.table, broken_mp.right.table
+            ),
+            lambda: check_matched_pair(broken_mp),
+        ),
+        "validated_components": (
+            lambda: matched_pairs.validated_components(broken_mp),
+            lambda: check_matched_pair(broken_mp),
+        ),
+        "reconstruct_matched_pair": (
+            lambda: reconstruct_matched_pair(not_exact),
+            lambda: check_exact_factorization(not_exact),
+        ),
+        "magma_functor": (
+            lambda: magma_functor(not_morphism), lambda: check_morphism(not_morphism)
+        ),
+    }
+
+
+@pytest.mark.parametrize("site", list(_admission_cases()))
+def test_each_admission_site_raises_its_checkers_report(site):
+    """A constructor refuses a broken input with the whole report of its
+    checker on that input, every violation in order."""
+    build, check = _admission_cases()[site]
+    expected = check().violations
+    assert expected
+    with pytest.raises(InvalidStructureError) as raised:
+        build()
+    assert raised.value.report.violations == expected

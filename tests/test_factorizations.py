@@ -8,6 +8,7 @@ from nonassoc import (
     FactorizationCandidate,
     QgpdMorphism,
     Quasigroupoid,
+    StructureError,
     canonical_factorization,
     chein_double,
     check_exact_factorization,
@@ -68,6 +69,18 @@ def test_identity_component_factorization(coarse2):
         a_index = incl_units.arrow_map.index(coarse2.unit[coarse2.tgt[h]])
         assert theta[(a_index, h)] == h
 
+
+@pytest.mark.parametrize("arrows,fault", [
+    ((0,), "must contain every identity arrow"),
+    ((0, 1, 3), "not closed under the inverse map at 1"),
+])
+def test_sub_quasigroupoid_refuses_a_subset_that_is_not_closed(coarse2, arrows, fault):
+    """The fault is `closure_fault`'s, not the arrow the lookup missed."""
+    assert factorizations.closure_fault(coarse2, set(arrows)) == fault
+    with pytest.raises(StructureError) as raised:
+        sub_quasigroupoid(coarse2, arrows)
+    assert type(raised.value) is StructureError
+    assert str(raised.value) == fault
 
 def test_reconstruction_round_trip(mp_family):
     for name, mp in mp_family.items():

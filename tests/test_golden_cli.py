@@ -31,6 +31,12 @@ action that moves one arrow under an identity, and a right action with one
 value changed; they run through `validate`.  These outputs were produced
 while every sweep still scanned all pairs of arrows and filtered them, so
 they pin the witness order of the sweeps that walk the endpoint index.
+The same two pairs also run through `build dcp`, `build bowtie` and
+`check-iso`, which refuse a pair that fails its own axioms: the CLI prints
+the failing report whole and exits 1.  Their outputs are kept in
+`tests/golden/refused/`, since `--only` does not filter such a report.
+They were produced while each constructor still raised on a failed check
+by hand, so they pin the report that a refused input prints.
 
 The function algebras K^S3 and K^D6 are not group-like: delta(e_g) sums
 over the factorizations g = ab, and the counit is zero off the identity.
@@ -327,6 +333,23 @@ DCP_MAGMA_CASES = [
 ]
 BUILD_CASES = [(name, "bowtie", field) for name, field in BOWTIE_CASES] + DCP_MAGMA_CASES
 
+# a matched pair refused for failing its own axioms: its report is printed
+# whole whatever `--only` asks, so these outputs keep their own folder,
+# outside the `--only` sweep over CASES in tests/test_axiom_tags.py
+REFUSED = GOLDEN / "refused"
+REFUSED_ARGV = {"build-dcp": ["build", "dcp"], "build-bowtie": ["build", "bowtie"],
+                "check-iso": ["check-iso"]}
+REFUSED_CASES = [
+    (f"mp-twosided-m2-{suffix}", command, fmt)
+    for suffix in ("left-unit-broken", "right-changed")
+    for command in REFUSED_ARGV
+    for fmt in FORMATS
+]
+
+
+def refused_path(name: str, command: str, fmt: str) -> Path:
+    return REFUSED / f"{name}.{command}.{fmt}.txt"
+
 
 def run_build(tmp_dir: Path, name: str, text: str, what: str, field) -> tuple[str, Path]:
     """The CLI run of `build WHAT` on the named document, and its golden file."""
@@ -362,6 +385,16 @@ def test_build_matches_golden(name, what, field, documents, tmp_path):
     assert got == path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,command,fmt", REFUSED_CASES)
+def test_refused_matched_pair_matches_golden(name, command, fmt, documents, tmp_path):
+    got = run_cli(tmp_path, name, documents[name], ["--format", fmt, *REFUSED_ARGV[command]])
+    assert got == refused_path(name, command, fmt).read_text(encoding="utf-8")
+
+
+def test_every_refused_output_has_its_case():
+    assert sorted(REFUSED.glob("*.txt")) == sorted(refused_path(*case) for case in REFUSED_CASES)
+
+
 def _regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     texts = golden_documents()
@@ -372,6 +405,10 @@ def _regenerate() -> None:
         for name, what, field in BUILD_CASES:
             out, path = run_build(Path(tmp), name, texts[name], what, field)
             path.write_text(out, encoding="utf-8")
+        REFUSED.mkdir(exist_ok=True)
+        for name, command, fmt in REFUSED_CASES:
+            out = run_cli(Path(tmp), name, texts[name], ["--format", fmt, *REFUSED_ARGV[command]])
+            refused_path(name, command, fmt).write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":
