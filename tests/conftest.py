@@ -6,7 +6,10 @@ import pytest
 from nonassoc import (
     DimensionMismatch,
     FactorizationCandidate,
+    LeftAction,
     LinearMap,
+    MatchedPair,
+    RightAction,
     coarse_groupoid,
     cyclic_group,
     moufang_loop_12,
@@ -113,6 +116,30 @@ def two_sided_pair(m, q=None):
     A has m^2 arrows, H has |q| m, and their double cross product |q| m^2.
     Shared between tests, so callers must not mutate it."""
     return reconstruct_matched_pair(two_sided_factorization(m, q))[0]
+
+
+def corrupted_matched_pairs(mp):
+    """name suffix -> copy of mp with phi_A(id, y) moved off y for the first
+    non-identity arrow y of A, or with phi_H changed, keeping its endpoints, at
+    the first pair of non-identity arrows."""
+    a, h = mp.a, mp.h
+    a_others = [y for y in range(a.n_arrows) if y not in a.unit]
+    h_others = [x for x in range(h.n_arrows) if x not in h.unit]
+    y = a_others[0]
+    z = next(u for u in range(a.n_arrows) if u != y and a.tgt[u] == a.tgt[y])
+    left = dict(mp.left.table)
+    left[(h.unit[a.tgt[y]], y)] = z
+    key, v = next(
+        (k, v) for k, v in sorted(mp.right.table.items()) if k[0] in h_others and k[1] in a_others
+    )
+    right = dict(mp.right.table)
+    right[key] = next(
+        g for g in range(h.n_arrows) if g != v and h.src[g] == h.src[v] and h.tgt[g] == h.tgt[v]
+    )
+    return {
+        "left-unit-broken": MatchedPair(a, h, LeftAction(h, a, left), mp.right),
+        "right-changed": MatchedPair(a, h, mp.left, RightAction(h, a, right)),
+    }
 
 
 @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])

@@ -52,8 +52,12 @@ from nonassoc import (
 from nonassoc.factorizations import closed_arrow_subsets
 from nonassoc.quasigroupoids import PairTable
 from tests import reference_builders as ref
-from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
-from tests.test_golden_cli import _corrupted_matched_pairs
+from tests.conftest import (
+    corrupted_matched_pairs,
+    two_sided_factorization,
+    two_sided_pair,
+    z3_translation,
+)
 
 
 def _layout(value):
@@ -280,7 +284,7 @@ def _admission_cases():
     table, z2, flip_unit = [[0, 0], [1, 1]], cyclic_group(2), [[1, 0], [0, 1]]
     coarse = coarse_groupoid(2)
     broken_q = dataclasses.replace(coarse, inv=(1,) + coarse.inv[1:])
-    broken_mp = _corrupted_matched_pairs(two_sided_pair(2))["right-changed"]
+    broken_mp = corrupted_matched_pairs(two_sided_pair(2))["right-changed"]
     _, identities = sub_quasigroupoid(coarse, tuple(sorted(coarse.unit)))
     not_exact = FactorizationCandidate(coarse, identities, identities)
     not_morphism = QgpdMorphism(coarse, coarse, (0, 1), (3, 1, 2, 0))

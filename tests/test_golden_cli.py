@@ -33,10 +33,8 @@ while every sweep still scanned all pairs of arrows and filtered them, so
 they pin the witness order of the sweeps that walk the endpoint index.
 The same two pairs also run through `build dcp`, `build bowtie` and
 `check-iso`, which refuse a pair that fails its own axioms: the CLI prints
-the failing report whole and exits 1.  Their outputs are kept in
-`tests/golden/refused/`, since `--only` does not filter such a report.
-They were produced while each constructor still raised on a failed check
-by hand, so they pin the report that a refused input prints.
+the failing report whole and exits 1, byte for byte the `validate` output,
+so those runs are checked against the `validate` golden files.
 
 The function algebras K^S3 and K^D6 are not group-like: delta(e_g) sums
 over the factorizations g = ab, and the counit is zero off the identity.
@@ -88,10 +86,7 @@ import pytest
 
 from nonassoc import (
     FactorizationCandidate,
-    LeftAction,
     LinearMap,
-    MatchedPair,
-    RightAction,
     canonical_factorization,
     coarse_groupoid,
     cyclic_group,
@@ -116,7 +111,13 @@ from nonassoc.documents import (
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from tests.conftest import build_family, product_map, two_sided_pair, z3_translation
+from tests.conftest import (
+    build_family,
+    corrupted_matched_pairs,
+    product_map,
+    two_sided_pair,
+    z3_translation,
+)
 from tests.test_grouplike_kernel import function_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,30 +181,6 @@ def _corrupted_quasigroupoids(q):
     }
 
 
-def _corrupted_matched_pairs(mp):
-    """name suffix -> copy of mp with phi_A(id, y) moved off y for the first
-    non-identity arrow y of A, or with phi_H changed, keeping its endpoints, at
-    the first pair of non-identity arrows."""
-    a, h = mp.a, mp.h
-    a_others = [y for y in range(a.n_arrows) if y not in a.unit]
-    h_others = [x for x in range(h.n_arrows) if x not in h.unit]
-    y = a_others[0]
-    z = next(u for u in range(a.n_arrows) if u != y and a.tgt[u] == a.tgt[y])
-    left = dict(mp.left.table)
-    left[(h.unit[a.tgt[y]], y)] = z
-    key, v = next(
-        (k, v) for k, v in sorted(mp.right.table.items()) if k[0] in h_others and k[1] in a_others
-    )
-    right = dict(mp.right.table)
-    right[key] = next(
-        g for g in range(h.n_arrows) if g != v and h.src[g] == h.src[v] and h.tgt[g] == h.tgt[v]
-    )
-    return {
-        "left-unit-broken": MatchedPair(a, h, LeftAction(h, a, left), mp.right),
-        "right-changed": MatchedPair(a, h, mp.left, RightAction(h, a, right)),
-    }
-
-
 def _slug(label: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", label.lower()).strip("-")
 
@@ -239,7 +216,7 @@ def golden_documents() -> dict[str, str]:
         texts[f"q-dcp-pair-m12-2-{suffix}"] = emit(quasigroupoid_to_doc(q))
     twosided = two_sided_pair(2)
     texts["mp-twosided-m2"] = emit(matched_pair_to_doc(twosided))
-    for suffix, mp in _corrupted_matched_pairs(twosided).items():
+    for suffix, mp in corrupted_matched_pairs(twosided).items():
         texts[f"mp-twosided-m2-{suffix}"] = emit(matched_pair_to_doc(mp))
     texts["q-one-object-m12"] = emit(quasigroupoid_to_doc(quasigroup_as_quasigroupoid(m12)))
     texts["q-pair-c3-2"] = emit(quasigroupoid_to_doc(pair_quasigroupoid(cyclic_group(3), 2)))
@@ -333,23 +310,6 @@ DCP_MAGMA_CASES = [
 ]
 BUILD_CASES = [(name, "bowtie", field) for name, field in BOWTIE_CASES] + DCP_MAGMA_CASES
 
-# a matched pair refused for failing its own axioms: its report is printed
-# whole whatever `--only` asks, so these outputs keep their own folder,
-# outside the `--only` sweep over CASES in tests/test_axiom_tags.py
-REFUSED = GOLDEN / "refused"
-REFUSED_ARGV = {"build-dcp": ["build", "dcp"], "build-bowtie": ["build", "bowtie"],
-                "check-iso": ["check-iso"]}
-REFUSED_CASES = [
-    (f"mp-twosided-m2-{suffix}", command, fmt)
-    for suffix in ("left-unit-broken", "right-changed")
-    for command in REFUSED_ARGV
-    for fmt in FORMATS
-]
-
-
-def refused_path(name: str, command: str, fmt: str) -> Path:
-    return REFUSED / f"{name}.{command}.{fmt}.txt"
-
 
 def run_build(tmp_dir: Path, name: str, text: str, what: str, field) -> tuple[str, Path]:
     """The CLI run of `build WHAT` on the named document, and its golden file."""
@@ -385,14 +345,15 @@ def test_build_matches_golden(name, what, field, documents, tmp_path):
     assert got == path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name,command,fmt", REFUSED_CASES)
-def test_refused_matched_pair_matches_golden(name, command, fmt, documents, tmp_path):
-    got = run_cli(tmp_path, name, documents[name], ["--format", fmt, *REFUSED_ARGV[command]])
-    assert got == refused_path(name, command, fmt).read_text(encoding="utf-8")
-
-
-def test_every_refused_output_has_its_case():
-    assert sorted(REFUSED.glob("*.txt")) == sorted(refused_path(*case) for case in REFUSED_CASES)
+@pytest.mark.parametrize("name", ["mp-twosided-m2-left-unit-broken", "mp-twosided-m2-right-changed"])
+@pytest.mark.parametrize("argv", [["build", "dcp"], ["build", "bowtie"], ["check-iso"]], ids=" ".join)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_refused_matched_pair_prints_its_validate_report(name, argv, fmt, documents, tmp_path):
+    """A command that builds on a matched pair failing its own axioms prints
+    the pair's whole report and exits 1: the output of `validate` on the
+    same document."""
+    got = run_cli(tmp_path, name, documents[name], ["--format", fmt, *argv])
+    assert got == golden_path(name, "validate", fmt).read_text(encoding="utf-8")
 
 
 def _regenerate() -> None:
@@ -405,10 +366,6 @@ def _regenerate() -> None:
         for name, what, field in BUILD_CASES:
             out, path = run_build(Path(tmp), name, texts[name], what, field)
             path.write_text(out, encoding="utf-8")
-        REFUSED.mkdir(exist_ok=True)
-        for name, command, fmt in REFUSED_CASES:
-            out = run_cli(Path(tmp), name, texts[name], ["--format", fmt, *REFUSED_ARGV[command]])
-            refused_path(name, command, fmt).write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -38,8 +38,7 @@ from nonassoc import (
 )
 from nonassoc.matched_pairs import theta_identity_report
 from nonassoc.reports import Violation
-from tests.conftest import two_sided_pair
-from tests.test_golden_cli import _corrupted_matched_pairs
+from tests.conftest import corrupted_matched_pairs, two_sided_pair
 
 
 def test_derived_identities_fail_on_a_broken_inverse_map():
@@ -134,7 +133,7 @@ def test_mp_morphism_reports_an_action_value_that_is_not_intertwined():
     ident = (identity_morphism(mp.a), identity_morphism(mp.h))
     for suffix, tag, side in (("left-unit-broken", "mp-left", "left"),
                               ("right-changed", "mp-right", "right")):
-        broken = _corrupted_matched_pairs(mp)[suffix]
+        broken = corrupted_matched_pairs(mp)[suffix]
         before, after = getattr(mp, side).table, getattr(broken, side).table
         changed = [
             Violation(tag, key, f"lhs={before[key]} rhs={after[key]}")
