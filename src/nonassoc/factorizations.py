@@ -13,26 +13,31 @@ pair, `matched_pairs.mixed_associativity_suite` and
 `matched_pairs.theta_identity_report` are views of it.
 
 The fibered triples of the six mixed laws and the products of a
-substructure are enumerated through the endpoint index of `quasigroupoids`
-(`matching_arrows`), in lexicographic order, never by filtering all pairs of
-arrows; `closure_fault`, the one test of a wide closed arrow subset, walks
-the rows of the ambient product.  The mixed laws and theta read the rows
+substructure are enumerated through the endpoint index of `quasigroupoids`,
+in lexicographic order, never by filtering all pairs of arrows; each
+component keeps its index (`fibered_arrows`), built once however many
+pairs the component is decided in.  `closure_fault`, the one test of a
+wide closed arrow subset, walks the rows of the ambient product.  The mixed laws and theta read the rows
 of the ambient product (`quasigroupoids.PairTable`): each law fixes the
 first two factors of a configuration and their product once, then walks the
 third factor.
 
 `enumerate_factorizations` grows the closed subsets by closure and decides
 only the pairs of them that can be exact, each at its first violation:
-theta first, then the mixed laws.  The inclusion of a closed subset is
-monic by construction (a test checks this), so mono-A and mono-H are not
-swept there.  It reads only the verdict of a pair, which the first
+theta first, then the mixed laws, whose fibered pairs are listed only once
+theta holds.  It finds those pairs without testing every pair of subsets:
+the subsets are bucketed by their per-object target counts, each source
+count vector is matched once against every bucket, and the overlap off the
+identity arrows is tested on int bit masks.  The inclusion of a closed
+subset is monic by construction (a test checks this), so mono-A and mono-H
+are not swept there.  It reads only the verdict of a pair, which the first
 violation settles, so it builds no report.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .matched_pairs import (
     LeftAction,
@@ -51,6 +56,7 @@ from .quasigroupoids import (
     Quasigroupoid,
     _validated,
     check_morphism,
+    fibered_arrows,
     matching_arrows,
 )
 from .reports import BoundExceeded, StructureError, StructureReport
@@ -109,8 +115,8 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
         for witness, detail in _mono(incl):
             report.fail(tag, witness, detail)
     evaluated, theta = {}, {}
-    mixed, bijective = _sweeps(c, evaluated, theta)
-    for tag, sweep in (*mixed, ("theta-bijective", bijective)):
+    bijective, *mixed = _sweeps(c, evaluated, theta)
+    for tag, sweep in (*mixed, bijective):
         for witness, detail in sweep:
             report.fail(tag, witness, detail)
     report.data["theta"] = theta
@@ -132,11 +138,9 @@ def _is_exact(c: FactorizationCandidate) -> bool:
     checks this): theta first, then the six mixed laws in report order,
     each stopped at its first violation, then the overlap of the two
     images."""
-    mixed, bijective = _sweeps(c, {}, {})
-    if next(bijective, None) is not None:
-        return False
-    if any(next(sweep, None) is not None for _, sweep in mixed):
-        return False
+    for _, sweep in _sweeps(c, {}, {}):
+        if next(sweep, None) is not None:
+            return False
     overlap, identities = _overlap(c)
     return overlap == identities
 
@@ -156,11 +160,13 @@ def _overlap(c: FactorizationCandidate) -> tuple[list[int], list[int]]:
 
 
 def _sweeps(c: FactorizationCandidate, evaluated: dict, theta: dict):
-    """The sweeps of the six mixed laws, as (tag, generator) in report
-    order, and the theta-bijective sweep, none of them started.  Each
-    generator yields the (witness, detail) of its violations in order; a
-    mixed law drained to its end sets `evaluated[tag]`, and the theta sweep
-    fills `theta` as it goes."""
+    """Yields the theta-bijective sweep, then the sweeps of the six mixed
+    laws in report order, each as (tag, generator), none of them started.
+    Each generator yields the (witness, detail) of its violations in order;
+    a mixed law drained to its end sets `evaluated[tag]`, and the theta
+    sweep fills `theta` as it goes.  The fibered pairs that only the mixed
+    laws read are listed once the theta sweep is taken, so a caller that
+    stops at theta never lists them."""
     b, ia, ih = c.b, c.ia, c.ih
     a, h = ia.source, ih.source
     fa, fh = ia.arrow_map, ih.arrow_map
@@ -168,21 +174,18 @@ def _sweeps(c: FactorizationCandidate, evaluated: dict, theta: dict):
     # x_y[i] lists the arrows j of the second structure with src(i) = tgt(j):
     # the fibered pairs of each law, and its triples as a join of two of
     # them on the middle arrow
-    m = b.n_objects
-    h_a = matching_arrows(h.src, a.tgt, m)
-    a_h = matching_arrows(a.src, h.tgt, m)
-    a_a = matching_arrows(a.src, a.tgt, m)
-    h_h = matching_arrows(h.src, h.tgt, m)
-    laws = (
+    a_h = fibered_arrows(a, h)
+    yield "theta-bijective", _theta_bijective(rows, b.n_arrows, a_h, fa, fh, theta)
+    h_a, a_a, h_h = fibered_arrows(h, a), fibered_arrows(a, a), fibered_arrows(h, h)
+    for law in (
         ("HAA", h_a, fh, fa, a_a, fa),
         ("HHA", h_h, fh, fh, h_a, fa),
         ("HAH", h_a, fh, fa, a_h, fh),
         ("AHA", a_h, fa, fh, h_a, fa),
         ("AAH", a_a, fa, fa, a_h, fh),
         ("AHH", a_h, fa, fh, h_h, fh),
-    )
-    mixed = [(law[0], _mixed_law(rows, evaluated, *law)) for law in laws]
-    return mixed, _theta_bijective(rows, b.n_arrows, a_h, fa, fh, theta)
+    ):
+        yield law[0], _mixed_law(rows, evaluated, *law)
 
 
 def _mixed_law(rows, evaluated, tag, pairs, f1, f2, third, f3):
@@ -244,7 +247,7 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
     b, ia, ih = c.b, c.ia, c.ih
     a, h = ia.source, ih.source
     left, right = {}, {}
-    for x, ys in enumerate(matching_arrows(h.src, a.tgt, b.n_objects)):
+    for x, ys in enumerate(fibered_arrows(h, a)):
         row = b.prod.rows.get(ih.arrow_map[x], EMPTY)
         left_x, right_x = left[x], right[x] = {}, {}
         for y in ys:
@@ -296,7 +299,10 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
     """The arrow subsets on which `closure_fault` finds none, ordered by size
     then lexicographically.  Each closed set S, from the closure of the
     identities on, is grown to the closure of S and x for every arrow x;
-    that depends on x only through the closure of the identities and x."""
+    that depends on x only through the generated set g, the closure of the
+    identities and x.  A set S first found as a join of P keeps P's joins:
+    where the join of P and g holds S, it is also the join of S and g,
+    since P lies in S, and is then known without a closure."""
     inv, rows = b.inv, b.prod.rows
     # links[y] holds the (s, v) where v must join a closed set holding y
     # and s: y's inverse (s = y), then ys and sy
@@ -315,12 +321,22 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
         return frozenset(inside)
 
     start = closure(set(b.unit), list(b.unit))
-    generated = {closure({*start, x}, [x]) for x in range(b.n_arrows)}
-    found, layer = {start}, {start}
+    generated = list({closure({*start, x}, [x]) for x in range(b.n_arrows)})
+    # each closed set of a layer maps to its parent's joins, in the order
+    # of `generated`; the generated sets are the joins of `start`
+    found, layer = {start}, {start: generated}
     while layer:
-        layer = {closure(set(s | g), list(g - s)) for s in layer for g in generated if not g <= s}
-        layer -= found
-        found |= layer
+        grown: dict = {}
+        for s, inherited in layer.items():
+            joins = []
+            for g, t in zip(generated, inherited):
+                if not s <= t:
+                    t = closure(set(s | g), list(g - s))
+                if t not in found and t not in grown:
+                    grown[t] = joins
+                joins.append(t)
+        found |= grown.keys()
+        layer = grown
     return sorted((tuple(sorted(t)) for t in found), key=lambda t: (len(t), t))
 
 
@@ -372,15 +388,20 @@ def enumerate_factorizations(
     Guarded by `max_arrows`, which does not bound the closed-subset count;
     candidate order is deterministic (subset order from
     `closed_arrow_subsets`, the a-component varying slowest).  Each closed
-    subset's substructure is built once and serves as either component.
+    subset's substructure, and its endpoint index, is built once and
+    serves as either component.
 
     Only the pairs (A, H) that meet in the identity arrows, as
     `check_exact_factorization` requires of the two images, and whose
     fibered pairs (a, h), src a = tgt h, are as many as the arrows of b, as
     a bijective theta requires, are decided; every pair skipped is one it
-    fails.  The inclusions of closed subsets are monic by construction (a
-    test checks this), and a pair is decided by its other laws in turn,
-    theta first, each stopped at its first violation, to the verdict of
+    fails.  The fibered pairs are counted once for each pair of a source
+    count vector and a target count vector (signature buckets), and the
+    overlap is one `&` of two int bit masks of the arrows off the
+    identities, so a pair that cannot be exact costs one mask test at most.
+    The inclusions of closed subsets are monic by construction (a test
+    checks this), and a pair is decided by its other laws in turn, theta
+    first, each stopped at its first violation, to the verdict of
     `check_exact_factorization`.
     """
     if b.n_arrows > max_arrows:
@@ -389,14 +410,25 @@ def enumerate_factorizations(
         )
     subsets = closed_arrow_subsets(b)
     inclusions = [sub_quasigroupoid(b, arrows)[1] for arrows in subsets]
-    extra = [set(arrows).difference(b.unit) for arrows in subsets]
-    srcs = [Counter(b.src[x] for x in arrows) for arrows in subsets]
-    tgts = [Counter(b.tgt[x] for x in arrows) for arrows in subsets]
+    # (A, H) has as many fibered pairs as the dot product of A's per-object
+    # source counts with H's target counts; each distinct source count
+    # vector lists once, in subset order, the subsets whose target counts fit
+    sources = [tuple(map(len, incl.source.by_src)) for incl in inclusions]
+    targets: dict = {}
+    for j, incl in enumerate(inclusions):
+        targets.setdefault(tuple(map(len, incl.source.by_tgt)), []).append(j)
+    partners = {
+        counts: sorted(j for t, js in targets.items() if sum(map(mul, counts, t)) == b.n_arrows
+                       for j in js)
+        for counts in set(sources)
+    }
+    # the arrows of each subset off the identity arrows, as an int bit mask
+    units = sum(1 << e for e in set(b.unit))
+    masks = [sum(1 << x for x in arrows) & ~units for arrows in subsets]
     candidates = (
-        FactorizationCandidate(b, ia, ih)
-        for i, ia in enumerate(inclusions)
-        for j, ih in enumerate(inclusions)
-        if extra[i].isdisjoint(extra[j])
-        and sum(count * tgts[j][x] for x, count in srcs[i].items()) == b.n_arrows
+        FactorizationCandidate(b, ia, inclusions[j])
+        for ia, counts, mask in zip(inclusions, sources, masks)
+        for j in partners[counts]
+        if not mask & masks[j]
     )
     return [c for c in candidates if _is_exact(c)]

@@ -55,6 +55,7 @@ from .quasigroupoids import (
     check_morphism,
     compose_morphisms,
     discrete_groupoid,
+    fibered_arrows,
     from_quasigroup_action,
     matching_arrows,
     transposed_rows,
@@ -470,11 +471,11 @@ def mixed_associativity_suite(c: FactorizationCandidate, fact: StructureReport) 
     report = StructureReport.of("mixed associativity")
     report.violations = [v for v in fact.violations if v.axiom in report.axioms]
     rows, ia, ih, h = c.b.prod.rows, c.ia.arrow_map, c.ih.arrow_map, c.ih.source
-    h_after = matching_arrows(h.src, h.tgt, h.n_objects)
+    h_after = fibered_arrows(h, h)
     # the configurations (p, g, x): (p, g) a mixed pair, x in h_after[g];
     # p * (g * x) against (p * x) * g, read from the rows of the fixed factors
     checked, swapped_failures = 0, []
-    for p, gs in enumerate(matching_arrows(c.ia.source.src, h.tgt, h.n_objects)):
+    for p, gs in enumerate(fibered_arrows(c.ia.source, h)):
         row_p = rows.get(ia[p], EMPTY)
         for g in gs:
             xs, hg = h_after[g], ih[g]

@@ -10,7 +10,9 @@ Sweeps enumerate fibered sets such as the composable pairs through the
 endpoint index (`arrows_by_object`, `matching_arrows`): the arrows grouped
 by source or target object, in increasing order.  A sweep over pairs visits
 only the pairs whose endpoints match, in lexicographic order, instead of
-filtering all k^2 pairs.
+filtering all k^2 pairs.  A structure keeps its own index (`by_src`,
+`by_tgt`), built on first use, and `fibered_arrows` reads the fibered
+pairs of two structures over one base from it.
 
 Next to the endpoint index, the sweeps look products and actions up by row.
 Each table is stored once, as a `PairTable` of rows rows[x][y] = v, so a
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import MappingProxyType
 
 from .quasigroups import FiniteQuasigroup, cyclic_group
@@ -144,6 +147,19 @@ class Quasigroupoid:
     def arrow_name(self, a: int) -> str:
         return self.arrow_names[a] if self.arrow_names else str(a)
 
+    # --- the endpoint index, built on first use ---------------------------------
+    # Shared by every sweep that reads it, so callers must not mutate it.
+
+    @cached_property
+    def by_src(self) -> list[list[int]]:
+        """`arrows_by_object(src, n_objects)`."""
+        return arrows_by_object(self.src, self.n_objects)
+
+    @cached_property
+    def by_tgt(self) -> list[list[int]]:
+        """`arrows_by_object(tgt, n_objects)`."""
+        return arrows_by_object(self.tgt, self.n_objects)
+
 
 def arrows_by_object(ends, n_objects: int) -> list[list[int]]:
     """The endpoint index: entry x lists, in increasing order, the arrows i
@@ -170,6 +186,17 @@ def matching_arrows(keys, ends, n_objects: int) -> list[list[int]]:
         for i in arrows:
             matches[i] = by_end[x]
     return matches
+
+
+def fibered_arrows(first: Quasigroupoid, second: Quasigroupoid) -> list[list[int]]:
+    """`matching_arrows(first.src, second.tgt, ...)` over a shared base, read
+    from the two structures' endpoint indexes: entry i lists the arrows j of
+    `second` with src(i) = tgt(j), one list lookup per arrow of `first`."""
+    after: list = [None] * first.n_arrows
+    for arrows, ends in zip(first.by_src, second.by_tgt):
+        for i in arrows:
+            after[i] = ends
+    return after
 
 
 def transposed_rows(rows: dict, keys) -> dict:

@@ -7,9 +7,11 @@ with the `perfbench` directory first on `sys.path`.
 
 Over the stored golden CLI outputs, every report declares exactly its
 subject's entry and records violations only of tags it declares.  On every
-golden input that fails (each has at most 48 arrows), the CLI runs once per
-tag its reports declare, in both formats: the human and the machine output
-show the same violations, and the exit code is 1 exactly when one is shown.
+golden run that fails, one document under one command (each document has at
+most 48 arrows, and a document may fail under several commands), the command
+runs once per tag its reports declare, in both formats: the human and the
+machine output show the same violations, and the exit code is 1 exactly
+when one is shown.
 """
 
 import importlib
@@ -80,11 +82,11 @@ def test_a_violation_of_an_undeclared_tag_is_counted_in_both_forms():
     assert report.shown("a").violations == [] and report.shown("b").violations == report.violations
 
 
-FAILING = {
-    name: command
+FAILING = [
+    (name, command)
     for name, command, fmt in CASES
     if fmt == "machine" and _machine(golden_path(name, command, fmt).read_text())[0] == 1
-}
+]
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +94,8 @@ def documents():
     return golden_documents()
 
 
-@pytest.mark.parametrize("name", sorted(FAILING))
-def test_only_shows_the_same_violations_in_both_forms(name, documents, tmp_path):
-    command = FAILING[name]
+@pytest.mark.parametrize("name,command", FAILING)
+def test_only_shows_the_same_violations_in_both_forms(name, command, documents, tmp_path):
     _, stored = _machine(golden_path(name, command, "machine").read_text(encoding="utf-8"))
     tags = dict.fromkeys(t for r in stored["reports"] for t in r["axioms"])
     codes = set()

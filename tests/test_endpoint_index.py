@@ -8,7 +8,10 @@ their product lookups can find, must evaluate and fail exactly what the
 sweep over every third arrow does, also on corrupted tables, among them
 tables inserted out of order and entries off the composable pairs.  The
 scans are kept here as the oracle.  Also: the sparse-base chain that the
-index makes linear in the number of arrows.
+index makes linear in the number of arrows.  Each structure keeps its own
+index, built once: it must equal `arrows_by_object` of its sources and
+targets, and the fibered pairs that `check_exact_factorization` reads from
+it must equal `matching_arrows`.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ from collections import Counter
 import pytest
 
 from nonassoc import (
+    FactorizationCandidate,
     LeftAction,
     MatchedPair,
     Quasigroupoid,
@@ -34,12 +38,18 @@ from nonassoc import (
     matched_pair_identity_suite,
     mixed_associativity_suite,
     mixed_pairs,
+    from_quasigroup_action,
     mp_discrete_right,
+    pair_quasigroupoid,
+    pullback_quasigroupoid,
     quasigroup_as_quasigroupoid,
+    sub_quasigroupoid,
 )
-from nonassoc.quasigroupoids import arrows_by_object, matching_arrows
+from nonassoc import factorizations
+from nonassoc.quasigroupoids import arrows_by_object, fibered_arrows, matching_arrows
 from tests import reference_sweeps as ref
 from tests.conftest import two_sided_pair
+from tests.test_builders import QUASIGROUPS, c2_actions, relabelled_components
 
 
 def brute_composable(q):
@@ -108,6 +118,11 @@ def test_mixed_pairs_equal_the_nested_filter(structure_pairs):
         assert mixed_pairs(left, right) == brute_mixed(left, right)
 
 
+def test_fibered_arrows_equal_the_matching_arrows(structure_pairs):
+    for left, right in structure_pairs:
+        assert fibered_arrows(left, right) == matching_arrows(left.src, right.tgt, left.n_objects)
+
+
 def test_joins_equal_the_nested_filter(structure_pairs):
     """The six laws' triples: a fibered pair of (X, Y) extended by every z of
     Z with src(y) = tgt(z)."""
@@ -148,6 +163,8 @@ def test_a_negative_source_is_rejected_not_wrapped():
         list(q.composable_pairs())
     with pytest.raises(StructureError):
         mixed_pairs(q, coarse_groupoid(2))
+    with pytest.raises(StructureError):
+        fibered_arrows(q, coarse_groupoid(2))
 
 
 def test_sparse_base_chain_is_linear_in_the_arrows():
@@ -168,6 +185,80 @@ def test_sparse_base_chain_is_linear_in_the_arrows():
     assert suite.ok
     assert suite.data["evaluated"]["P-5"] == 1000
     assert elapsed < 2.0
+
+
+def builder_corpus():
+    """Every builder's quasigroupoids, as `tests/test_builders.py` builds
+    them, and components whose arrows are numbered by decreasing target."""
+    out = [discrete_groupoid(n) for n in (1, 2, 3)] + [coarse_groupoid(n) for n in (1, 2, 3)]
+    for q in QUASIGROUPS.values():
+        out += [quasigroup_as_quasigroupoid(q), pair_quasigroupoid(q, 2)]
+    out += [from_quasigroup_action(q, n, psi) for q, n, psi in c2_actions()]
+    out.append(pullback_quasigroupoid(coarse_groupoid(2), 3, [0, 1, 1]))
+    return out + relabelled_components()
+
+
+def test_each_structure_keeps_its_endpoint_index():
+    """On the builder corpus and the substructures of its closed subsets:
+    the index equals the buckets of the sources and of the targets, and it
+    is built once."""
+    seen = 0
+    for b in builder_corpus():
+        structures = [b]
+        if b.n_arrows <= 24:
+            subsets = factorizations.closed_arrow_subsets(b)
+            structures += [sub_quasigroupoid(b, arrows)[0] for arrows in subsets]
+        for q in structures:
+            assert q.by_src == arrows_by_object(q.src, q.n_objects)
+            assert q.by_tgt == arrows_by_object(q.tgt, q.n_objects)
+            assert q.by_src is q.by_src and q.by_tgt is q.by_tgt
+            seen += 1
+    assert seen > 200
+
+
+def test_the_exactness_sweeps_read_the_matching_arrows(monkeypatch):
+    """Every fibered-pair list that `check_exact_factorization` gives its
+    sweeps equals `matching_arrows` of the sides its tag names: a mixed law
+    XYZ reads the pairs of (X, Y) and, for the third arrow, of (Y, Z); theta
+    reads the pairs of (A, H).  Over the first two and last two closed
+    subsets of each builder input of at most 24 arrows, in both orders."""
+    lists = []
+
+    def recording(name):
+        original = getattr(factorizations, name)
+
+        def record(*args):
+            lists.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(factorizations, name, record)
+
+    recording("_mixed_law")
+    recording("_theta_bijective")
+    checked = 0
+    for b in builder_corpus():
+        if b.n_arrows > 24:
+            continue
+        subsets = factorizations.closed_arrow_subsets(b)
+        picks = [sub_quasigroupoid(b, arrows)[1] for arrows in subsets[:2] + subsets[-2:]]
+        for ia in picks:
+            for ih in picks:
+                lists.clear()
+                factorizations.check_exact_factorization(FactorizationCandidate(b, ia, ih))
+                side = {"A": (ia.source, ia.arrow_map), "H": (ih.source, ih.arrow_map)}
+
+                def matching(x, y):
+                    return matching_arrows(side[x][0].src, side[y][0].tgt, b.n_objects)
+
+                (theta, (_, _, a_h, fa, fh, _)), *mixed = lists
+                assert theta == "_theta_bijective"
+                assert (a_h, fa, fh) == (matching("A", "H"), ia.arrow_map, ih.arrow_map)
+                assert [args[2] for _, args in mixed] == ["HAA", "HHA", "HAH", "AHA", "AAH", "AHH"]
+                for _, (_, _, (x, y, z), pairs, f1, f2, third, f3) in mixed:
+                    assert (pairs, third) == (matching(x, y), matching(y, z))
+                    assert (f1, f2, f3) == (side[x][1], side[y][1], side[z][1])
+                    checked += 1
+    assert checked > 500
 
 
 def reference_third_arrow_sweeps(mp):

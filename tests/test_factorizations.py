@@ -36,6 +36,7 @@ from nonassoc import (
 from nonassoc import cli, factorizations
 from nonassoc.documents import emit, quasigroupoid_to_doc
 from nonassoc.matched_pairs import MIXED_LAWS
+from nonassoc.quasigroupoids import fibered_arrows
 from tests import reference_factorizations as brute
 from tests.conftest import two_sided_factorization
 from tests.test_builders import relabelled, renumbering
@@ -347,23 +348,67 @@ def test_every_factorization_round_trips(name, count):
         assert verify_canonical_iso(mp).ok, k
 
 
+EVERY_ARROW = tuple(range(48))
+# the closed subsets of pair(M12, 2) that its factorizations pair: the
+# identity arrows, the four arrows (e, x, y), and four of 24 arrows
+UNITS, SQUARE = (0, 3), (0, 1, 2, 3)
+HALVES = (
+    (0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 24, 27, 28, 31, 32, 35, 36, 39, 40, 43, 44, 47),
+    (0, 3, 4, 7, 8, 11, 12, 15, 16, 19, 20, 23, 25, 26, 29, 30, 33, 34, 37, 38, 41, 42, 45, 46),
+    (0, 3, 5, 6, 9, 10, 12, 15, 16, 19, 21, 22, 24, 27, 29, 30, 33, 34, 36, 39, 40, 43, 45, 46),
+    (0, 3, 5, 6, 9, 10, 12, 15, 16, 19, 21, 22, 25, 26, 28, 31, 32, 35, 37, 38, 41, 42, 44, 47),
+)
 FORTY_EIGHT = {
-    "pair(M12,2)": (lambda: pair_quasigroupoid(moufang_loop_12(), 2), 10),
-    "M(S4,2)": (lambda: quasigroup_as_quasigroupoid(chein_double(symmetric_group(4))), 2),
+    "pair(M12,2)": (
+        lambda: pair_quasigroupoid(moufang_loop_12(), 2),
+        2276,
+        [(UNITS, EVERY_ARROW), *((SQUARE, half) for half in HALVES),
+         *((half, SQUARE) for half in HALVES), (EVERY_ARROW, UNITS)],
+    ),
+    "M(S4,2)": (
+        lambda: quasigroup_as_quasigroupoid(chein_double(symmetric_group(4))),
+        3346,
+        [((0,), EVERY_ARROW), (EVERY_ARROW, (0,))],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", FORTY_EIGHT)
-def test_enumeration_at_48_arrows(name):
+def test_enumeration_at_48_arrows(name, monkeypatch):
     """10 exact factorizations of pair(M12, 2) and 2 of M(S4, 2), each
-    passing the full check."""
-    make, count = FORTY_EIGHT[name]
+    passing the full check, in the order and from as many decided pairs
+    as the enumerator that filtered every ordered pair of closed subsets
+    (2276 and 3346 of 662^2 and 264^2) found them."""
+    make, checked, shapes = FORTY_EIGHT[name]
     b = make()
     assert b.n_arrows == 48
+    calls = []
+    verdict = factorizations._is_exact
+    monkeypatch.setattr(factorizations, "_is_exact", lambda c: calls.append(c) or verdict(c))
     found = enumerate_factorizations(b, 48)
-    assert len(found) == count
+    assert [(c.ia.arrow_map, c.ih.arrow_map) for c in found] == shapes
+    assert len(calls) == checked
     for c in found:
         assert check_exact_factorization(c).ok
+
+
+def test_the_verdict_lists_the_mixed_laws_pairs_only_after_theta(coarse2, monkeypatch):
+    """On a pair that theta refuses, the verdict lists the fibered pairs of
+    theta alone; on an exact one, those of the mixed laws too."""
+    listed = []
+
+    def counted(first, second):
+        listed.append((first, second))
+        return fibered_arrows(first, second)
+
+    monkeypatch.setattr(factorizations, "fibered_arrows", counted)
+    ident = identity_morphism(coarse2)
+    _, units = sub_quasigroupoid(coarse2, coarse2.unit)
+    assert not factorizations._is_exact(FactorizationCandidate(coarse2, ident, ident))
+    assert len(listed) == 1
+    listed.clear()
+    assert factorizations._is_exact(FactorizationCandidate(coarse2, units, ident))
+    assert len(listed) == 4
 
 
 def test_factorize_at_48_arrows(tmp_path, capsys):

@@ -9,7 +9,9 @@ stores the last stdout line of each run as it was printed, with the seed,
 the run length, the commit (`git describe --always --dirty`), the tree of
 `src/` and the Python version.  The seed and the run length are fixed so
 that every point of the trajectory is comparable.  A run that exits nonzero
-stops the recording.  Run it from the root of the checkout.
+stops the recording.  Run it from the root of the checkout, with `src/`
+committed: the script records the committed tree, so it exits nonzero and
+writes nothing while `git status --porcelain -- src` lists a change.
 """
 
 import argparse
@@ -31,6 +33,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label")
     label = parser.parse_args().label
+    if run("git", "status", "--porcelain", "--", "src"):
+        sys.exit("src/ differs from its committed tree; commit it before recording")
     runs = {}
     for workload in (w["name"] for w in json.loads(Path("BENCHMARK.json").read_text())["workloads"]):
         for trace in ("0", "1"):
