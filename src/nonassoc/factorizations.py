@@ -17,10 +17,10 @@ substructure are enumerated through the endpoint index of `quasigroupoids`,
 in lexicographic order, never by filtering all pairs of arrows; each
 component keeps its index (`fibered_arrows`), built once however many
 pairs the component is decided in.  `closure_fault`, the one test of a
-wide closed arrow subset, walks the rows of the ambient product.  The mixed laws and theta read the rows
-of the ambient product (`quasigroupoids.PairTable`): each law fixes the
-first two factors of a configuration and their product once, then walks the
-third factor.
+wide closed arrow subset, walks the rows of the ambient product.  The
+mixed laws and theta read the rows of the ambient product
+(`quasigroupoids.PairTable`): each law fixes the first two factors of a
+configuration and their product once, then walks the third factor.
 
 `enumerate_factorizations` grows the closed subsets by closure and decides
 only the pairs of them that can be exact, each at its first violation:
@@ -302,7 +302,8 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
     that depends on x only through the generated set g, the closure of the
     identities and x.  A set S first found as a join of P keeps P's joins:
     where the join of P and g holds S, it is also the join of S and g,
-    since P lies in S, and is then known without a closure."""
+    since P lies in S, and is then known without a closure, as it is where
+    g lies in S."""
     inv, rows = b.inv, b.prod.rows
     # links[y] holds the (s, v) where v must join a closed set holding y
     # and s: y's inverse (s = y), then ys and sy
@@ -331,7 +332,7 @@ def closed_arrow_subsets(b: Quasigroupoid) -> list[tuple[int, ...]]:
             joins = []
             for g, t in zip(generated, inherited):
                 if not s <= t:
-                    t = closure(set(s | g), list(g - s))
+                    t = s if g <= s else closure(set(s | g), list(g - s))
                 if t not in found and t not in grown:
                     grown[t] = joins
                 joins.append(t)
@@ -418,8 +419,9 @@ def enumerate_factorizations(
     for j, incl in enumerate(inclusions):
         targets.setdefault(tuple(map(len, incl.source.by_tgt)), []).append(j)
     partners = {
-        counts: sorted(j for t, js in targets.items() if sum(map(mul, counts, t)) == b.n_arrows
-                       for j in js)
+        counts: sorted(
+            j for t, js in targets.items() if sum(map(mul, counts, t)) == b.n_arrows for j in js
+        )
         for counts in set(sources)
     }
     # the arrows of each subset off the identity arrows, as an int bit mask

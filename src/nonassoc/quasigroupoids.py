@@ -181,22 +181,23 @@ def matching_arrows(keys, ends, n_objects: int) -> list[list[int]]:
     the b that compose as a*b.  Entries are shared bucket lists of
     `arrows_by_object(ends, ...)`, so callers must not mutate them."""
     by_end = arrows_by_object(ends, n_objects)
-    matches: list = [None] * len(keys)
-    for x, arrows in enumerate(arrows_by_object(keys, n_objects)):
-        for i in arrows:
-            matches[i] = by_end[x]
-    return matches
+    return _matched(arrows_by_object(keys, n_objects), by_end, len(keys))
 
 
 def fibered_arrows(first: Quasigroupoid, second: Quasigroupoid) -> list[list[int]]:
     """`matching_arrows(first.src, second.tgt, ...)` over a shared base, read
     from the two structures' endpoint indexes: entry i lists the arrows j of
     `second` with src(i) = tgt(j), one list lookup per arrow of `first`."""
-    after: list = [None] * first.n_arrows
-    for arrows, ends in zip(first.by_src, second.by_tgt):
+    return _matched(first.by_src, second.by_tgt, first.n_arrows)
+
+
+def _matched(by_key: list, by_end: list, n_keys: int) -> list:
+    # entry i of the result is by_end[x] for the object x whose by_key[x] holds i
+    matches: list = [None] * n_keys
+    for arrows, ends in zip(by_key, by_end):
         for i in arrows:
-            after[i] = ends
-    return after
+            matches[i] = ends
+    return matches
 
 
 def transposed_rows(rows: dict, keys) -> dict:
