@@ -34,11 +34,11 @@ from nonassoc import (
     coarse_groupoid,
     derived_identity_suite,
     discrete_groupoid,
+    from_quasigroup_action,
     identity_morphism,
     matched_pair_identity_suite,
     mixed_associativity_suite,
     mixed_pairs,
-    from_quasigroup_action,
     mp_discrete_right,
     pair_quasigroupoid,
     pullback_quasigroupoid,
