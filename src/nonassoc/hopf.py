@@ -15,7 +15,10 @@ stored products by right factor, the legs of delta(1), and every leg by
 its first and by its second factor.  d2 tabulates the nonzero counits of
 products eps(hk) by row and then evaluates only the triples that some
 nonzero term reaches, instead of all n^3; d1 and d3 join coproduct legs
-on stored products.
+on stored products.  Products of vectors do the same: `mul_vec` and the
+tables of products with every basis vector read the stored rows and
+columns of the terms' basis vectors, so a basis product that is zero costs
+nothing.
 Dropping a term with a zero factor never changes a value, so the
 restriction uses no property of valid structures, and witness order and
 detail strings are those of a sweep over every term.  The projections,
@@ -120,10 +123,16 @@ class MagmaCoalgebra:
         return self.product.rows.get(i, EMPTY).get(j, EMPTY)
 
     def mul_vec(self, u: dict, v: dict) -> dict:
-        out: dict = {}
+        """uv, visiting only the stored products ij of the terms of u and v,
+        in the order of u and then of v."""
+        rows, out = self.product.rows, {}
         for i, a in u.items():
-            for j, b in v.items():
-                vec_add_into(out, self.mul_basis(i, j), a * b)
+            row = rows.get(i)
+            if row is not None:
+                for j, b in v.items():
+                    ij = row.get(j)
+                    if ij is not None:
+                        vec_add_into(out, ij, a * b)
         return out
 
     def delta_vec(self, v: dict) -> dict:
@@ -450,11 +459,16 @@ def _one_sided_holds(d: MagmaCoalgebra, tag: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _add_at(acc: dict, key, value) -> None:
-    """acc[key] += value, storing value itself under a new key.  Entries may
-    cancel to zero; the sweeps prune them before comparing."""
-    old = acc.get(key)
-    acc[key] = value if old is None else old + value
+def _times_basis(table: dict, vec: dict) -> dict:
+    """l -> vec l from the product rows as table, l -> l vec from the
+    columns, for each l with a stored product against a term of vec: the
+    products of vec with every basis vector at once, each summed in the
+    order of vec, as `mul_vec` sums it."""
+    out: dict = {}
+    for i, a in vec.items():
+        for l, il in table.get(i, EMPTY).items():
+            vec_add_into(out.setdefault(l, {}), il, a)
+    return out
 
 
 def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
@@ -478,10 +492,12 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
         rhs: dict = {}
         for (j, k, c) in legs:
             for (j1, j2, c1) in d.coproduct[j]:
-                _add_at(lhs, (j1 * n + j2) * n + k, c * c1)
+                key = (j1 * n + j2) * n + k
+                lhs[key] = lhs.get(key, 0) + c * c1
             for (k1, k2, c2) in d.coproduct[k]:
-                _add_at(rhs, (j * n + k1) * n + k2, c * c2)
-        if not vec_equal(vec_canonical(lhs), vec_canonical(rhs)):
+                key = (j * n + k1) * n + k2
+                rhs[key] = rhs.get(key, 0) + c * c2
+        if not vec_equal(lhs, rhs):
             report.fail("coalg1", (i,), "coassociativity fails")
         left: dict = {}
         right: dict = {}
@@ -514,9 +530,10 @@ def _law_d1(d: MagmaCoalgebra, report: StructureReport) -> None:
                     acc, coeff = rhs[k], c * c2
                     for m1, a in first.items():
                         for m2, b2 in second.items():
-                            _add_at(acc, (m1, m2), coeff * a * b2)
+                            acc[m1, m2] = acc.get((m1, m2), 0) + coeff * a * b2
+        row_h = rows.get(h, EMPTY)
         for k in range(n):
-            if not vec_equal(d.delta_vec(d.mul_basis(h, k)), vec_canonical(rhs[k])):
+            if not vec_equal(d.delta_vec(row_h.get(k, EMPTY)), rhs[k]):
                 report.fail("d1", (h, k), "delta(hk) != delta(h)delta(k)")
 
 
@@ -597,7 +614,8 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
     lhs3: dict = {}
     for (u, v, c) in unit_split:
         for (u1, u2, c1) in d.coproduct[u]:
-            _add_at(lhs3, (u1 * n + u2) * n + v, c * c1)
+            key = (u1 * n + u2) * n + v
+            lhs3[key] = lhs3.get(key, 0) + c * c1
 
     def inner(products) -> dict:
         out: dict = {}  # keyed m n + v2
@@ -606,7 +624,8 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
             for pos in unit_first[v1]:
                 _, v2, c2 = unit_split[pos]
                 for m, a in col:
-                    _add_at(out, m * n + v2, c2 * a)
+                    key = m * n + v2
+                    out[key] = out.get(key, 0) + c2 * a
         return out
 
     inners = {
@@ -622,11 +641,11 @@ def _sweep_d3(d: MagmaCoalgebra, report: StructureReport) -> None:
         base = u1 * n * n
         for mid, part in zip((mid_plain, mid_twist), inners[u2]):
             for key, a in part.items():
-                _add_at(mid, base + key, c * a)
-    lhs3 = vec_canonical(lhs3)
-    if not vec_equal(lhs3, vec_canonical(mid_plain)):
+                key += base
+                mid[key] = mid.get(key, 0) + c * a
+    if not vec_equal(lhs3, mid_plain):
         report.fail("d3", ("plain",), "delta2(1) != (id x mu x id)(delta(1) x delta(1))")
-    if not vec_equal(lhs3, vec_canonical(mid_twist)):
+    if not vec_equal(lhs3, mid_twist):
         report.fail("d3", ("twist",), "delta2(1) != (id x mu.c x id)(delta(1) x delta(1))")
 
 
@@ -659,40 +678,51 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport) -> None:
 
     A leg of delta(h) or delta(k) whose inner product (h2 k, S(h2) k, h k1
     or h S(k1)) is zero adds nothing, so only the other legs are multiplied
-    out, in their order; S(x)y and xS(y) are formed once per pair."""
-    n, (pi_l, pi_r) = d.dim, d.convolution_projections
+    out, in their order.  S(x)y, xS(y) and the right-hand sides PiR(h)k,
+    PiL(h)k, h PiL(k) and h PiR(k) are tabulated from the stored rows and
+    columns, once per basis vector."""
+    n, (pi_l, pi_r), mul_vec = d.dim, d.convolution_projections, d.mul_vec
+    rows, columns = d.product.rows, d.columns
     basis = [{i: 1} for i in range(n)]
-    anti, mul = d.antipode.cols, d.mul_basis
-    s_times = [[d.mul_vec(anti[x], basis[y]) for y in range(n)] for x in range(n)]
-    times_s = [[d.mul_vec(basis[x], anti[y]) for y in range(n)] for x in range(n)]
+    anti = d.antipode.cols
+    s_times = [_times_basis(rows, anti[x]) for x in range(n)]  # [x][y] = S(x)y
+    times_s = [_times_basis(columns, anti[y]) for y in range(n)]  # [y][x] = xS(y)
+    pi_l_left = [_times_basis(columns, col) for col in pi_l.cols]  # [k][h] = h PiL(k)
+    pi_r_left = [_times_basis(columns, col) for col in pi_r.cols]  # [k][h] = h PiR(k)
     for h in range(n):
-        legs_h = d.coproduct[h]
+        # per leg h1 (x) h2 of delta(h): S(h1), h1, the row of h2 and S(h2)y by y
+        legs_h = [
+            (anti[h1], basis[h1], rows.get(h2, EMPTY), s_times[h2], c) for h1, h2, c in d.coproduct[h]
+        ]
+        pi_r_right = _times_basis(rows, pi_r.cols[h])  # [k] = PiR(h)k
+        pi_l_right = _times_basis(rows, pi_l.cols[h])  # [k] = PiL(h)k
+        row_h = rows.get(h, EMPTY)
         for k in range(n):
             lhs44: dict = {}
             lhs45: dict = {}
-            for (h1, h2, c) in legs_h:
-                h2k = mul(h2, k)
+            for s_h1, h1, row_h2, s_h2, c in legs_h:
+                h2k = row_h2.get(k)
                 if h2k:
-                    vec_add_into(lhs44, d.mul_vec(anti[h1], h2k), c)
-                s_h2k = s_times[h2][k]
+                    vec_add_into(lhs44, mul_vec(s_h1, h2k), c)
+                s_h2k = s_h2.get(k)
                 if s_h2k:
-                    vec_add_into(lhs45, d.mul_vec(basis[h1], s_h2k), c)
-            if not vec_equal(lhs44, d.mul_vec(pi_r.cols[h], basis[k])):
+                    vec_add_into(lhs45, mul_vec(h1, s_h2k), c)
+            if not vec_equal(lhs44, pi_r_right.get(k, EMPTY)):
                 report.fail("d4-4", (h, k), f"lhs={lhs44}")
-            if not vec_equal(lhs45, d.mul_vec(pi_l.cols[h], basis[k])):
+            if not vec_equal(lhs45, pi_l_right.get(k, EMPTY)):
                 report.fail("d4-5", (h, k), f"lhs={lhs45}")
             lhs46: dict = {}
             lhs47: dict = {}
             for (k1, k2, c) in d.coproduct[k]:
-                hk1 = mul(h, k1)
+                hk1 = row_h.get(k1)
                 if hk1:
-                    vec_add_into(lhs46, d.mul_vec(hk1, anti[k2]), c)
-                h_sk1 = times_s[h][k1]
+                    vec_add_into(lhs46, mul_vec(hk1, anti[k2]), c)
+                h_sk1 = times_s[k1].get(h)
                 if h_sk1:
-                    vec_add_into(lhs47, d.mul_vec(h_sk1, basis[k2]), c)
-            if not vec_equal(lhs46, d.mul_vec(basis[h], pi_l.cols[k])):
+                    vec_add_into(lhs47, mul_vec(h_sk1, basis[k2]), c)
+            if not vec_equal(lhs46, pi_l_left[k].get(h, EMPTY)):
                 report.fail("d4-6", (h, k), f"lhs={lhs46}")
-            if not vec_equal(lhs47, d.mul_vec(basis[h], pi_r.cols[k])):
+            if not vec_equal(lhs47, pi_r_left[k].get(h, EMPTY)):
                 report.fail("d4-7", (h, k), f"lhs={lhs47}")
 
 
@@ -821,11 +851,12 @@ def _anticomultiplicative(d: MagmaCoalgebra) -> bool:
 
 def _sweep_antimult(d: MagmaCoalgebra, report: StructureReport) -> None:
     """S(hg) = S(g)S(h) for every pair of basis vectors."""
-    n = d.dim
+    n, anti, rows = d.dim, d.antipode, d.product.rows
     for h in range(n):
+        row_h, s_h = rows.get(h, EMPTY), anti.cols[h]
         for g in range(n):
-            lhs = d.antipode(d.mul_basis(h, g))
-            rhs = d.mul_vec(d.antipode.cols[g], d.antipode.cols[h])
+            lhs = anti(row_h.get(g, EMPTY))
+            rhs = d.mul_vec(anti.cols[g], s_h)
             if not vec_equal(lhs, rhs):
                 report.fail("antimult", (h, g), f"lhs={lhs} rhs={rhs}")
 
@@ -834,8 +865,9 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str) -> No
     """Every distinct nonzero value h of the tag's projection associates
     with all basis pairs k, l in the three one-sided forms.  Multiplication
     by h on either side is tabulated once per h, so h(kl) and (kl)h are read
-    off by linearity from the products of h with basis vectors."""
-    proj, n = d.convolution_projections[_ONE_SIDED[tag]], d.dim
+    off by linearity from the products of h with basis vectors, and the
+    products of hk and kh with every l once per k."""
+    proj, n, rows = d.convolution_projections[_ONE_SIDED[tag]], d.dim, d.product.rows
     basis = [{i: 1} for i in range(n)]
     distinct = {tuple(sorted(col.items(), key=repr)): col for col in proj.cols if col}
     for key in sorted(distinct, key=repr):
@@ -843,13 +875,14 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str) -> No
         h_times = LinearMap(n, n, tuple(d.mul_vec(hvec, b) for b in basis))  # x -> hx
         times_h = LinearMap(n, n, tuple(d.mul_vec(b, hvec) for b in basis))  # x -> xh
         for k in range(n):
-            hk, kh = h_times.cols[k], times_h.cols[k]
+            hk_times = _times_basis(rows, h_times.cols[k])  # l -> (hk)l
+            kh_times = _times_basis(rows, times_h.cols[k])  # l -> (kh)l
+            row_k = rows.get(k, EMPTY)
             for l in range(n):
-                kl = d.mul_basis(k, l)
-                if not vec_equal(d.mul_vec(hk, basis[l]), h_times(kl)):
+                kl = row_k.get(l, EMPTY)
+                if not vec_equal(hk_times.get(l, EMPTY), h_times(kl)):
                     report.fail(tag, (key, k, l), "(hk)l != h(kl)")
-                if not vec_equal(d.mul_vec(basis[k], h_times.cols[l]),
-                                 d.mul_vec(kh, basis[l])):
+                if not vec_equal(d.mul_vec(basis[k], h_times.cols[l]), kh_times.get(l, EMPTY)):
                     report.fail(tag, (key, k, l), "k(hl) != (kh)l")
                 if not vec_equal(d.mul_vec(basis[k], times_h.cols[l]), times_h(kl)):
                     report.fail(tag, (key, k, l), "k(lh) != (kl)h")
@@ -983,7 +1016,7 @@ def is_hopf_quasigroup(d: MagmaCoalgebra) -> bool:
     if d.eps_vec(d.unit) != 1:
         return False
     unit_square = {(x, y): a * b for x, a in d.unit.items() for y, b in d.unit.items()}
-    if not vec_equal(d.delta_vec(d.unit), vec_canonical(unit_square)):
+    if not vec_equal(d.delta_vec(d.unit), unit_square):
         return False
     for i in range(n):
         for j in range(n):

@@ -188,9 +188,10 @@ def vec_tensor(u: dict, v: dict, m: int) -> dict:
 
 
 def vec_equal(u: dict, v: dict) -> bool:
-    if len(u) != len(v):
-        return False
-    return all(v.get(i, 0) == c for i, c in u.items())
+    """u and v are equal as vectors: they have the same nonzero entries, so
+    a stored zero is ignored.  Vectors already equal as dicts, as both sides
+    of a law are on valid input, are accepted by one dict comparison."""
+    return u == v or vec_canonical(u) == vec_canonical(v)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ class LinearMap:
             return NotImplemented
         if self.dom != other.dom or self.cod != other.cod:
             return False
-        return all(vec_equal(u, v) for u, v in zip(self.cols, other.cols))
+        return self.cols == other.cols or all(map(vec_equal, self.cols, other.cols))
 
     def rank(self) -> int:
         return len(span_basis(self.cols, self.cod))
@@ -303,7 +304,9 @@ def convolution(f: LinearMap, g: LinearMap, delta, mu) -> LinearMap:
             term: dict = {}
             right = g.cols[t2]
             for iu, a in f.cols[t1].items():
-                row = rows.get(iu, {})
+                row = rows.get(iu)
+                if row is None:
+                    continue
                 for iv, b in right.items():
                     if iv in row:
                         vec_add_into(term, row[iv], a * b)

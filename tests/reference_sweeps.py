@@ -6,9 +6,12 @@ Each function evaluates every term of its law, zero or not: d2 over all n^3
 triples, d1 over every pair of coproduct legs, d3 over every pair of legs of
 delta(1), the projection formulas over every leg of delta(1) for every
 basis vector, d4-4..d4-7 over every leg, and the one-sided laws by
-multiplying out h(kl), k(hl) and k(lh) for every pair k, l.  They take the
-per-basis coproduct splits where the library's sweeps take the support
-index, and are otherwise the library's code from before that change.
+multiplying out h(kl), k(hl) and k(lh) for every pair k, l, and antimult
+for every pair h, g.  They take the per-basis coproduct splits where the
+library's sweeps take the support index, and are otherwise the library's
+code from before that change.  They multiply and compare vectors with
+`mul_vec` and `vec_equal` below, which visit every pair of terms and every
+index, not with the library's helpers that the sweeps under test use.
 
 The combinatorial checkers at the end (`check_quasigroupoid` with its own
 `_check_shape`, which walks the product apart from the prod-domain sweep,
@@ -26,7 +29,7 @@ P-6, P-9 and P-10, and calls a lambda per configuration.
 
 from nonassoc.factorizations import FactorizationCandidate, _require_identity_objects
 from nonassoc.hopf import MagmaCoalgebra
-from nonassoc.linalg import LinearMap, vec_add_into, vec_equal
+from nonassoc.linalg import LinearMap, vec_add_into
 from nonassoc.matched_pairs import (
     MIXED_LAWS,
     LeftAction,
@@ -42,6 +45,21 @@ from nonassoc.quasigroupoids import (
 )
 from nonassoc.reports import StructureError, StructureReport
 from tests.conftest import coproduct_map, product_map
+
+
+def mul_vec(d: MagmaCoalgebra, u: dict, v: dict) -> dict:
+    """uv, summed over every pair of terms of u and v, zero products too."""
+    out: dict = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            vec_add_into(out, d.mul_basis(i, j), a * b)
+    return out
+
+
+def vec_equal(u: dict, v: dict) -> bool:
+    """Equal as vectors: each index of either has one coefficient in both,
+    an index that is missing reading 0."""
+    return all(u.get(i, 0) == v.get(i, 0) for i in u.keys() | v.keys())
 
 
 def _projection_formulas(d: MagmaCoalgebra):
@@ -186,27 +204,27 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport, splits, pi_l, p
             lhs45: dict = {}
             for (h1, h2, c) in split_h:
                 vec_add_into(
-                    lhs44, d.mul_vec(d.antipode.cols[h1], d.mul_basis(h2, k)), c
+                    lhs44, mul_vec(d, d.antipode.cols[h1], d.mul_basis(h2, k)), c
                 )
                 vec_add_into(
-                    lhs45, d.mul_vec(basis[h1], d.mul_vec(d.antipode.cols[h2], basis[k])), c
+                    lhs45, mul_vec(d, basis[h1], mul_vec(d, d.antipode.cols[h2], basis[k])), c
                 )
-            if not vec_equal(lhs44, d.mul_vec(pi_r.cols[h], basis[k])):
+            if not vec_equal(lhs44, mul_vec(d, pi_r.cols[h], basis[k])):
                 report.fail("d4-4", (h, k), f"lhs={lhs44}")
-            if not vec_equal(lhs45, d.mul_vec(pi_l.cols[h], basis[k])):
+            if not vec_equal(lhs45, mul_vec(d, pi_l.cols[h], basis[k])):
                 report.fail("d4-5", (h, k), f"lhs={lhs45}")
             lhs46: dict = {}
             lhs47: dict = {}
             for (k1, k2, c) in splits[k]:
                 vec_add_into(
-                    lhs46, d.mul_vec(d.mul_basis(h, k1), d.antipode.cols[k2]), c
+                    lhs46, mul_vec(d, d.mul_basis(h, k1), d.antipode.cols[k2]), c
                 )
                 vec_add_into(
-                    lhs47, d.mul_vec(d.mul_vec(basis[h], d.antipode.cols[k1]), basis[k2]), c
+                    lhs47, mul_vec(d, mul_vec(d, basis[h], d.antipode.cols[k1]), basis[k2]), c
                 )
-            if not vec_equal(lhs46, d.mul_vec(basis[h], pi_l.cols[k])):
+            if not vec_equal(lhs46, mul_vec(d, basis[h], pi_l.cols[k])):
                 report.fail("d4-6", (h, k), f"lhs={lhs46}")
-            if not vec_equal(lhs47, d.mul_vec(basis[h], pi_r.cols[k])):
+            if not vec_equal(lhs47, mul_vec(d, basis[h], pi_r.cols[k])):
                 report.fail("d4-7", (h, k), f"lhs={lhs47}")
 
 
@@ -219,18 +237,29 @@ def _sweep_one_sided(d: MagmaCoalgebra, report: StructureReport, tag: str, proj)
     for key in sorted(distinct, key=repr):
         hvec = distinct[key]
         for k in range(n):
-            hk = d.mul_vec(hvec, basis[k])
-            kh = d.mul_vec(basis[k], hvec)
+            hk = mul_vec(d, hvec, basis[k])
+            kh = mul_vec(d, basis[k], hvec)
             for l in range(n):
-                if not vec_equal(d.mul_vec(hk, basis[l]),
-                                 d.mul_vec(hvec, d.mul_basis(k, l))):
+                if not vec_equal(mul_vec(d, hk, basis[l]),
+                                 mul_vec(d, hvec, d.mul_basis(k, l))):
                     report.fail(tag, (key, k, l), "(hk)l != h(kl)")
-                if not vec_equal(d.mul_vec(basis[k], d.mul_vec(hvec, basis[l])),
-                                 d.mul_vec(kh, basis[l])):
+                if not vec_equal(mul_vec(d, basis[k], mul_vec(d, hvec, basis[l])),
+                                 mul_vec(d, kh, basis[l])):
                     report.fail(tag, (key, k, l), "k(hl) != (kh)l")
-                if not vec_equal(d.mul_vec(basis[k], d.mul_vec(basis[l], hvec)),
-                                 d.mul_vec(d.mul_basis(k, l), hvec)):
+                if not vec_equal(mul_vec(d, basis[k], mul_vec(d, basis[l], hvec)),
+                                 mul_vec(d, d.mul_basis(k, l), hvec)):
                     report.fail(tag, (key, k, l), "k(lh) != (kl)h")
+
+
+def _sweep_antimult(d: MagmaCoalgebra, report: StructureReport) -> None:
+    """S(hg) = S(g)S(h) for every pair of basis vectors."""
+    n = d.dim
+    for h in range(n):
+        for g in range(n):
+            lhs = d.antipode(d.mul_basis(h, g))
+            rhs = mul_vec(d, d.antipode.cols[g], d.antipode.cols[h])
+            if not vec_equal(lhs, rhs):
+                report.fail("antimult", (h, g), f"lhs={lhs} rhs={rhs}")
 
 
 def _check_shape(q: Quasigroupoid) -> None:

@@ -11,14 +11,26 @@ element never has two inverse-property inverses (the proof is in the
 docstring of `check_quasigroup`), so that case has no branch to fail; its
 test checks the claim on every table of order 3.
 
-The derived tags of the weak Hopf quasigroup suite are not covered yet.
+The derived tags of the weak Hopf quasigroup suite are consequences of the
+axioms, so they fail only on structures that break an earlier law.  The
+suite needs d4-1 and d4-2, since `projections` refuses a structure where
+they fail; proj-unit, proj-idem, antipode-counit, anticomult and bar-images
+fail on small structures where those two hold.  cocomm-bars cannot fail
+where d4-1 and d4-2 hold, so its check runs on a structure that breaks them,
+with `projections` replaced by one that skips the agreement check.  The
+delta(1) test of `is_hopf_quasigroup` is the only one of its tests that
+fails on its input.
 """
 
 import dataclasses
 from itertools import product
 
+import pytest
+
 from nonassoc import (
     FactorizationCandidate,
+    LinearMap,
+    MagmaCoalgebra,
     MpMorphism,
     QgpdMorphism,
     Quasigroupoid,
@@ -31,13 +43,17 @@ from nonassoc import (
     cyclic_group,
     derived_identity_suite,
     derived_inverse_suite,
+    derived_property_suite,
     enumerate_factorizations,
     identity_morphism,
+    is_hopf_quasigroup,
     mp_discrete_right,
     pair_quasigroupoid,
 )
+from nonassoc import hopf
 from nonassoc.matched_pairs import theta_identity_report
-from nonassoc.reports import Violation
+from nonassoc.quasigroupoids import PairTable
+from nonassoc.reports import StructureError, StructureReport, Violation
 from tests.conftest import corrupted_matched_pairs, two_sided_pair
 
 
@@ -175,3 +191,85 @@ def test_theta_bijective_fails_on_images_that_meet_outside_the_identities():
         Violation("theta-bijective", (0, 1), "component images meet outside the identity arrows")
     ]
     assert report.data["theta"] == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+
+
+def one_dimensional(counit, antipode) -> MagmaCoalgebra:
+    """The span of e with ee = e, unit e and delta(e) = e (x) e, where
+    eps(e) and S(e) are the given multiples of 1 and of e."""
+    return MagmaCoalgebra(
+        1, {0: 1}, PairTable({0: {0: {0: 1}}}), LinearMap.from_cols(1, 1, [{0: counit}]),
+        [[(0, 0, 1)]], LinearMap.from_cols(1, 1, [{0: antipode}]),
+    )
+
+
+def test_derived_properties_fail_on_a_doubled_counit_and_antipode():
+    """eps(e) = 2 and S(e) = 2e: both projections are the convolution e -> 2e
+    and both unit-coproduct forms eps(e) e = 2e, so d4-1 and d4-2 hold while
+    coalg2 fails.  Every projection P = 2 id has P(1) = 2 and P o P = 4 id,
+    eps o S = 4 eps, delta(S(e)) = 2 e (x) e against (S x S) delta(e) = 4 e (x) e,
+    and S(ee) = 2e against S(e)S(e) = 4e."""
+    d = one_dimensional(2, 2)
+    assert hopf.check_whq(d).failed_axioms() == ("coalg2",)
+    report = derived_property_suite(d)
+    expected = [("conv-unit", ("PiL*id",)), ("conv-unit", ("id*PiR",))]
+    for tag in ("PiL", "PiR", "barL", "barR"):
+        expected += [("proj-unit", (tag,)), ("proj-counit", (tag,)), ("proj-idem", (tag,))]
+    expected += [
+        ("antipode-unit", ()), ("antipode-counit", ()), ("antimult", (0, 0)),
+        ("anticomult", ()), ("conv-idem", ("PiL",)), ("conv-idem", ("PiR",)),
+    ]
+    assert [(v.axiom, v.witness) for v in report.violations] == expected
+    assert report.violations_for("antimult")[0].detail == "lhs={0: 2} rhs={0: 4}"
+
+
+def test_bar_images_fail_where_only_the_barred_forms_are_nonzero():
+    """Basis e0, e1 with unit e0, the one nonzero product e1e0 = e0,
+    eps(e0) = 1, eps(e1) = 0, delta(e0) = e0 (x) e1, delta(e1) = 0 and S = 0.
+    The convolution projections are 0, and so are PiL(h) = eps(e0 h) e1 and
+    PiR(h) = eps(h e1) e0, so d4-1 and d4-2 hold; but barL(e0) = eps(e1e0) e0
+    = e0 and barR(e1) = eps(e1e0) e1 = e1."""
+    d = MagmaCoalgebra(
+        2, {0: 1}, PairTable({1: {0: {0: 1}}}), LinearMap.from_cols(2, 1, [{0: 1}, {}]),
+        [[(0, 1, 1)], []], LinearMap.from_cols(2, 2, [{}, {}]),
+    )
+    pi_l, pi_r, bar_l, bar_r = hopf.projections(d)
+    assert (pi_l.cols, pi_r.cols, bar_l.cols, bar_r.cols) == (({}, {}), ({}, {}), ({0: 1}, {}), ({}, {1: 1}))
+    assert derived_property_suite(d).violations_for("bar-images") == [
+        Violation("bar-images", ("barL-vs-PiR",)),
+        Violation("bar-images", ("barR-vs-PiL",)),
+    ]
+
+
+def test_cocommutative_bars_fail_where_the_projections_disagree(monkeypatch):
+    """eps(e) = 1 and S(e) = 2e: the convolution projections are e -> 2e and
+    every unit-coproduct form is e -> e, so d4-1 and d4-2 fail and
+    `projections` refuses the structure.  On a cocommutative coalgebra each
+    barred form equals its plain twin, so cocomm-bars fails only where d4-1
+    or d4-2 does; the suite runs here on the convolution projections and the
+    barred forms, with the agreement check skipped."""
+    d = one_dimensional(1, 2)
+    with pytest.raises(StructureError):
+        hopf.projections(d)
+    monkeypatch.setattr(hopf, "projections", lambda d: (*d.convolution_projections, *d.projection_formulas[2:]))
+    assert derived_property_suite(d).violations_for("cocomm-bars") == [
+        Violation("cocomm-bars", ("L",)),
+        Violation("cocomm-bars", ("R",)),
+    ]
+
+
+def test_is_hopf_quasigroup_fails_on_a_unit_that_does_not_split():
+    """K x K: orthogonal idempotents e0, e1 with unit e0 + e1, each
+    group-like, eps(e0) = 1 and eps(e1) = 0.  eps(1) = 1, the counit is
+    multiplicative and d1 holds, but delta(1) = e0 (x) e0 + e1 (x) e1 is not
+    1 (x) 1."""
+    d = MagmaCoalgebra(
+        2, {0: 1, 1: 1}, PairTable({0: {0: {0: 1}}, 1: {1: {1: 1}}}),
+        LinearMap.from_cols(2, 1, [{0: 1}, {}]), [[(0, 0, 1)], [(1, 1, 1)]], LinearMap.identity(2),
+    )
+    assert d.eps_vec(d.unit) == 1
+    assert all(d.eps_vec(d.mul_basis(i, j)) == d.eps(i) * d.eps(j) for i in range(2) for j in range(2))
+    report = StructureReport("d1")
+    hopf._law_d1(d, report)
+    assert report.ok
+    assert d.delta_vec(d.unit) == {(0, 0): 1, (1, 1): 1}
+    assert not is_hopf_quasigroup(d)

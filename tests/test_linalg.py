@@ -190,3 +190,23 @@ def test_vec_equal_ignores_representation():
     assert vec_equal({0: Fraction(2, 2)}, {0: 1})
     assert not vec_equal({0: 1}, {1: 1})
     assert not vec_equal({0: GFElement(1, 3)}, {0: 2})
+
+
+def test_vec_equal_ignores_stored_zeros_in_either_order():
+    for u, v, equal in (
+        ({1: 0}, {2: 5}, False),
+        ({0: 1, 1: 0}, {0: 1}, True),
+        ({0: GFElement(3, 3)}, {}, True),
+        ({0: 1, 1: 0}, {0: 1, 2: 0}, True),
+        ({0: 1, 1: 0}, {0: 2}, False),
+    ):
+        assert vec_equal(u, v) is equal
+        assert vec_equal(v, u) is equal
+
+
+def test_linear_maps_are_equal_when_their_nonzero_entries_are():
+    assert LinearMap(1, 3, ({1: 0},)) != LinearMap(1, 3, ({2: 5},))
+    assert LinearMap(1, 3, ({2: 5},)) != LinearMap(1, 3, ({1: 0},))
+    assert LinearMap(2, 3, ({0: 1, 1: 0}, {})) == LinearMap(2, 3, ({0: 1}, {2: 0}))
+    assert LinearMap(2, 3, ({0: Fraction(2, 2)}, {})) == LinearMap(2, 3, ({0: 1}, {}))
+    assert LinearMap(2, 3, ({0: 1}, {})) != LinearMap(2, 3, ({0: 1}, {1: 1}))

@@ -40,7 +40,7 @@ from nonassoc import (
     symmetric_group,
 )
 from nonassoc import hopf
-from nonassoc.linalg import free_coalgebra, vec_equal
+from nonassoc.linalg import free_coalgebra
 from nonassoc.quasigroupoids import PairTable
 from nonassoc.reports import StructureReport
 from tests import reference_sweeps as old
@@ -167,6 +167,7 @@ def _sweeps(d):
         lines(old._sweep_d4_4_to_7, d, splits, pi_l, pi_r),
         lines(hopf._sweep_d4_4_to_7, d),
     )
+    yield "antimult", lines(old._sweep_antimult, d), lines(hopf._sweep_antimult, d)
     for tag, proj in (("target-assoc", pi_l), ("source-assoc", pi_r)):
         yield (
             tag,
@@ -196,7 +197,7 @@ def test_the_corpus_reaches_every_law_and_both_printed_zeros():
                 d2_details += [detail for _, _, detail in expected]
     assert failing >= {
         "magma-unit", "coalg1", "coalg2", "d1", "d2", "d3",
-        "d4-4", "d4-5", "d4-6", "d4-7", "target-assoc", "source-assoc",
+        "d4-4", "d4-5", "d4-6", "d4-7", "antimult", "target-assoc", "source-assoc",
     }
     # a value with no terms prints 0, a sum that cancels prints 0 (mod 5)
     assert any(
@@ -290,7 +291,7 @@ def test_product_morphism_law_equals_the_composite(monkeypatch):
         expected = [
             ((t // n, t % n), f"lhs={lhs.cols[t]} rhs={rhs.cols[t]}")
             for t in range(n * n)
-            if not vec_equal(lhs.cols[t], rhs.cols[t])
+            if not old.vec_equal(lhs.cols[t], rhs.cols[t])
         ]
         report = hopf.check_whq_morphism(f, d, d2)
         got = [(v.witness, v.detail) for v in report.violations if v.axiom == "mkl4"]
