@@ -127,12 +127,10 @@ class MagmaCoalgebra:
         in the order of u and then of v."""
         rows, out = self.product.rows, {}
         for i, a in u.items():
-            row = rows.get(i)
-            if row is not None:
-                for j, b in v.items():
-                    ij = row.get(j)
-                    if ij is not None:
-                        vec_add_into(out, ij, a * b)
+            row = rows.get(i, EMPTY)
+            for j, b in v.items():
+                if j in row:
+                    vec_add_into(out, row[j], a * b)
         return out
 
     def delta_vec(self, v: dict) -> dict:

@@ -210,3 +210,4 @@ def test_linear_maps_are_equal_when_their_nonzero_entries_are():
     assert LinearMap(2, 3, ({0: 1, 1: 0}, {})) == LinearMap(2, 3, ({0: 1}, {2: 0}))
     assert LinearMap(2, 3, ({0: Fraction(2, 2)}, {})) == LinearMap(2, 3, ({0: 1}, {}))
     assert LinearMap(2, 3, ({0: 1}, {})) != LinearMap(2, 3, ({0: 1}, {1: 1}))
+    assert LinearMap(1, 3, ({0: 1},)) != LinearMap(1, 2, ({0: 1},))
