@@ -72,22 +72,22 @@ def _undeclared_tag(declared, only) -> str | None:
     return None
 
 
-def _print_reports(reports: list[StructureReport], args) -> int:
-    """Print the reports, filtered to the --only tag, and return the exit
-    code."""
-    error = _undeclared_tag([r.axioms for r in reports], args.only)
+def _print_reports(reports: list[StructureReport], args, only: str | None) -> int:
+    """Print the reports, filtered to the tag `only`, in the --format of
+    `args`, and return the exit code."""
+    error = _undeclared_tag([r.axioms for r in reports], only)
     if error is not None:
         raise StructureError(error)
-    violations = sum(len(r.shown(args.only).violations) for r in reports)
+    violations = sum(len(r.shown(only).violations) for r in reports)
     if args.format == "machine":
         payload = {
-            "reports": [_jsonable(report_as_document(r, args.only)) for r in reports],
+            "reports": [_jsonable(report_as_document(r, only)) for r in reports],
             "ok": violations == 0,
         }
         sys.stdout.write(documents.emit(payload))
     else:
         for report in reports:
-            sys.stdout.write(format_report(report, args.only))
+            sys.stdout.write(format_report(report, only))
         if len(reports) > 1:
             verdict = "PASS" if violations == 0 else "FAIL"
             sys.stdout.write(f"OVERALL {verdict} {violations} violations\n")
@@ -163,15 +163,15 @@ def _checker_reports(path: str, suite: bool) -> list[StructureReport]:
 
 
 def cmd_validate(args) -> int:
-    return _print_reports(_checker_reports(args.file, suite=False), args)
+    return _print_reports(_checker_reports(args.file, suite=False), args, args.only)
 
 
 def cmd_suite(args) -> int:
-    return _print_reports(_checker_reports(args.file, suite=True), args)
+    return _print_reports(_checker_reports(args.file, suite=True), args, args.only)
 
 
 def cmd_check_whq(args) -> int:
-    return _print_reports([check_whq(_load(args.file, "whq", "check-whq"))], args)
+    return _print_reports([check_whq(_load(args.file, "whq", "check-whq"))], args, args.only)
 
 
 def cmd_build(args) -> int:
@@ -204,7 +204,7 @@ def cmd_factorize(args) -> int:
 
 def cmd_check_iso(args) -> int:
     mp = _load(args.file, "matched-pair", "check-iso")
-    return _print_reports([verify_canonical_iso(mp)], args)
+    return _print_reports([verify_canonical_iso(mp)], args, args.only)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,12 +264,7 @@ def main(argv=None) -> int:
             # a component breaks its laws: its report is printed whole
             error = _undeclared_tag([exc.report.axioms], args.only)
             if error is None:
-                if args.format == "machine":
-                    payload = {"ok": False, "reports": [_jsonable(report_as_document(exc.report))]}
-                    sys.stdout.write(documents.emit(payload))
-                else:
-                    sys.stdout.write(format_report(exc.report))
-                return 1
+                return _print_reports([exc.report], args, None)
         except (StructureError, OSError) as exc:
             error = str(exc)
         except MemoryError:

@@ -472,11 +472,8 @@ def _times_basis(table: dict, vec: dict) -> dict:
 def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
     # 1k and k1 for each k, from the stored products uk and ku of the unit
     # terms c u, added in their order in d.unit, as a sweep over every term
-    n, lefts, rights = d.dim, {}, {}
-    for u, c in d.unit.items():
-        for products, out in ((d.product.rows, lefts), (d.columns, rights)):
-            for k, vec in products.get(u, EMPTY).items():
-                vec_add_into(out.setdefault(k, {}), vec, c)
+    n = d.dim
+    lefts, rights = _times_basis(d.product.rows, d.unit), _times_basis(d.columns, d.unit)
     for k in range(n):
         left, right = lefts.get(k, {}), rights.get(k, {})
         if not vec_equal(left, {k: 1}):

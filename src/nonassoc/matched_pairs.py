@@ -4,7 +4,9 @@ the double cross product they generate.
 Action tables are total lookups over the enumerated mixed-composable set
 {(h, a) : src_H(h) = tgt_A(a)}; evaluation outside it is None, mirroring the
 fibered domains of the definitions.  Both action signatures are normalized
-to (h-arrow, a-arrow) order.
+to (h-arrow, a-arrow) order.  A table is admitted once, when its action is
+built: the constructor refuses a value that is not an arrow and a key set
+that is not the mixed pairs, so no checker checks the table again.
 
 The double cross product enumerates its arrow set in lexicographic (a, h)
 order; `dcp_pairs` exposes that enumeration so the linear-algebra layer can
@@ -16,13 +18,16 @@ checks that theorem exhaustively on small components).
 code that has already validated them builds through the private fill.  Its
 product is filled once per mixed pair, since (a,g)*(b,h) depends on (g, b)
 only through the two actions.  The families `mp_discrete_right` and
-`mp_action_left` are matched pairs by construction; each checks only its input.
+`mp_action_left` are matched pairs by construction; each checks its input,
+the action constructors admit the tables it builds, and no law is swept.
 
-Every sweep enumerates its fibered set through the endpoint index of
-`quasigroupoids` (`matching_arrows`): the mixed pairs, the triples of the
+Every sweep enumerates its fibered set through the endpoint index that A
+and H keep (`Quasigroupoid.by_src`, `by_tgt`, read by
+`quasigroupoids.fibered_arrows`): the mixed pairs, the triples of the
 action and compatibility laws and the composable pairs of the double cross
 product are visited directly, in lexicographic order, never found by
-filtering a larger product of arrow sets.  The action and compatibility
+filtering a larger product of arrow sets, and A and H are indexed once
+however many sweeps read them.  The action and compatibility
 laws, the identity suite P-1..P-10 and the double cross product read
 products and action values from the stored rows of their tables
 (`quasigroupoids.PairTable`), and look each value fixed over an inner loop,
@@ -57,7 +62,6 @@ from .quasigroupoids import (
     discrete_groupoid,
     fibered_arrows,
     from_quasigroup_action,
-    matching_arrows,
     transposed_rows,
 )
 from .quasigroups import FiniteQuasigroup
@@ -72,20 +76,29 @@ MIXED_LAWS = AXIOMS["mixed associativity"]
 
 @dataclass(frozen=True)
 class _Action:
+    """An action table, admitted when it is built: the constructor raises
+    StructureError unless every value is an arrow of the structure acted
+    on, checked first, and the keys are exactly the mixed pairs."""
+
     h: Quasigroupoid
     a: Quasigroupoid
     table: PairTable  # a mapping keyed by (h-arrow, a-arrow) is converted
 
     def __post_init__(self):
         object.__setattr__(self, "table", PairTable.of(self.table))
+        _check_table(self)
 
 
 class LeftAction(_Action):
     """h acting on a: table[(h-arrow, a-arrow)] is an arrow of `a`."""
 
+    kind = "left"
+
 
 class RightAction(_Action):
     """a acting on h: table[(h-arrow, a-arrow)] is an arrow of `h`."""
+
+    kind = "right"
 
 
 @dataclass(frozen=True)
@@ -106,40 +119,33 @@ def mixed_pairs(left: Quasigroupoid, right: Quasigroupoid):
     """The fibered set {(x, y) : src(x) = tgt(y)} of an arrow x of `left` and
     an arrow y of `right`, lexicographic.  On (h, a) these are the pairs the
     actions act on; on (a, h), the arrows of the double cross product."""
-    if left.n_objects != right.n_objects:
-        raise StructureError("base mismatch: structures have different object sets")
-    after = matching_arrows(left.src, right.tgt, left.n_objects)
-    return [(x, y) for x, ys in enumerate(after) for y in ys]
+    return [(x, y) for x, ys in enumerate(fibered_arrows(left, right)) for y in ys]
 
 
-def _check_domain(table: PairTable, h: Quasigroupoid, a: Quasigroupoid, kind: str) -> None:
-    expected = set(mixed_pairs(h, a))
-    if set(table) != expected:
-        extra = sorted(set(table) - expected)
-        missing = sorted(expected - set(table))
+def _check_table(action: _Action) -> None:
+    """The admission of an action's table, as `_Action` describes it."""
+    kind = action.kind
+    n_values = (action.a if kind == "left" else action.h).n_arrows
+    for row in action.table.rows.values():
+        for val in row.values():
+            if not isinstance(val, int) or not 0 <= val < n_values:
+                raise StructureError(f"{kind} action value {val!r} out of range")
+    keys, expected = set(action.table), set(mixed_pairs(action.h, action.a))
+    if keys != expected:
+        extra, missing = sorted(keys - expected), sorted(expected - keys)
         raise StructureError(
             f"{kind} action domain mismatch: extra={extra[:4]} missing={missing[:4]}"
         )
-
-
-def _check_table(action: _Action, values: Quasigroupoid, kind: str) -> None:
-    """Raise StructureError unless every value of the action table is an
-    arrow of `values`, checked first, and its keys are the mixed pairs."""
-    for row in action.table.rows.values():
-        for val in row.values():
-            if not isinstance(val, int) or not 0 <= val < values.n_arrows:
-                raise StructureError(f"{kind} action value {val!r} out of range")
-    _check_domain(action.table, action.h, action.a, kind)
 
 
 def _acting_before(h: Quasigroupoid, action: PairTable) -> list:
     """Entry x lists, for each h-arrow g with src(g) = tgt(x) in increasing
     order, (g, the action row of g, the action row of g*x), the row being
     empty where g*x is undefined."""
-    rows, h_rows = action.rows, h.prod.rows
+    rows, h_rows, by_src = action.rows, h.prod.rows, h.by_src
     return [
         [(g, rows.get(g, EMPTY), rows.get(h_rows.get(g, EMPTY).get(x), EMPTY)) for g in gs]
-        for x, gs in enumerate(matching_arrows(h.tgt, h.src, h.n_objects))
+        for x, gs in enumerate(by_src[t] for t in h.tgt)
     ]
 
 
@@ -149,13 +155,12 @@ def _products_after(a: Quasigroupoid) -> list:
     rows = a.prod.rows
     return [
         [(b, rows.get(y, EMPTY).get(b)) for b in bs]
-        for y, bs in enumerate(matching_arrows(a.src, a.tgt, a.n_objects))
+        for y, bs in enumerate(fibered_arrows(a, a))
     ]
 
 
 def check_left_action(action: LeftAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
-    _check_table(action, a, "left")
     report = StructureReport.of("left action")
     for (x, y), val in phi.items():
         if a.tgt[val] != h.tgt[x]:
@@ -177,7 +182,6 @@ def check_left_action(action: LeftAction) -> StructureReport:
 
 def check_right_action(action: RightAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
-    _check_table(action, h, "right")
     report = StructureReport.of("right action")
     for (x, y), val in phi.items():
         if h.src[val] != a.src[y]:
@@ -212,7 +216,7 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
     report.violations += check_right_action(mp.right).violations
     a, h = mp.a, mp.h
     left_rows, right_rows = mp.left.table.rows, mp.right.table.rows
-    # the action checks above passed, so phiA(x,y) and phiH(x,y) are arrows
+    # the constructors admitted the tables, so phiA(x,y) and phiH(x,y) are arrows
     acted = [(x, y, left_rows[x][y], right_rows[x][y]) for x, y in mixed_pairs(h, a)]
     for x, y, pa, ph in acted:
         if a.src[pa] != h.tgt[ph]:
@@ -259,8 +263,6 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
     every other configuration is undefined.
     """
     a, h = mp.a, mp.h
-    _check_table(mp.left, a, "left")
-    _check_table(mp.right, h, "right")
     la, lh = a.inv, h.inv
     left, right = mp.left.table.rows, mp.right.table.rows
     a_rows, h_rows = a.prod.rows, h.prod.rows
@@ -280,7 +282,7 @@ def matched_pair_identity_suite(mp: MatchedPair) -> StructureReport:
         if lhs != rhs:
             report.fail(tag, witness, f"lhs={lhs} rhs={rhs}")
 
-    # each mixed pair with phiA(x,y) and phiH(x,y), arrows by _check_table
+    # each mixed pair with phiA(x,y) and phiH(x,y), arrows since the tables were admitted
     acted = [(x, y, left[x][y], right[x][y]) for x, y in mixed_pairs(h, a)]
     for x in range(h.n_arrows):
         check("P-1", (x,), left.get(x, EMPTY).get(a.unit[h.src[x]]), a.unit[h.tgt[x]])
@@ -379,7 +381,7 @@ def _dcp_fill(mp: MatchedPair) -> Quasigroupoid:
     # (j, phiH(g,b).q) of the arrows j = (b,q), in increasing order of j
     phi_a, phi_h = mp.left.table.rows, mp.right.table.rows
     a_rows, h_rows = a.prod.rows, h.prod.rows
-    starts = matching_arrows(h.src, a.tgt, a.n_objects)
+    starts = fibered_arrows(h, a)
     rows_of_a: list = [[] for _ in range(a.n_arrows)]
     for b, row in at.items():
         rows_of_a[b] = [(j, q) for q, j in row.items()]

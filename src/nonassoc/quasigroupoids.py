@@ -7,12 +7,14 @@ an error: `compose` returns None, the distinct "undefined" outcome that the
 linear-magma construction later maps to zero.
 
 Sweeps enumerate fibered sets such as the composable pairs through the
-endpoint index (`arrows_by_object`, `matching_arrows`): the arrows grouped
-by source or target object, in increasing order.  A sweep over pairs visits
-only the pairs whose endpoints match, in lexicographic order, instead of
-filtering all k^2 pairs.  A structure keeps its own index (`by_src`,
-`by_tgt`), built on first use, and `fibered_arrows` reads the fibered
-pairs of two structures over one base from it.
+endpoint index (`arrows_by_object`): the arrows grouped by source or target
+object, in increasing order.  A sweep over pairs visits only the pairs
+whose endpoints match, in lexicographic order, instead of filtering all k^2
+pairs.  A structure keeps its own index (`by_src`, `by_tgt`), built on
+first use, and every sweep over existing structures reads the fibered pairs
+of two of them over one base from it (`fibered_arrows`).  Only a builder
+indexes the endpoint lists of the structure it is still building
+(`matching_arrows`), and that index validates every endpoint it reads.
 
 Next to the endpoint index, the sweeps look products and actions up by row.
 Each table is stored once, as a `PairTable` of rows rows[x][y] = v, so a
@@ -138,12 +140,6 @@ class Quasigroupoid:
         or the pair not composable)."""
         return self.prod.rows.get(a, EMPTY).get(b)
 
-    def composable_pairs(self):
-        """The pairs (a, b) with src(a) = tgt(b), lexicographic."""
-        for a, after in enumerate(matching_arrows(self.src, self.tgt, self.n_objects)):
-            for b in after:
-                yield a, b
-
     def arrow_name(self, a: int) -> str:
         return self.arrow_names[a] if self.arrow_names else str(a)
 
@@ -187,7 +183,10 @@ def matching_arrows(keys, ends, n_objects: int) -> list[list[int]]:
 def fibered_arrows(first: Quasigroupoid, second: Quasigroupoid) -> list[list[int]]:
     """`matching_arrows(first.src, second.tgt, ...)` over a shared base, read
     from the two structures' endpoint indexes: entry i lists the arrows j of
-    `second` with src(i) = tgt(j), one list lookup per arrow of `first`."""
+    `second` with src(i) = tgt(j), one list lookup per arrow of `first`.
+    Raises StructureError when the two bases differ."""
+    if first.n_objects != second.n_objects:
+        raise StructureError("base mismatch: structures have different object sets")
     return _matched(first.by_src, second.by_tgt, first.n_arrows)
 
 
@@ -260,7 +259,7 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     for pair in _check_shape(q):
         report.fail("prod-domain", pair, "product defined on non-composable pair")
     src, tgt, unit, inv, rows = q.src, q.tgt, q.unit, q.inv, q.prod.rows
-    after = matching_arrows(src, tgt, q.n_objects)
+    after = fibered_arrows(q, q)
     for a, bs in enumerate(after):
         row = rows.get(a, EMPTY)
         for b in bs:
@@ -324,7 +323,7 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
         if q.inv[la] != a:
             report.fail("E-5", (a,))
     inv, rows = q.inv, q.prod.rows
-    for a, bs in enumerate(matching_arrows(q.src, q.tgt, q.n_objects)):
+    for a, bs in enumerate(fibered_arrows(q, q)):
         row_a, ia = rows.get(a, EMPTY), inv[a]
         for b in bs:
             c = row_a.get(b)
@@ -486,9 +485,10 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
         raise StructureError("pi must be surjective")
     _validated(q)
 
-    into = matching_arrows(pi, q.tgt, q.n_objects)  # p -> the a with tgt(a) = pi(p)
-    over = matching_arrows(q.src, pi, q.n_objects)  # a -> the r with pi(r) = src(a)
-    triples = [(p, a, r) for p in range(n_points) for a in into[p] for r in over[a]]
+    over = arrows_by_object(pi, q.n_objects)  # the points over each object
+    triples = [
+        (p, a, r) for p in range(n_points) for a in q.by_tgt[pi[p]] for r in over[q.src[a]]
+    ]
     index = {t: i for i, t in enumerate(triples)}
     src = tuple(t[2] for t in triples)
     tgt = tuple(t[0] for t in triples)
@@ -550,13 +550,14 @@ def check_morphism(f: QgpdMorphism) -> StructureReport:
     for x in range(s.n_objects):
         if f.arrow_map[s.unit[x]] != t.unit[f.obj_map[x]]:
             report.fail("b3", (x,))
-    for a, b in s.composable_pairs():
-        c = s.compose(a, b)
-        image = t.compose(f.arrow_map[a], f.arrow_map[b])
-        if image is None:
-            report.fail("b4", (a, b), "image pair not composable")
-        elif c is not None and f.arrow_map[c] != image:
-            report.fail("b4", (a, b), f"f(a*b)={f.arrow_map[c]} f(a)*f(b)={image}")
+    for a, bs in enumerate(fibered_arrows(s, s)):
+        for b in bs:
+            c = s.compose(a, b)
+            image = t.compose(f.arrow_map[a], f.arrow_map[b])
+            if image is None:
+                report.fail("b4", (a, b), "image pair not composable")
+            elif c is not None and f.arrow_map[c] != image:
+                report.fail("b4", (a, b), f"f(a*b)={f.arrow_map[c]} f(a)*f(b)={image}")
     return report
 
 

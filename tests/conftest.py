@@ -46,6 +46,20 @@ def coproduct_map(coproduct, n: int) -> LinearMap:
     return LinearMap.from_cols(n, n * n, [{x * n + y: c for x, y, c in legs} for legs in coproduct])
 
 
+def ends_after(keys, ends) -> list[list[int]]:
+    """Entry i lists, in increasing order, the j with ends[j] == keys[i],
+    found by filtering all of `ends`: the oracles' enumeration of fibered
+    sets, apart from the library's endpoint index.  With keys = src and
+    ends = tgt, entry a lists the b that compose as a*b."""
+    return [[j for j, end in enumerate(ends) if end == key] for key in keys]
+
+
+def fibered_pairs(left, right) -> list[tuple[int, int]]:
+    """The pairs (x, y) of an arrow x of `left` and an arrow y of `right`
+    with src(x) = tgt(y), lexicographic, by the filter of `ends_after`."""
+    return [(x, y) for x, ys in enumerate(ends_after(left.src, right.tgt)) for y in ys]
+
+
 def twist(m: int, n: int) -> LinearMap:
     """The flip (i, j) -> (j, i) between an m x n and an n x m tensor space,
     for the composite oracles."""

@@ -8,7 +8,10 @@ two matched-pair families through `matched_pair`, which runs
 `check_matched_pair`.  `sub_quasigroupoid` looks each pair up twice
 through the mapping interface, and `reconstruct_matched_pair` fills its
 actions by pair.  The families build their components with the builders
-here; otherwise this is the library's code from before that change.
+here.  Fibered sets are found by filtering all arrows
+(`tests.conftest.ends_after`, `fibered_pairs`), not through the library's
+endpoint index; otherwise this is the library's code from before that
+change.
 """
 
 from nonassoc.factorizations import FactorizationCandidate, check_exact_factorization
@@ -16,20 +19,18 @@ from nonassoc.matched_pairs import (
     LeftAction,
     MatchedPair,
     RightAction,
-    dcp_pairs,
     double_cross_product,
     matched_pair,
-    mixed_pairs,
 )
 from nonassoc.quasigroupoids import (
     QgpdMorphism,
     Quasigroupoid,
     _validated,
     check_action_on_set,
-    matching_arrows,
 )
 from nonassoc.quasigroups import FiniteQuasigroup
 from nonassoc.reports import InvalidStructureError, StructureError
+from tests.conftest import ends_after, fibered_pairs
 
 
 def discrete_groupoid(n_points: int) -> Quasigroupoid:
@@ -178,8 +179,8 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
     if set(pi) != set(range(q.n_objects)):
         raise StructureError("pi must be surjective")
 
-    into = matching_arrows(pi, q.tgt, q.n_objects)
-    over = matching_arrows(q.src, pi, q.n_objects)
+    into = ends_after(pi, q.tgt)
+    over = ends_after(q.src, pi)
     triples = [(p, a, r) for p in range(n_points) for a in into[p] for r in over[a]]
     index = {t: i for i, t in enumerate(triples)}
     src = tuple(t[2] for t in triples)
@@ -187,7 +188,7 @@ def pullback_quasigroupoid(q: Quasigroupoid, n_points: int, pi) -> Quasigroupoid
     unit = tuple(index[(p, q.unit[pi[p]], p)] for p in range(n_points))
     inv = tuple(index[(r, q.inv[a], p)] for (p, a, r) in triples)
     prod = {}
-    for i, after in enumerate(matching_arrows(src, tgt, n_points)):
+    for i, after in enumerate(ends_after(src, tgt)):
         p, a, _ = triples[i]
         for j in after:
             _, b, r2 = triples[j]
@@ -231,7 +232,7 @@ def sub_quasigroupoid(
     unit = tuple(index[b.unit[o]] for o in range(b.n_objects))
     inv = tuple(index[b.inv[x]] for x in arrows)
     prod = {}
-    for i, after in enumerate(matching_arrows(src, tgt, b.n_objects)):
+    for i, after in enumerate(ends_after(src, tgt)):
         x = arrows[i]
         for j in after:
             y = arrows[j]
@@ -261,7 +262,7 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
     b, ia, ih = c.b, c.ia, c.ih
     a, h = ia.source, ih.source
     left, right = {}, {}
-    for (x, y) in mixed_pairs(h, a):
+    for (x, y) in fibered_pairs(h, a):
         mixed = b.compose(ih.arrow_map[x], ia.arrow_map[y])
         if mixed is None or mixed not in theta_inv:
             raise StructureError(
@@ -270,7 +271,7 @@ def reconstruct_matched_pair(c: FactorizationCandidate) -> tuple[MatchedPair, Qg
         left[(x, y)], right[(x, y)] = theta_inv[mixed]
     mp = MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
     dcp = double_cross_product(mp)
-    pairs = dcp_pairs(mp)
+    pairs = fibered_pairs(a, h)
     gamma = QgpdMorphism(
         dcp,
         b,

@@ -5,17 +5,21 @@ It looks up both actions and both component products afresh for every
 composable pair (i, j) of the result, visiting the pairs in lexicographic
 order, and raises `double cross product not closed` at the first pair whose
 product is not an arrow.  It neither validates its input nor checks its
-result; otherwise it is the library's code from before that change.
+result, and it enumerates the arrows and the composable pairs of the
+result by filtering all arrows (`tests.conftest.ends_after`), not through
+the library's endpoint index; otherwise it is the library's code from
+before that change.
 """
 
-from nonassoc.matched_pairs import MatchedPair, dcp_pairs
-from nonassoc.quasigroupoids import Quasigroupoid, matching_arrows
+from nonassoc.matched_pairs import MatchedPair
+from nonassoc.quasigroupoids import Quasigroupoid
 from nonassoc.reports import StructureError
+from tests.conftest import ends_after, fibered_pairs
 
 
 def double_cross_product(mp: MatchedPair) -> Quasigroupoid:
     a, h = mp.a, mp.h
-    pairs = dcp_pairs(mp)
+    pairs = fibered_pairs(a, h)
     index = {pq: i for i, pq in enumerate(pairs)}
 
     def pair_index(p, q, context):
@@ -35,7 +39,7 @@ def double_cross_product(mp: MatchedPair) -> Quasigroupoid:
         for (p, q) in pairs
     )
     prod = {}
-    after = matching_arrows(src, tgt, a.n_objects)
+    after = ends_after(src, tgt)
     phi_a, phi_h, a_prod, h_prod = mp.left.table, mp.right.table, a.prod, h.prod
     for i, (p, g) in enumerate(pairs):
         for j in after[i]:

@@ -9,9 +9,10 @@ basis vector, d4-4..d4-7 over every leg, and the one-sided laws by
 multiplying out h(kl), k(hl) and k(lh) for every pair k, l, and antimult
 for every pair h, g.  They take the per-basis coproduct splits where the
 library's sweeps take the support index, and are otherwise the library's
-code from before that change.  They multiply and compare vectors with
-`mul_vec` and `vec_equal` below, which visit every pair of terms and every
-index, not with the library's helpers that the sweeps under test use.
+code from before that change.  They multiply, compare, accumulate and map
+vectors with `mul_vec`, `vec_equal`, `add_into` and `apply` below, which
+visit every pair of terms and every index, not with the library's helpers
+(`linalg.vec_add_into`, `LinearMap.__call__`) that the sweeps under test use.
 
 The combinatorial checkers at the end (`check_quasigroupoid` with its own
 `_check_shape`, which walks the product apart from the prod-domain sweep,
@@ -24,27 +25,51 @@ call a lambda per configuration; otherwise they are the library's code
 from before that change.  `matched_pair_identity_suite`, the last sweep
 ported to rows, is kept as it stood then: it builds each identity's
 configuration list, through `_factor_index` for the third arrow of P-5,
-P-6, P-9 and P-10, and calls a lambda per configuration.
+P-6, P-9 and P-10, and calls a lambda per configuration.  These checkers
+enumerate their fibered sets by filtering all arrows (`tests.conftest`
+`ends_after`, `fibered_pairs`), not through the library's endpoint index,
+and check an action table's keys themselves (`_check_domain`), so they also
+run on an `UncheckedAction`, a table that no action constructor admitted.
 """
+
+from dataclasses import dataclass
 
 from nonassoc.factorizations import FactorizationCandidate, _require_identity_objects
 from nonassoc.hopf import MagmaCoalgebra
-from nonassoc.linalg import LinearMap, vec_add_into
+from nonassoc.linalg import LinearMap
 from nonassoc.matched_pairs import (
     MIXED_LAWS,
     LeftAction,
     MatchedPair,
     RightAction,
-    _check_domain,
-    mixed_pairs,
 )
 from nonassoc.quasigroupoids import (
+    PairTable,
     Quasigroupoid,
     check_morphism,
-    matching_arrows,
 )
 from nonassoc.reports import StructureError, StructureReport
-from tests.conftest import coproduct_map, product_map
+from tests.conftest import coproduct_map, ends_after, fibered_pairs, product_map
+
+
+def add_into(acc: dict, vec: dict, coeff=1) -> None:
+    """acc += coeff * vec, term by term; a sum that cancels to zero leaves
+    no entry."""
+    for i, c in vec.items():
+        total = acc.get(i, 0) + coeff * c
+        if total:
+            acc[i] = total
+        elif i in acc:
+            del acc[i]
+
+
+def apply(cols, vec: dict) -> dict:
+    """The image of vec under the linear map with columns `cols`: the sum of
+    c cols[j] over the terms c e_j of vec, in their order."""
+    out: dict = {}
+    for j, c in vec.items():
+        add_into(out, cols[j], c)
+    return out
 
 
 def mul_vec(d: MagmaCoalgebra, u: dict, v: dict) -> dict:
@@ -52,7 +77,7 @@ def mul_vec(d: MagmaCoalgebra, u: dict, v: dict) -> dict:
     out: dict = {}
     for i, a in u.items():
         for j, b in v.items():
-            vec_add_into(out, d.mul_basis(i, j), a * b)
+            add_into(out, d.mul_basis(i, j), a * b)
     return out
 
 
@@ -66,7 +91,7 @@ def _projection_formulas(d: MagmaCoalgebra):
     """The four unit-coproduct forms: target, source and their barred twins."""
     unit_split = [
         ((t // d.dim), (t % d.dim), c)
-        for t, c in coproduct_map(d.coproduct, d.dim)(d.unit).items()
+        for t, c in apply(coproduct_map(d.coproduct, d.dim).cols, d.unit).items()
     ]
 
     def col(h, probe_first, probe_times_h):
@@ -76,7 +101,7 @@ def _projection_formulas(d: MagmaCoalgebra):
         for (u, v, c) in unit_split:
             probe, keep = (u, v) if probe_first else (v, u)
             prod = d.mul_basis(probe, h) if probe_times_h else d.mul_basis(h, probe)
-            vec_add_into(out, {keep: c}, d.eps_vec(prod))
+            add_into(out, {keep: c}, d.eps_vec(prod))
         return out
 
     n = d.dim
@@ -93,8 +118,8 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
         left: dict = {}
         right: dict = {}
         for u, c in d.unit.items():
-            vec_add_into(left, d.mul_basis(u, k), c)
-            vec_add_into(right, d.mul_basis(k, u), c)
+            add_into(left, d.mul_basis(u, k), c)
+            add_into(right, d.mul_basis(k, u), c)
         if not vec_equal(left, {k: 1}):
             report.fail("magma-unit", (k,), f"1*{d.name(k)} = {left}")
         if not vec_equal(right, {k: 1}):
@@ -105,16 +130,16 @@ def _check_preconditions(d: MagmaCoalgebra, report: StructureReport) -> None:
         rhs: dict = {}
         for (j, k, c) in split:
             for (j1, j2, c1) in d.coproduct[j]:
-                vec_add_into(lhs, {(j1, j2, k): 1}, c * c1)
+                add_into(lhs, {(j1, j2, k): 1}, c * c1)
             for (k1, k2, c2) in d.coproduct[k]:
-                vec_add_into(rhs, {(j, k1, k2): 1}, c * c2)
+                add_into(rhs, {(j, k1, k2): 1}, c * c2)
         if not vec_equal(lhs, rhs):
             report.fail("coalg1", (i,), "coassociativity fails")
         left: dict = {}
         right: dict = {}
         for (j, k, c) in split:
-            vec_add_into(left, {k: 1}, c * d.eps(j))
-            vec_add_into(right, {j: 1}, c * d.eps(k))
+            add_into(left, {k: 1}, c * d.eps(j))
+            add_into(right, {j: 1}, c * d.eps(k))
         if not vec_equal(left, {i: 1}):
             report.fail("coalg2", (i,), f"eps(h1) h2 = {left}")
         if not vec_equal(right, {i: 1}):
@@ -126,14 +151,14 @@ def _law_d1(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
     n = d.dim
     for h in range(n):
         for k in range(n):
-            lhs = coproduct_map(d.coproduct, n)(d.mul_basis(h, k))
+            lhs = apply(coproduct_map(d.coproduct, n).cols, d.mul_basis(h, k))
             rhs: dict = {}
             for (h1, h2, c) in splits[h]:
                 for (k1, k2, c2) in splits[k]:
                     coeff = c * c2
                     for m1, a in d.mul_basis(h1, k1).items():
                         for m2, b2 in d.mul_basis(h2, k2).items():
-                            vec_add_into(rhs, {m1 * n + m2: 1}, coeff * a * b2)
+                            add_into(rhs, {m1 * n + m2: 1}, coeff * a * b2)
             if not vec_equal(lhs, rhs):
                 report.fail("d1", (h, k), "delta(hk) != delta(h)delta(k)")
 
@@ -170,22 +195,21 @@ def _sweep_d2(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
 def _sweep_d3(d: MagmaCoalgebra, report: StructureReport, splits) -> None:
     """(d3): both weak coassociativity forms of delta(1)."""
     n = d.dim
-    unit_split = [
-        ((t // n), (t % n), c) for t, c in coproduct_map(d.coproduct, d.dim)(d.unit).items()
-    ]
+    delta_unit = apply(coproduct_map(d.coproduct, n).cols, d.unit)
+    unit_split = [((t // n), (t % n), c) for t, c in delta_unit.items()]
     lhs3: dict = {}
     for (u, v, c) in unit_split:
         for (u1, u2, c1) in splits[u]:
-            vec_add_into(lhs3, {(u1, u2, v): 1}, c * c1)
+            add_into(lhs3, {(u1, u2, v): 1}, c * c1)
     mid_plain: dict = {}
     mid_twist: dict = {}
     for (u1, u2, c) in unit_split:
         for (v1, v2, c2) in unit_split:
             coeff = c * c2
             for m, a in d.mul_basis(u2, v1).items():
-                vec_add_into(mid_plain, {(u1, m, v2): 1}, coeff * a)
+                add_into(mid_plain, {(u1, m, v2): 1}, coeff * a)
             for m, a in d.mul_basis(v1, u2).items():
-                vec_add_into(mid_twist, {(u1, m, v2): 1}, coeff * a)
+                add_into(mid_twist, {(u1, m, v2): 1}, coeff * a)
     if not vec_equal(lhs3, mid_plain):
         report.fail("d3", ("plain",), "delta2(1) != (id x mu x id)(delta(1) x delta(1))")
     if not vec_equal(lhs3, mid_twist):
@@ -203,10 +227,10 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport, splits, pi_l, p
             lhs44: dict = {}
             lhs45: dict = {}
             for (h1, h2, c) in split_h:
-                vec_add_into(
+                add_into(
                     lhs44, mul_vec(d, d.antipode.cols[h1], d.mul_basis(h2, k)), c
                 )
-                vec_add_into(
+                add_into(
                     lhs45, mul_vec(d, basis[h1], mul_vec(d, d.antipode.cols[h2], basis[k])), c
                 )
             if not vec_equal(lhs44, mul_vec(d, pi_r.cols[h], basis[k])):
@@ -216,10 +240,10 @@ def _sweep_d4_4_to_7(d: MagmaCoalgebra, report: StructureReport, splits, pi_l, p
             lhs46: dict = {}
             lhs47: dict = {}
             for (k1, k2, c) in splits[k]:
-                vec_add_into(
+                add_into(
                     lhs46, mul_vec(d, d.mul_basis(h, k1), d.antipode.cols[k2]), c
                 )
-                vec_add_into(
+                add_into(
                     lhs47, mul_vec(d, mul_vec(d, basis[h], d.antipode.cols[k1]), basis[k2]), c
                 )
             if not vec_equal(lhs46, mul_vec(d, basis[h], pi_l.cols[k])):
@@ -256,7 +280,7 @@ def _sweep_antimult(d: MagmaCoalgebra, report: StructureReport) -> None:
     n = d.dim
     for h in range(n):
         for g in range(n):
-            lhs = d.antipode(d.mul_basis(h, g))
+            lhs = apply(d.antipode.cols, d.mul_basis(h, g))
             rhs = mul_vec(d, d.antipode.cols[g], d.antipode.cols[h])
             if not vec_equal(lhs, rhs):
                 report.fail("antimult", (h, g), f"lhs={lhs} rhs={rhs}")
@@ -305,7 +329,7 @@ def check_quasigroupoid(q: Quasigroupoid) -> StructureReport:
     for (a, b) in prod:
         if src[a] != tgt[b]:
             report.fail("prod-domain", (a, b), "product defined on non-composable pair")
-    after = matching_arrows(src, tgt, q.n_objects)
+    after = ends_after(src, tgt)
     for a, bs in enumerate(after):
         for b in bs:
             if (a, b) not in prod:
@@ -369,7 +393,7 @@ def derived_identity_suite(q: Quasigroupoid) -> StructureReport:
         if q.inv[la] != a:
             report.fail("E-5", (a,))
     inv, prod = q.inv, q.prod
-    for a, b in q.composable_pairs():
+    for a, b in fibered_pairs(q, q):
         c = prod.get((a, b))
         if c is not None and inv[c] != prod.get((inv[b], inv[a])):
             report.fail("E-6", (a, b))
@@ -428,17 +452,16 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
             if lhs != rhs:
                 report.fail(tag, cfg, f"lhs={lhs} rhs={rhs}")
 
-    ha = mixed_pairs(h, a)
-    ah = mixed_pairs(a, h)
-    aa = list(a.composable_pairs())
-    hh = list(h.composable_pairs())
+    ha = fibered_pairs(h, a)
+    ah = fibered_pairs(a, h)
+    aa = fibered_pairs(a, a)
+    hh = fibered_pairs(h, h)
     # x_y[i] lists the arrows j of the second structure with src(i) = tgt(j),
     # so each law's triples are a join of its two fibered pairs on the middle
-    m = b.n_objects
-    a_a = matching_arrows(a.src, a.tgt, m)
-    a_h = matching_arrows(a.src, h.tgt, m)
-    h_a = matching_arrows(h.src, a.tgt, m)
-    h_h = matching_arrows(h.src, h.tgt, m)
+    a_a = ends_after(a.src, a.tgt)
+    a_h = ends_after(a.src, h.tgt)
+    h_a = ends_after(h.src, a.tgt)
+    h_h = ends_after(h.src, h.tgt)
 
     assoc("HAA", [(g, p, q) for (g, p) in ha for q in a_a[p]],
           lambda g, p, q: (fh[g], fa[p], fa[q]))
@@ -486,6 +509,33 @@ def check_exact_factorization(c: FactorizationCandidate) -> StructureReport:
     return report
 
 
+@dataclass(frozen=True)
+class UncheckedAction:
+    """An action table as the checkers below read a `LeftAction` or a
+    `RightAction`, but one that no constructor has admitted."""
+
+    h: Quasigroupoid
+    a: Quasigroupoid
+    table: PairTable
+
+
+def mixed_pairs(left: Quasigroupoid, right: Quasigroupoid) -> list:
+    """The fibered pairs of two structures over one base, by the filter."""
+    if left.n_objects != right.n_objects:
+        raise StructureError("base mismatch: structures have different object sets")
+    return fibered_pairs(left, right)
+
+
+def _check_domain(table, h: Quasigroupoid, a: Quasigroupoid, kind: str) -> None:
+    expected = set(mixed_pairs(h, a))
+    if set(table) != expected:
+        extra = sorted(set(table) - expected)
+        missing = sorted(expected - set(table))
+        raise StructureError(
+            f"{kind} action domain mismatch: extra={extra[:4]} missing={missing[:4]}"
+        )
+
+
 def check_left_action(action: LeftAction) -> StructureReport:
     h, a, phi = action.h, action.a, action.table
     _check_domain(phi, h, a, "left")
@@ -496,7 +546,7 @@ def check_left_action(action: LeftAction) -> StructureReport:
     for (x, y), val in phi.items():
         if a.tgt[val] != h.tgt[x]:
             report.fail("c1", (x, y), f"tgt phi={a.tgt[val]} tgt h={h.tgt[x]}")
-    before = matching_arrows(h.tgt, h.src, h.n_objects)
+    before = ends_after(h.tgt, h.src)
     for (x, y), inner in phi.items():
         for g in before[x]:
             gx = h.compose(g, x)
@@ -523,7 +573,7 @@ def check_right_action(action: RightAction) -> StructureReport:
     for (x, y), val in phi.items():
         if h.src[val] != a.src[y]:
             report.fail("d1", (x, y), f"src phi={h.src[val]} src a={a.src[y]}")
-    after = matching_arrows(a.src, a.tgt, a.n_objects)
+    after = ends_after(a.src, a.tgt)
     for (x, y), inner in phi.items():
         for b in after[y]:
             yb = a.compose(y, b)
@@ -558,8 +608,8 @@ def check_matched_pair(mp: MatchedPair) -> StructureReport:
         pa, ph = mp.phi_a(x, y), mp.phi_h(x, y)
         if a.src[pa] != h.tgt[ph]:
             report.fail("e1", (x, y), f"src phiA={a.src[pa]} tgt phiH={h.tgt[ph]}")
-    a_after = matching_arrows(a.src, a.tgt, a.n_objects)
-    h_before = matching_arrows(h.tgt, h.src, h.n_objects)
+    a_after = ends_after(a.src, a.tgt)
+    h_before = ends_after(h.tgt, h.src)
     for (x, y) in pairs:
         for b in a_after[y]:
             lhs = mp.phi_a(x, a.compose(y, b))

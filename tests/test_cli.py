@@ -40,7 +40,7 @@ from nonassoc.documents import (
     quasigroupoid_to_doc,
     whq_to_doc,
 )
-from nonassoc.reports import format_report, report_as_document
+from nonassoc.reports import StructureError, format_report, report_as_document
 from tests.conftest import two_sided_factorization, two_sided_pair, z3_translation
 
 
@@ -118,6 +118,26 @@ def test_malformed_json_text_exits_2(tmp_path, capsys, content, problem):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "no-such-file.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("side,change,message", [
+    ("left", "drop", "left action domain mismatch: extra=[] missing=[(0, 0)]"),
+    ("right", "add", "right action domain mismatch: extra=[(0, 2)] missing=[]"),
+])
+def test_a_bad_action_table_is_refused_while_the_document_is_read(
+    tmp_path, coarse2, capsys, side, change, message
+):
+    """The action constructor refuses the table as the reader builds the
+    pair, and every command that reads the document exits 2 with its
+    message."""
+    doc = matched_pair_to_doc(mp_discrete_right(coarse2))
+    doc[side] = doc[side][1:] if change == "drop" else [*doc[side], [0, 2, 0]]
+    with pytest.raises(StructureError) as raised:
+        documents.doc_to_matched_pair(doc)
+    assert str(raised.value) == message
+    path = write(tmp_path, "mp.json", emit(doc))
+    for command in (["validate"], ["suite"], ["build", "dcp"], ["build", "bowtie"], ["check-iso"]):
+        assert run(capsys, *command, path) == (2, "", f"error: {message}\n"), command
 
 
 def test_suite_on_matched_pair(mp_file, capsys):

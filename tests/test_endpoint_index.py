@@ -1,8 +1,8 @@
 """The endpoint index against the brute-force enumerations it replaces.
 
-`composable_pairs`, `mixed_pairs` and the joins of fibered pairs used by the
-mixed associativity sweeps must list exactly what scanning all pairs of
-arrows and filtering them lists, in the same order.  P-5, P-6, P-9 and P-10
+`fibered_arrows`, `mixed_pairs` and the joins of fibered pairs used by the
+mixed associativity sweeps must list exactly what filtering all arrows
+(`tests.conftest.ends_after`, `fibered_pairs`) lists, in the same order.  P-5, P-6, P-9 and P-10
 of the matched-pair identity suite, which visit only the third arrows that
 their product lookups can find, must evaluate and fail exactly what the
 sweep over every third arrow does, also on corrupted tables, among them
@@ -10,8 +10,10 @@ tables inserted out of order and entries off the composable pairs.  The
 scans are kept here as the oracle.  Also: the sparse-base chain that the
 index makes linear in the number of arrows.  Each structure keeps its own
 index, built once: it must equal `arrows_by_object` of its sources and
-targets, and the fibered pairs that `check_exact_factorization` reads from
-it must equal `matching_arrows`.
+targets, the fibered pairs that `check_exact_factorization` reads from it
+must equal the filtered ones, and the checks of a matched pair, its
+canonical factorization and its identity suites index A and H once and
+admit each action table once, when the action is built.
 """
 
 import dataclasses
@@ -30,6 +32,7 @@ from nonassoc import (
     StructureError,
     canonical_factorization,
     check_exact_factorization,
+    check_matched_pair,
     check_morphism,
     coarse_groupoid,
     derived_identity_suite,
@@ -44,27 +47,13 @@ from nonassoc import (
     pullback_quasigroupoid,
     quasigroup_as_quasigroupoid,
     sub_quasigroupoid,
+    theta_identity_report,
 )
-from nonassoc import factorizations
+from nonassoc import factorizations, matched_pairs, quasigroupoids
 from nonassoc.quasigroupoids import arrows_by_object, fibered_arrows, matching_arrows
 from tests import reference_sweeps as ref
-from tests.conftest import two_sided_pair
+from tests.conftest import ends_after, fibered_pairs, two_sided_pair
 from tests.test_builders import QUASIGROUPS, c2_actions, relabelled_components
-
-
-def brute_composable(q):
-    return [
-        (a, b) for a in range(q.n_arrows) for b in range(q.n_arrows) if q.src[a] == q.tgt[b]
-    ]
-
-
-def brute_mixed(left, right):
-    return [
-        (x, y)
-        for x in range(left.n_arrows)
-        for y in range(right.n_arrows)
-        if left.src[x] == right.tgt[y]
-    ]
 
 
 def brute_join(first, second):
@@ -108,19 +97,17 @@ def structure_pairs(mp_family, m12):
     return out
 
 
-def test_composable_pairs_equal_the_scan(structure_pairs):
-    for left, _ in structure_pairs:
-        assert list(left.composable_pairs()) == brute_composable(left)
-
-
 def test_mixed_pairs_equal_the_nested_filter(structure_pairs):
     for left, right in structure_pairs:
-        assert mixed_pairs(left, right) == brute_mixed(left, right)
+        assert mixed_pairs(left, right) == fibered_pairs(left, right)
 
 
-def test_fibered_arrows_equal_the_matching_arrows(structure_pairs):
+def test_fibered_arrows_equal_the_filter(structure_pairs):
     for left, right in structure_pairs:
-        assert fibered_arrows(left, right) == matching_arrows(left.src, right.tgt, left.n_objects)
+        assert fibered_arrows(left, right) == ends_after(left.src, right.tgt)
+        assert matching_arrows(left.src, right.tgt, left.n_objects) == ends_after(
+            left.src, right.tgt
+        )
 
 
 def test_joins_equal_the_nested_filter(structure_pairs):
@@ -128,9 +115,9 @@ def test_joins_equal_the_nested_filter(structure_pairs):
     Z with src(y) = tgt(z)."""
     for x_side, y_side in structure_pairs:
         for z_side in (x_side, y_side):
-            after = matching_arrows(y_side.src, z_side.tgt, y_side.n_objects)
+            after = fibered_arrows(y_side, z_side)
             joined = [(x, y, z) for (x, y) in mixed_pairs(x_side, y_side) for z in after[y]]
-            first, second = brute_mixed(x_side, y_side), brute_mixed(y_side, z_side)
+            first, second = fibered_pairs(x_side, y_side), fibered_pairs(y_side, z_side)
             assert joined == brute_join(first, second)
 
 
@@ -160,11 +147,21 @@ def test_a_negative_source_is_rejected_not_wrapped():
     arrows into object m-1."""
     q = ends_only(2, [0, -1], [0, 1])
     with pytest.raises(StructureError):
-        list(q.composable_pairs())
+        q.by_src
     with pytest.raises(StructureError):
         mixed_pairs(q, coarse_groupoid(2))
     with pytest.raises(StructureError):
         fibered_arrows(q, coarse_groupoid(2))
+
+
+def test_structures_over_different_bases_are_refused():
+    """Read side by side, two indexes of different lengths would leave the
+    arrows over the objects that one base lacks with None for a list."""
+    for first, second in ((coarse_groupoid(3), coarse_groupoid(2)),
+                          (coarse_groupoid(2), coarse_groupoid(3))):
+        for enumerate_pairs in (fibered_arrows, mixed_pairs):
+            with pytest.raises(StructureError, match="^base mismatch: structures have"):
+                enumerate_pairs(first, second)
 
 
 def test_sparse_base_chain_is_linear_in_the_arrows():
@@ -216,9 +213,45 @@ def test_each_structure_keeps_its_endpoint_index():
     assert seen > 200
 
 
+def test_a_pair_is_indexed_once_and_its_tables_admitted_once(monkeypatch):
+    """On a two-sided pair with fresh components: building the two actions,
+    `check_matched_pair`, the canonical factorization, its exactness report
+    and the three suite reports call `arrows_by_object` once for each of the
+    four endpoint lists of A and H, and check each action table once, when
+    its action is built."""
+    mp = two_sided_pair(2)
+    a, h = dataclasses.replace(mp.a), dataclasses.replace(mp.h)  # no index built yet
+    indexed, admitted = [], []
+    index, admit = quasigroupoids.arrows_by_object, matched_pairs._check_table
+
+    def counted_index(ends, n_objects):
+        indexed.append(ends)
+        return index(ends, n_objects)
+
+    def counted_admit(action):
+        admitted.append(action.kind)
+        return admit(action)
+
+    monkeypatch.setattr(quasigroupoids, "arrows_by_object", counted_index)
+    monkeypatch.setattr(matched_pairs, "_check_table", counted_admit)
+    pair = MatchedPair(a, h, LeftAction(h, a, mp.left.table), RightAction(h, a, mp.right.table))
+    assert admitted == ["left", "right"]
+    assert check_matched_pair(pair).ok
+    c = canonical_factorization(pair)
+    fact = check_exact_factorization(c)
+    assert fact.ok
+    assert matched_pair_identity_suite(pair).ok
+    assert mixed_associativity_suite(c, fact).ok
+    assert theta_identity_report(c, fact).ok
+    assert admitted == ["left", "right"]
+    assert len(indexed) == 4
+    for ends in (a.src, a.tgt, h.src, h.tgt):
+        assert sum(seen is ends for seen in indexed) == 1
+
+
 def test_the_exactness_sweeps_read_the_matching_arrows(monkeypatch):
     """Every fibered-pair list that `check_exact_factorization` gives its
-    sweeps equals `matching_arrows` of the sides its tag names: a mixed law
+    sweeps equals the filtered lists of the sides its tag names: a mixed law
     XYZ reads the pairs of (X, Y) and, for the third arrow, of (Y, Z); theta
     reads the pairs of (A, H).  Over the first two and last two closed
     subsets of each builder input of at most 24 arrows, in both orders."""
@@ -248,7 +281,7 @@ def test_the_exactness_sweeps_read_the_matching_arrows(monkeypatch):
                 side = {"A": (ia.source, ia.arrow_map), "H": (ih.source, ih.arrow_map)}
 
                 def matching(x, y):
-                    return matching_arrows(side[x][0].src, side[y][0].tgt, b.n_objects)
+                    return ends_after(side[x][0].src, side[y][0].tgt)
 
                 (theta, (_, _, a_h, fa, fh, _)), *mixed = lists
                 assert theta == "_theta_bijective"
@@ -288,7 +321,7 @@ def reference_third_arrow_sweeps(mp):
     out = {}
     for tag, (third, sides) in sweeps.items():
         evaluated, failures = 0, []
-        for (x, y) in brute_mixed(h, a):
+        for (x, y) in fibered_pairs(h, a):
             for z in range(third.n_arrows):
                 lhs, rhs = sides(x, y, z)
                 if lhs is None or rhs is None:

@@ -7,6 +7,7 @@ from nonassoc import (
     MatchedPair,
     MpMorphism,
     QgpdMorphism,
+    RightAction,
     StructureError,
     canonical_factorization,
     check_exact_factorization,
@@ -34,6 +35,8 @@ from nonassoc import (
     theta,
     theta_identity_report,
 )
+from nonassoc.quasigroupoids import PairTable
+from tests import reference_sweeps as ref
 from tests.conftest import two_sided_pair, z3_translation
 
 
@@ -344,16 +347,24 @@ def test_dcp_inverse_is_the_unique_cancellation_inverse(z2, z3):
 
 
 def test_the_identity_suite_refuses_a_table_as_check_matched_pair_does(coarse2):
-    """A value past the last arrow, or a mixed pair without a value, raises
-    the same StructureError in the suite as in check_matched_pair."""
+    """A value past the last arrow, or a mixed pair without a value, is
+    refused by the action constructor, on either side, with a plain
+    StructureError, so neither check_matched_pair nor the identity suite
+    is ever given the table; the reference action checkers refuse the same
+    table with the same message."""
     mp = mp_discrete_right(coarse2)
-    key = sorted(mp.left.table)[0]
-    past = {**mp.left.table, key: coarse2.n_arrows}
-    missing = {k: v for k, v in mp.left.table.items() if k != key}
-    for table, message in ((past, "left action value 4 out of range"),
-                           (missing, "left action domain mismatch")):
-        bad = MatchedPair(mp.a, mp.h, LeftAction(mp.h, mp.a, table), mp.right)
-        for check in (check_matched_pair, matched_pair_identity_suite):
+    sides = (("left", LeftAction, mp.left.table, coarse2.n_arrows),
+             ("right", RightAction, mp.right.table, mp.h.n_arrows))
+    for kind, action, table, n in sides:
+        key = sorted(table)[0]
+        past = {**table, key: n}
+        missing = {k: v for k, v in table.items() if k != key}
+        for bad, message in ((past, f"{kind} action value {n} out of range"),
+                             (missing, f"{kind} action domain mismatch")):
             with pytest.raises(StructureError, match=message) as raised:
-                check(bad)
+                action(mp.h, mp.a, bad)
             assert type(raised.value) is StructureError
+            unchecked = ref.UncheckedAction(mp.h, mp.a, PairTable.of(bad))
+            with pytest.raises(StructureError) as expected:
+                getattr(ref, f"check_{kind}_action")(unchecked)
+            assert str(raised.value) == str(expected.value)

@@ -9,9 +9,12 @@ raise the same exception: on the test family, on the two-sided
 pairs of pair(M12, m) for m = 2, 3, on every factorize candidate of the
 one-object M12, on seeded corruptions of products, action tables,
 inclusion arrow maps and component endpoints, and on product tables at the
-edges of the shape check.  One exception is allowed:
-where the reference identity suite indexes past the last arrow with an
-`IndexError`, the library's raises the `StructureError` that
+edges of the shape check.  An action table that the library's action
+constructor refuses is given to the reference checkers unchecked
+(`reference_sweeps.UncheckedAction`), and each must raise the refusal's
+StructureError, with its message.  One exception is allowed: where the
+reference identity suite indexes past the last arrow with an `IndexError`,
+the refusal must be the `StructureError` that the reference
 `check_matched_pair` raises on the same pair.
 """
 
@@ -184,20 +187,32 @@ def _with_prod(q, rng, kind):
     return dataclasses.replace(q, prod=prod)
 
 
+ACTIONS = {"left": LeftAction, "right": RightAction}
+
+
 def _with_components(mp, a, h):
     return MatchedPair(a, h, LeftAction(h, a, mp.left.table), RightAction(h, a, mp.right.table))
 
 
 def _with_actions(mp, rng):
-    """mp with one to three action values replaced by arbitrary values, one
-    in twenty past the last arrow."""
+    """The action tables of mp, by side, with one to three values replaced
+    by arbitrary values, one in twenty past the last arrow."""
     left, right = dict(mp.left.table), dict(mp.right.table)
     keys = sorted(left)
     for _ in range(rng.randint(1, 3)):
         table, n = (left, mp.a.n_arrows) if rng.random() < 0.5 else (right, mp.h.n_arrows)
         table[rng.choice(keys)] = rng.randrange(n + (rng.random() < 0.05))
-    a, h = mp.a, mp.h
-    return MatchedPair(a, h, LeftAction(h, a, left), RightAction(h, a, right))
+    return {"left": left, "right": right}
+
+
+def _refused(name, unchecked, refusal):
+    """The reference checker `name` raises on the unchecked input the
+    StructureError `refusal` of an action constructor, or, for the identity
+    suite, an IndexError where the reference `check_matched_pair` raises it."""
+    expected = _outcome(CHECKERS[name][1], unchecked)
+    if name == "identities" and expected[:2] == ("raised", IndexError):
+        expected = _outcome(ref.check_matched_pair, unchecked)
+    assert expected == ("raised", StructureError, str(refusal)), name
 
 
 def _permuted(f, rng):
@@ -228,8 +243,12 @@ def test_seeded_corruptions_give_the_reference_reports(mp_family):
     kinds = ("change", "delete", "add", "action", "inclusion", "endpoint")
     tally = {name: {"pass": 0, "fail": 0, "raised": 0} for name in CHECKERS}
 
-    def compare(name, arg):
-        verdict = _compare(name, arg)[0]
+    def compare(name, arg, refusal=None):
+        if refusal is None:
+            verdict = _compare(name, arg)[0]
+        else:  # the library refused arg's table, so the reference must too
+            _refused(name, arg, refusal)
+            verdict = "raised"
         tally[name][{True: "pass", False: "fail"}.get(verdict, "raised")] += 1
 
     for seed in range(720):
@@ -237,11 +256,20 @@ def test_seeded_corruptions_give_the_reference_reports(mp_family):
         mp, c = rng.choice(bases)
         kind = kinds[seed % len(kinds)]
         if kind == "action":
-            bad = _with_actions(mp, rng)
-            compare("left", bad.left)
-            compare("right", bad.right)
-            compare("matched pair", bad)
-            compare("identities", bad)
+            a, h = mp.a, mp.h
+            actions, refusal = {}, None  # the first refusal, in the order of building
+            for name, table in _with_actions(mp, rng).items():
+                try:
+                    actions[name] = ACTIONS[name](h, a, table)
+                except StructureError as exc:
+                    actions[name] = ref.UncheckedAction(h, a, PairTable.of(table))
+                    refusal = refusal or exc
+                    compare(name, actions[name], exc)
+                else:
+                    compare(name, actions[name])
+            bad = MatchedPair(a, h, actions["left"], actions["right"])
+            compare("matched pair", bad, refusal)
+            compare("identities", bad, refusal)
         elif kind == "inclusion":
             which = "ia" if rng.random() < 0.5 else "ih"
             permuted = _permuted(getattr(c, which), rng)
